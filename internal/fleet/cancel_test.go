@@ -25,8 +25,8 @@ func waitGoroutines(t *testing.T, want int) {
 	}
 }
 
-// warmSurface builds the lazily constructed operating-point surface
-// before a timed cancellation check: the one-time global grid build is
+// warmSurface loads the lazily constructed operating-point surface
+// before a timed cancellation check: the one-time global surface load is
 // the only stretch of work a worker cannot interrupt, and it must not
 // count against the per-bin cancellation latency.
 func warmSurface(t *testing.T) {

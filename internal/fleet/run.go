@@ -262,7 +262,8 @@ func RunWith(ctx context.Context, cfg Config, h Hooks) (*Result, error) {
 	}
 
 	// Telemetry setup. When enabled, the operating-point surfaces the
-	// run will query are built up front under their own span — the build
+	// run will query are loaded up front under their own span — decoded
+	// from the embedded table, or built for a harvester it lacks. Either
 	// is deterministic and process-cached, so warming changes no output,
 	// but it keeps the one-time cost out of the simulate span.
 	runStart := time.Now() //powifi:walltime-ok telemetry manifest wall time, out of band of the simulation

@@ -23,11 +23,11 @@ func Enabled() bool { return enabled.Load() }
 // should prefer the Exact fields on deploy.Options and fleet.Config.
 func SetEnabled(v bool) { enabled.Store(v) }
 
-// registry caches one built surface per distinct harvester
-// configuration. Devices are constructed afresh per simulated home, so
-// the cache is keyed by the harvester's physical fingerprint rather than
-// by pointer identity; builds are deterministic in the fingerprint, so
-// sharing a surface across goroutines cannot perturb results.
+// registry caches one surface per distinct harvester configuration.
+// Devices are constructed afresh per simulated home, so the cache is
+// keyed by the harvester's physical fingerprint rather than by pointer
+// identity; surfaces are deterministic in the fingerprint, so sharing
+// one across goroutines cannot perturb results.
 var registry sync.Map // fingerprint string -> *registryEntry
 
 type registryEntry struct {
@@ -49,13 +49,15 @@ func Fingerprint(h *harvester.Harvester) string {
 	return fmt.Sprintf("v%d|%T%+v|%+v|%s|%s", h.Version, h.Match, h.Match, h.Rect, seiko, bq)
 }
 
-// For returns the process-wide shared surface for h, building it with
-// DefaultOptions on first use. The build runs at most once per distinct
-// harvester configuration regardless of how many goroutines race here.
+// For returns the process-wide shared surface for h at DefaultOptions.
+// On first use it decodes the surface from the embedded table when the
+// table holds h's fingerprint (the production harvesters), and builds it
+// with New otherwise. Either runs at most once per distinct harvester
+// configuration regardless of how many goroutines race here.
 func For(h *harvester.Harvester) *Surface {
 	key := Fingerprint(h)
 	v, _ := registry.LoadOrStore(key, &registryEntry{})
 	e := v.(*registryEntry)
-	e.once.Do(func() { e.s = New(h, DefaultOptions()) })
+	e.once.Do(func() { e.s = load(h, key, embeddedTable) })
 	return e.s
 }

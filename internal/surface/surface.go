@@ -45,6 +45,16 @@
 // bisection against the exact solver, never from query order, worker
 // count, or scheduling. Built surfaces are immutable, so fleet runs stay
 // bit-for-bit identical at any -workers value.
+//
+// # The embedded table
+//
+// Because a build is a pure function of its inputs, the production
+// surfaces (the battery-free and battery-charging harvesters at
+// DefaultOptions) are built once and committed as surfaces.bin, which
+// For decodes instead of rebuilding — the same grids, bit for bit, in
+// well under a millisecond instead of most of a second. TestEmbeddedTables
+// fails whenever New would build something else; regenerate the table
+// with go generate.
 package surface
 
 import (
@@ -135,10 +145,12 @@ type Surface struct {
 	// the exact expressions PowerTransferFraction evaluates, so the
 	// per-bin fixed point recomputes only the load-dependent terms.
 	// Queries at other frequencies fall through to the network itself.
-	// Immutable after New, hence safe for concurrent readers.
+	// Immutable after construction, hence safe for concurrent readers.
 	xfer [3]freqXfer
 	hp   rf.HighPassLSection // the network behind xfer, when hpOK
 	hpOK bool
+
+	embedded bool // grids decoded from the embedded table, not built
 }
 
 // freqXfer holds one frequency's load-independent constants: the
@@ -227,14 +239,11 @@ type Stats struct {
 	Unresolved     int     // width-floored intervals still over tolerance
 }
 
-// New builds the surface for h deterministically from its configuration.
-// The build spends a few hundred exact operating-point solves per load
-// line; amortized over a fleet run it is negligible, and For caches one
-// surface per distinct harvester configuration process-wide.
-func New(h *harvester.Harvester, opts Options) *Surface {
-	opts = opts.withDefaults()
+// newSurface returns a surface for h without grids, with the matching
+// network's per-channel constants precomputed. New fills its grids by
+// building them, the embedded table by decoding them.
+func newSurface(h *harvester.Harvester, opts Options) *Surface {
 	s := &Surface{h: h, opts: opts}
-
 	if hp, isHighPass := h.Match.(rf.HighPassLSection); isHighPass {
 		s.hp = hp
 		s.hpOK = true
@@ -242,6 +251,17 @@ func New(h *harvester.Harvester, opts Options) *Surface {
 			s.xfer[i] = s.buildXfer(chNum.FreqHz())
 		}
 	}
+	return s
+}
+
+// New builds the surface for h deterministically from its configuration.
+// The build spends a few thousand exact operating-point solves — most of
+// a second. It is the generator of the embedded table and the reference
+// the tests certify that table against; production callers go through
+// For, which serves the production harvesters from the table.
+func New(h *harvester.Harvester, opts Options) *Surface {
+	opts = opts.withDefaults()
+	s := newSurface(h, opts)
 
 	// Below vRelevant the converter cannot act on the rectifier voltage —
 	// the battery-free pump needs 300 mV to start, the bq25570 needs
@@ -328,31 +348,6 @@ func (s *Surface) Stats() Stats {
 		st.Unresolved += s.boot.unresolved
 	}
 	return st
-}
-
-// Grids exposes the monotone abscissae of the operating and startup
-// grids (ln accepted watts) for property tests; the returned slices must
-// not be modified.
-func (s *Surface) Grids() (op, boot []float64) {
-	if s.boot != nil {
-		boot = s.boot.xs
-	}
-	return s.op.xs, boot
-}
-
-// interpAt evaluates grid curves v, i and rp at accepted power a.
-func interpAt(g *grid, a float64) (v, i, rp float64, ok bool) {
-	if a <= 0 {
-		return 0, 0, 0, false
-	}
-	x := math.Log(a)
-	lo, ok := g.bracket(x)
-	if !ok {
-		return 0, 0, 0, false
-	}
-	v = g.atIdx(curveV, lo, x)
-	i = g.atIdx(curveI, lo, x)
-	return v, i, math.Exp(g.atIdx(curveLnRp, lo, x)), true
 }
 
 // interpVIAt returns the voltage and current curves at accepted power a

@@ -7,32 +7,6 @@ import (
 	"repro/internal/harvester"
 )
 
-// TestBuildDeterministic pins the surface's core contract: two builds
-// from the same harvester configuration produce identical grids — node
-// for node, bit for bit — so sharing a surface across fleet workers
-// cannot perturb results.
-func TestBuildDeterministic(t *testing.T) {
-	h := harvester.NewBatteryFree()
-	a := New(h, DefaultOptions())
-	b := New(harvester.NewBatteryFree(), DefaultOptions())
-	for name, pair := range map[string][2]*grid{"op": {a.op, b.op}, "boot": {a.boot, b.boot}} {
-		ga, gb := pair[0], pair[1]
-		if len(ga.xs) != len(gb.xs) {
-			t.Fatalf("%s: node counts differ: %d vs %d", name, len(ga.xs), len(gb.xs))
-		}
-		for i := range ga.xs {
-			if ga.xs[i] != gb.xs[i] {
-				t.Fatalf("%s: node %d differs: %v vs %v", name, i, ga.xs[i], gb.xs[i])
-			}
-			for c := range ga.ys {
-				if ga.ys[c][i] != gb.ys[c][i] {
-					t.Fatalf("%s: curve %d value %d differs", name, c, i)
-				}
-			}
-		}
-	}
-}
-
 // TestRegistrySharesBuilds pins that For returns one surface per
 // distinct harvester configuration, across distinct device instances.
 func TestRegistrySharesBuilds(t *testing.T) {
