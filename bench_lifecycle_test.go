@@ -57,9 +57,9 @@ func BenchmarkLifecycleFleet(b *testing.B) {
 // TestLifecycleFleetAllocBudget pins the tentpole's allocation
 // acceptance bound without needing the bench environment: a
 // steady-state mixed-device fleet home stays within twice the
-// sampler's per-bin allocation budget (per-run setup — result and
-// partial sketches — amortizes over the homes and is covered by the
-// budget's slack).
+// sampler's per-bin allocation budget (per-run setup — the result's
+// sketches — amortizes over the homes and is covered by the budget's
+// slack).
 func TestLifecycleFleetAllocBudget(t *testing.T) {
 	cfg := lifecycleBenchConfig(1)
 	if _, err := fleet.Run(context.Background(), cfg); err != nil { // warm pools and surfaces

@@ -34,14 +34,13 @@
 // deployment duration for such runs (it overrides -duration; the two
 // are aliases otherwise).
 //
-// -checkpoint FILE makes a sharded sweep resumable: the run
-// periodically writes its committed home prefix to FILE (atomically),
-// writes it once more on interrupt, and removes it on success. Running
-// the same configuration again with the same -checkpoint resumes from
-// the prefix and produces output bit-identical to an uninterrupted
-// run, at any -workers value. The file refuses to resume under a
-// different configuration. Composes with -scenario; incompatible with
-// -devices (lifecycle state lives outside the committed prefix).
+// -checkpoint FILE makes a sweep resumable: the run periodically
+// writes its committed home prefix to FILE (atomically), writes it
+// once more on interrupt, and removes it on success. Running the same
+// configuration again with the same -checkpoint resumes from the
+// prefix and produces output bit-identical to an uninterrupted run, at
+// any -workers value. The file refuses to resume under a different
+// configuration. Composes with -scenario and -devices.
 //
 // Failure handling defaults to fail-fast: a home whose simulation
 // panics aborts the run with a structured error naming the home.

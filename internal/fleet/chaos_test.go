@@ -32,6 +32,17 @@ func mustFaults(t *testing.T, cfg Config, spec string) *faultinject.Set {
 	return fi
 }
 
+// populations is the chaos and checkpoint suites' population input:
+// every contract must hold for the classic stateless aggregates and for
+// a device-lifecycle population, whose ledgers commit with their homes.
+var populations = []struct {
+	name string
+	cfg  func(homes, workers int) Config
+}{
+	{"classic", testConfig},
+	{"lifecycle", lifeTestConfig},
+}
+
 // faultFreeSummary runs the configuration clean and returns its
 // serialized summary — the byte-identity baseline.
 func faultFreeSummary(t *testing.T, cfg Config) []byte {
@@ -90,30 +101,31 @@ func TestChaosFailFastStructuredError(t *testing.T) {
 // fault-free run at any worker count, with the retry visible only in
 // telemetry.
 func TestChaosRetryBitIdentical(t *testing.T) {
-	base := testConfig(12, 1)
-	want := faultFreeSummary(t, base)
-	for _, workers := range []int{1, 8} {
-		cfg := testConfig(12, workers)
-		cfg.Policy = FailurePolicy{Retry: 2}
-		tel := telemetry.NewRun()
-		res, err := RunWith(context.Background(), cfg, Hooks{
-			Telemetry: tel,
-			Faults:    mustFaults(t, cfg, "home.panic@5"),
-		})
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		if got := summaryJSON(t, res); !bytes.Equal(got, want) {
-			t.Errorf("workers=%d: retried run's summary differs from fault-free run", workers)
-		}
-		snap := tel.Snapshot()
-		if snap.Counters[telemetry.CounterHomeRetries] != 1 {
-			t.Errorf("workers=%d: retries counter = %d, want 1",
-				workers, snap.Counters[telemetry.CounterHomeRetries])
-		}
-		if snap.Counters[telemetry.CounterFaultsInjected] != 1 {
-			t.Errorf("workers=%d: faults counter = %d, want 1",
-				workers, snap.Counters[telemetry.CounterFaultsInjected])
+	for _, pop := range populations {
+		want := faultFreeSummary(t, pop.cfg(12, 1))
+		for _, workers := range []int{1, 8} {
+			cfg := pop.cfg(12, workers)
+			cfg.Policy = FailurePolicy{Retry: 2}
+			tel := telemetry.NewRun()
+			res, err := RunWith(context.Background(), cfg, Hooks{
+				Telemetry: tel,
+				Faults:    mustFaults(t, cfg, "home.panic@5"),
+			})
+			if err != nil {
+				t.Fatalf("%s workers=%d: %v", pop.name, workers, err)
+			}
+			if got := summaryJSON(t, res); !bytes.Equal(got, want) {
+				t.Errorf("%s workers=%d: retried run's summary differs from fault-free run", pop.name, workers)
+			}
+			snap := tel.Snapshot()
+			if snap.Counters[telemetry.CounterHomeRetries] != 1 {
+				t.Errorf("%s workers=%d: retries counter = %d, want 1",
+					pop.name, workers, snap.Counters[telemetry.CounterHomeRetries])
+			}
+			if snap.Counters[telemetry.CounterFaultsInjected] != 1 {
+				t.Errorf("%s workers=%d: faults counter = %d, want 1",
+					pop.name, workers, snap.Counters[telemetry.CounterFaultsInjected])
+			}
 		}
 	}
 }
@@ -142,57 +154,59 @@ func TestChaosRetryExhaustionFailsFast(t *testing.T) {
 // home's record matches the fault-free run exactly.
 func TestChaosSkipQuarantine(t *testing.T) {
 	spec := "home.panic@3,times=-1;home.panic@7,times=-1"
-	collect := func(workers int, faulty bool) (*Result, map[int]HomeRecord, []byte) {
-		cfg := testConfig(12, workers)
-		recs := make(map[int]HomeRecord)
-		h := Hooks{Home: func(r HomeRecord) bool { recs[r.Index] = r; return true }}
-		if faulty {
-			cfg.Policy = FailurePolicy{Skip: true}
-			h.Faults = mustFaults(t, cfg, spec)
+	for _, pop := range populations {
+		collect := func(workers int, faulty bool) (*Result, map[int]HomeRecord, []byte) {
+			cfg := pop.cfg(12, workers)
+			recs := make(map[int]HomeRecord)
+			h := Hooks{Home: func(r HomeRecord) bool { recs[r.Index] = r; return true }}
+			if faulty {
+				cfg.Policy = FailurePolicy{Skip: true}
+				h.Faults = mustFaults(t, cfg, spec)
+			}
+			res, err := RunWith(context.Background(), cfg, h)
+			if err != nil {
+				t.Fatalf("%s workers=%d faulty=%v: %v", pop.name, workers, faulty, err)
+			}
+			return res, recs, summaryJSON(t, res)
 		}
-		res, err := RunWith(context.Background(), cfg, h)
-		if err != nil {
-			t.Fatalf("workers=%d faulty=%v: %v", workers, faulty, err)
-		}
-		return res, recs, summaryJSON(t, res)
-	}
 
-	_, cleanRecs, _ := collect(1, false)
-	serial, serialRecs, serialSum := collect(1, true)
-	_, parallelRecs, parallelSum := collect(8, true)
+		_, cleanRecs, _ := collect(1, false)
+		serial, serialRecs, serialSum := collect(1, true)
+		_, parallelRecs, parallelSum := collect(8, true)
 
-	if !bytes.Equal(serialSum, parallelSum) {
-		t.Error("quarantined run's summary differs across worker counts")
-	}
-	if len(serial.Errors) != 2 || serial.Errors[0].Index != 3 || serial.Errors[1].Index != 7 {
-		t.Fatalf("Errors = %+v, want homes 3 and 7 in index order", serial.Errors)
-	}
-	if serial.Partial {
-		t.Error("quarantine alone must not mark the run partial")
-	}
-	sum := serial.Summarize()
-	if sum.FailedHomes != 2 || len(sum.Errors) != 2 {
-		t.Errorf("summary failed_homes = %d (errors %d), want 2", sum.FailedHomes, len(sum.Errors))
-	}
-	if n := serial.CumOcc.N(); n != 10 {
-		t.Errorf("per-home aggregate has %d samples, want 10 (12 homes - 2 quarantined)", n)
-	}
-	for idx, want := range cleanRecs {
-		if idx == 3 || idx == 7 {
-			continue
+		if !bytes.Equal(serialSum, parallelSum) {
+			t.Errorf("%s: quarantined run's summary differs across worker counts", pop.name)
 		}
-		if got, ok := serialRecs[idx]; !ok || !reflect.DeepEqual(got, want) {
-			t.Errorf("succeeded home %d's record differs from the fault-free run", idx)
+		if len(serial.Errors) != 2 || serial.Errors[0].Index != 3 || serial.Errors[1].Index != 7 {
+			t.Fatalf("%s: Errors = %+v, want homes 3 and 7 in index order", pop.name, serial.Errors)
 		}
-	}
-	for _, idx := range []int{3, 7} {
-		if _, ok := serialRecs[idx]; ok {
-			t.Errorf("quarantined home %d reached the Home hook", idx)
+		if serial.Partial {
+			t.Errorf("%s: quarantine alone must not mark the run partial", pop.name)
 		}
-	}
-	for idx := range serialRecs {
-		if got, ok := parallelRecs[idx]; !ok || !reflect.DeepEqual(got, serialRecs[idx]) {
-			t.Errorf("home %d's record differs across worker counts", idx)
+		sum := serial.Summarize()
+		if sum.FailedHomes != 2 || len(sum.Errors) != 2 {
+			t.Errorf("%s: summary failed_homes = %d (errors %d), want 2", pop.name, sum.FailedHomes, len(sum.Errors))
+		}
+		if n := serial.CumOcc.N(); n != 10 {
+			t.Errorf("%s: per-home aggregate has %d samples, want 10 (12 homes - 2 quarantined)", pop.name, n)
+		}
+		for idx, want := range cleanRecs {
+			if idx == 3 || idx == 7 {
+				continue
+			}
+			if got, ok := serialRecs[idx]; !ok || !reflect.DeepEqual(got, want) {
+				t.Errorf("%s: succeeded home %d's record differs from the fault-free run", pop.name, idx)
+			}
+		}
+		for _, idx := range []int{3, 7} {
+			if _, ok := serialRecs[idx]; ok {
+				t.Errorf("%s: quarantined home %d reached the Home hook", pop.name, idx)
+			}
+		}
+		for idx := range serialRecs {
+			if got, ok := parallelRecs[idx]; !ok || !reflect.DeepEqual(got, serialRecs[idx]) {
+				t.Errorf("%s: home %d's record differs across worker counts", pop.name, idx)
+			}
 		}
 	}
 }
@@ -239,41 +253,86 @@ func TestChaosFailureBudgetPartial(t *testing.T) {
 // error) plus a final checkpoint, and resuming the checkpoint without
 // the budget completes bit-identically to a fault-free run. The armed
 // slow-home faults are what make the deadline bite deterministically
-// enough to leave a strict prefix.
+// enough to leave a strict prefix: each home stalls 100 ms against a
+// 150 ms budget, so even eight workers commit at most one round of
+// homes.
 func TestChaosDeadlinePartialThenResume(t *testing.T) {
-	cfg := testConfig(12, 2)
-	want := faultFreeSummary(t, cfg)
+	for _, pop := range populations {
+		want := faultFreeSummary(t, pop.cfg(12, 1))
+		for _, workers := range []int{1, 2, 8} {
+			cfg := pop.cfg(12, workers)
+			run := cfg
+			run.Deadline = 150 * time.Millisecond
+			ck := &Checkpoint{Path: filepath.Join(t.TempDir(), "run.ckpt"), Every: 1}
+			res, err := RunWith(context.Background(), run, Hooks{
+				Checkpoint: ck,
+				Faults:     mustFaults(t, run, "home.slow@every=1,delay=100ms,times=-1"),
+			})
+			if err != nil {
+				t.Fatalf("%s workers=%d: deadline run returned error %v, want partial result", pop.name, workers, err)
+			}
+			if !res.Partial || res.PartialReason != PartialDeadline {
+				t.Fatalf("%s workers=%d: partial=%v reason=%q, want partial deadline",
+					pop.name, workers, res.Partial, res.PartialReason)
+			}
+			if res.CommittedHomes >= cfg.Homes {
+				t.Fatalf("%s workers=%d: deadline run committed all %d homes; the budget never bit",
+					pop.name, workers, res.CommittedHomes)
+			}
+			// The caller's own cancellation must still be an error, not a
+			// partial: certify the two are distinguishable.
+			pre, cancel := context.WithCancel(context.Background())
+			cancel()
+			if _, err := RunWith(pre, run, Hooks{}); !errors.Is(err, context.Canceled) {
+				t.Fatalf("%s workers=%d: cancelled deadline run returned %v, want context.Canceled",
+					pop.name, workers, err)
+			}
+			// Resume the committed prefix without the budget or faults.
+			resumed, err := RunWith(context.Background(), cfg, Hooks{Checkpoint: ck})
+			if err != nil {
+				t.Fatalf("%s workers=%d: resuming partial checkpoint: %v", pop.name, workers, err)
+			}
+			if got := summaryJSON(t, resumed); !bytes.Equal(got, want) {
+				t.Errorf("%s workers=%d: resumed partial run's summary differs from fault-free run", pop.name, workers)
+			}
+		}
+	}
+}
 
-	run := cfg
-	run.Deadline = 150 * time.Millisecond
-	ck := &Checkpoint{Path: filepath.Join(t.TempDir(), "run.ckpt"), Every: 1}
-	res, err := RunWith(context.Background(), run, Hooks{
-		Checkpoint: ck,
-		Faults:     mustFaults(t, run, "home.slow@every=1,delay=60ms,times=-1"),
-	})
-	if err != nil {
-		t.Fatalf("deadline run returned error %v, want partial result", err)
-	}
-	if !res.Partial || res.PartialReason != PartialDeadline {
-		t.Fatalf("partial=%v reason=%q, want partial deadline", res.Partial, res.PartialReason)
-	}
-	if res.CommittedHomes >= cfg.Homes {
-		t.Fatalf("deadline run committed all %d homes; the budget never bit", res.CommittedHomes)
-	}
-	// The caller's own cancellation must still be an error, not a
-	// partial: certify the two are distinguishable.
-	pre, cancel := context.WithCancel(context.Background())
-	cancel()
-	if _, err := RunWith(pre, run, Hooks{}); !errors.Is(err, context.Canceled) {
-		t.Fatalf("cancelled deadline run returned %v, want context.Canceled", err)
-	}
-	// Resume the committed prefix without the budget or faults.
-	resumed, err := RunWith(context.Background(), cfg, Hooks{Checkpoint: ck})
-	if err != nil {
-		t.Fatalf("resuming partial checkpoint: %v", err)
-	}
-	if got := summaryJSON(t, resumed); !bytes.Equal(got, want) {
-		t.Error("resumed partial run's summary differs from fault-free run")
+// TestChaosDeadlineAfterLastCommitIsComplete pins the complete-run
+// boundary of the deadline budget: a deadline that expires after the
+// last home committed — here while the Home hook holds the final
+// home — leaves a complete run, not a partial one, at any worker
+// count: no partial mark, no kept checkpoint, output identical to a
+// run without the budget.
+func TestChaosDeadlineAfterLastCommitIsComplete(t *testing.T) {
+	want := faultFreeSummary(t, testConfig(6, 1))
+	for _, workers := range []int{1, 2} {
+		cfg := testConfig(6, workers)
+		cfg.Deadline = 300 * time.Millisecond
+		ck := &Checkpoint{Path: filepath.Join(t.TempDir(), "run.ckpt")}
+		res, err := RunWith(context.Background(), cfg, Hooks{
+			Checkpoint: ck,
+			Home: func(r HomeRecord) bool {
+				if r.Index == 5 {
+					time.Sleep(400 * time.Millisecond)
+				}
+				return true
+			},
+		})
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		if res.Partial {
+			t.Fatalf("workers=%d: complete run marked partial (reason %q, committed %d)",
+				workers, res.PartialReason, res.CommittedHomes)
+		}
+		if _, err := os.Stat(ck.Path); !os.IsNotExist(err) {
+			t.Errorf("workers=%d: complete run kept its checkpoint (stat: %v)", workers, err)
+		}
+		if got := summaryJSON(t, res); !bytes.Equal(got, want) {
+			t.Errorf("workers=%d: summary differs from the run without a deadline", workers)
+		}
 	}
 }
 

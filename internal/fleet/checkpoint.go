@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 
 	"repro/internal/faultinject"
+	"repro/internal/lifecycle"
 	"repro/internal/stats"
 	"repro/internal/telemetry"
 )
@@ -51,9 +52,9 @@ const defaultCheckpointEvery = 4096
 // resumed. On cancellation or a Home hook stop, the committed prefix
 // is written before RunWith returns.
 //
-// Checkpointing rejects device-lifecycle populations: the lifecycle
-// engine's pooled per-bin ledgers accumulate on the workers, not the
-// reducer, so a committed home prefix would not capture them.
+// Device-lifecycle populations checkpoint like any other: their
+// per-archetype aggregates are folded at commit too, so the committed
+// prefix carries them.
 type Checkpoint struct {
 	// Path is the checkpoint file; Path+".prev" holds the previous
 	// generation. Writes are atomic (fsynced temp file + rename), so a
@@ -106,6 +107,11 @@ type checkpointFile struct {
 	// Errors carries the quarantined homes of the committed prefix, so
 	// a resumed skip-policy run reports the identical Errors section.
 	Errors []HomeError `json:"errors,omitempty"`
+
+	// Arch carries the per-archetype lifecycle aggregates of a
+	// device-mix population; omitted otherwise, so classic checkpoints
+	// are unchanged.
+	Arch *[lifecycle.NumKinds]*archResult `json:"arch,omitempty"`
 }
 
 // checkpointHash fingerprints everything that determines a run's
@@ -161,6 +167,7 @@ func (w *ckWriter) write(res *Result, next int) error {
 		HarvestW:    res.HarvestW,
 		RateW:       res.RateW,
 		Errors:      res.Errors,
+		Arch:        res.Arch,
 	}
 	payload, err := json.Marshal(cf)
 	if err != nil {
@@ -371,6 +378,29 @@ func decodeCheckpoint(data []byte, base string, cfg Config) (next int, res *Resu
 	}
 	if err := restore(res.Latency, cf.Latency, "latency"); err != nil {
 		return 0, nil, err
+	}
+	// The archetype section must be present exactly when the
+	// population carries a device mix. Each sketch is resolution-checked
+	// through the same TryMerge; the validated archetype is then adopted
+	// whole (its sketches' counts were checked by their JSON codec).
+	if (cf.Arch != nil) != (res.Arch != nil) {
+		return 0, nil, fmt.Errorf("fleet: checkpoint %s: lifecycle aggregates present = %v, this run's population expects %v",
+			base, cf.Arch != nil, res.Arch != nil)
+	}
+	if res.Arch != nil {
+		for k, src := range cf.Arch {
+			name := "arch/" + lifecycle.Kind(k).String()
+			if src == nil {
+				return 0, nil, fmt.Errorf("fleet: checkpoint %s is missing the %s aggregate", base, name)
+			}
+			fresh := res.Arch[k].sketches()
+			for i, sk := range src.sketches() {
+				if err := restore(fresh[i], sk, name); err != nil {
+					return 0, nil, err
+				}
+			}
+			res.Arch[k] = src
+		}
 	}
 	res.SilentBins = cf.SilentBins
 	res.TotalBins = cf.TotalBins

@@ -1,28 +1,31 @@
 // Package fleet scales the paper's six-home deployment study (§6) to
 // thousands of homes: a population of synthetic households is drawn
 // from parameter distributions, each home runs the same single-home
-// packet-level runner as the paper study (deploy.RunStream), and the
-// per-home logs are folded into mergeable fleet-level aggregates
-// (internal/stats) rather than materialized.
+// packet-level sampler as the paper study through its batched kernel
+// (deploy.Sampler's RunBatch, or RunBatchCoarse on the coarse tier),
+// and the per-home logs are folded into mergeable fleet-level
+// aggregates (internal/stats) rather than materialized.
 //
 // The design goals, in order:
 //
 //  1. Determinism independent of parallelism. Every home derives its
 //     configuration and randomness from (fleet seed, home index) via
 //     internal/xrand label streams, so a home simulates identically no
-//     matter which worker runs it. Pooled per-bin aggregates use
-//     integer-count sketches whose merge is exactly commutative, and
-//     per-home scalar summaries are reduced in home-index order through
-//     a reorder buffer, so -workers=1 and -workers=N produce bit-for-
-//     bit identical output.
+//     matter which worker runs it. Every home's summary — per-bin
+//     columns, scalar means, lifecycle ledger bins — is committed by one
+//     reducer in home-index order (through a reorder buffer when
+//     sharded), so -workers=1 and -workers=N produce bit-for-bit
+//     identical output.
 //
 //  2. Bounded memory. A full per-home log (1440 bins x 3 channels for a
 //     24 h deployment) is never kept: workers stream bin samples into
 //     fixed-size sketches and emit one small scalar summary per home.
 //     Memory is O(workers + sketch resolution), not O(homes).
 //
-//  3. One code path with the paper study. The fleet runner and the §6
-//     reproduction share deploy.RunStream; fidelity fixes flow to both.
+//  3. One code path with the paper study. The fleet's RunBatch and the
+//     §6 reproduction's RunStream drive the same deploy.Sampler and
+//     are bin-for-bin identical (deploy's parity suite pins this), so
+//     fidelity fixes flow to both.
 package fleet
 
 import (
@@ -127,18 +130,13 @@ type Config struct {
 	// compound the proxy ε outside its certified bound.
 	Coarse bool
 	// Policy decides what a per-home panic does to the run; the zero
-	// value fails fast (see FailurePolicy). Incompatible with a
-	// device-lifecycle population: lifecycle ledgers accumulate on the
-	// workers mid-home, so a retried or skipped home could double- or
-	// under-count outside the committed prefix.
+	// value fails fast (see FailurePolicy).
 	Policy FailurePolicy
 	// Deadline bounds the run's wall-clock time; 0 means none. When it
-	// expires the run commits the reorder-buffer prefix, writes a final
+	// expires the run keeps its committed home prefix, writes a final
 	// checkpoint (if checkpointing), and returns a Result marked
-	// Partial with reason PartialDeadline instead of an error.
-	// Incompatible with a device-lifecycle population for the same
-	// reason as Policy: a partial run must describe exactly its
-	// committed prefix.
+	// Partial with reason PartialDeadline instead of an error. A run
+	// whose every home committed before the expiry is complete.
 	Deadline time.Duration
 	// MaxFailedHomes caps quarantined homes under a Skip policy; 0
 	// means unlimited. Exceeding it ends the run with a partial Result
@@ -225,13 +223,6 @@ func (c Config) withDefaults() (Config, error) {
 		return c, fmt.Errorf("fleet: MaxFailedHomes = %d, need >= 0", c.MaxFailedHomes)
 	case c.MaxFailedHomes > 0 && !c.Policy.Skip:
 		return c, fmt.Errorf("fleet: MaxFailedHomes requires a Skip policy (fail-fast aborts on the first failed home)")
-	}
-	if p.Lifecycle() && (c.Policy != (FailurePolicy{}) || c.Deadline > 0) {
-		// Lifecycle ledgers accumulate on the workers mid-home, outside
-		// the reducer's committed prefix: a retried home would
-		// double-count its ledger bins, and a partial result would carry
-		// uncommitted homes' ledger contributions.
-		return c, fmt.Errorf("fleet: failure policies and deadlines cannot run a device-lifecycle population (worker-side ledgers fall outside the committed home prefix)")
 	}
 	return c, nil
 }

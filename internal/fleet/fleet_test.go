@@ -133,7 +133,8 @@ func TestExactVsSurfaceParity(t *testing.T) {
 
 // TestSingleHomeFleetMatchesDeployRunner pins the shared code path: a
 // one-home fleet must reproduce deploy.Run's summary for the same home
-// exactly, because both are views of the same RunStream.
+// exactly, because the fleet's RunBatch is bin-for-bin identical to the
+// RunStream that deploy.Run materializes (deploy's parity suite).
 func TestSingleHomeFleetMatchesDeployRunner(t *testing.T) {
 	cfg, err := testConfig(1, 1).withDefaults()
 	if err != nil {

@@ -21,49 +21,9 @@ const (
 	horizonBins  = 2000
 )
 
-// archPartial is one worker's pooled per-bin lifecycle aggregates for
-// one archetype. Only exactly mergeable state lives here — integer-
-// count sketches and counters — so worker count and scheduling cannot
-// change the merged result; order-sensitive per-home scalars travel
-// through homeStats and the reorder buffer instead.
-type archPartial struct {
-	interval   *stats.Sketch // per-bin mean update interval, s (bins with updates)
-	soc        *stats.Sketch // per-bin state of charge, % (battery-backed kinds)
-	outageBins uint64
-	totalBins  uint64
-}
-
-func (ap *archPartial) init() {
-	ap.interval = stats.NewSketch(0, intervalHiS, intervalBins)
-	ap.soc = stats.NewSketch(0, socHiPct, socBins)
-}
-
-// add folds one lifecycle bin observation.
-func (ap *archPartial) add(b lifecycle.BinStats) {
-	ap.totalBins++
-	if b.Outage {
-		ap.outageBins++
-	}
-	if b.Updates > 0 {
-		ap.interval.Add(b.IntervalS)
-	}
-	if !math.IsNaN(b.SoCPct) {
-		ap.soc.Add(b.SoCPct)
-	}
-}
-
-// newArchPartials allocates the per-archetype pooled aggregates of one
-// worker (or of the serial fast path).
-func newArchPartials() *[lifecycle.NumKinds]archPartial {
-	aps := new([lifecycle.NumKinds]archPartial)
-	for i := range aps {
-		aps[i].init()
-	}
-	return aps
-}
-
-// lifeHomeStats is the lifecycle slice of a home's scalar summary:
-// the device's time-domain metrics, reduced in home-index order.
+// lifeHomeStats is the lifecycle slice of a home's summary: the
+// device's time-domain metrics and its per-bin ledger observations,
+// reduced in home-index order.
 type lifeHomeStats struct {
 	kind        lifecycle.Kind
 	ttfuS       float64 // +Inf when the device never produced an update
@@ -73,45 +33,39 @@ type lifeHomeStats struct {
 	chargeTimeS float64 // +Inf when a charger never filled
 	finalSoC    float64 // NaN for the battery-free sensor
 	minSoC      float64
+	bins        []lifecycle.BinStats
 }
 
-// archResult aggregates one archetype across the fleet: ordered
-// per-home reductions plus the merged pooled per-bin aggregates.
+// archResult aggregates one archetype across the fleet: per-home
+// reductions plus the pooled per-bin aggregates, all folded at commit
+// in home-index order. The JSON form is the checkpoint's per-archetype
+// payload.
 type archResult struct {
-	Homes uint64
+	Homes uint64 `json:"homes"`
 
-	TTFU        *stats.Sketch
-	TTFUW       stats.Welford
-	NeverActive uint64 // homes whose device never produced an update
+	TTFU        *stats.Sketch `json:"ttfu"`
+	TTFUW       stats.Welford `json:"ttfu_w"`
+	NeverActive uint64        `json:"never_active"` // homes whose device never produced an update
 
-	Outage  *stats.Sketch // per-home outage percentage
-	OutageW stats.Welford
+	Outage  *stats.Sketch `json:"outage"` // per-home outage percentage
+	OutageW stats.Welford `json:"outage_w"`
 
-	UpdatesW stats.Welford
-	FramesW  stats.Welford
+	UpdatesW stats.Welford `json:"updates_w"`
+	FramesW  stats.Welford `json:"frames_w"`
 
-	ChargeTime   *stats.Sketch
-	ChargeTimeW  stats.Welford
-	Charged      uint64 // charger homes that reached FullSoC
-	NeverCharged uint64
+	ChargeTime   *stats.Sketch `json:"charge_time"`
+	ChargeTimeW  stats.Welford `json:"charge_time_w"`
+	Charged      uint64        `json:"charged"` // charger homes that reached FullSoC
+	NeverCharged uint64        `json:"never_charged"`
 
-	FinalSoCW stats.Welford
-	MinSoCW   stats.Welford
+	FinalSoCW stats.Welford `json:"final_soc_w"`
+	MinSoCW   stats.Welford `json:"min_soc_w"`
 
-	// Merged pooled per-bin aggregates.
-	Interval   *stats.Sketch
-	SoC        *stats.Sketch
-	OutageBins uint64
-	TotalBins  uint64
-}
-
-// mergePooled folds one worker's pooled per-bin aggregates for this
-// archetype into the result (exact: sketch merges and counter sums).
-func (ar *archResult) mergePooled(ap *archPartial) {
-	ar.Interval.Merge(ap.interval)
-	ar.SoC.Merge(ap.soc)
-	ar.OutageBins += ap.outageBins
-	ar.TotalBins += ap.totalBins
+	// Pooled per-bin aggregates.
+	Interval   *stats.Sketch `json:"interval"` // per-bin mean update interval, s (bins with updates)
+	SoC        *stats.Sketch `json:"soc"`      // per-bin state of charge, % (battery-backed kinds)
+	OutageBins uint64        `json:"outage_bins"`
+	TotalBins  uint64        `json:"total_bins"`
 }
 
 func newArchResult(horizonS float64) *archResult {
@@ -124,10 +78,29 @@ func newArchResult(horizonS float64) *archResult {
 	}
 }
 
-// addHome folds one home's lifecycle scalars; callers invoke it in
-// home-index order (the Welford moments are order-sensitive).
+// sketches lists the archetype's sketches in a fixed order, for the
+// checkpoint's resolution checks.
+func (ar *archResult) sketches() [5]*stats.Sketch {
+	return [5]*stats.Sketch{ar.TTFU, ar.Outage, ar.ChargeTime, ar.Interval, ar.SoC}
+}
+
+// addHome folds one home's lifecycle scalars and per-bin observations;
+// callers invoke it in home-index order (the Welford moments are
+// order-sensitive).
 func (ar *archResult) addHome(kind lifecycle.Kind, ls lifeHomeStats) {
 	ar.Homes++
+	for _, b := range ls.bins {
+		ar.TotalBins++
+		if b.Outage {
+			ar.OutageBins++
+		}
+		if b.Updates > 0 {
+			ar.Interval.Add(b.IntervalS)
+		}
+		if !math.IsNaN(b.SoCPct) {
+			ar.SoC.Add(b.SoCPct)
+		}
+	}
 	// Chargers produce no updates by construction; their headline
 	// metric is ChargeTime below, so they skip the first-update
 	// accounting rather than reporting every home as never-active.

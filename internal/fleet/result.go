@@ -33,10 +33,10 @@ const (
 // homeStats is the summary a worker emits per home: the scalar means,
 // plus the home's per-bin fold inputs as plain columns. These flow
 // through the reorder buffer and are folded into the fleet aggregates
-// in home-index order — including the per-bin sketch adds, so the
-// reducing goroutine owns every aggregate except the lifecycle arch
-// partials and a checkpoint of the committed home prefix is a complete
-// snapshot of the run's state.
+// in home-index order by Result.addHome — the per-bin sketch adds and
+// lifecycle ledger bins included — so the reducing goroutine owns
+// every aggregate and a checkpoint of the committed home prefix is a
+// complete snapshot of the run's state.
 type homeStats struct {
 	idx           int
 	home          Home
@@ -47,9 +47,9 @@ type homeStats struct {
 	// Per-bin columns (one backing array, sliced three ways): cumulative
 	// occupancy %, banked harvest µW, and sensor rate Hz per bin.
 	binCum, binUW, binRate []float64
-	// life carries the home's device-lifecycle scalars when the
-	// population enables the engine (hasLife); the classic aggregates
-	// above are produced either way.
+	// life carries the home's device-lifecycle scalars and per-bin
+	// ledger observations when the population enables the engine
+	// (hasLife); the classic aggregates above are produced either way.
 	hasLife bool
 	life    lifeHomeStats
 	// fail marks a home whose attempts were exhausted: it rides the
@@ -60,23 +60,6 @@ type homeStats struct {
 	// tr is the home's flight recorder when the run traces; it rides
 	// the reorder buffer so trace commits happen in home-index order.
 	tr *trace.HomeTrace
-}
-
-// partial holds the worker-side pooled aggregates that do not ride
-// homeStats: the per-bin lifecycle ledger observations, which land in
-// exactly mergeable sketches per archetype (allocated only when the
-// population enables the engine). Everything else folds on the
-// reducing goroutine.
-type partial struct {
-	arch *[lifecycle.NumKinds]archPartial
-}
-
-func newPartial(cfg Config) *partial {
-	p := &partial{}
-	if cfg.Population.Lifecycle() {
-		p.arch = newArchPartials()
-	}
-	return p
 }
 
 // Result holds the fleet-level aggregates of one run.
@@ -94,7 +77,7 @@ type Result struct {
 	HarvestW    stats.Welford    // exact moments over per-home mean harvest (µW)
 	RateW       stats.Welford    // exact moments over per-home mean sensor rate
 
-	// Pooled per-bin aggregates (order-independent exact merges).
+	// Pooled per-bin aggregates.
 	BinOcc     *stats.Sketch // per-bin cumulative occupancy, %
 	Harvest    *stats.Sketch // per-bin harvested power, µW
 	Latency    *stats.Sketch // per-bin sensor update latency, s (responsive bins)
@@ -143,10 +126,10 @@ func newResult(cfg Config) *Result {
 
 // addHome folds one home into the aggregates: the per-bin columns into
 // the pooled sketches, the scalar summary into the population
-// distributions. Callers must invoke it in home-index order for
-// bit-for-bit reproducibility of the Welford moments; it is the single
-// commit point, so a run's reducer state after k calls depends only on
-// homes [0, k).
+// distributions, and the lifecycle slice into its archetype. Callers
+// must invoke it in home-index order for bit-for-bit reproducibility
+// of the Welford moments; it is the single commit point, so a run's
+// reducer state after k calls depends only on homes [0, k).
 func (r *Result) addHome(hs homeStats) {
 	for i := range hs.binCum {
 		r.TotalBins++
@@ -168,16 +151,6 @@ func (r *Result) addHome(hs homeStats) {
 	r.RateW.Add(hs.meanRate)
 	if hs.hasLife && r.Arch != nil {
 		r.Arch[hs.life.kind].addHome(hs.life.kind, hs.life)
-	}
-}
-
-// mergePartial folds one worker's pooled lifecycle aggregates into the
-// result (a no-op for classic populations).
-func (r *Result) mergePartial(p *partial) {
-	if p.arch != nil && r.Arch != nil {
-		for i := range p.arch {
-			r.Arch[i].mergePooled(&p.arch[i])
-		}
 	}
 }
 

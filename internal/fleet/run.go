@@ -90,16 +90,14 @@ type Hooks struct {
 }
 
 // worker is one shard's pooled per-worker state: the sampling context,
-// the synthesis RNG, the pooled partial aggregates, and — in lifecycle
-// mode — one pooled device per archetype, built lazily and reused
-// across every home the worker runs (Device.Begin re-derives all run
-// state, so pooling is output-invisible; the lifecycle parity suite
-// pins this).
+// the synthesis RNG, and — in lifecycle mode — one pooled device per
+// archetype, built lazily and reused across every home the worker runs
+// (Device.Begin re-derives all run state, so pooling is output-
+// invisible; the lifecycle parity suite pins this).
 type worker struct {
 	cfg      Config
 	smp      *deploy.Sampler
 	synthRng *xrand.Rand
-	p        *partial
 	probe    *telemetry.Probe
 	fi       *faultinject.Set
 	tr       *trace.Worker
@@ -107,6 +105,11 @@ type worker struct {
 	// batch is the worker's reusable struct-of-arrays bin buffer; the
 	// batched kernel refills it per home without reallocating.
 	batch deploy.BinBatch
+	// lifeBins collects the in-flight attempt's per-bin lifecycle
+	// observations (the pooled devices' OnBin target). attemptHome hands
+	// the slice to the home's homeStats, so the bins are committed with
+	// the home or thrown away with a panicking attempt.
+	lifeBins []lifecycle.BinStats
 	// curHT is the in-flight attempt's flight recorder, stashed on the
 	// worker so runHome can reach it across attemptHome's panic/recover
 	// boundary. lastKernelNS/lastStallNS are the last attempt's kernel
@@ -117,12 +120,11 @@ type worker struct {
 	lastStallNS  int64
 }
 
-func newWorker(cfg Config, p *partial, probe *telemetry.Probe, fi *faultinject.Set, rec *trace.Recorder) *worker {
+func newWorker(cfg Config, probe *telemetry.Probe, fi *faultinject.Set, rec *trace.Recorder) *worker {
 	w := &worker{
 		cfg:      cfg,
 		smp:      acquireSampler(probe),
 		synthRng: xrand.New(0),
-		p:        p,
 		probe:    probe,
 		fi:       fi,
 		tr:       rec.NewWorker(),
@@ -158,15 +160,14 @@ func (w *worker) release() {
 }
 
 // device returns the worker's pooled device of the given archetype,
-// its OnBin hook bound once to the worker's pooled partial.
+// its OnBin hook bound once to the worker's in-flight bin record.
 func (w *worker) device(k lifecycle.Kind) *lifecycle.Device {
 	if w.devs[k] == nil {
 		d := lifecycle.NewDevice(k, lifecycle.Policy{})
 		d.Exact = w.cfg.Exact
 		d.Tele = w.probe.Lifecycle()
 		d.SurfTele = w.probe.Surface()
-		ap := &w.p.arch[k]
-		d.OnBin = ap.add
+		d.OnBin = func(b lifecycle.BinStats) { w.lifeBins = append(w.lifeBins, b) }
 		w.devs[k] = d
 	}
 	return w.devs[k]
@@ -182,16 +183,17 @@ func (w *worker) device(k lifecycle.Kind) *lifecycle.Device {
 // context once per logging bin (never more than one bin's worth of
 // work after the cancel), drains, and exits; Run then returns ctx.Err()
 // with a nil Result. Partial results are discarded, never silently
-// truncated — a Result always describes the full configured fleet.
+// truncated — a Result describes the full configured fleet unless it
+// is explicitly marked Partial by a degradation budget (Config.Deadline,
+// Config.MaxFailedHomes).
 //
-// The output is bit-for-bit identical for any worker count: pooled
-// per-bin aggregates merge exactly in any order, and per-home scalar
-// summaries pass through a reorder buffer so the order-sensitive
-// Welford reductions always happen in home-index order. The device-
-// lifecycle engine (enabled by a population device mix) follows the
-// same discipline: per-bin lifecycle observations land in exactly
-// mergeable sketches, per-home time-domain scalars ride the reorder
-// buffer.
+// The output is bit-for-bit identical for any worker count: every
+// home's summary — its per-bin columns, its scalar means and, with a
+// population device mix, its per-bin lifecycle observations and
+// time-domain scalars — is committed by Result.addHome in home-index
+// order, inline with one worker or through a reorder buffer with
+// several, so the order-sensitive Welford reductions always see the
+// same sequence and no aggregate lives outside the committed prefix.
 func Run(ctx context.Context, cfg Config) (*Result, error) {
 	return RunWith(ctx, cfg, Hooks{})
 }
@@ -238,13 +240,9 @@ func RunWith(ctx context.Context, cfg Config, h Hooks) (*Result, error) {
 		if ck.Path == "" {
 			return nil, errors.New("fleet: Checkpoint requires a non-empty Path")
 		}
-		if cfg.Population.Lifecycle() {
-			return nil, errors.New("fleet: checkpointing cannot run a device-lifecycle population (the workers' pooled ledgers are not part of the committed home prefix)")
-		}
 		if ck.Every > 0 {
 			ckEvery = ck.Every
 		}
-		var err error
 		if start, res, err = loadCheckpoint(ck, cfg, t); err != nil {
 			return nil, err
 		}
@@ -252,8 +250,8 @@ func RunWith(ctx context.Context, cfg Config, h Hooks) (*Result, error) {
 	} else {
 		res = newResult(cfg)
 	}
-	// saveOnAbort writes the committed prefix when the run stops early;
-	// with checkpointing off it is a no-op.
+	// saveOnAbort writes the committed prefix when the run stops early
+	// or degrades; with checkpointing off it is a no-op.
 	saveOnAbort := func(next int) error {
 		if ckw == nil {
 			return nil
@@ -377,84 +375,95 @@ func RunWith(ctx context.Context, cfg Config, h Hooks) (*Result, error) {
 	// budgets are contracts, not failures, so the caller gets the
 	// committed prefix as a Result marked Partial — plus a final,
 	// resumable checkpoint — instead of an error.
-	finishPartial := func(reason string, committed int, parts []*partial) (*Result, error) {
+	finishPartial := func(reason string, committed int) (*Result, error) {
 		res.Partial = true
 		res.PartialReason = reason
 		res.CommittedHomes = committed
-		if ckw != nil {
-			if err := ckw.write(res, committed); err != nil {
-				return nil, err
-			}
+		if err := saveOnAbort(committed); err != nil {
+			return nil, err
 		}
-		endReduce := span(telemetry.SpanReduce)
-		for _, p := range parts {
-			res.mergePartial(p)
-		}
-		endReduce()
 		finish(committed - start)
 		return res, nil
 	}
 
-	// Serial fast path: with one worker there is no sharding to
-	// coordinate, and the channel/goroutine handoffs per home are pure
-	// overhead (meaningful on single-core hosts). The reduce order is
-	// trivially home-index order and deliver folds each home straight
-	// into the result, so the output is identical to the sharded path by
-	// construction.
+	// One ordered-commit loop for every worker count. take(i) yields
+	// home i: with one worker it simulates the home inline on this
+	// goroutine (no goroutines, no channel handoffs — meaningful on
+	// single-core hosts); with more it waits for the home to arrive
+	// from the pool through the reorder buffer. Either way deliver
+	// commits homes strictly in index order, so the output is identical
+	// by construction.
+	newW := func() *worker { return newWorker(cfg, t.NewProbe(), h.Faults, h.Trace) }
+	endSim := span(telemetry.SpanSimulate)
+	var take func(int) (homeStats, bool)
+	var stop func()
 	if cfg.Workers == 1 {
-		p := newPartial(cfg)
-		endSim := span(telemetry.SpanSimulate)
-		w := newWorker(cfg, p, t.NewProbe(), h.Faults, h.Trace)
-		for i := start; i < cfg.Homes; i++ {
-			hs, ok := w.runHome(ctx, i)
-			if !ok {
-				w.release()
-				endSim()
-				if outer.Err() == nil && ctx.Err() != nil {
-					// The run's own deadline expired, not the caller's
-					// context: the committed prefix is the deliverable.
-					return finishPartial(PartialDeadline, i, []*partial{p})
-				}
-				err := ctx.Err()
-				if werr := saveOnAbort(i); werr != nil {
-					err = errors.Join(err, werr)
-				}
-				return nil, err
-			}
-			if cont, err := deliver(hs); !cont {
-				w.release()
-				endSim()
-				if ps, budget := err.(*partialStop); budget {
-					return finishPartial(ps.reason, ps.committed, []*partial{p})
-				}
-				return nil, err
-			}
+		w := newW()
+		take = func(idx int) (homeStats, bool) { return w.runHome(ctx, idx) }
+		stop = w.release
+	} else {
+		take, stop = shard(ctx, cfg, start, newW)
+	}
+	committed := start
+	var stopErr error
+	for committed < cfg.Homes && ctx.Err() == nil {
+		hs, ok := take(committed)
+		if !ok {
+			break // cancelled mid-home; the home is discarded
 		}
-		w.release()
-		endSim()
-		endReduce := span(telemetry.SpanReduce)
-		res.mergePartial(p)
-		endReduce()
+		cont, err := deliver(hs)
+		if !cont {
+			stopErr = err
+			break
+		}
+		committed++
+	}
+	stop()
+	endSim()
+
+	// One epilogue. A run whose every home committed is complete, even
+	// if the deadline expired after the last commit.
+	ps, budget := stopErr.(*partialStop)
+	switch {
+	case budget:
+		return finishPartial(ps.reason, ps.committed)
+	case stopErr != nil:
+		return nil, stopErr // deliver already wrote the stop checkpoint
+	case committed == cfg.Homes:
 		finish(cfg.Homes - start)
 		if ckw != nil {
 			ckw.remove() // a completed run needs no resume point
 		}
 		return res, nil
+	case outer.Err() == nil && cfg.Deadline > 0:
+		// The run's own deadline expired, not the caller's context. Homes
+		// parked in the reorder buffer beyond the committed prefix are
+		// discarded: a partial result, like a checkpoint, describes a
+		// contiguous prefix.
+		return finishPartial(PartialDeadline, committed)
 	}
+	err = ctx.Err()
+	if werr := saveOnAbort(committed); werr != nil {
+		err = errors.Join(err, werr)
+	}
+	return nil, err
+}
 
-	// The sharded path runs under a derived context so a Home hook
-	// stop can wind the workers down the same way a cancellation does.
+// shard runs homes [start, cfg.Homes) on cfg.Workers goroutines, one
+// pooled worker each, and hands them back in home-index order: take(i)
+// returns home i, parking out-of-order completions in a reorder buffer
+// whose size stays near the worker count because homes have comparable
+// cost, and reports false once the pool has stopped (cancellation).
+// stop winds the pool down and returns only after every worker has
+// released its state.
+func shard(ctx context.Context, cfg Config, start int, newW func() *worker) (take func(int) (homeStats, bool), stop func()) {
 	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-
 	jobs := make(chan int)
+	// One slot per worker: a finished home need not wait for the
+	// reducer's fold before its worker starts the next.
 	out := make(chan homeStats, cfg.Workers)
-	partials := make([]*partial, cfg.Workers)
-	endSim := span(telemetry.SpanSimulate)
 	var wg sync.WaitGroup
 	for i := 0; i < cfg.Workers; i++ {
-		p := newPartial(cfg)
-		partials[i] = p
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -462,7 +471,7 @@ func RunWith(ctx context.Context, cfg Config, h Hooks) (*Result, error) {
 			// router, monitors and traffic sources are built once and reset
 			// per bin, so the steady-state hot path stops paying allocator
 			// and GC tax. Pooling is output-invisible (see deploy.Sampler).
-			w := newWorker(cfg, p, t.NewProbe(), h.Faults, h.Trace)
+			w := newW()
 			defer w.release()
 			for idx := range jobs {
 				hs, ok := w.runHome(ctx, idx)
@@ -492,64 +501,26 @@ func RunWith(ctx context.Context, cfg Config, h Hooks) (*Result, error) {
 		close(out)
 	}()
 
-	// Ordered streaming reduce: fold each home's summary in index order.
-	// Out-of-order completions park in a buffer whose size stays near
-	// the worker count because homes have comparable cost.
 	pending := make(map[int]homeStats, cfg.Workers)
-	next := start
-	var stopErr error
-	for m := range out {
-		if stopErr != nil || ctx.Err() != nil {
-			continue // draining after a hook stop or cancellation
-		}
-		pending[m.idx] = m
+	take = func(idx int) (homeStats, bool) {
 		for {
-			hs, ok := pending[next]
+			if hs, ok := pending[idx]; ok {
+				delete(pending, idx)
+				return hs, true
+			}
+			hs, ok := <-out
 			if !ok {
-				break
+				return homeStats{}, false
 			}
-			delete(pending, next)
-			next++
-			if cont, err := deliver(hs); !cont {
-				stopErr = err
-				cancel() // wind the workers down; keep draining out
-				break
-			}
+			pending[hs.idx] = hs
 		}
 	}
-	endSim()
-	if ps, budget := stopErr.(*partialStop); budget {
-		return finishPartial(ps.reason, ps.committed, partials)
-	}
-	if stopErr != nil {
-		return nil, stopErr // deliver already wrote the stop checkpoint
-	}
-	if err := ctx.Err(); err != nil {
-		if outer.Err() == nil && cfg.Deadline > 0 {
-			// The run's own deadline expired, not the caller's context.
-			// The reorder buffer's parked homes beyond `next` are
-			// discarded: a partial result, like a checkpoint, must
-			// describe a contiguous committed prefix.
-			return finishPartial(PartialDeadline, next, partials)
+	stop = func() {
+		cancel()
+		for range out { // out closes once every worker has released
 		}
-		if werr := saveOnAbort(next); werr != nil {
-			err = errors.Join(err, werr)
-		}
-		return nil, err
 	}
-	// Pooled per-bin lifecycle aggregates merge exactly regardless of
-	// how homes were grouped onto workers; worker order is fixed only
-	// for clarity.
-	endReduce := span(telemetry.SpanReduce)
-	for _, p := range partials {
-		res.mergePartial(p)
-	}
-	endReduce()
-	finish(cfg.Homes - start)
-	if ckw != nil {
-		ckw.remove() // a completed run needs no resume point
-	}
-	return res, nil
+	return take, stop
 }
 
 // runHome runs one home under the worker's supervisor: a panicking
@@ -618,11 +589,12 @@ func dominantSpan(wallNS, kernelNS, stallNS int64) string {
 // RunBatchCoarse on the coarse tier), the scalar summary and the
 // per-bin fold columns are derived in one pass over the finished
 // batch, and — in lifecycle mode — the pooled lifecycle device walks
-// the batch in bin order. The context is checked once per event-
-// simulated bin; on cancellation the home is abandoned mid-batch and
-// attemptHome reports ok == false (its fold is discarded along with
-// the whole run). A panic anywhere in the attempt is recovered into
-// ferr; the partially built hs is discarded by the caller.
+// the batch in bin order, its per-bin observations recorded into hs.
+// The context is checked once per event-simulated bin; on
+// cancellation the home is abandoned mid-batch and attemptHome reports
+// ok == false (the home is never committed). A panic anywhere in the
+// attempt is recovered into ferr; the partially built hs, lifecycle
+// bins included, is discarded by the caller.
 func (w *worker) attemptHome(ctx context.Context, idx, attempt int) (hs homeStats, ok bool, ferr *HomeError) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -734,6 +706,7 @@ func (w *worker) attemptHome(ctx context.Context, idx, attempt int) (hs homeStat
 		hs.binRate[i] = s.SensorRate
 	}
 	if dev != nil {
+		w.lifeBins = make([]lifecycle.BinStats, 0, nBins)
 		dev.VisitBatch(b)
 	}
 	n := float64(nBins)
@@ -758,7 +731,9 @@ func (w *worker) attemptHome(ctx context.Context, idx, attempt int) (hs homeStat
 			chargeTimeS: m.TimeToFullS,
 			finalSoC:    m.FinalSoC,
 			minSoC:      m.MinSoC,
+			bins:        w.lifeBins,
 		}
+		w.lifeBins = nil
 	}
 	return hs, true, nil
 }

@@ -83,7 +83,6 @@ const (
 	// Phase spans, in the order a fleet run records them.
 	SpanSurfaceWarmup = "surface_warmup"
 	SpanSimulate      = "simulate"
-	SpanReduce        = "reduce"
 	SpanReportWrite   = "report_write"
 )
 

@@ -203,7 +203,7 @@ func TestPrometheusExportParses(t *testing.T) {
 	h := run.Histogram(HistHomeHarvestUW, 0, 500, 100)
 	h.Observe(10)
 	h.Observe(20)
-	run.Span(SpanReduce)()
+	run.Span(SpanReportWrite)()
 
 	var buf bytes.Buffer
 	if err := run.WritePrometheus(&buf); err != nil {
@@ -243,7 +243,7 @@ func TestPrometheusExportParses(t *testing.T) {
 			t.Fatalf("%s = %q, want %q\nfull output:\n%s", name, got, val, out)
 		}
 	}
-	if _, ok := seen[`powifi_span_wall_seconds{phase="reduce"}`]; !ok {
+	if _, ok := seen[`powifi_span_wall_seconds{phase="report_write"}`]; !ok {
 		t.Fatalf("span line missing:\n%s", out)
 	}
 

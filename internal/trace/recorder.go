@@ -25,7 +25,6 @@ const (
 	SpanRun           = "run"
 	SpanSurfaceWarmup = "surface_warmup"
 	SpanSimulate      = "simulate"
-	SpanReduce        = "reduce"
 	SpanReportWrite   = "report_write"
 )
 

@@ -296,9 +296,8 @@ func WithProgress(fn func(done, total int)) Option {
 // cancellation, and removes the file on successful completion. A
 // subsequent Run with the same scenario and path resumes from the
 // prefix and produces output bit-identical to an uninterrupted run, at
-// any WithWorkers value. The file refuses to resume under a different
-// configuration, and checkpointing is incompatible with WithDevices
-// (the lifecycle ledgers live outside the committed prefix). Like
+// any WithWorkers value — WithDevices populations included. The file
+// refuses to resume under a different configuration. Like
 // WithProgress, a checkpoint path is execution state, not
 // configuration: it is excluded from the scenario's JSON form.
 func WithCheckpoint(path string) Option {
@@ -318,9 +317,7 @@ func WithCheckpoint(path string) Option {
 // a fresh sampler; Skip quarantines homes that exhaust their retries
 // into the report's Errors section and keeps going. Failure handling
 // is workers-invariant: the same homes fail, retry and quarantine — in
-// home-index order — at any WithWorkers value. Incompatible with
-// WithDevices (lifecycle ledgers accumulate outside the committed home
-// prefix).
+// home-index order — at any WithWorkers value.
 func WithFailurePolicy(p FailurePolicy) Option {
 	return func(s *Scenario) error {
 		if p.Retry < 0 {
@@ -332,12 +329,12 @@ func WithFailurePolicy(p FailurePolicy) Option {
 }
 
 // WithDeadline bounds a fleet run's wall-clock time. When it expires
-// the run stops gracefully: the committed home prefix is reduced, a
+// the run stops gracefully: the committed home prefix is kept, a
 // final checkpoint is written (under WithCheckpoint), and Run returns
 // a Report whose fleet summary is marked Partial with reason
-// "deadline" — not an error. Cancelling the context remains an error;
-// only the deadline degrades gracefully. Incompatible with
-// WithDevices.
+// "deadline" — not an error. A run whose every home committed before
+// the expiry is complete. Cancelling the context remains an error;
+// only the deadline degrades gracefully.
 func WithDeadline(d time.Duration) Option {
 	return func(s *Scenario) error {
 		if d <= 0 {

@@ -45,7 +45,7 @@ type TelemetryManifest = telemetry.Manifest
 type TelemetryHistogram = telemetry.HistogramSnapshot
 
 // TelemetrySpan is one completed phase span (surface warm-up,
-// simulate, reduce, report write) in a TelemetrySnapshot.
+// simulate, report write) in a TelemetrySnapshot.
 type TelemetrySpan = telemetry.SpanSnapshot
 
 // NewTelemetry returns an empty collector for one fleet run.
