@@ -42,23 +42,24 @@ func TestEmitSamplerBenchJSON(t *testing.T) {
 		t.Skip("set POWIFI_BENCH_JSON=1 to emit BENCH_sampler.json")
 	}
 
-	// Pooled per-bin streaming cost (packet sample + sensor solve) at
-	// the fleet benchmark's 2 ms window, measured over a Table 1 home.
+	// Pooled per-bin cost (packet sample + sensor solve) at the fleet
+	// benchmark's 2 ms window, measured over a Table 1 home run into a
+	// reused batch.
 	smp := deploy.NewSampler()
 	opts := deploy.Options{BinWidth: time.Hour, Window: 2 * time.Millisecond, Hours: 24, SensorDistanceFt: 10}
 	home := deploy.PaperHomes()[2]
 	nBins := opts.NumBins()
-	visit := func(deploy.BinSample) {}
-	smp.RunStream(home, opts, visit) // warm pools and the shared surface
+	var batch deploy.BinBatch
+	smp.RunBatch(home, opts, &batch, nil) // warm pools, the batch and the shared surface
 
 	br := testing.Benchmark(func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			smp.RunStream(home, opts, visit)
+			smp.RunBatch(home, opts, &batch, nil)
 		}
 	})
 	nsPerBin := float64(br.NsPerOp()) / float64(nBins)
 	allocsPerBin := testing.AllocsPerRun(20, func() {
-		smp.RunStream(home, opts, visit)
+		smp.RunBatch(home, opts, &batch, nil)
 	}) / float64(nBins)
 
 	// Fleet per-home cost on the standard benchmark workload.

@@ -65,8 +65,8 @@ func ExampleScenario_Run() {
 }
 
 // ExampleScenario_Bins streams a single-home deployment bin by bin —
-// the §6 runner as a Go iterator. Breaking out of the loop stops the
-// simulation.
+// the §6 runner as a Go iterator. The bins arrive once the home's batch
+// is simulated; breaking out of the loop stops delivery.
 func ExampleScenario_Bins() {
 	sc, err := powifi.NewScenario(
 		powifi.WithHome(powifi.PaperHomes()[0]), // Table 1, home 1

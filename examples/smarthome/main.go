@@ -47,7 +47,8 @@ func main() {
 	}
 
 	// Stream the day: one BinSample per 15-minute bin, printed every
-	// two hours. Breaking out of the loop would stop the simulation.
+	// two hours. The day is simulated as one batch before the first bin
+	// arrives, so breaking out of the loop would only stop delivery.
 	fmt.Println("hour  ch1     ch6     ch11    cumulative  sensor")
 	for s, err := range sc.Bins(ctx) {
 		if err != nil {

@@ -1,10 +1,8 @@
 package deploy
 
 // BinBatch is the struct-of-arrays form of one home's logging bins —
-// the batched fleet kernel's unit of work. Where the streaming runner
-// hands each bin to a callback as it is simulated, the batch runner
-// fills contiguous per-column arrays: the packet-level samples land in
-// Occupancy first, then one link-budget-plus-surface loop fills
+// the single kernel every run mode produces. The packet-level samples
+// land in Occupancy first, then one link-budget-plus-surface loop fills
 // SensorRate and NetHarvestedW for the whole batch
 // (core.TempSensorDevice.EvaluateBatch), and the aggregate folds run
 // over plain float64 columns. A BinBatch is reused across homes by the
@@ -52,9 +50,9 @@ func (b *BinBatch) Reset(n int) {
 	}
 }
 
-// Sample returns bin i as the streaming runner's AoS record, for
-// per-bin consumers (the lifecycle ledger, aggregate folds) that walk a
-// finished batch.
+// Sample returns bin i as a BinSample record, for per-bin consumers
+// (the lifecycle ledger, the facade's iterator) that walk a finished
+// batch.
 func (b *BinBatch) Sample(i int) BinSample {
 	return BinSample{
 		Bin:           i,
@@ -66,19 +64,81 @@ func (b *BinBatch) Sample(i int) BinSample {
 	}
 }
 
-// RunBatch simulates one home deployment into b, the batched
-// counterpart of RunStream: plan every bin's drive up front, run the
-// packet-level sample per bin into the occupancy column, then evaluate
-// the sensor chain over the whole batch in one link-budget-plus-surface
-// loop. Bin i of the result is bit-identical to the i-th BinSample
-// RunStream delivers (the parity suite pins this); only the control
-// structure differs.
+// HomeMeans is one home's per-bin means, the reduction both the fleet's
+// per-home record and the facade's single-home report carry.
+type HomeMeans struct {
+	// CumulativePct is the mean cumulative occupancy percentage.
+	CumulativePct float64
+	// ChannelPct is the mean occupancy percentage per channel, in
+	// phy.PoWiFiChannels order.
+	ChannelPct [3]float64
+	// BankedHarvestUW is the mean banked harvest (see
+	// BinSample.BankedHarvestUW).
+	BankedHarvestUW float64
+	// SensorRate is the mean sensor update rate.
+	SensorRate float64
+	// SilentBins counts the bins whose sensor could not boot.
+	SilentBins int
+}
+
+// Means folds the finished batch into the home's means, summing in bin
+// order; an empty batch yields the zero value.
+func (b *BinBatch) Means() HomeMeans {
+	var m HomeMeans
+	n := b.Len()
+	if n == 0 {
+		return m
+	}
+	for i := 0; i < n; i++ {
+		s := b.Sample(i)
+		m.CumulativePct += s.CumulativePct
+		for c := range m.ChannelPct {
+			m.ChannelPct[c] += s.Occupancy[c] * 100
+		}
+		m.BankedHarvestUW += s.BankedHarvestUW()
+		m.SensorRate += s.SensorRate
+		if s.SensorRate <= 0 {
+			m.SilentBins++
+		}
+	}
+	f := float64(n)
+	m.CumulativePct /= f
+	for c := range m.ChannelPct {
+		m.ChannelPct[c] /= f
+	}
+	m.BankedHarvestUW /= f
+	m.SensorRate /= f
+	return m
+}
+
+// RunBatch simulates one home deployment into b: plan every bin's drive
+// up front, run the packet-level sample per bin into the occupancy
+// column, then evaluate the sensor chain over the whole batch in one
+// link-budget-plus-surface loop. The simulation is deterministic in
+// (cfg, opts) alone, and a pooled Sampler reproduces a fresh one bit
+// for bit (the parity suite pins this against a per-bin reference).
 //
 // each, if non-nil, is called before each bin's packet-level sample
 // with the bin index; returning false abandons the home mid-batch (the
-// fleet workers' per-bin cancellation check) and RunBatch reports
-// false with b in an unspecified state. The Sampler remains reusable.
+// per-bin cancellation check of the fleet workers and the facade) and
+// RunBatch reports false with b in an unspecified state. The Sampler
+// remains reusable.
 func (smp *Sampler) RunBatch(cfg HomeConfig, opts Options, b *BinBatch, each func(bin int) bool) bool {
+	opts = smp.begin(cfg, opts, b)
+	for bin := 0; bin < b.Len(); bin++ {
+		if !smp.simulate(b, bin, each) {
+			return false
+		}
+	}
+	smp.evaluateBatch(opts, b)
+	return true
+}
+
+// begin is the preamble RunBatch and RunBatchCoarse share: normalize
+// the options, plan every bin's drive, arm the sensor's solver tier and
+// the monitors' window, and size b to the home's bins with their hours
+// filled in. It returns the normalized options.
+func (smp *Sampler) begin(cfg HomeConfig, opts Options, b *BinBatch) Options {
 	opts = opts.withDefaults()
 	nBins := opts.NumBins()
 	smp.planBins(cfg, opts, nBins)
@@ -90,19 +150,24 @@ func (smp *Sampler) RunBatch(cfg HomeConfig, opts Options, b *BinBatch, each fun
 
 	b.Reset(nBins)
 	copy(b.Hour, smp.plan.hour)
-	for bin := 0; bin < nBins; bin++ {
-		if each != nil && !each(bin) {
-			return false
-		}
-		b.Occupancy[bin] = smp.sampleBin(cfg.Seed*1_000_003+uint64(bin),
-			smp.plan.clientLoad[bin], smp.plan.neighborLoad[bin], opts.Window)
-		b.Simulated[bin] = true
-		smp.tele.Bin()
-		if smp.tr != nil {
-			smp.tr.BinSimulated(bin, smp.sched.Scheduled())
-		}
+	return opts
+}
+
+// simulate is the per-bin step RunBatch and RunBatchCoarse share: it
+// consults the gate, then runs the bin's planned packet-level sample
+// into b's occupancy column and marks the bin simulated. It reports
+// false, leaving the bin untouched, when the gate refuses.
+func (smp *Sampler) simulate(b *BinBatch, bin int, each func(bin int) bool) bool {
+	if each != nil && !each(bin) {
+		return false
 	}
-	smp.evaluateBatch(opts, b)
+	b.Occupancy[bin] = smp.sampleBin(smp.plan.seed*1_000_003+uint64(bin),
+		smp.plan.clientLoad[bin], smp.plan.neighborLoad[bin], smp.plan.window)
+	b.Simulated[bin] = true
+	smp.tele.Bin()
+	if smp.tr != nil {
+		smp.tr.BinSimulated(bin, smp.sched.Scheduled())
+	}
 	return true
 }
 

@@ -5,15 +5,49 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/xrand"
 )
 
+// perBinRef is the reference the batched kernel is certified against:
+// the home's planned bins sampled and evaluated one at a time —
+// sampleBin, then the sensor chain's scalar Evaluate — with no batch
+// columns in between.
+func perBinRef(smp *Sampler, cfg HomeConfig, opts Options) []BinSample {
+	opts = opts.withDefaults()
+	n := opts.NumBins()
+	smp.planBins(cfg, opts, n)
+	smp.sensor.Exact = opts.Exact
+	for i := range smp.monitors {
+		smp.monitors[i].BinWidth = opts.Window
+	}
+	ref := make([]BinSample, n)
+	for bin := range ref {
+		occ := smp.sampleBin(cfg.Seed*1_000_003+uint64(bin),
+			smp.plan.clientLoad[bin], smp.plan.neighborLoad[bin], opts.Window)
+		cum := 0.0
+		for _, v := range occ {
+			cum += v * 100
+		}
+		rate, netW := smp.sensor.Evaluate(core.PoWiFiLinkOccupancy(opts.SensorDistanceFt, occ))
+		ref[bin] = BinSample{
+			Bin:           bin,
+			HourOfDay:     smp.plan.hour[bin],
+			Occupancy:     occ,
+			CumulativePct: cum,
+			SensorRate:    rate,
+			NetHarvestedW: netW,
+		}
+	}
+	return ref
+}
+
 // TestRunBatchParity is the bit-for-bit contract of the batched kernel:
 // RunBatch's struct-of-arrays columns hold exactly the BinSamples the
-// streaming runner delivers — same packet-level samples, same surface
-// answers, identical floats in every field — across randomized homes,
-// placements and both solver tiers, on one pooled context interleaved
-// with streaming runs.
+// per-bin reference produces — same packet-level samples, same surface
+// answers (EvaluateBatch ≡ Evaluate), identical floats in every field —
+// across randomized homes, placements and both solver tiers, on one
+// pooled context interleaved with reference runs.
 func TestRunBatchParity(t *testing.T) {
 	rng := xrand.NewFromLabel(11, "batch/parity")
 	smp := NewSampler()
@@ -28,22 +62,21 @@ func TestRunBatchParity(t *testing.T) {
 		opts.SensorDistanceFt = rng.Uniform(4, 16)
 		opts.Exact = trial%3 == 0 // exercise the direct-solver tier too
 
-		var streamed []BinSample
-		smp.RunStream(cfg, opts, func(s BinSample) { streamed = append(streamed, s) })
+		ref := perBinRef(smp, cfg, opts)
 		if !smp.RunBatch(cfg, opts, &b, nil) {
 			t.Fatalf("trial %d: RunBatch reported early stop with nil gate", trial)
 		}
 
-		if b.Len() != len(streamed) {
-			t.Fatalf("trial %d: %d bins batched vs %d streamed", trial, b.Len(), len(streamed))
+		if b.Len() != len(ref) {
+			t.Fatalf("trial %d: %d bins batched vs %d per-bin", trial, b.Len(), len(ref))
 		}
-		for i := range streamed {
+		for i := range ref {
 			if !b.Simulated[i] {
 				t.Fatalf("trial %d bin %d: exact-tier batch left bin unsimulated", trial, i)
 			}
-			if got := b.Sample(i); got != streamed[i] {
-				t.Fatalf("trial %d bin %d: batched sample diverged\nstreamed: %+v\nbatched:  %+v",
-					trial, i, streamed[i], got)
+			if got := b.Sample(i); got != ref[i] {
+				t.Fatalf("trial %d bin %d: batched sample diverged\nper-bin: %+v\nbatched: %+v",
+					trial, i, ref[i], got)
 			}
 		}
 	}
@@ -67,14 +100,42 @@ func TestRunBatchEarlyStop(t *testing.T) {
 	}
 
 	// The pooled context must be fully reusable after an abandoned home.
-	var ref []BinSample
-	NewSampler().RunStream(cfg, opts, func(s BinSample) { ref = append(ref, s) })
+	ref := perBinRef(NewSampler(), cfg, opts)
 	if !smp.RunBatch(cfg, opts, &b, nil) {
 		t.Fatal("RunBatch failed after early stop")
 	}
 	for i := range ref {
 		if got := b.Sample(i); got != ref[i] {
 			t.Fatalf("bin %d after early stop: %+v want %+v", i, got, ref[i])
+		}
+	}
+}
+
+// TestBinBatchMeans pins the home fold on a hand-built batch: means
+// over every bin, the silent-bin count, and the banked-harvest clamp
+// for a silent bin and a below-sensitivity one.
+func TestBinBatchMeans(t *testing.T) {
+	var b BinBatch
+	if m := b.Means(); m != (HomeMeans{}) {
+		t.Fatalf("empty batch means = %+v, want zero", m)
+	}
+	b.Reset(3)
+	b.Occupancy[0], b.SensorRate[0], b.NetHarvestedW[0] = [3]float64{0.1, 0.2, 0.3}, 2, 6e-6
+	b.Occupancy[1], b.SensorRate[1], b.NetHarvestedW[1] = [3]float64{0.3, 0.2, 0.1}, 0, 3e-6  // silent
+	b.Occupancy[2], b.SensorRate[2], b.NetHarvestedW[2] = [3]float64{0.2, 0.2, 0.2}, 1, -1e-6 // below sensitivity
+	for i := range b.CumulativePct {
+		b.CumulativePct[i] = 60
+	}
+	m := b.Means()
+	want := HomeMeans{CumulativePct: 60, ChannelPct: [3]float64{20, 20, 20}, BankedHarvestUW: 2, SensorRate: 1, SilentBins: 1}
+	close := func(got, want float64) bool { return math.Abs(got-want) < 1e-9 }
+	if m.SilentBins != want.SilentBins || !close(m.CumulativePct, want.CumulativePct) ||
+		!close(m.BankedHarvestUW, want.BankedHarvestUW) || !close(m.SensorRate, want.SensorRate) {
+		t.Fatalf("Means = %+v, want %+v", m, want)
+	}
+	for c := range m.ChannelPct {
+		if !close(m.ChannelPct[c], want.ChannelPct[c]) {
+			t.Fatalf("Means = %+v, want %+v", m, want)
 		}
 	}
 }

@@ -35,22 +35,25 @@ func BenchmarkSampleBin(b *testing.B) {
 	}
 }
 
-// BenchmarkRunStreamPooled measures a full pooled single-home run at the
-// fleet's default per-bin window, including the per-bin sensor solve.
-func BenchmarkRunStreamPooled(b *testing.B) {
+// BenchmarkRunBatchPooled measures a full pooled single-home run into
+// a reused batch at the fleet's default per-bin window, including the
+// sensor evaluation.
+func BenchmarkRunBatchPooled(b *testing.B) {
 	smp := NewSampler()
 	opts := Options{BinWidth: time.Hour, Window: 10 * time.Millisecond, Hours: 24, SensorDistanceFt: 10}
 	home := PaperHomes()[2]
-	smp.RunStream(home, opts, func(BinSample) {}) // warm pools and the surface
+	var batch BinBatch
+	smp.RunBatch(home, opts, &batch, nil) // warm pools, the batch and the surface
 	b.ReportAllocs()
 	b.ResetTimer()
 	bins := 0
 	for i := 0; i < b.N; i++ {
-		smp.RunStream(home, opts, func(BinSample) { bins++ })
+		smp.RunBatch(home, opts, &batch, nil)
+		bins += batch.Len()
 	}
 	b.StopTimer()
 	if bins != b.N*24 {
-		b.Fatalf("streamed %d bins, want %d", bins, b.N*24)
+		b.Fatalf("ran %d bins, want %d", bins, b.N*24)
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(bins), "ns/bin")
 }

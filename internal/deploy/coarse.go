@@ -82,42 +82,19 @@ func (c CoarseOptions) withDefaults() CoarseOptions {
 // each and the return value follow the RunBatch contract; each is
 // called only for bins that are actually event-simulated.
 func (smp *Sampler) RunBatchCoarse(cfg HomeConfig, opts Options, copts CoarseOptions, b *BinBatch, each func(bin int) bool) bool {
-	opts = opts.withDefaults()
+	opts = smp.begin(cfg, opts, b)
 	copts = copts.withDefaults()
-	nBins := opts.NumBins()
-	smp.planBins(cfg, opts, nBins)
-
-	smp.sensor.Exact = opts.Exact
-	for i := range smp.monitors {
-		smp.monitors[i].BinWidth = opts.Window
-	}
-
-	b.Reset(nBins)
-	copy(b.Hour, smp.plan.hour)
-
-	simulate := func(bin int) bool {
-		if each != nil && !each(bin) {
-			return false
-		}
-		b.Occupancy[bin] = smp.sampleBin(cfg.Seed*1_000_003+uint64(bin),
-			smp.plan.clientLoad[bin], smp.plan.neighborLoad[bin], opts.Window)
-		b.Simulated[bin] = true
-		smp.tele.Bin()
-		if smp.tr != nil {
-			smp.tr.BinSimulated(bin, smp.sched.Scheduled())
-		}
-		return true
-	}
+	nBins := b.Len()
 
 	// Anchor pass: exact event simulation on the stride grid plus the
 	// final bin, so every proxied bin has anchors on both sides.
 	for bin := 0; bin < nBins; bin += copts.Stride {
-		if !simulate(bin) {
+		if !smp.simulate(b, bin, each) {
 			return false
 		}
 	}
 	if last := nBins - 1; last >= 0 && !b.Simulated[last] {
-		if !simulate(last) {
+		if !smp.simulate(b, last, each) {
 			return false
 		}
 	}
@@ -315,7 +292,7 @@ func (smp *Sampler) RunBatchCoarse(cfg HomeConfig, opts Options, copts CoarseOpt
 	smp.escBuf = esc[:0]
 	for _, e := range esc {
 		bin := int(e.bin)
-		if !simulate(bin) {
+		if !smp.simulate(b, bin, each) {
 			return false
 		}
 		smp.tr.SetBin(bin)

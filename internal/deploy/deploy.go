@@ -14,7 +14,6 @@ package deploy
 
 import (
 	"fmt"
-	"iter"
 	"math"
 	"time"
 
@@ -175,18 +174,17 @@ func activity(hour float64, weekend bool) float64 {
 	return a
 }
 
-// BinSample is one logging-bin observation from a single-home run: the
-// router's per-channel occupancy over the bin's packet-level sample
-// window and the derived sensor-side quantities at the configured
-// distance.
+// BinSample is one logging bin of a single-home run, as
+// BinBatch.Sample returns it: the router's per-channel occupancy over
+// the bin's packet-level sample window and the derived sensor-side
+// quantities at the configured distance.
 type BinSample struct {
 	// Bin is the bin index, starting at 0.
 	Bin int
 	// HourOfDay is the bin's local time.
 	HourOfDay float64
 	// Occupancy holds per-channel airtime fractions in [0, 1], indexed
-	// in phy.PoWiFiChannels order (1, 6, 11). The fixed array keeps the
-	// per-bin streaming path allocation-free.
+	// in phy.PoWiFiChannels order (1, 6, 11).
 	Occupancy [3]float64
 	// CumulativePct is the percentage sum across channels (may exceed 100).
 	CumulativePct float64
@@ -203,8 +201,8 @@ type BinSample struct {
 // the single place the silent-bin clamp convention lives: a bin whose
 // sensor could not boot banks nothing, and the below-sensitivity
 // negative case is clamped to zero so harvest distributions stay
-// consistent with silent-bin statistics for marginal placements. Both
-// the fleet aggregates and the facade's single-home report fold
+// consistent with silent-bin statistics for marginal placements. The
+// home fold (BinBatch.Means) and the fleet's per-bin harvest column go
 // through it.
 func (s BinSample) BankedHarvestUW() float64 {
 	uw := s.NetHarvestedW * 1e6
@@ -215,71 +213,25 @@ func (s BinSample) BankedHarvestUW() float64 {
 }
 
 // Run simulates one home deployment and materializes the full per-bin
-// log. It is a thin accumulator over the streaming runner. Options are
-// normalized exactly once on this path (runStream assumes normalized
-// options, so Run and RunStream cannot double-apply the defaults).
+// log from the finished batch — the paper's six-home study (Fig. 14,
+// Fig. 15) on a fresh Sampler.
 func Run(cfg HomeConfig, opts Options) *Result {
-	opts = opts.withDefaults()
-	nBins := opts.NumBins()
+	var b BinBatch
+	NewSampler().RunBatch(cfg, opts, &b, nil)
 	res := &Result{
-		Home:       cfg,
-		BinWidth:   opts.BinWidth,
-		Occupancy:  make(map[phy.Channel][]float64, 3),
-		Cumulative: make([]float64, 0, nBins),
+		Home:        cfg,
+		BinWidth:    opts.Resolved().BinWidth,
+		Occupancy:   make(map[phy.Channel][]float64, 3),
+		Cumulative:  b.CumulativePct,
+		SensorRates: b.SensorRate,
+		HourOfDay:   b.Hour,
 	}
-	NewSampler().runStream(cfg, opts, func(s BinSample) bool {
-		for i, chNum := range phy.PoWiFiChannels {
-			res.Occupancy[chNum] = append(res.Occupancy[chNum], s.Occupancy[i]*100)
+	for c, ch := range phy.PoWiFiChannels {
+		pct := make([]float64, b.Len())
+		for i, occ := range b.Occupancy {
+			pct[i] = occ[c] * 100
 		}
-		res.Cumulative = append(res.Cumulative, s.CumulativePct)
-		res.HourOfDay = append(res.HourOfDay, s.HourOfDay)
-		res.SensorRates = append(res.SensorRates, s.SensorRate)
-		return true
-	})
+		res.Occupancy[ch] = pct
+	}
 	return res
-}
-
-// RunStream simulates one home deployment, invoking visit once per
-// logging bin in order instead of materializing the log. This is the
-// shared single-home code path: the paper's six-home study (Run) keeps
-// every bin, while the fleet runner folds each sample into mergeable
-// aggregates and discards it, keeping memory constant in deployment
-// length and fleet size. The simulation is deterministic in (cfg, opts)
-// alone — the visit callback cannot perturb it.
-//
-// Each call builds a fresh sampling context; callers with many homes to
-// run (the fleet's workers) hold a Sampler and call its RunStream
-// method instead, which reuses one pooled context for every bin of
-// every home with bit-for-bit identical output.
-func RunStream(cfg HomeConfig, opts Options, visit func(BinSample)) {
-	NewSampler().RunStream(cfg, opts, visit)
-}
-
-// BinVisitor receives one BinSample per logging bin, in order. It is
-// the interface form of RunStream's callback, introduced for the
-// stateful device-lifecycle engine (internal/lifecycle): a lifecycle
-// device is a BinVisitor that threads storage state of charge across
-// the bins, and the interface dispatch keeps the per-home hot path
-// free of per-home closure allocations.
-type BinVisitor interface {
-	VisitBin(BinSample)
-}
-
-// RunVisitor simulates one home deployment, delivering each logging
-// bin to v in order — the lifecycle-visiting run mode. The simulation
-// is deterministic in (cfg, opts) alone; the visitor cannot perturb
-// it. Callers with many homes to run hold a Sampler and use its
-// RunVisitor method instead.
-func RunVisitor(cfg HomeConfig, opts Options, v BinVisitor) {
-	NewSampler().RunVisitor(cfg, opts, v)
-}
-
-// Bins returns a single-use iterator over one home deployment's
-// logging bins, in order — the iterator form of RunStream, introduced
-// for the public SDK's streaming access (powifi.Scenario.Bins).
-// Breaking out of the loop stops the simulation mid-home; nothing
-// further is simulated. Each call builds a fresh sampling context;
-// hot-loop callers should hold a Sampler and use its Bins method.
-func Bins(cfg HomeConfig, opts Options) iter.Seq[BinSample] {
-	return NewSampler().Bins(cfg, opts)
 }

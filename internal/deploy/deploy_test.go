@@ -137,19 +137,20 @@ func TestHomesDiffer(t *testing.T) {
 	}
 }
 
-func TestRunStreamAgreesWithRun(t *testing.T) {
-	// Run is an accumulator over RunStream; the streamed samples must
-	// reproduce the materialized log exactly, and carry the sensor-side
-	// fields the fleet runner depends on.
+func TestRunBatchAgreesWithRun(t *testing.T) {
+	// Run materializes a finished batch; the batch's samples must
+	// reproduce the log exactly, and carry the sensor-side fields the
+	// fleet runner depends on.
 	cfg := PaperHomes()[1]
 	opts := fastOpts()
 	res := Run(cfg, opts)
-	var streamed []BinSample
-	RunStream(cfg, opts, func(s BinSample) { streamed = append(streamed, s) })
-	if len(streamed) != len(res.Cumulative) {
-		t.Fatalf("streamed %d bins, materialized %d", len(streamed), len(res.Cumulative))
+	var b BinBatch
+	NewSampler().RunBatch(cfg, opts, &b, nil)
+	if b.Len() != len(res.Cumulative) {
+		t.Fatalf("batched %d bins, materialized %d", b.Len(), len(res.Cumulative))
 	}
-	for i, s := range streamed {
+	for i := 0; i < b.Len(); i++ {
+		s := b.Sample(i)
 		if s.Bin != i {
 			t.Fatalf("bin %d reported index %d", i, s.Bin)
 		}

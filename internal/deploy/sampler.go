@@ -2,7 +2,6 @@ package deploy
 
 import (
 	"fmt"
-	"iter"
 	"math"
 	"time"
 
@@ -97,11 +96,15 @@ type escalation struct {
 // bin, drawn up front in one pass. Planning is pure home-stream
 // randomness — the packet-level sampler never touches the home RNG — so
 // hoisting the draws out of the bin loop preserves the exact draw order
-// of the historical interleaved form.
+// of the historical interleaved form. seed and window are the home
+// seed every bin's packet-level seed derives from and the sample
+// window each bin simulates.
 type binPlan struct {
 	hour         []float64
 	clientLoad   []float64
 	neighborLoad [][3]float64
+	seed         uint64
+	window       time.Duration
 }
 
 func (p *binPlan) reset(n int) {
@@ -197,77 +200,6 @@ func (smp *Sampler) armClient() {
 	smp.sched.AfterCtx(time.Duration(smp.clientRng.Exp(smp.clientMean)), smp.clientFire, nil)
 }
 
-// RunStream simulates one home deployment on the pooled context,
-// invoking visit once per logging bin in order. See the package-level
-// RunStream for the contract; this form reuses the Sampler's pooled
-// state and is what the fleet runner calls once per worker.
-func (smp *Sampler) RunStream(cfg HomeConfig, opts Options, visit func(BinSample)) {
-	smp.runStream(cfg, opts.withDefaults(), func(s BinSample) bool { visit(s); return true })
-}
-
-// RunVisitor is RunStream delivering bins through a BinVisitor instead
-// of a callback — the run mode the device-lifecycle engine drives. The
-// streams are identical: both paths fold through the same runStream.
-func (smp *Sampler) RunVisitor(cfg HomeConfig, opts Options, v BinVisitor) {
-	smp.runStream(cfg, opts.withDefaults(), func(s BinSample) bool { v.VisitBin(s); return true })
-}
-
-// StreamBins is RunStream with an early-stop contract: visit returns
-// false to abandon the run mid-home, and no further bins are simulated
-// or delivered. It exists for cancellation (the fleet workers check
-// their context once per bin) and for the facade's iterators, where
-// the consumer may break out of the loop. Stopping never corrupts the
-// pooled context — the next run Resets everything as usual.
-func (smp *Sampler) StreamBins(cfg HomeConfig, opts Options, visit func(BinSample) bool) {
-	smp.runStream(cfg, opts.withDefaults(), visit)
-}
-
-// Bins returns a single-use iterator over the home's logging bins on
-// the pooled context. Breaking out of the loop stops the simulation
-// mid-home; the Sampler remains reusable.
-func (smp *Sampler) Bins(cfg HomeConfig, opts Options) iter.Seq[BinSample] {
-	return func(yield func(BinSample) bool) {
-		smp.StreamBins(cfg, opts, yield)
-	}
-}
-
-// runStream is RunStream after option normalization (callers must pass
-// a withDefaults-normalized opts, so Run and RunStream normalize
-// exactly once). visit returning false stops the run before the next
-// bin is simulated.
-func (smp *Sampler) runStream(cfg HomeConfig, opts Options, visit func(BinSample) bool) {
-	nBins := opts.NumBins()
-	smp.planBins(cfg, opts, nBins)
-
-	smp.sensor.Exact = opts.Exact
-	for i := range smp.monitors {
-		smp.monitors[i].BinWidth = opts.Window
-	}
-
-	for bin := 0; bin < nBins; bin++ {
-		occ := smp.sampleBin(cfg.Seed*1_000_003+uint64(bin),
-			smp.plan.clientLoad[bin], smp.plan.neighborLoad[bin], opts.Window)
-		cum := 0.0
-		for _, v := range occ {
-			cum += v * 100
-		}
-
-		link := core.PoWiFiLinkOccupancy(opts.SensorDistanceFt, occ)
-		rate, netW := smp.sensor.Evaluate(link)
-		smp.tele.Bin()
-		if !visit(BinSample{
-			Bin:           bin,
-			HourOfDay:     smp.plan.hour[bin],
-			Occupancy:     occ,
-			CumulativePct: cum,
-			SensorRate:    rate,
-			NetHarvestedW: netW,
-		}) {
-			return
-		}
-	}
-}
-
 // planBins draws the home's full bin plan into smp.plan: the per-home
 // channel weights and AP assignment, then every bin's offered loads, in
 // exactly the order the historical per-bin interleaved loop drew them.
@@ -304,6 +236,7 @@ func (smp *Sampler) planBins(cfg HomeConfig, opts Options, nBins int) {
 	}
 
 	smp.plan.reset(nBins)
+	smp.plan.seed, smp.plan.window = cfg.Seed, opts.Window
 	for bin := 0; bin < nBins; bin++ {
 		hour := math.Mod(float64(cfg.StartHour)+float64(bin)*opts.BinWidth.Hours(), 24)
 		act := activity(hour, cfg.Weekend)

@@ -24,7 +24,7 @@ func randomHome(rng *xrand.Rand) HomeConfig {
 
 // TestPooledSamplerParity is the bit-for-bit contract of the pooled
 // context: one Sampler reused across many randomized homes produces
-// exactly the streams that fresh per-home contexts produce — same RNG
+// exactly the batches that fresh per-home contexts produce — same RNG
 // draw order, same event order, hence identical floats in every field.
 func TestPooledSamplerParity(t *testing.T) {
 	rng := xrand.NewFromLabel(7, "sampler/parity")
@@ -35,43 +35,46 @@ func TestPooledSamplerParity(t *testing.T) {
 		Hours:            3,
 		SensorDistanceFt: 9,
 	}
+	var fresh, reused BinBatch
 	for trial := 0; trial < 12; trial++ {
 		cfg := randomHome(rng)
 		// Vary the sensor placement too: it exercises the per-device
 		// link-budget memo across geometry changes.
 		opts.SensorDistanceFt = rng.Uniform(4, 16)
 
-		var fresh, reused []BinSample
-		NewSampler().RunStream(cfg, opts, func(s BinSample) { fresh = append(fresh, s) })
-		pooled.RunStream(cfg, opts, func(s BinSample) { reused = append(reused, s) })
+		NewSampler().RunBatch(cfg, opts, &fresh, nil)
+		pooled.RunBatch(cfg, opts, &reused, nil)
 
-		if len(fresh) != len(reused) {
-			t.Fatalf("trial %d: %d bins fresh vs %d pooled", trial, len(fresh), len(reused))
+		if fresh.Len() != reused.Len() {
+			t.Fatalf("trial %d: %d bins fresh vs %d pooled", trial, fresh.Len(), reused.Len())
 		}
-		for i := range fresh {
-			if fresh[i] != reused[i] {
+		for i := 0; i < fresh.Len(); i++ {
+			if f, p := fresh.Sample(i), reused.Sample(i); f != p {
 				t.Fatalf("trial %d bin %d: pooled sample diverged\nfresh:  %+v\npooled: %+v",
-					trial, i, fresh[i], reused[i])
+					trial, i, f, p)
 			}
 		}
 	}
 }
 
-// TestPooledSamplerMatchesPackageRunStream pins the package-level entry
-// point to the pooled path on a paper home (the golden suite pins the
-// same property at full scale).
-func TestPooledSamplerMatchesPackageRunStream(t *testing.T) {
+// TestPooledSamplerMatchesRun pins the package-level entry point to a
+// dirty pooled context on a paper home (the golden suite pins the same
+// property at full scale).
+func TestPooledSamplerMatchesRun(t *testing.T) {
 	cfg := PaperHomes()[3]
 	opts := Options{BinWidth: time.Hour, Window: 2 * time.Millisecond, Hours: 5, SensorDistanceFt: 10}
-	var a, b []BinSample
-	RunStream(cfg, opts, func(s BinSample) { a = append(a, s) })
+	res := Run(cfg, opts)
 	smp := NewSampler()
+	var b BinBatch
 	// Run something else first so the pooled context is dirty.
-	smp.RunStream(PaperHomes()[0], opts, func(BinSample) {})
-	smp.RunStream(cfg, opts, func(s BinSample) { b = append(b, s) })
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("bin %d: dirty pooled context diverged from RunStream", i)
+	smp.RunBatch(PaperHomes()[0], opts, &b, nil)
+	smp.RunBatch(cfg, opts, &b, nil)
+	if b.Len() != len(res.Cumulative) {
+		t.Fatalf("pooled %d bins, Run %d", b.Len(), len(res.Cumulative))
+	}
+	for i := 0; i < b.Len(); i++ {
+		if b.CumulativePct[i] != res.Cumulative[i] || b.SensorRate[i] != res.SensorRates[i] {
+			t.Fatalf("bin %d: dirty pooled context diverged from Run", i)
 		}
 	}
 }
@@ -96,20 +99,21 @@ func TestSampleBinAllocBudget(t *testing.T) {
 	t.Logf("steady-state allocs/bin = %v", allocs)
 }
 
-// TestRunStreamAllocBudget extends the allocation budget to the whole
-// streaming path: packet sample plus sensor evaluation per bin.
-func TestRunStreamAllocBudget(t *testing.T) {
+// TestRunBatchAllocBudget extends the allocation budget to a whole
+// pooled home run into a reused batch: packet sample plus sensor
+// evaluation per bin.
+func TestRunBatchAllocBudget(t *testing.T) {
 	smp := NewSampler()
 	opts := Options{BinWidth: time.Hour, Window: 2 * time.Millisecond, Hours: 2, SensorDistanceFt: 10}
 	home := PaperHomes()[2]
-	visit := func(BinSample) {}
-	smp.RunStream(home, opts, visit) // warm pools and the shared surface
+	var b BinBatch
+	smp.RunBatch(home, opts, &b, nil) // warm pools, the batch and the shared surface
 	allocs := testing.AllocsPerRun(20, func() {
-		smp.RunStream(home, opts, visit)
+		smp.RunBatch(home, opts, &b, nil)
 	})
 	perBin := allocs / float64(opts.NumBins())
 	if perBin > 10 {
-		t.Errorf("steady-state RunStream allocs/bin = %v, budget is 10", perBin)
+		t.Errorf("steady-state RunBatch allocs/bin = %v, budget is 10", perBin)
 	}
-	t.Logf("steady-state RunStream allocs/bin = %v", perBin)
+	t.Logf("steady-state RunBatch allocs/bin = %v", perBin)
 }

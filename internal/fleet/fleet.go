@@ -22,10 +22,11 @@
 //     fixed-size sketches and emit one small scalar summary per home.
 //     Memory is O(workers + sketch resolution), not O(homes).
 //
-//  3. One code path with the paper study. The fleet's RunBatch and the
-//     §6 reproduction's RunStream drive the same deploy.Sampler and
-//     are bin-for-bin identical (deploy's parity suite pins this), so
-//     fidelity fixes flow to both.
+//  3. One code path with the paper study. The fleet, the §6
+//     reproduction (deploy.Run) and the facade's single-home runs all
+//     drive deploy.Sampler.RunBatch, so fidelity fixes flow to each;
+//     the fleet and the facade fold a home's means with the same
+//     deploy.BinBatch.Means.
 package fleet
 
 import (

@@ -133,8 +133,7 @@ func TestExactVsSurfaceParity(t *testing.T) {
 
 // TestSingleHomeFleetMatchesDeployRunner pins the shared code path: a
 // one-home fleet must reproduce deploy.Run's summary for the same home
-// exactly, because the fleet's RunBatch is bin-for-bin identical to the
-// RunStream that deploy.Run materializes (deploy's parity suite).
+// exactly, because both materialize the same RunBatch.
 func TestSingleHomeFleetMatchesDeployRunner(t *testing.T) {
 	cfg, err := testConfig(1, 1).withDefaults()
 	if err != nil {

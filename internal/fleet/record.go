@@ -55,10 +55,10 @@ func (hs homeStats) record() HomeRecord {
 	r := HomeRecord{
 		Index:             hs.idx,
 		Home:              hs.home,
-		MeanCumulativePct: hs.meanCumPct,
-		MeanChannelPct:    hs.meanChPct,
-		MeanHarvestUW:     hs.meanHarvestUW,
-		MeanUpdateRateHz:  hs.meanRate,
+		MeanCumulativePct: hs.means.CumulativePct,
+		MeanChannelPct:    hs.means.ChannelPct,
+		MeanHarvestUW:     hs.means.BankedHarvestUW,
+		MeanUpdateRateHz:  hs.means.SensorRate,
 	}
 	if hs.hasLife {
 		ls := hs.life

@@ -7,6 +7,7 @@ import (
 	"io"
 	"strconv"
 
+	"repro/internal/deploy"
 	"repro/internal/lifecycle"
 	"repro/internal/phy"
 	"repro/internal/stats"
@@ -38,12 +39,9 @@ const (
 // every aggregate and a checkpoint of the committed home prefix is a
 // complete snapshot of the run's state.
 type homeStats struct {
-	idx           int
-	home          Home
-	meanCumPct    float64
-	meanChPct     [3]float64
-	meanHarvestUW float64
-	meanRate      float64
+	idx   int
+	home  Home
+	means deploy.HomeMeans
 	// Per-bin columns (one backing array, sliced three ways): cumulative
 	// occupancy %, banked harvest µW, and sensor rate Hz per bin.
 	binCum, binUW, binRate []float64
@@ -141,14 +139,14 @@ func (r *Result) addHome(hs homeStats) {
 			r.SilentBins++
 		}
 	}
-	r.CumOcc.Add(hs.meanCumPct)
+	r.CumOcc.Add(hs.means.CumulativePct)
 	for i := range r.ChOcc {
-		r.ChOcc[i].Add(hs.meanChPct[i])
+		r.ChOcc[i].Add(hs.means.ChannelPct[i])
 	}
-	r.HomeHarvest.Add(hs.meanHarvestUW)
-	r.OccW.Add(hs.meanCumPct)
-	r.HarvestW.Add(hs.meanHarvestUW)
-	r.RateW.Add(hs.meanRate)
+	r.HomeHarvest.Add(hs.means.BankedHarvestUW)
+	r.OccW.Add(hs.means.CumulativePct)
+	r.HarvestW.Add(hs.means.BankedHarvestUW)
+	r.RateW.Add(hs.means.SensorRate)
 	if hs.hasLife && r.Arch != nil {
 		r.Arch[hs.life.kind].addHome(hs.life.kind, hs.life)
 	}

@@ -549,7 +549,7 @@ func (w *worker) runHome(ctx context.Context, idx int) (homeStats, bool) {
 			if timed {
 				wallNS := time.Since(t0).Nanoseconds() //powifi:walltime-ok probe observation only; never feeds an aggregate
 				w.probe.ObserveHomeWall(idx, "fleet/home/"+strconv.Itoa(idx),
-					float64(wallNS)/1e6, dominantSpan(wallNS, w.lastKernelNS, w.lastStallNS))
+					float64(wallNS)/1e6, trace.DominantSpan(wallNS, w.lastKernelNS, w.lastStallNS))
 			}
 			return hs, true
 		}
@@ -565,21 +565,6 @@ func (w *worker) runHome(ctx context.Context, idx int) (homeStats, bool) {
 		w.probe.Failure().Retry()
 		w.tr.EndHome(ht)
 		w.refresh()
-	}
-}
-
-// dominantSpan names where a home's wall time went: the injected stall,
-// the event kernel ("bin-batch"), or the residual (synthesis, ledger,
-// folds).
-func dominantSpan(wallNS, kernelNS, stallNS int64) string {
-	other := wallNS - kernelNS - stallNS
-	switch {
-	case stallNS >= kernelNS && stallNS >= other:
-		return "stall"
-	case kernelNS >= other:
-		return "bin-batch"
-	default:
-		return "other"
 	}
 }
 
@@ -682,43 +667,21 @@ func (w *worker) attemptHome(ctx context.Context, idx, attempt int) (hs homeStat
 		binUW:   cols[nBins : 2*nBins : 2*nBins],
 		binRate: cols[2*nBins:],
 	}
-	var (
-		sumCum, sumHarvest, sumRate float64
-		sumCh                       [3]float64
-		silent                      uint64
-	)
-	for i := 0; i < nBins; i++ {
-		s := b.Sample(i)
-		sumCum += s.CumulativePct
-		for c := range sumCh {
-			sumCh[c] += s.Occupancy[c] * 100
-		}
+	copy(hs.binCum, b.CumulativePct)
+	copy(hs.binRate, b.SensorRate)
+	for i := range hs.binUW {
 		// A silent bin banks nothing; BankedHarvestUW owns the clamp
-		// convention shared with the facade's single-home report.
-		uw := s.BankedHarvestUW()
-		sumHarvest += uw
-		sumRate += s.SensorRate
-		if s.SensorRate <= 0 {
-			silent++
-		}
-		hs.binCum[i] = s.CumulativePct
-		hs.binUW[i] = uw
-		hs.binRate[i] = s.SensorRate
+		// convention the home fold shares.
+		hs.binUW[i] = b.Sample(i).BankedHarvestUW()
 	}
 	if dev != nil {
 		w.lifeBins = make([]lifecycle.BinStats, 0, nBins)
 		dev.VisitBatch(b)
 	}
-	n := float64(nBins)
-	hs.meanCumPct = sumCum / n
-	hs.meanHarvestUW = sumHarvest / n
-	hs.meanRate = sumRate / n
+	hs.means = b.Means()
 	// Telemetry: silent bins fold into the shared counter, the home's
 	// mean harvest into this worker's private sketch shard.
-	w.probe.ObserveHome(silent, hs.meanHarvestUW)
-	for i := range sumCh {
-		hs.meanChPct[i] = sumCh[i] / n
-	}
+	w.probe.ObserveHome(uint64(hs.means.SilentBins), hs.means.BankedHarvestUW)
 	if dev != nil {
 		m := dev.Metrics()
 		hs.hasLife = true

@@ -160,8 +160,8 @@ type BinStats struct {
 
 // Device is one stateful Wi-Fi-powered device: an archetype's RF chain
 // plus storage, stepped across the logging bins of a home deployment.
-// It implements deploy.BinVisitor; drive it with deploy.RunVisitor (or
-// a pooled Sampler's RunVisitor) between Begin and Metrics. A Device
+// Drive it over a home's finished deploy.BinBatch with VisitBatch (or
+// bin by bin with VisitBin) between Begin and Metrics. A Device
 // is not safe for concurrent use, and like the deploy sampler it is
 // pooled: Begin re-derives all run state, so reuse across homes is
 // bit-for-bit invisible.
@@ -268,8 +268,8 @@ func (d *Device) State() State { return d.state }
 // 6 cm USB perch), storage is reset to the policy's initial state, and
 // metrics are cleared. binWidth must match the run's logging bin
 // width; a non-positive value resolves to the deploy default, matching
-// what RunVisitor runs with when the caller leaves Options.BinWidth
-// zero. A pooled Device after Begin is indistinguishable from a fresh
+// what deploy.Sampler.RunBatch runs with when the caller leaves
+// Options.BinWidth zero. A pooled Device after Begin is indistinguishable from a fresh
 // one.
 func (d *Device) Begin(sensorFt float64, binWidth time.Duration) {
 	if binWidth <= 0 {
@@ -311,9 +311,7 @@ func (d *Device) Begin(sensorFt float64, binWidth time.Duration) {
 // Metrics returns the run summary accumulated since Begin.
 func (d *Device) Metrics() Metrics { return d.m }
 
-// VisitBin advances the ledger by one logging bin. It implements
-// deploy.BinVisitor, so a Device can be handed directly to
-// deploy.RunVisitor.
+// VisitBin advances the ledger by one logging bin.
 func (d *Device) VisitBin(s deploy.BinSample) {
 	dt := d.dtS
 	binStart := float64(s.Bin) * dt
@@ -363,7 +361,7 @@ func (d *Device) VisitBin(s deploy.BinSample) {
 }
 
 // VisitBatch advances the ledger over a finished batch of bins — the
-// batched fleet kernel's ledger stage. The per-bin state threading is
+// ledger stage of the fleet and the facade alike. The per-bin state threading is
 // inherently sequential (each bin's storage state feeds the next), so
 // the batch form walks the struct-of-arrays columns in order; it visits
 // exactly the bins VisitBin would and leaves identical state, metrics
@@ -557,8 +555,8 @@ func (d *Device) stepCharger(s deploy.BinSample, binStart, dt float64, b *BinSta
 
 // Group runs several devices over one home in a single deployment
 // pass — a household with a sensor on the shelf, a camera by the door
-// and a tracker on the charger. It implements deploy.BinVisitor by
-// fanning each bin out to every device in order.
+// and a tracker on the charger. VisitBatch hands the home's finished
+// batch to every device in order.
 type Group []*Device
 
 // Begin arms every device in the group.
@@ -568,9 +566,11 @@ func (g Group) Begin(sensorFt float64, binWidth time.Duration) {
 	}
 }
 
-// VisitBin implements deploy.BinVisitor.
-func (g Group) VisitBin(s deploy.BinSample) {
+// VisitBatch advances every device's ledger over the batch. The
+// devices share no state, so visiting them one after another leaves
+// each exactly as a bin-by-bin fan-out would.
+func (g Group) VisitBatch(b *deploy.BinBatch) {
 	for _, d := range g {
-		d.VisitBin(s)
+		d.VisitBatch(b)
 	}
 }

@@ -21,9 +21,9 @@
 // internal/fleet's mixed device populations, at fleet scale.
 //
 // Everything is deterministic in the home's (config, options) alone:
-// a Device is a deploy.BinVisitor whose state is fully re-derived by
-// Begin, so a pooled Device reused across homes reproduces a fresh one
-// bit for bit (pinned by the parity suite).
+// a Device's state is fully re-derived by Begin, so a pooled Device
+// reused across homes reproduces a fresh one bit for bit (pinned by
+// the parity suite).
 package lifecycle
 
 import (

@@ -273,6 +273,7 @@ func TestPooledDeviceParity(t *testing.T) {
 		SensorDistanceFt: 9,
 	}
 	smp := deploy.NewSampler()
+	var b deploy.BinBatch
 	pooled := map[Kind]*Device{}
 	for trial := 0; trial < 6; trial++ {
 		cfg := deploy.HomeConfig{
@@ -287,7 +288,8 @@ func TestPooledDeviceParity(t *testing.T) {
 		fresh := NewDevice(kind, Policy{})
 		fresh.OnBin = func(b BinStats) { freshBins = append(freshBins, b) }
 		fresh.Begin(opts.SensorDistanceFt, opts.BinWidth)
-		smp.RunVisitor(cfg, opts, fresh)
+		smp.RunBatch(cfg, opts, &b, nil)
+		fresh.VisitBatch(&b)
 
 		p, ok := pooled[kind]
 		if !ok {
@@ -295,11 +297,13 @@ func TestPooledDeviceParity(t *testing.T) {
 			pooled[kind] = p
 			// Dirty the pooled device with an unrelated home first.
 			p.Begin(7, opts.BinWidth)
-			smp.RunVisitor(deploy.PaperHomes()[0], opts, p)
+			smp.RunBatch(deploy.PaperHomes()[0], opts, &b, nil)
+			p.VisitBatch(&b)
 		}
 		p.OnBin = func(b BinStats) { pooledBins = append(pooledBins, b) }
 		p.Begin(opts.SensorDistanceFt, opts.BinWidth)
-		smp.RunVisitor(cfg, opts, p)
+		smp.RunBatch(cfg, opts, &b, nil)
+		p.VisitBatch(&b)
 
 		fm, pm := fresh.Metrics(), p.Metrics()
 		if !metricsEqual(fm, pm) {
@@ -338,14 +342,22 @@ func metricsEqual(a, b Metrics) bool {
 	return norm(a) == norm(b)
 }
 
-// TestGroupFansOut pins Group's visitor fan-out.
+// TestGroupFansOut pins Group's batch fan-out: every device walks every
+// bin.
 func TestGroupFansOut(t *testing.T) {
 	g := Group{NewDevice(TempSensor, Policy{}), NewDevice(Jawbone, Policy{})}
 	g.Begin(10, time.Minute)
-	g.VisitBin(bin(0, 0.9, 5, 20e-6))
+	var b deploy.BinBatch
+	b.Reset(2)
+	for i := 0; i < b.Len(); i++ {
+		s := bin(i, 0.9, 5, 20e-6)
+		b.Occupancy[i], b.CumulativePct[i] = s.Occupancy, s.CumulativePct
+		b.SensorRate[i], b.NetHarvestedW[i] = s.SensorRate, s.NetHarvestedW
+	}
+	g.VisitBatch(&b)
 	for _, d := range g {
-		if d.Metrics().Bins != 1 {
-			t.Errorf("%v device saw %d bins, want 1", d.Kind, d.Metrics().Bins)
+		if d.Metrics().Bins != 2 {
+			t.Errorf("%v device saw %d bins, want 2", d.Kind, d.Metrics().Bins)
 		}
 	}
 }

@@ -2,6 +2,6 @@
 
 package telemetry
 
-// processCPUSeconds has no portable implementation off unix; span CPU
+// ProcessCPUSeconds has no portable implementation off unix; span CPU
 // fields read zero there while wall times stay accurate.
-func processCPUSeconds() float64 { return 0 }
+func ProcessCPUSeconds() float64 { return 0 }

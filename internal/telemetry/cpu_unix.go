@@ -4,11 +4,11 @@ package telemetry
 
 import "syscall"
 
-// processCPUSeconds returns the process's cumulative CPU time (user +
+// ProcessCPUSeconds returns the process's cumulative CPU time (user +
 // system, all threads). Span CPU deltas therefore measure the whole
 // process over the phase — the right denominator for judging how well
 // a parallel phase kept the workers busy.
-func processCPUSeconds() float64 {
+func ProcessCPUSeconds() float64 {
 	var ru syscall.Rusage
 	if err := syscall.Getrusage(syscall.RUSAGE_SELF, &ru); err != nil {
 		return 0

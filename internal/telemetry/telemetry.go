@@ -203,9 +203,9 @@ func (t *Run) Span(name string) func() {
 	if t == nil {
 		return func() {}
 	}
-	w0, c0 := time.Now(), processCPUSeconds()
+	w0, c0 := time.Now(), ProcessCPUSeconds()
 	return func() {
-		wall, cpu := time.Since(w0).Seconds(), processCPUSeconds()-c0
+		wall, cpu := time.Since(w0).Seconds(), ProcessCPUSeconds()-c0
 		t.mu.Lock()
 		t.spans = append(t.spans, SpanSnapshot{Name: name, WallS: wall, CPUS: cpu})
 		t.mu.Unlock()

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/stats"
+	"repro/internal/telemetry"
 )
 
 // maxSpans caps the raw span stream so a million-home sweep cannot hold
@@ -102,14 +103,14 @@ func (r *Recorder) Span(name string) func() {
 	if r == nil {
 		return func() {}
 	}
-	w0, c0 := r.now(), processCPUSeconds()
+	w0, c0 := r.now(), telemetry.ProcessCPUSeconds()
 	return func() {
 		r.addSpan(Span{
 			Name:    name,
 			Home:    -1,
 			StartNS: w0,
 			DurNS:   r.now() - w0,
-			CPUS:    processCPUSeconds() - c0,
+			CPUS:    telemetry.ProcessCPUSeconds() - c0,
 		})
 	}
 }
@@ -392,7 +393,7 @@ func (r *Recorder) Summary() Summary {
 			Index:        ht.idx,
 			Label:        ht.label,
 			WallMS:       float64(ht.durNS) / 1e6,
-			DominantSpan: ht.dominantSpan(),
+			DominantSpan: DominantSpan(ht.durNS, ht.kernelNS, ht.stallNS),
 		})
 	}
 	s.Sched = sched

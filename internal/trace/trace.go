@@ -448,15 +448,16 @@ func (h *HomeTrace) Dump() *Dump {
 	}
 }
 
-// dominantSpan names where the home's wall time went: the batched
-// kernel, an injected stall, or the residual overhead (synthesis, fold,
-// scheduling).
-func (h *HomeTrace) dominantSpan() string {
-	other := h.durNS - h.kernelNS - h.stallNS
+// DominantSpan names where a home's wall time went: an injected stall
+// ("stall"), the batched event kernel ("bin-batch"), or the residual
+// ("other": synthesis, ledger, folds, scheduling). It labels both the
+// trace's slowest_homes and the telemetry probe's slow_homes tables.
+func DominantSpan(wallNS, kernelNS, stallNS int64) string {
+	other := wallNS - kernelNS - stallNS
 	switch {
-	case h.stallNS >= h.kernelNS && h.stallNS >= other:
+	case stallNS >= kernelNS && stallNS >= other:
 		return "stall"
-	case h.kernelNS >= other:
+	case kernelNS >= other:
 		return "bin-batch"
 	default:
 		return "other"

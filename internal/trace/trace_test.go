@@ -241,9 +241,8 @@ func TestDominantSpan(t *testing.T) {
 		{100, 10, 10, "other"},
 	}
 	for _, c := range cases {
-		ht := &HomeTrace{durNS: c.dur, kernelNS: c.kernel, stallNS: c.stall}
-		if got := ht.dominantSpan(); got != c.want {
-			t.Errorf("dominantSpan(dur=%d kernel=%d stall=%d) = %q, want %q",
+		if got := DominantSpan(c.dur, c.kernel, c.stall); got != c.want {
+			t.Errorf("DominantSpan(wall=%d kernel=%d stall=%d) = %q, want %q",
 				c.dur, c.kernel, c.stall, got, c.want)
 		}
 	}

@@ -606,18 +606,30 @@ func (s *Scenario) homeDevices() lifecycle.Group {
 func (s *Scenario) runHome(ctx context.Context) (*Report, error) {
 	home, opts := s.homeRun()
 	// ropts is a resolved view for validation and the report echo; the
-	// unresolved opts go to StreamBins, which normalizes exactly once
-	// (the deploy invariant).
+	// unresolved opts go to RunBatch, which normalizes them itself.
 	ropts := opts.Resolved()
 	nBins := ropts.NumBins()
 	if nBins < 1 {
 		return nil, fmt.Errorf("powifi: horizon %.3gh is shorter than one %v bin", ropts.Hours, ropts.BinWidth)
 	}
-	devs := s.homeDevices()
-	if devs != nil {
-		devs.Begin(ropts.SensorDistanceFt, ropts.BinWidth)
+	// The gate runs before each bin's packet-level sample: it reports
+	// the bins simulated so far, then checks ctx. The last bin's
+	// progress fires once the batch is evaluated.
+	gate := func(bin int) bool {
+		if bin > 0 && s.progress != nil {
+			s.progress(bin, nBins)
+		}
+		return ctx.Err() == nil
+	}
+	var b deploy.BinBatch
+	if !deploy.NewSampler().RunBatch(home, opts, &b, gate) {
+		return nil, ctx.Err()
+	}
+	if s.progress != nil {
+		s.progress(nBins, nBins)
 	}
 
+	m := b.Means()
 	hr := &HomeReport{
 		Home:                home,
 		SensorFt:            ropts.SensorDistanceFt,
@@ -625,51 +637,22 @@ func (s *Scenario) runHome(ctx context.Context) (*Report, error) {
 		BinWidthS:           ropts.BinWidth.Seconds(),
 		WindowS:             ropts.Window.Seconds(),
 		Exact:               ropts.Exact,
+		Bins:                b.Len(),
+		SilentBins:          m.SilentBins,
+		MeanCumulativePct:   m.CumulativePct,
+		MeanHarvestUW:       m.BankedHarvestUW,
+		MeanUpdateRateHz:    m.SensorRate,
 		ChannelOccupancyPct: make(map[string]float64, 3),
 	}
-	var (
-		sumCum, sumHarvest, sumRate float64
-		sumCh                       [3]float64
-		cancelled                   bool
-	)
-	deploy.NewSampler().StreamBins(home, opts, func(b deploy.BinSample) bool {
-		if ctx.Err() != nil {
-			cancelled = true
-			return false
-		}
-		hr.Bins++
-		sumCum += b.CumulativePct
-		for i := range sumCh {
-			sumCh[i] += b.Occupancy[i] * 100
-		}
-		// The silent-bin clamp convention is shared with the fleet
-		// aggregates through BankedHarvestUW.
-		sumHarvest += b.BankedHarvestUW()
-		sumRate += b.SensorRate
-		if b.SensorRate <= 0 {
-			hr.SilentBins++
-		}
-		if devs != nil {
-			devs.VisitBin(b)
-		}
-		if s.progress != nil {
-			s.progress(hr.Bins, nBins)
-		}
-		return true
-	})
-	if cancelled {
-		return nil, ctx.Err()
+	for i, ch := range phy.PoWiFiChannels {
+		hr.ChannelOccupancyPct[ch.String()] = m.ChannelPct[i]
 	}
-	if n := float64(hr.Bins); n > 0 {
-		hr.MeanCumulativePct = sumCum / n
-		hr.MeanHarvestUW = sumHarvest / n
-		hr.MeanUpdateRateHz = sumRate / n
-		for i, ch := range phy.PoWiFiChannels {
-			hr.ChannelOccupancyPct[ch.String()] = sumCh[i] / n
+	if devs := s.homeDevices(); devs != nil {
+		devs.Begin(ropts.SensorDistanceFt, ropts.BinWidth)
+		devs.VisitBatch(&b)
+		for _, d := range devs {
+			hr.Devices = append(hr.Devices, d.Section())
 		}
-	}
-	for _, d := range devs {
-		hr.Devices = append(hr.Devices, d.Section())
 	}
 	return newReport(ModeHome, &Report{Home: hr}), nil
 }
@@ -709,12 +692,15 @@ func (s *Scenario) runExperiment(ctx context.Context) (*Report, error) {
 
 // Bins streams a single-home scenario's logging bins in order — the
 // iterator form of Run for consumers that want the per-bin trace
-// instead of the reduced report. Breaking out of the loop stops the
-// simulation mid-home; the WithProgress callback, if any, fires per
-// bin exactly as under Run. On cancellation the iterator yields
-// ctx.Err() once (with a zero BinSample) and stops. Calling Bins on a
-// fleet or experiment scenario — or with a horizon Run would reject —
-// yields a single error.
+// instead of the reduced report. The home is simulated as one batch,
+// as under Run, and its bins are yielded once the batch is complete:
+// breaking out of the loop stops delivery, not simulation, and memory
+// is O(bins) either way. The WithProgress callback, if any, fires per
+// yielded bin. On cancellation — checked before every simulated bin
+// and every yielded one — the iterator yields ctx.Err() once (with a
+// zero BinSample) and stops. Calling Bins on a fleet or experiment
+// scenario — or with a horizon Run would reject — yields a single
+// error.
 func (s *Scenario) Bins(ctx context.Context) iter.Seq2[BinSample, error] {
 	return func(yield func(BinSample, error) bool) {
 		if s.Mode() != ModeHome {
@@ -730,21 +716,24 @@ func (s *Scenario) Bins(ctx context.Context) iter.Seq2[BinSample, error] {
 			yield(BinSample{}, fmt.Errorf("powifi: horizon %.3gh is shorter than one %v bin", ropts.Hours, ropts.BinWidth))
 			return
 		}
-		done := 0
-		deploy.NewSampler().StreamBins(home, opts, func(b deploy.BinSample) bool {
+		var b deploy.BinBatch
+		gate := func(int) bool { return ctx.Err() == nil }
+		if !deploy.NewSampler().RunBatch(home, opts, &b, gate) {
+			yield(BinSample{}, ctx.Err())
+			return
+		}
+		for i := 0; i < b.Len(); i++ {
 			if err := ctx.Err(); err != nil {
 				yield(BinSample{}, err)
-				return false
+				return
 			}
-			if !yield(b, nil) {
-				return false
+			if !yield(b.Sample(i), nil) {
+				return
 			}
-			done++
 			if s.progress != nil {
-				s.progress(done, nBins)
+				s.progress(i+1, nBins)
 			}
-			return true
-		})
+		}
 	}
 }
 

@@ -388,6 +388,40 @@ func TestScenarioCancellation(t *testing.T) {
 			t.Errorf("Homes under cancelled ctx yielded %v", err)
 		}
 	}
+
+	// Mid-run: cancel from the progress callback once 2 of tinyHome's 4
+	// bins are done.
+	midRun := func() (context.Context, *powifi.Scenario) {
+		ctx, cancel := context.WithCancel(context.Background())
+		t.Cleanup(cancel)
+		return ctx, tinyHome(t, powifi.WithProgress(func(done, _ int) {
+			if done == 2 {
+				cancel()
+			}
+		}))
+	}
+	ctx, sc := midRun()
+	if _, err := sc.Run(ctx); !errors.Is(err, context.Canceled) {
+		t.Errorf("home Run cancelled mid-run: %v", err)
+	}
+	ctx, sc = midRun()
+	bins, errs := 0, 0
+	for _, err := range sc.Bins(ctx) {
+		if errs > 0 {
+			t.Fatal("Bins yielded past the cancellation error")
+		}
+		if err == nil {
+			bins++
+			continue
+		}
+		if !errors.Is(err, context.Canceled) {
+			t.Errorf("Bins cancelled mid-run yielded %v", err)
+		}
+		errs++
+	}
+	if bins != 2 || errs != 1 {
+		t.Errorf("Bins cancelled mid-run: %d bins then %d errors, want 2 then 1", bins, errs)
+	}
 }
 
 // TestScenarioHomeDevices pins the single-home lifecycle wiring: one
