@@ -62,7 +62,7 @@ func TestEmitFleetBenchJSON(t *testing.T) {
 	}
 
 	// Warm the shared operating-point surface outside every timer.
-	core.NewBatteryFreeTempSensor().Evaluate(core.PoWiFiLink(10, 1.2))
+	core.NewBatteryFreeTempSensor().Evaluate(-1, core.PoWiFiLink(10, 1.2))
 
 	add("EvaluateExact", 0, BenchmarkEvaluateExact)
 	add("EvaluateSurface", 0, BenchmarkEvaluateSurface)

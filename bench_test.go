@@ -180,7 +180,7 @@ func BenchmarkEvaluateExact(b *testing.B) {
 	link := core.PoWiFiLink(10, 1.2)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if rate, _ := sensor.Evaluate(link); rate <= 0 {
+		if rate, _ := sensor.Evaluate(-1, link); rate <= 0 {
 			b.Fatal("sensor silent at 10 ft")
 		}
 	}
@@ -193,10 +193,10 @@ func BenchmarkEvaluateExact(b *testing.B) {
 func BenchmarkEvaluateSurface(b *testing.B) {
 	sensor := core.NewBatteryFreeTempSensor()
 	link := core.PoWiFiLink(10, 1.2)
-	sensor.Evaluate(link) // warm the shared surface
+	sensor.Evaluate(-1, link) // warm the shared surface
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if rate, _ := sensor.Evaluate(link); rate <= 0 {
+		if rate, _ := sensor.Evaluate(-1, link); rate <= 0 {
 			b.Fatal("sensor silent at 10 ft")
 		}
 	}

@@ -22,8 +22,6 @@ import (
 	"repro/internal/rf"
 	"repro/internal/sensors"
 	"repro/internal/surface"
-	"repro/internal/telemetry"
-	"repro/internal/trace"
 	"repro/internal/units"
 )
 
@@ -171,30 +169,16 @@ func solverFor(h *harvester.Harvester, exact bool, cache **surface.Surface) oper
 	return *cache
 }
 
-// countOutcome maps a surface query outcome onto the telemetry counter
-// group. Nil-safe; the query's answer is unaffected either way.
-func countOutcome(t *telemetry.SurfaceCounters, out surface.Outcome) {
-	switch out {
-	case surface.OutcomeGuardBand:
-		t.GuardBand()
-	case surface.OutcomeExact:
-		t.ExactFallback()
-	default:
-		t.Hit()
-	}
-}
-
-// noteOutcome feeds one surface query outcome to whichever observers
-// the device carries: the telemetry counters and the flight recorder
-// (which keeps only the anomalous outcomes). Nil observers no-op.
-func (d *TempSensorDevice) noteOutcome(out surface.Outcome) {
-	countOutcome(d.Tele, out)
-	switch out {
-	case surface.OutcomeGuardBand:
-		d.Trace.SurfaceGuard()
-	case surface.OutcomeExact:
-		d.Trace.SurfaceExact()
-	}
+// SurfaceSink observes operating-point surface queries: one call per
+// query, with the logging bin it was made for (-1 outside a binned run)
+// and how the surface answered it. Observation is strictly out of band:
+// it never changes which solver runs or what it returns. The fleet's
+// per-home handle (*trace.HomeTrace) and a bare counter group
+// (*telemetry.SurfaceCounters) both satisfy it. Leave a device's sink
+// as a nil interface when nothing observes: any non-nil value, even a
+// nil pointer, routes queries through the outcome-reporting path.
+type SurfaceSink interface {
+	SurfaceOutcome(bin int, out surface.Outcome)
 }
 
 // linkExpander is the per-device scratch + memo for materializing a
@@ -279,17 +263,11 @@ type TempSensorDevice struct {
 	// Exact matters only when validating the surface itself (the CLIs
 	// expose it as -exact).
 	Exact bool
-	// Tele, when set, counts each surface query's outcome (grid hit,
-	// exact fallback, guard-band trigger). Strictly out of band: it
-	// never changes which solver runs or what it returns. Queries made
-	// on the direct solver (Exact, or the surface globally disabled)
-	// are not surface queries and are not counted.
-	Tele *telemetry.SurfaceCounters
-	// Trace, when set, records exact-fallback and guard-band surface
-	// outcomes into the current home's flight recorder under the same
-	// out-of-band contract as Tele (grid hits are the steady state and
-	// are not recorded — the ring keeps anomalies).
-	Trace *trace.HomeTrace
+	// Tele, when set, observes each surface query's outcome (grid hit,
+	// exact fallback, guard-band trigger). Queries made on the direct
+	// solver (Exact, or the surface globally disabled) are not surface
+	// queries and are not observed.
+	Tele SurfaceSink
 
 	surf *surface.Surface // memoized by solverFor
 	exp  linkExpander
@@ -319,9 +297,9 @@ func NewRechargingTempSensor() *TempSensorDevice {
 func (d *TempSensorDevice) NetHarvestedW(link PowerLink) float64 {
 	chans, occ := d.exp.expand(link)
 	s := solverFor(d.Harvester, d.Exact, &d.surf)
-	if surf, ok := s.(*surface.Surface); ok && (d.Tele != nil || d.Trace != nil) {
+	if surf, ok := s.(*surface.Surface); ok && d.Tele != nil {
 		op, out := surf.BurstyOperatingOutcome(chans, occ)
-		d.noteOutcome(out)
+		d.Tele.SurfaceOutcome(-1, out)
 		return op.HarvestedW
 	}
 	return s.BurstyOperating(chans, occ).HarvestedW
@@ -331,7 +309,7 @@ func (d *TempSensorDevice) NetHarvestedW(link PowerLink) float64 {
 // link (Fig. 11's y-axis). Battery-free devices additionally require the
 // harvester to clear its cold-start threshold.
 func (d *TempSensorDevice) UpdateRate(link PowerLink) float64 {
-	rate, _ := d.Evaluate(link)
+	rate, _ := d.Evaluate(-1, link)
 	return rate
 }
 
@@ -347,17 +325,19 @@ func (d *TempSensorDevice) UpdateRate(link PowerLink) float64 {
 // harvested power within the surface's certified ε of the exact solver,
 // and a per-bin cost of a table lookup instead of a Bessel/Newton solve.
 // Set Exact (or disable the surface globally) to force the direct path.
-func (d *TempSensorDevice) Evaluate(link PowerLink) (rateHz, netW float64) {
+// bin is the logging bin the query is made for, reported to Tele (-1
+// outside a binned run).
+func (d *TempSensorDevice) Evaluate(bin int, link PowerLink) (rateHz, netW float64) {
 	chans, occ := d.exp.expand(link)
 	s := solverFor(d.Harvester, d.Exact, &d.surf)
-	if surf, ok := s.(*surface.Surface); ok && (d.Tele != nil || d.Trace != nil) {
+	if surf, ok := s.(*surface.Surface); ok && d.Tele != nil {
 		boots, out := surf.CanBootBurstyOutcome(chans, occ)
-		d.noteOutcome(out)
+		d.Tele.SurfaceOutcome(bin, out)
 		if !boots {
 			return 0, 0
 		}
 		op, out := surf.BurstyOperatingOutcome(chans, occ)
-		d.noteOutcome(out)
+		d.Tele.SurfaceOutcome(bin, out)
 		netW = op.HarvestedW
 		return d.Sensor.UpdateRate(netW), netW
 	}
@@ -374,23 +354,20 @@ func (d *TempSensorDevice) Evaluate(link PowerLink) (rateHz, netW float64) {
 // the occupancy-independent RF budget (linkExpander's memo) are resolved
 // once per batch instead of once per bin, and the surface is driven
 // through a single lookup loop (EvaluateOutcome). Element i is
-// bit-identical to Evaluate(PoWiFiLinkOccupancy(distanceFt, occupancy[i]))
-// — the batched-vs-streamed parity suite pins this — and telemetry
-// counting follows Evaluate's contract exactly. rateHz and netW must be
-// at least len(occupancy) long.
+// bit-identical to Evaluate(i, PoWiFiLinkOccupancy(distanceFt, occupancy[i]))
+// — the batched-vs-streamed parity suite pins this — and Tele sees
+// exactly the outcomes Evaluate would report, attributed to bin i.
+// rateHz and netW must be at least len(occupancy) long.
 func (d *TempSensorDevice) EvaluateBatch(distanceFt float64, occupancy [][3]float64, rateHz, netW []float64) {
 	s := solverFor(d.Harvester, d.Exact, &d.surf)
 	surf, isSurf := s.(*surface.Surface)
 	for i := range occupancy {
 		chans, occ := d.exp.expand(PoWiFiLinkOccupancy(distanceFt, occupancy[i]))
-		if isSurf && (d.Tele != nil || d.Trace != nil) {
-			if d.Trace != nil {
-				d.Trace.SetBin(i)
-			}
+		if isSurf && d.Tele != nil {
 			w, boots, bootOut, opOut, opQueried := surf.EvaluateOutcome(chans, occ)
-			d.noteOutcome(bootOut)
+			d.Tele.SurfaceOutcome(i, bootOut)
 			if opQueried {
-				d.noteOutcome(opOut)
+				d.Tele.SurfaceOutcome(i, opOut)
 			}
 			if !boots {
 				rateHz[i], netW[i] = 0, 0
@@ -426,8 +403,8 @@ type CameraDevice struct {
 	// Exact forces the direct operating-point solver, as on
 	// TempSensorDevice.
 	Exact bool
-	// Tele counts surface query outcomes, as on TempSensorDevice.
-	Tele *telemetry.SurfaceCounters
+	// Tele observes surface query outcomes, as on TempSensorDevice.
+	Tele SurfaceSink
 
 	surf *surface.Surface // memoized by solverFor
 	exp  linkExpander
@@ -459,7 +436,7 @@ func NewRechargingCamera() *CameraDevice {
 // expander with Evaluate, so sweeping occupancy over a fixed geometry
 // (the lifecycle engine's per-bin pattern) allocates nothing.
 func (d *CameraDevice) NetHarvestedW(link PowerLink) float64 {
-	return d.Evaluate(link)
+	return d.Evaluate(-1, link)
 }
 
 // Evaluate returns the camera's net banked power over the link from a
@@ -467,13 +444,14 @@ func (d *CameraDevice) NetHarvestedW(link PowerLink) float64 {
 // chain minus the standby drain. Like TempSensorDevice.Evaluate it is
 // served from the shared error-bounded surface unless Exact is set,
 // and the link expansion reuses per-device scratch so the per-bin hot
-// path is allocation-free in steady state.
-func (d *CameraDevice) Evaluate(link PowerLink) (netW float64) {
+// path is allocation-free in steady state. bin is reported to Tele as
+// on TempSensorDevice.Evaluate.
+func (d *CameraDevice) Evaluate(bin int, link PowerLink) (netW float64) {
 	chans, occ := d.exp.expand(link)
 	s := solverFor(d.Harvester, d.Exact, &d.surf)
 	if surf, ok := s.(*surface.Surface); ok && d.Tele != nil {
 		op, out := surf.BurstyOperatingOutcome(chans, occ)
-		countOutcome(d.Tele, out)
+		d.Tele.SurfaceOutcome(bin, out)
 		return op.HarvestedW - d.StandbyW
 	}
 	return s.BurstyOperating(chans, occ).HarvestedW - d.StandbyW

@@ -115,9 +115,9 @@ func TestEvaluateSurfaceMatchesExactSolver(t *testing.T) {
 			for _, occ := range []float64{0.2, 0.6, 1.1} {
 				dev := mk()
 				link := PoWiFiLink(d, occ)
-				rate, net := dev.Evaluate(link)
+				rate, net := dev.Evaluate(-1, link)
 				dev.Exact = true
-				rateE, netE := dev.Evaluate(link)
+				rateE, netE := dev.Evaluate(-1, link)
 				if (rate > 0) != (rateE > 0) {
 					t.Fatalf("%v at %v ft occ %v: boot decisions diverged (surface %v, exact %v)",
 						dev.Harvester.Version, d, occ, rate, rateE)

@@ -164,7 +164,6 @@ func (smp *Sampler) simulate(b *BinBatch, bin int, each func(bin int) bool) bool
 	b.Occupancy[bin] = smp.sampleBin(smp.plan.seed*1_000_003+uint64(bin),
 		smp.plan.clientLoad[bin], smp.plan.neighborLoad[bin], smp.plan.window)
 	b.Simulated[bin] = true
-	smp.tele.Bin()
 	if smp.tr != nil {
 		smp.tr.BinSimulated(bin, smp.sched.Scheduled())
 	}

@@ -29,7 +29,7 @@ func perBinRef(smp *Sampler, cfg HomeConfig, opts Options) []BinSample {
 		for _, v := range occ {
 			cum += v * 100
 		}
-		rate, netW := smp.sensor.Evaluate(core.PoWiFiLinkOccupancy(opts.SensorDistanceFt, occ))
+		rate, netW := smp.sensor.Evaluate(bin, core.PoWiFiLinkOccupancy(opts.SensorDistanceFt, occ))
 		ref[bin] = BinSample{
 			Bin:           bin,
 			HourOfDay:     smp.plan.hour[bin],

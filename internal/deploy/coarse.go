@@ -179,9 +179,8 @@ func (smp *Sampler) RunBatchCoarse(cfg HomeConfig, opts Options, copts CoarseOpt
 	// its own).
 	for bin := 0; bin < nBins; bin++ {
 		if b.Simulated[bin] {
-			smp.tr.SetBin(bin)
 			link := core.PoWiFiLinkOccupancy(opts.SensorDistanceFt, b.Occupancy[bin])
-			b.SensorRate[bin], b.NetHarvestedW[bin] = smp.sensor.Evaluate(link)
+			b.SensorRate[bin], b.NetHarvestedW[bin] = smp.sensor.Evaluate(bin, link)
 		}
 	}
 	var hn, hsx, hsy, hsxx, hsxy float64
@@ -251,8 +250,7 @@ func (smp *Sampler) RunBatchCoarse(cfg HomeConfig, opts Options, copts CoarseOpt
 			case verdictAwake:
 				stable = false
 			default:
-				smp.tr.SetBin(bin)
-				stable = smp.silentAt(opts, occ, 1+copts.Guard)
+				stable = smp.silentAt(bin, opts, occ, 1+copts.Guard)
 				guardHi.add(occ, stable)
 				smp.tr.GuardQuery(bin, stable)
 			}
@@ -264,8 +262,7 @@ func (smp *Sampler) RunBatchCoarse(cfg HomeConfig, opts Options, copts CoarseOpt
 			case verdictSilent:
 				stable = false
 			default:
-				smp.tr.SetBin(bin)
-				stable = !smp.silentAt(opts, occ, 1-copts.Guard)
+				stable = !smp.silentAt(bin, opts, occ, 1-copts.Guard)
 				guardLo.add(occ, !stable)
 				smp.tr.GuardQuery(bin, stable)
 			}
@@ -295,9 +292,8 @@ func (smp *Sampler) RunBatchCoarse(cfg HomeConfig, opts Options, copts CoarseOpt
 		if !smp.simulate(b, bin, each) {
 			return false
 		}
-		smp.tr.SetBin(bin)
 		link := core.PoWiFiLinkOccupancy(opts.SensorDistanceFt, b.Occupancy[bin])
-		b.SensorRate[bin], b.NetHarvestedW[bin] = smp.sensor.Evaluate(link)
+		b.SensorRate[bin], b.NetHarvestedW[bin] = smp.sensor.Evaluate(bin, link)
 		cum := 0.0
 		for _, v := range b.Occupancy[bin] {
 			cum += v * 100
@@ -377,15 +373,15 @@ func (smp *Sampler) coarseAnchors(bin, nBins, stride int) (a0, a1 int) {
 }
 
 // silentAt reports whether the sensor is silent (cannot boot, or nets
-// nothing) at the given occupancy scaled by f, each channel clamped to
+// nothing) at bin's occupancy occ scaled by f, each channel clamped to
 // a full airtime share.
-func (smp *Sampler) silentAt(opts Options, occ [3]float64, f float64) bool {
+func (smp *Sampler) silentAt(bin int, opts Options, occ [3]float64, f float64) bool {
 	for c := range occ {
 		occ[c] *= f
 		if occ[c] > 1 {
 			occ[c] = 1
 		}
 	}
-	rate, _ := smp.sensor.Evaluate(core.PoWiFiLinkOccupancy(opts.SensorDistanceFt, occ))
+	rate, _ := smp.sensor.Evaluate(bin, core.PoWiFiLinkOccupancy(opts.SensorDistanceFt, occ))
 	return rate <= 0
 }

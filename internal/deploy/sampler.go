@@ -11,7 +11,6 @@ import (
 	"repro/internal/monitor"
 	"repro/internal/phy"
 	"repro/internal/router"
-	"repro/internal/telemetry"
 	"repro/internal/trace"
 	"repro/internal/traffic"
 	"repro/internal/xrand"
@@ -60,20 +59,15 @@ type Sampler struct {
 	sensor   *core.TempSensorDevice
 	frameAir float64 // airtime of a 1500-byte client frame at 54 Mbps
 
-	// tele counts simulated bins when the owning run collects telemetry
-	// (nil otherwise — a nil-receiver no-op, so the hot path keeps its
-	// allocation budget). Set via Instrument; the fleet pool re-attaches
-	// (or detaches) it on every acquisition, so a pooled sampler can
-	// never count into a previous run's metrics.
-	tele *telemetry.SamplerCounters
-
 	// lastActiveBg[i] counts the contenders on channel i that ran last
 	// bin, so the per-bin reset touches only stations with state.
 	lastActiveBg [3]int
 
-	// tr is the current home's flight recorder when the owning run
-	// traces (nil otherwise — a nil-receiver no-op like tele). Set via
-	// TraceHome per home attempt; detached on pool release.
+	// tr is the current home's observation handle when the owning run
+	// observes it (nil otherwise — a nil-receiver no-op, so the hot path
+	// keeps its allocation budget). Set via TraceHome per home;
+	// detached on pool release, so a pooled sampler can never report
+	// into a previous run.
 	tr *trace.HomeTrace
 
 	// plan holds the pooled struct-of-arrays bin plan (hours and offered
@@ -175,23 +169,18 @@ func NewSampler() *Sampler {
 	return smp
 }
 
-// Instrument attaches run telemetry to the pooled context: bins counts
-// simulated logging bins; surf counts the sensor chain's surface-query
-// outcomes. Pass nils to detach. Counting is strictly out of band — it
-// draws no randomness and changes no event order — so instrumented and
-// bare runs are bit-for-bit identical.
-func (smp *Sampler) Instrument(bins *telemetry.SamplerCounters, surf *telemetry.SurfaceCounters) {
-	smp.tele = bins
-	smp.sensor.Tele = surf
-}
-
-// TraceHome attaches (or, with nil, detaches) one home attempt's flight
-// recorder to the pooled context and its sensor chain. Like Instrument,
-// tracing is strictly out of band: no randomness, no event-order
-// changes, and a nil recorder costs one predictable branch per site.
+// TraceHome attaches (or, with nil, detaches) one home's observation
+// handle to the pooled context and its sensor chain: simulated bins,
+// surface-query outcomes and coarse-tier decisions report into it.
+// Observation is strictly out of band — no randomness, no event-order
+// changes — so observed and bare runs are bit-for-bit identical, and a
+// nil handle costs one predictable branch per site.
 func (smp *Sampler) TraceHome(ht *trace.HomeTrace) {
 	smp.tr = ht
-	smp.sensor.Trace = ht
+	smp.sensor.Tele = nil // a nil interface, so bare runs skip outcome reporting
+	if ht != nil {
+		smp.sensor.Tele = ht
+	}
 }
 
 // armClient schedules the next Poisson client-frame arrival, exactly as

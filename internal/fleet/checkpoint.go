@@ -191,11 +191,11 @@ func (w *ckWriter) write(res *Result, next int) error {
 	// rename and must be caught by the resume path's checksum.
 	data := env
 	if f := w.fi.Hit(faultinject.CheckpointShortWrite, gen); f != nil {
-		w.t.FailureCounters().Fault()
+		w.t.Counter(telemetry.CounterFaultsInjected).Inc()
 		data = data[:len(data)/2]
 	}
 	if f := w.fi.Hit(faultinject.CheckpointCorrupt, gen); f != nil {
-		w.t.FailureCounters().Fault()
+		w.t.Counter(telemetry.CounterFaultsInjected).Inc()
 		data = append([]byte(nil), data...)
 		data[len(data)/2] ^= 0x01
 	}
@@ -216,7 +216,7 @@ func (w *ckWriter) write(res *Result, next int) error {
 		w.t.Counter(telemetry.CounterCheckpointRotations).Inc()
 	}
 	if f := w.fi.Hit(faultinject.CheckpointRenameFail, gen); f != nil {
-		w.t.FailureCounters().Fault()
+		w.t.Counter(telemetry.CounterFaultsInjected).Inc()
 		os.Remove(tmp)
 		return fmt.Errorf("fleet: committing checkpoint: %w",
 			fmt.Errorf("injected rename failure (generation %d)", gen))

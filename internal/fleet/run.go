@@ -31,12 +31,13 @@ var samplerPool sync.Pool
 // acquireSampler takes a pooled sampling context, or builds one when
 // the pool is empty, counting either way into the run's scheduling
 // diagnostics (nil-safe when telemetry is off).
-func acquireSampler(probe *telemetry.Probe) *deploy.Sampler {
+func acquireSampler(t *telemetry.Run) *deploy.Sampler {
+	hits, misses := t.SchedCounter(telemetry.SchedPoolHits), t.SchedCounter(telemetry.SchedPoolMisses)
 	if v := samplerPool.Get(); v != nil {
-		probe.Sampler().PoolHit()
+		hits.Inc()
 		return v.(*deploy.Sampler)
 	}
-	probe.Sampler().PoolMiss()
+	misses.Inc()
 	return deploy.NewSampler()
 }
 
@@ -62,8 +63,10 @@ type Hooks struct {
 	// Telemetry, if non-nil, collects the run's metrics, phase spans
 	// and manifest (internal/telemetry). Collection is strictly out of
 	// band — no RNG draws, no event-order changes — so the Result is
-	// byte-identical with or without it, and its work-counter totals
-	// are bit-for-bit identical at any worker count.
+	// byte-identical with or without it. Its work counters and
+	// histograms are folded from each home's observation handle at the
+	// reducer's commit point, so they are bit-for-bit identical at any
+	// worker count and describe exactly the committed homes.
 	Telemetry *telemetry.Run
 	// Checkpoint, if non-nil, enables checkpoint/resume for the run:
 	// the reducer's committed home prefix is periodically serialized to
@@ -98,10 +101,17 @@ type worker struct {
 	cfg      Config
 	smp      *deploy.Sampler
 	synthRng *xrand.Rand
-	probe    *telemetry.Probe
 	fi       *faultinject.Set
-	tr       *trace.Worker
-	devs     [lifecycle.NumKinds]*lifecycle.Device
+	// t receives, on release, the worker's shard occupancy: homes, the
+	// homes it completed.
+	t *telemetry.Run
+	// tr opens each home's observation handle: a recording worker when
+	// the run traces, a tally-only one when it only collects telemetry,
+	// nil when nothing observes. labels sets pprof goroutine labels per
+	// home (traced runs).
+	tr     *trace.Worker
+	labels bool
+	devs   [lifecycle.NumKinds]*lifecycle.Device
 	// batch is the worker's reusable struct-of-arrays bin buffer; the
 	// batched kernel refills it per home without reallocating.
 	batch deploy.BinBatch
@@ -110,30 +120,22 @@ type worker struct {
 	// the slice to the home's homeStats, so the bins are committed with
 	// the home or thrown away with a panicking attempt.
 	lifeBins []lifecycle.BinStats
-	// curHT is the in-flight attempt's flight recorder, stashed on the
-	// worker so runHome can reach it across attemptHome's panic/recover
-	// boundary. lastKernelNS/lastStallNS are the last attempt's kernel
-	// and injected-stall wall times, measured whenever telemetry or
-	// tracing observes the run (zero otherwise).
-	curHT        *trace.HomeTrace
-	lastKernelNS int64
-	lastStallNS  int64
+	homes    int
 }
 
-func newWorker(cfg Config, probe *telemetry.Probe, fi *faultinject.Set, rec *trace.Recorder) *worker {
+func newWorker(cfg Config, h Hooks) *worker {
 	w := &worker{
 		cfg:      cfg,
-		smp:      acquireSampler(probe),
+		smp:      acquireSampler(h.Telemetry),
 		synthRng: xrand.New(0),
-		probe:    probe,
-		fi:       fi,
-		tr:       rec.NewWorker(),
+		fi:       h.Faults,
+		t:        h.Telemetry,
+		tr:       h.Trace.NewWorker(),
+		labels:   h.Trace != nil,
 	}
-	// Attach (or, with telemetry off, explicitly detach) the counters on
-	// every acquisition, so a pooled sampler can never count into a
-	// previous run's metrics.
-	w.smp.Instrument(probe.Sampler(), probe.Surface())
-	w.smp.TraceHome(nil)
+	if w.tr == nil && h.Telemetry != nil {
+		w.tr = trace.NewTallyWorker()
+	}
 	return w
 }
 
@@ -144,19 +146,16 @@ func newWorker(cfg Config, probe *telemetry.Probe, fi *faultinject.Set, rec *tra
 // (seed, labels) per bin, so the retry's output is identical to what a
 // first-attempt success would have produced.
 func (w *worker) refresh() {
-	w.smp.Instrument(nil, nil)
-	w.smp.TraceHome(nil)
 	w.smp = deploy.NewSampler()
-	w.smp.Instrument(w.probe.Sampler(), w.probe.Surface())
 }
 
+// release returns the sampling context to the pool, detached from the
+// run's last home so it can never report into this run again, and
+// records the worker's shard occupancy.
 func (w *worker) release() {
-	w.smp.Instrument(nil, nil)
 	w.smp.TraceHome(nil)
 	samplerPool.Put(w.smp)
-	// Fold this worker's sketch shard into the run exactly; the error is
-	// impossible because every shard shares NewProbe's configuration.
-	_ = w.probe.Close()
+	w.t.ObserveShard(w.homes)
 }
 
 // device returns the worker's pooled device of the given archetype,
@@ -165,8 +164,6 @@ func (w *worker) device(k lifecycle.Kind) *lifecycle.Device {
 	if w.devs[k] == nil {
 		d := lifecycle.NewDevice(k, lifecycle.Policy{})
 		d.Exact = w.cfg.Exact
-		d.Tele = w.probe.Lifecycle()
-		d.SurfTele = w.probe.Surface()
 		d.OnBin = func(b lifecycle.BinStats) { w.lifeBins = append(w.lifeBins, b) }
 		w.devs[k] = d
 	}
@@ -259,26 +256,24 @@ func RunWith(ctx context.Context, cfg Config, h Hooks) (*Result, error) {
 		return ckw.write(res, next)
 	}
 
-	// Telemetry setup. When enabled, the operating-point surfaces the
-	// run will query are loaded up front under their own span — decoded
-	// from the embedded table, or built for a harvester it lacks. Either
-	// is deterministic and process-cached, so warming changes no output,
-	// but it keeps the one-time cost out of the simulate span.
 	runStart := time.Now() //powifi:walltime-ok telemetry manifest wall time, out of band of the simulation
 	var memStart runtime.MemStats
 	if t != nil {
 		runtime.ReadMemStats(&memStart)
-		if !cfg.Exact && surface.Enabled() {
-			endWarm := span(telemetry.SpanSurfaceWarmup)
-			surface.For(harvester.NewBatteryFree())
-			if cfg.Population.Lifecycle() {
-				surface.For(harvester.NewBatteryCharging())
-			}
-			endWarm()
-		}
 	}
-	homesC := t.Counter(telemetry.CounterHomes)
-	failC := t.FailureCounters()
+	// An observed run loads the operating-point surfaces it will query
+	// up front under their own span — decoded from the embedded table,
+	// or built for a harvester it lacks. Either is deterministic and
+	// process-cached, so warming changes no output, but it keeps the
+	// one-time cost out of the simulate span.
+	if (t != nil || h.Trace != nil) && !cfg.Exact && surface.Enabled() {
+		endWarm := span(telemetry.SpanSurfaceWarmup)
+		surface.For(harvester.NewBatteryFree())
+		if cfg.Population.Lifecycle() {
+			surface.For(harvester.NewBatteryCharging())
+		}
+		endWarm()
+	}
 
 	// finish stamps the run manifest and throughput gauges once the
 	// result is complete; done is the number of homes simulated this
@@ -309,6 +304,27 @@ func RunWith(ctx context.Context, cfg Config, h Hooks) (*Result, error) {
 		}
 	}
 
+	// observe is the one commit-point fold of a home's observations:
+	// the handle's tallies and wall time and the home's output become
+	// telemetry's counters, histograms and slowest-homes table, and the
+	// handle commits into the trace recorder. It runs on the reducing
+	// goroutine in home-index order, so the totals are identical at any
+	// worker count and a partial run counts exactly its committed
+	// homes.
+	observe := func(hs homeStats) {
+		failed := hs.fail != nil
+		h.Trace.CommitHome(hs.tr, failed)
+		t.CommitHome(telemetry.Home{
+			Tally:        hs.tr.Tally(),
+			Failed:       failed,
+			Lifecycle:    cfg.Population.Lifecycle(),
+			SilentBins:   uint64(hs.means.SilentBins),
+			LedgerEvents: uint64(len(hs.life.bins)),
+			HarvestUW:    hs.means.BankedHarvestUW,
+			Wall:         hs.tr.SlowHome(),
+		})
+	}
+
 	// deliver folds one home into the result and feeds the hooks; it
 	// reports whether the run should continue. With checkpointing on,
 	// the committed prefix is written every ckEvery homes and on a Home
@@ -334,23 +350,18 @@ func RunWith(ctx context.Context, cfg Config, h Hooks) (*Result, error) {
 			// in the checkpoint, so a resumed report is identical).
 			// The quarantine decision is recorded here, at the
 			// reducer's deterministic commit point, before the home's
-			// flight recorder folds into the trace.
+			// observations fold; the dump is re-snapshot so the error's
+			// forensics include the decision itself.
 			hs.tr.Quarantine()
-			if hs.tr != nil {
-				// Re-snapshot the dump so the error's forensics include
-				// the quarantine decision itself.
-				hs.fail.Trace = hs.tr.Dump()
-			}
-			h.Trace.CommitHome(hs.tr, true)
+			hs.fail.Trace = hs.tr.Dump()
+			observe(hs)
 			res.Errors = append(res.Errors, *hs.fail)
-			failC.Quarantined()
 			if cfg.MaxFailedHomes > 0 && len(res.Errors) > cfg.MaxFailedHomes {
 				return false, &partialStop{reason: PartialFailureBudget, committed: hs.idx + 1}
 			}
 		} else {
-			h.Trace.CommitHome(hs.tr, false)
+			observe(hs)
 			res.addHome(hs)
-			homesC.Inc()
 			if h.Home != nil && !h.Home(hs.record()) {
 				err := ErrStopped
 				if werr := saveOnAbort(hs.idx + 1); werr != nil {
@@ -393,7 +404,7 @@ func RunWith(ctx context.Context, cfg Config, h Hooks) (*Result, error) {
 	// from the pool through the reorder buffer. Either way deliver
 	// commits homes strictly in index order, so the output is identical
 	// by construction.
-	newW := func() *worker { return newWorker(cfg, t.NewProbe(), h.Faults, h.Trace) }
+	newW := func() *worker { return newWorker(cfg, h) }
 	endSim := span(telemetry.SpanSimulate)
 	var take func(int) (homeStats, bool)
 	var stop func()
@@ -471,6 +482,10 @@ func shard(ctx context.Context, cfg Config, start int, newW func() *worker) (tak
 			// router, monitors and traffic sources are built once and reset
 			// per bin, so the steady-state hot path stops paying allocator
 			// and GC tax. Pooling is output-invisible (see deploy.Sampler).
+			// Build the worker here, not on the reducing goroutine: with
+			// every worker's state allocated there, the two-worker exact
+			// sweep used ~70% more CPU on a 2-vCPU host (likely workers
+			// sharing cache lines).
 			w := newW()
 			defer w.release()
 			for idx := range jobs {
@@ -528,29 +543,29 @@ func shard(ctx context.Context, cfg Config, start int, newW func() *worker) (tak
 // policy's retries re-run the home on a fresh (never pooled back)
 // sampler, and a home whose attempts are exhausted rides the reorder
 // buffer as a failed homeStats so the reducer applies the policy at a
-// deterministic, workers-invariant point. ok == false only means
-// context cancellation.
+// deterministic, workers-invariant point. The home keeps one
+// observation handle across its attempts (HomeTrace.Retry). ok ==
+// false only means context cancellation.
 func (w *worker) runHome(ctx context.Context, idx int) (homeStats, bool) {
-	timed := w.probe != nil || w.tr != nil
+	var ht *trace.HomeTrace
+	if w.tr != nil {
+		ht = w.tr.StartHome(idx, homeLabel(idx), 1)
+	}
+	if w.labels {
+		// Label the goroutine for the home so -cpuprofile samples
+		// become home-attributable in pprof.
+		pprof.SetGoroutineLabels(pprof.WithLabels(ctx,
+			pprof.Labels("phase", "simulate", "home", strconv.Itoa(idx))))
+	}
 	for attempt := 1; ; attempt++ {
-		var t0 time.Time
-		if timed {
-			t0 = time.Now() //powifi:walltime-ok per-home flight-recorder timing, out of band
+		hs, ok, ferr := w.attemptHome(ctx, idx, ht)
+		if ferr == nil && !ok {
+			return hs, false
 		}
-		hs, ok, ferr := w.attemptHome(ctx, idx, attempt)
-		ht := w.curHT
-		w.curHT = nil
+		w.tr.EndHome(ht)
 		if ferr == nil {
-			if !ok {
-				return hs, false
-			}
 			hs.tr = ht
-			w.tr.EndHome(ht)
-			if timed {
-				wallNS := time.Since(t0).Nanoseconds() //powifi:walltime-ok probe observation only; never feeds an aggregate
-				w.probe.ObserveHomeWall(idx, "fleet/home/"+strconv.Itoa(idx),
-					float64(wallNS)/1e6, trace.DominantSpan(wallNS, w.lastKernelNS, w.lastStallNS))
-			}
+			w.homes++
 			return hs, true
 		}
 		ferr.Attempts = attempt
@@ -558,60 +573,49 @@ func (w *worker) runHome(ctx context.Context, idx int) (homeStats, bool) {
 			// Exhausted: the last attempt's flight recorder is the
 			// home's forensic payload, on both the structured error and
 			// the trace commit.
-			w.tr.EndHome(ht)
 			ferr.Trace = ht.Dump()
 			return homeStats{idx: idx, fail: ferr, tr: ht}, true
 		}
-		w.probe.Failure().Retry()
-		w.tr.EndHome(ht)
+		ht.Retry()
 		w.refresh()
 	}
 }
 
+// homeLabel is home idx's RNG stream label, which also names it in
+// errors and traces.
+func homeLabel(idx int) string { return "fleet/home/" + strconv.Itoa(idx) }
+
 // attemptHome simulates one synthesized home on the worker's pooled
-// sampler through the batched kernel: the home's bins land in the
-// worker's reusable struct-of-arrays buffer (deploy.RunBatch, or
-// RunBatchCoarse on the coarse tier), the scalar summary and the
-// per-bin fold columns are derived in one pass over the finished
-// batch, and — in lifecycle mode — the pooled lifecycle device walks
-// the batch in bin order, its per-bin observations recorded into hs.
-// The context is checked once per event-simulated bin; on
-// cancellation the home is abandoned mid-batch and attemptHome reports
-// ok == false (the home is never committed). A panic anywhere in the
-// attempt is recovered into ferr; the partially built hs, lifecycle
-// bins included, is discarded by the caller.
-func (w *worker) attemptHome(ctx context.Context, idx, attempt int) (hs homeStats, ok bool, ferr *HomeError) {
+// sampler through the batched kernel, reporting into the home's
+// observation handle ht: the home's bins land in the worker's reusable
+// struct-of-arrays buffer (deploy.RunBatch, or RunBatchCoarse on the
+// coarse tier), the scalar summary and the per-bin fold columns are
+// derived in one pass over the finished batch, and — in lifecycle
+// mode — the pooled lifecycle device walks the batch in bin order, its
+// per-bin observations recorded into hs. The context is checked once
+// per event-simulated bin; on cancellation the home is abandoned
+// mid-batch and attemptHome reports ok == false (the home is never
+// committed). A panic anywhere in the attempt is recovered into ferr;
+// the partially built hs, lifecycle bins included, is discarded by the
+// caller.
+func (w *worker) attemptHome(ctx context.Context, idx int, ht *trace.HomeTrace) (hs homeStats, ok bool, ferr *HomeError) {
 	defer func() {
 		if r := recover(); r != nil {
 			ferr = &HomeError{
 				Index: idx,
-				Label: "fleet/home/" + strconv.Itoa(idx),
+				Label: homeLabel(idx),
 				Msg:   fmt.Sprint(r),
 				Stack: string(debug.Stack()),
 			}
 		}
 	}()
-	w.lastKernelNS, w.lastStallNS = 0, 0
-	var ht *trace.HomeTrace
-	if w.tr.Enabled() {
-		ht = w.tr.StartHome(idx, "fleet/home/"+strconv.Itoa(idx), attempt)
-		// Label the goroutine for the attempt so -cpuprofile samples
-		// become home-attributable in pprof.
-		pprof.SetGoroutineLabels(pprof.WithLabels(ctx,
-			pprof.Labels("phase", "simulate", "home", strconv.Itoa(idx))))
-	}
-	w.curHT = ht
 	w.smp.TraceHome(ht)
 	if f := w.fi.Hit(faultinject.HomeSlow, idx); f != nil {
-		w.probe.Failure().Fault()
 		ht.Fault(string(f.Site))
 		time.Sleep(f.Delay) //powifi:walltime-ok injected stall: the fault IS a wall-clock delay, recorded out of band
-		ns := f.Delay.Nanoseconds()
-		w.lastStallNS = ns
-		ht.Stall(ns)
+		ht.Stall(f.Delay.Nanoseconds())
 	}
 	if f := w.fi.Hit(faultinject.HomePanic, idx); f != nil {
-		w.probe.Failure().Fault()
 		ht.Fault(string(f.Site))
 		panic(faultinject.PanicValue{Site: f.Site, Key: idx})
 	}
@@ -632,30 +636,18 @@ func (w *worker) attemptHome(ctx context.Context, idx, attempt int) (hs homeStat
 	}
 	b := &w.batch
 	gate := func(int) bool { return ctx.Err() == nil }
-	timed := w.probe != nil || ht != nil
-	var k0 time.Time
-	if timed {
-		k0 = time.Now() //powifi:walltime-ok kernel-span timing for the flight recorder, out of band
-	}
+	ht.BeginKernel()
 	var done bool
 	if cfg.Coarse {
 		done = w.smp.RunBatchCoarse(h.HomeConfig, opts, deploy.CoarseOptions{}, b, gate)
 	} else {
 		done = w.smp.RunBatch(h.HomeConfig, opts, b, gate)
 	}
-	if timed {
-		ns := time.Since(k0).Nanoseconds() //powifi:walltime-ok probe/trace observation only; never feeds an aggregate
-		w.lastKernelNS = ns
-		ht.Kernel(ns)
-	}
+	ht.EndKernel()
 	if !done {
 		return homeStats{}, false, nil
 	}
-	nBins := b.Len()
-	ht.SetBins(nBins)
-	if nBins == 0 {
-		return homeStats{idx: idx, home: h}, true, nil
-	}
+	nBins := b.Len() // at least one: Config validation rejects shorter runs
 
 	// One backing array, sliced into the three per-bin fold columns that
 	// ride the reorder buffer to the reducer.
@@ -679,9 +671,6 @@ func (w *worker) attemptHome(ctx context.Context, idx, attempt int) (hs homeStat
 		dev.VisitBatch(b)
 	}
 	hs.means = b.Means()
-	// Telemetry: silent bins fold into the shared counter, the home's
-	// mean harvest into this worker's private sketch shard.
-	w.probe.ObserveHome(uint64(hs.means.SilentBins), hs.means.BankedHarvestUW)
 	if dev != nil {
 		m := dev.Metrics()
 		hs.hasLife = true

@@ -8,7 +8,6 @@ import (
 	"repro/internal/deploy"
 	"repro/internal/harvester"
 	"repro/internal/sensors"
-	"repro/internal/telemetry"
 	"repro/internal/trace"
 )
 
@@ -173,15 +172,10 @@ type Device struct {
 	Exact bool
 	// OnBin, if non-nil, receives one BinStats per bin.
 	OnBin func(BinStats)
-	// Tele, when set, counts lifecycle activity (boot/brownout
-	// transitions, ledger events); SurfTele counts the archetype chains'
-	// surface-query outcomes. Both are strictly out of band and must be
-	// set before Begin (Begin propagates SurfTele onto the chains).
-	Tele     *telemetry.LifecycleCounters
-	SurfTele *telemetry.SurfaceCounters
-	// Trace, when set, records boot/brownout transitions (and, through
-	// the chains, surface anomalies) into the current home's flight
-	// recorder. Out of band like Tele; set before Begin.
+	// Trace, when set, is the current home's observation handle: it
+	// records boot/brownout transitions and, through the archetype
+	// chains, their surface-query outcomes. Strictly out of band; set
+	// before Begin (Begin propagates it onto the chains).
 	Trace *trace.HomeTrace
 
 	// Archetype chains. temp is the §5.1 battery-free chain used only
@@ -287,14 +281,17 @@ func (d *Device) Begin(sensorFt float64, binWidth time.Duration) {
 		FinalSoC:     math.NaN(),
 		MinSoC:       math.NaN(),
 	}
+	var sink core.SurfaceSink // a nil interface when nothing observes
+	if d.Trace != nil {
+		sink = d.Trace
+	}
 	if d.chain != nil {
 		d.chain.Exact = d.Exact
-		d.chain.Tele = d.SurfTele
-		d.chain.Trace = d.Trace
+		d.chain.Tele = sink
 	}
 	if d.cam != nil {
 		d.cam.Exact = d.Exact
-		d.cam.Tele = d.SurfTele
+		d.cam.Tele = sink
 	}
 	if d.battery != nil {
 		d.battery.SetSoC(d.Policy.InitialSoC)
@@ -336,12 +333,10 @@ func (d *Device) VisitBin(s deploy.BinSample) {
 		d.m.OutageBins++
 		if d.state == StateOperate {
 			d.state = StateBrownout
-			d.Tele.Brownout()
 			d.Trace.Brownout(s.Bin)
 		}
 	} else {
 		if d.state != StateOperate {
-			d.Tele.Boot()
 			d.Trace.Boot(s.Bin)
 		}
 		d.state = StateOperate
@@ -355,7 +350,6 @@ func (d *Device) VisitBin(s deploy.BinSample) {
 		}
 	}
 	if d.OnBin != nil {
-		d.Tele.LedgerEvent()
 		d.OnBin(b)
 	}
 }
@@ -425,7 +419,7 @@ func (d *Device) stepTempSensor(s deploy.BinSample, binStart, dt float64, b *Bin
 // policy spends one read energy per UpdateEvery while the pack lasts.
 func (d *Device) stepRechargingTemp(s deploy.BinSample, binStart, dt float64, b *BinStats) {
 	d.battery.SelfDischarge(dt)
-	_, p := d.chain.Evaluate(d.chainLink(s))
+	_, p := d.chain.Evaluate(s.Bin, d.chainLink(s))
 	b.HarvestW = p
 	if p > 0 {
 		d.battery.Charge(p * dt)
@@ -461,7 +455,7 @@ func (d *Device) stepRechargingTemp(s deploy.BinSample, binStart, dt float64, b 
 // frame-rate cap allow.
 func (d *Device) stepCamera(s deploy.BinSample, binStart, dt float64, b *BinStats) {
 	d.battery.SelfDischarge(dt)
-	p := d.cam.Evaluate(d.chainLink(s))
+	p := d.cam.Evaluate(s.Bin, d.chainLink(s))
 	b.HarvestW = p
 	s0 := d.battery.StoredEnergy()
 	if p > 0 {
@@ -532,7 +526,7 @@ func (d *Device) stepCharger(s deploy.BinSample, binStart, dt float64, b *BinSta
 		}
 		p *= jawboneEff
 	} else {
-		_, p = d.chain.Evaluate(d.chainLink(s))
+		_, p = d.chain.Evaluate(s.Bin, d.chainLink(s))
 	}
 	b.HarvestW = p
 	s0 := d.battery.StoredEnergy()

@@ -67,11 +67,10 @@ func (g *Gauge) Value() float64 {
 	return math.Float64frombits(g.bits.Load())
 }
 
-// Histogram is a mutex-guarded stats.Sketch. Workers do not observe
-// into it directly on the hot path — each worker fills a private shard
-// (see Probe) that is folded in exactly once, so the merged counts are
-// identical at any worker count. The lock only matters for direct
-// Observe callers and for concurrent snapshots.
+// Histogram is a mutex-guarded stats.Sketch. The per-home work
+// histograms are observed only at the fleet reducer's commit point (see
+// CommitHome), in home-index order; the lock makes that safe against
+// concurrent snapshots (a mid-run metrics scrape).
 type Histogram struct {
 	mu sync.Mutex
 	s  *stats.Sketch

@@ -15,15 +15,18 @@
 // Metrics split into two classes:
 //
 //   - Work counters and histograms (Counter, Histogram) measure what
-//     the simulation computed. Counters are atomic integer adds and
-//     histograms are integer-count stats.Sketch shards merged exactly
-//     (per worker, via Sketch.TryMerge), so their totals are
-//     bit-for-bit identical at any worker count — the same
-//     exactly-mergeable machinery the fleet aggregates stand on.
-//   - Scheduling diagnostics (SchedCounter, SchedHistogram) measure how
-//     the run was executed — sampler pool hits, shard occupancy. They
-//     are reported separately because they legitimately vary with the
-//     worker count and must never be compared across parallelism.
+//     the simulation computed. A fleet home tallies its work on its
+//     observation handle (trace.HomeTrace) while it runs; CommitHome
+//     folds the tallies, and the home's output, into the counters and
+//     the integer-count stats.Sketch histograms at the fleet reducer's
+//     commit point, in home-index order. The totals are therefore
+//     bit-for-bit identical at any worker count, and a partial run
+//     counts exactly the homes it committed.
+//   - Scheduling diagnostics (SchedCounter, HistShardHomes,
+//     HistHomeWallMS, the slowest-homes table) measure how the run was
+//     executed — sampler pool hits, shard occupancy, per-home wall
+//     time. They legitimately vary with the worker count and must
+//     never be compared across parallelism.
 //
 // Gauges, spans and the manifest's elapsed/throughput fields are wall-
 // clock observations and vary run to run by nature.
@@ -72,10 +75,9 @@ const (
 	GaugeBinsPerSec   = "bins_per_sec"
 	GaugeAllocsPerBin = "allocs_per_bin"
 
-	// Histograms. HistHomeHarvestUW is a work histogram (per-worker
-	// sketch shards, exact merge); HistShardHomes and HistHomeWallMS
-	// are scheduling diagnostics (homes per worker shard; per-home wall
-	// time).
+	// Histograms. HistHomeHarvestUW is a work histogram (folded at
+	// commit); HistShardHomes and HistHomeWallMS are scheduling
+	// diagnostics (homes per worker shard; per-home wall time).
 	HistHomeHarvestUW = "home_harvest_uw"
 	HistShardHomes    = "shard_homes"
 	HistHomeWallMS    = "home_wall_ms"
@@ -100,11 +102,6 @@ type Run struct {
 	spans    []SpanSnapshot
 	manifest Manifest
 	slow     []SlowHome
-
-	surface   *SurfaceCounters
-	sampler   *SamplerCounters
-	lifecycle *LifecycleCounters
-	failure   *FailureCounters
 }
 
 // NewRun returns an empty enabled collector.
@@ -182,19 +179,6 @@ func (t *Run) Histogram(name string, lo, hi float64, bins int) *Histogram {
 	return h
 }
 
-// mergeHistogram folds a worker's sketch shard into the named histogram
-// exactly (integer counts, exact extremes — Sketch.TryMerge), so the
-// merged distribution is identical no matter how homes were sharded.
-func (t *Run) mergeHistogram(name string, shard *stats.Sketch) error {
-	if t == nil || shard == nil {
-		return nil
-	}
-	h := t.Histogram(name, shard.Lo, shard.Hi, len(shard.Counts))
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.s.TryMerge(shard)
-}
-
 // Span starts a named phase span and returns its closer: wall time from
 // the call to the closer, plus the process's CPU time (user+system,
 // all threads) consumed in between. Spans append in completion order.
@@ -211,35 +195,6 @@ func (t *Run) Span(name string) func() {
 		t.mu.Unlock()
 	}
 }
-
-// ObserveSlowHome offers one finished home to the slowest-homes table,
-// keeping the top slowHomeCap by wall time (ties to the lower index).
-// A scheduling observation; no-op on a nil Run.
-func (t *Run) ObserveSlowHome(s SlowHome) {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	i := sort.Search(len(t.slow), func(i int) bool {
-		if t.slow[i].WallMS != s.WallMS {
-			return s.WallMS > t.slow[i].WallMS
-		}
-		return s.Index < t.slow[i].Index
-	})
-	if i >= slowHomeCap {
-		return
-	}
-	t.slow = append(t.slow, SlowHome{})
-	copy(t.slow[i+1:], t.slow[i:])
-	t.slow[i] = s
-	if len(t.slow) > slowHomeCap {
-		t.slow = t.slow[:slowHomeCap]
-	}
-}
-
-// slowHomeCap bounds the slowest-homes table.
-const slowHomeCap = 8
 
 // SetManifest records the run manifest (the engine fills it when the
 // run completes). A zero GoVersion is stamped with the runtime's.
@@ -284,9 +239,10 @@ func HashConfig(v any) string {
 // Snapshot is the exported view of a Run: the same structure backs the
 // report's "telemetry" JSON section, the Prometheus text export and the
 // expvar endpoint, so the three always agree. Counters and the work
-// histograms are workers-invariant; Sched and HistShardHomes are
-// scheduling diagnostics; gauges, spans and the manifest's throughput
-// fields are wall-clock observations.
+// histograms are workers-invariant; Sched, HistShardHomes,
+// HistHomeWallMS and SlowHomes are scheduling diagnostics; gauges,
+// spans and the manifest's throughput fields are wall-clock
+// observations.
 type Snapshot struct {
 	Manifest   Manifest                     `json:"manifest"`
 	Counters   map[string]uint64            `json:"counters,omitempty"`
@@ -300,7 +256,8 @@ type Snapshot struct {
 	SlowHomes []SlowHome `json:"slow_homes,omitempty"`
 }
 
-// SlowHome is one entry in the slowest-homes table.
+// SlowHome is one entry in a slowest-homes table: telemetry's
+// SlowHomes and the trace summary's sched.slowest_homes.
 type SlowHome struct {
 	Index int    `json:"index"`
 	Label string `json:"label"`

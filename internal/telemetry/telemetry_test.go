@@ -9,6 +9,8 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"repro/internal/surface"
 )
 
 func TestNilRunIsInertAndAllocFree(t *testing.T) {
@@ -16,9 +18,9 @@ func TestNilRunIsInertAndAllocFree(t *testing.T) {
 	c := run.Counter(CounterBins)
 	g := run.Gauge(GaugeBinsPerSec)
 	h := run.Histogram(HistHomeHarvestUW, 0, 1, 10)
-	p := run.NewProbe()
-	if c != nil || g != nil || h != nil || p != nil {
-		t.Fatalf("nil run must hand out nil metrics: %v %v %v %v", c, g, h, p)
+	sc := run.SurfaceCounters()
+	if c != nil || g != nil || h != nil || sc != nil {
+		t.Fatalf("nil run must hand out nil metrics: %v %v %v %v", c, g, h, sc)
 	}
 	end := run.Span(SpanSimulate)
 
@@ -27,11 +29,9 @@ func TestNilRunIsInertAndAllocFree(t *testing.T) {
 		c.Add(7)
 		g.Set(1.5)
 		h.Observe(2.5)
-		p.ObserveHome(3, 4.5)
-		p.Surface().Hit()
-		p.Sampler().Bin()
-		p.Lifecycle().Boot()
-		_ = p.Close()
+		sc.SurfaceOutcome(3, surface.OutcomeHit)
+		run.CommitHome(Home{SilentBins: 3, HarvestUW: 4.5})
+		run.ObserveShard(4)
 	})
 	if allocs != 0 {
 		t.Fatalf("disabled telemetry allocated %v times per op", allocs)
@@ -90,42 +90,55 @@ func TestEmptyHistogramSnapshotIsFinite(t *testing.T) {
 	}
 }
 
-func TestProbeShardsMergeExactly(t *testing.T) {
-	// One probe observing all homes vs. three probes splitting them:
-	// the merged work metrics must be identical.
-	values := []float64{1, 2, 3, 50, 100, 200, 350, 499, 7, 42}
+// TestCommitHome checks the commit-point fold: tallies and output land
+// in the work counters, failed homes count their work, faults and
+// quarantine but no output, lifecycle counters appear only for a
+// lifecycle population, and the slowest-homes table keeps the top
+// entries by wall time with ties to the lower index.
+func TestCommitHome(t *testing.T) {
+	run := NewRun()
+	sc := run.SurfaceCounters()
+	sc.SurfaceOutcome(-1, surface.OutcomeGuardBand)
+	for i := 0; i < 10; i++ {
+		run.CommitHome(Home{
+			Tally:      Tally{Bins: 4, SurfaceHits: 8, SurfaceExact: 1, Attempts: 1},
+			SilentBins: 1,
+			HarvestUW:  float64(10 * i),
+			Wall:       SlowHome{Index: i, WallMS: float64(i % 3)},
+		})
+	}
+	run.CommitHome(Home{
+		Tally:  Tally{Faults: 3, Attempts: 3},
+		Failed: true,
+		Wall:   SlowHome{Index: 10, WallMS: 2},
+	})
+	snap := run.Snapshot()
+	want := map[string]uint64{
+		CounterHomes: 10, CounterHomesQuarantined: 1, CounterBins: 40,
+		CounterSilentBins: 10, CounterSurfaceHits: 80, CounterSurfaceExact: 10,
+		CounterSurfaceGuardBand: 1, CounterFaultsInjected: 3, CounterHomeRetries: 2,
+	}
+	if !reflect.DeepEqual(snap.Counters, want) {
+		t.Fatalf("counters = %v, want %v", snap.Counters, want)
+	}
+	if h := snap.Histograms[HistHomeHarvestUW]; h.N != 10 || h.Max != 90 {
+		t.Fatalf("harvest histogram = %+v, want the 10 committed homes", h)
+	}
+	if h := snap.Histograms[HistHomeWallMS]; h.N != 11 {
+		t.Fatalf("wall histogram N = %d, want 11", h.N)
+	}
+	var order []int
+	for _, s := range snap.SlowHomes {
+		order = append(order, s.Index)
+	}
+	if want := []int{2, 5, 8, 10, 1, 4, 7, 0}; !reflect.DeepEqual(order, want) {
+		t.Fatalf("slow homes = %v, want %v", order, want)
+	}
 
-	single := NewRun()
-	p := single.NewProbe()
-	for _, v := range values {
-		p.ObserveHome(1, v)
-	}
-	if err := p.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	sharded := NewRun()
-	probes := []*Probe{sharded.NewProbe(), sharded.NewProbe(), sharded.NewProbe()}
-	for i, v := range values {
-		probes[i%3].ObserveHome(1, v)
-	}
-	for _, p := range probes {
-		if err := p.Close(); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	a, b := single.Snapshot(), sharded.Snapshot()
-	if !reflect.DeepEqual(a.Counters, b.Counters) {
-		t.Fatalf("counters diverge across sharding:\n1 probe:  %v\n3 probes: %v", a.Counters, b.Counters)
-	}
-	if !reflect.DeepEqual(a.Histograms[HistHomeHarvestUW], b.Histograms[HistHomeHarvestUW]) {
-		t.Fatalf("harvest histogram diverges across sharding:\n%+v\n%+v",
-			a.Histograms[HistHomeHarvestUW], b.Histograms[HistHomeHarvestUW])
-	}
-	// Shard occupancy is a diagnostic and SHOULD differ here.
-	if a.Histograms[HistShardHomes].N == b.Histograms[HistShardHomes].N {
-		t.Fatalf("shard-occupancy diagnostic should see different probe counts")
+	run.CommitHome(Home{Lifecycle: true, Tally: Tally{Boots: 1, Attempts: 1}, LedgerEvents: 4})
+	snap = run.Snapshot()
+	if snap.Counters[CounterLifecycleBoots] != 1 || snap.Counters[CounterLifecycleLedger] != 4 {
+		t.Fatalf("lifecycle counters = %v", snap.Counters)
 	}
 }
 

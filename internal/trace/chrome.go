@@ -57,7 +57,6 @@ func (r *Recorder) WriteChrome(w io.Writer) error {
 		tid     int
 		startUS float64
 		durUS   float64
-		nBins   int
 	}
 	homes := make(map[int]window, len(retained))
 	for _, sp := range spans {

@@ -66,8 +66,8 @@ type Recorder struct {
 	topEsc []*HomeTrace // retained: top-K by escalations, desc, idx asc
 
 	// Scheduling aggregates.
-	wall    *stats.Sketch // per-home wall, ms
-	topSlow []*HomeTrace  // top-K by wall, desc
+	wall    *stats.Sketch        // per-home wall, ms
+	topSlow []telemetry.SlowHome // top-K by wall, desc
 }
 
 // NewRecorder returns an enabled recorder with the default ring and
@@ -115,14 +115,15 @@ func (r *Recorder) Span(name string) func() {
 	}
 }
 
-// Worker is one fleet worker's tracing handle: it stamps home spans
-// with the worker's thread id and tracks the worker's active window.
+// Worker is one fleet worker's handle factory: it opens its homes'
+// handles on the worker's clock and thread id. A worker from NewWorker
+// records rings and spans into its recorder; a tally-only worker
+// (NewTallyWorker) gives handles that keep only tallies and wall times.
 // A nil *Worker ignores every call.
 type Worker struct {
-	rec             *Recorder
-	tid             int
-	firstNS, lastNS int64
-	homes           int
+	rec   *Recorder // nil on a tally-only worker
+	epoch time.Time
+	tid   int
 }
 
 // NewWorker registers a worker handle; nil on a nil Recorder.
@@ -132,49 +133,50 @@ func (r *Recorder) NewWorker() *Worker {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	w := &Worker{rec: r, tid: len(r.workers) + 1, firstNS: -1}
+	w := &Worker{rec: r, epoch: r.epoch, tid: len(r.workers) + 1}
 	r.workers = append(r.workers, w)
 	return w
 }
 
-// Enabled reports whether the handle is live (a convenience for
-// callers gating clock reads).
-func (w *Worker) Enabled() bool { return w != nil }
+// NewTallyWorker returns a worker for a run that collects telemetry
+// without tracing: its handles tally work and time the home, but keep
+// no ring and emit no spans.
+func NewTallyWorker() *Worker {
+	return &Worker{epoch: time.Now()}
+}
 
-// StartHome opens a home's flight recorder and span; nil on a nil
-// Worker.
+// now returns the wall offset from the worker's epoch in ns.
+func (w *Worker) now() int64 { return time.Since(w.epoch).Nanoseconds() }
+
+// StartHome opens a home's handle at the given attempt; nil on a nil
+// Worker. Later attempts of the same home reuse it through
+// HomeTrace.Retry.
 func (w *Worker) StartHome(idx int, label string, attempt int) *HomeTrace {
 	if w == nil {
 		return nil
 	}
-	ht := &HomeTrace{
-		idx:     idx,
-		label:   label,
-		tid:     w.tid,
-		ringCap: w.rec.ringCap,
-		startNS: w.rec.now(),
+	ht := &HomeTrace{w: w, idx: idx, label: label}
+	if w.rec != nil {
+		ht.ringCap = w.rec.ringCap
 	}
-	if attempt > 1 {
-		ht.Retry(attempt)
-	}
+	ht.begin(attempt)
 	return ht
 }
 
-// EndHome closes a home's span: it stamps the duration and appends the
-// home span (plus stall and bin-batch child spans when present) to the
-// raw stream. Safe on nil Worker or nil HomeTrace.
+// EndHome closes a home attempt: it stamps the duration and, on a
+// recording worker, appends the home span (plus stall and bin-batch
+// child spans when present) to the raw stream. Safe on nil Worker or
+// nil HomeTrace.
 //
 //powifi:noalloc
 func (w *Worker) EndHome(ht *HomeTrace) {
 	if w == nil || ht == nil {
 		return
 	}
-	ht.durNS = w.rec.now() - ht.startNS
-	if w.firstNS < 0 {
-		w.firstNS = ht.startNS
+	ht.durNS = w.now() - ht.startNS
+	if w.rec == nil {
+		return
 	}
-	w.lastNS = ht.startNS + ht.durNS
-	w.homes++
 	w.rec.addSpan(Span{Name: "home", TID: w.tid, Home: ht.idx, StartNS: ht.startNS, DurNS: ht.durNS})
 	if ht.stallNS > 0 {
 		w.rec.addSpan(Span{Name: "stall", TID: w.tid, Home: ht.idx, StartNS: ht.startNS, DurNS: ht.stallNS})
@@ -207,36 +209,16 @@ func (r *Recorder) CommitHome(ht *HomeTrace, failed bool) {
 	if failed {
 		r.failed = append(r.failed, ht)
 	} else if ht.escTotal > 0 {
-		r.topEsc = insertTop(r.topEsc, ht, r.topK, func(a, b *HomeTrace) bool {
+		r.topEsc = telemetry.InsertTop(r.topEsc, ht, r.topK, func(a, b *HomeTrace) bool {
 			if a.escTotal != b.escTotal {
 				return a.escTotal > b.escTotal
 			}
 			return a.idx < b.idx
 		})
 	}
-	r.wall.Add(float64(ht.durNS) / 1e6)
-	r.topSlow = insertTop(r.topSlow, ht, r.topK, func(a, b *HomeTrace) bool {
-		if a.durNS != b.durNS {
-			return a.durNS > b.durNS
-		}
-		return a.idx < b.idx
-	})
-}
-
-// insertTop inserts ht into a bounded slice kept sorted under less,
-// dropping the weakest entry past k.
-func insertTop(top []*HomeTrace, ht *HomeTrace, k int, less func(a, b *HomeTrace) bool) []*HomeTrace {
-	i := sort.Search(len(top), func(i int) bool { return less(ht, top[i]) })
-	if i >= k {
-		return top
-	}
-	top = append(top, nil)
-	copy(top[i+1:], top[i:])
-	top[i] = ht
-	if len(top) > k {
-		top = top[:k]
-	}
-	return top
+	slow := ht.SlowHome()
+	r.wall.Add(slow.WallMS)
+	r.topSlow = telemetry.InsertTop(r.topSlow, slow, r.topK, telemetry.SlowHome.Slower)
 }
 
 // Summary is the exported view of a Recorder — the Report's "trace"
@@ -289,7 +271,7 @@ type SchedSummary struct {
 	HomeWallMS WallQuantiles `json:"home_wall_ms"`
 	// SlowestHomes lists the top-K slowest homes with their dominant
 	// span.
-	SlowestHomes []SlowHomeRecord `json:"slowest_homes,omitempty"`
+	SlowestHomes []telemetry.SlowHome `json:"slowest_homes,omitempty"`
 }
 
 // SpanRecord is one serialized span.
@@ -308,14 +290,6 @@ type WallQuantiles struct {
 	P50 float64 `json:"p50"`
 	P99 float64 `json:"p99"`
 	Max float64 `json:"max"`
-}
-
-// SlowHomeRecord is one slow home in the scheduling summary.
-type SlowHomeRecord struct {
-	Index        int     `json:"index"`
-	Label        string  `json:"label"`
-	WallMS       float64 `json:"wall_ms"`
-	DominantSpan string  `json:"dominant_span"`
 }
 
 // retained returns the deterministic retention set in home-index order:
@@ -388,14 +362,7 @@ func (r *Recorder) Summary() Summary {
 			Max: r.wall.Max(),
 		}
 	}
-	for _, ht := range r.topSlow {
-		sched.SlowestHomes = append(sched.SlowestHomes, SlowHomeRecord{
-			Index:        ht.idx,
-			Label:        ht.label,
-			WallMS:       float64(ht.durNS) / 1e6,
-			DominantSpan: DominantSpan(ht.durNS, ht.kernelNS, ht.stallNS),
-		})
-	}
+	sched.SlowestHomes = append([]telemetry.SlowHome(nil), r.topSlow...)
 	s.Sched = sched
 	return s
 }

@@ -3,8 +3,15 @@
 // wall and CPU time, a fixed-size per-home flight recorder of
 // structured events, machine-readable escalation reasons for the
 // coarse tier, and a Chrome trace-event export that loads in Perfetto.
-// It generalizes internal/telemetry's flat span list to a tree and its
-// counters to per-home event forensics, under the same contract.
+//
+// Its per-home handle, HomeTrace, is the one instrumentation handle a
+// fleet home carries: deploy, core and lifecycle report into it, and it
+// keeps both the flight recorder and the work tallies internal/telemetry
+// counts. At the fleet reducer's commit point one fold turns each
+// committed handle into telemetry's counters and histograms
+// (telemetry.Run.CommitHome) and into this recorder's aggregates
+// (Recorder.CommitHome). A run that collects telemetry without tracing
+// uses tally-only handles (NewTallyWorker): no ring, no spans.
 //
 // # Determinism contract
 //
@@ -29,7 +36,12 @@
 //     be compared across parallelism.
 package trace
 
-import "strconv"
+import (
+	"strconv"
+
+	"repro/internal/surface"
+	"repro/internal/telemetry"
+)
 
 // Flight-recorder defaults: the ring keeps the newest RingCap events
 // per home (a day of hourly bins fits whole; bigger homes drop the
@@ -194,24 +206,23 @@ type Dump struct {
 	Dropped uint64        `json:"dropped,omitempty"`
 }
 
-// HomeTrace is one home's flight recorder: a fixed-size ring of
-// structured events plus deterministic per-home tallies and — for the
-// scheduling stream only — the home's wall-time breakdown. A nil
-// *HomeTrace (tracing disabled) ignores every call; a HomeTrace is
-// owned by one worker at a time and needs no locking.
+// HomeTrace is one home's observation handle — the only per-home
+// instrumentation handle of a fleet run. It keeps a fixed-size ring of
+// structured events (the flight recorder), the home's work tallies that
+// telemetry folds at commit (telemetry.Tally), and — for the scheduling
+// stream only — the home's wall-time breakdown. A handle from a
+// tally-only worker (NewTallyWorker) keeps the tallies and wall times
+// but no ring and emits no spans. A nil *HomeTrace (nothing observes)
+// ignores every call; a HomeTrace is owned by one worker at a time and
+// needs no locking.
 type HomeTrace struct {
+	w     *Worker
 	idx   int
 	label string
-	tid   int
-	nBins int
-
-	// bin is the instrumentation cursor: deploy and core set it as they
-	// walk bins so surface events can attribute without threading a bin
-	// argument through the solver chain.
-	bin int32
 
 	// ring grows lazily up to ringCap, then wraps: a quiet home costs
-	// a few small appends, never the full ring's allocation.
+	// a few small appends, never the full ring's allocation. ringCap
+	// is zero on a tally-only handle.
 	ring    []Event
 	ringCap int
 	start   int // oldest entry when the ring has wrapped
@@ -220,32 +231,31 @@ type HomeTrace struct {
 	esc      [numEscReasons]uint32
 	escTotal uint32
 
+	tally telemetry.Tally
+
 	// Scheduling observations (never part of the deterministic
-	// summary): wall offsets from the recorder epoch, in ns.
+	// summary): wall offsets from the worker's epoch, in ns.
 	startNS, durNS, kernelNS, stallNS int64
 }
 
-// Index returns the home's index (-1 on a nil trace).
-func (h *HomeTrace) Index() int {
-	if h == nil {
-		return -1
+// begin opens the given attempt: it stamps the attempt count and the
+// start time, and a retry opens the ring with its retry event.
+func (h *HomeTrace) begin(attempt int) {
+	h.tally.Attempts = uint64(attempt)
+	h.startNS = h.w.now()
+	if attempt > 1 {
+		h.push(Event{Kind: EvRetry, Bin: -1, Arg: float64(attempt)})
 	}
-	return h.idx
-}
-
-// Label returns the home's RNG stream label ("" on a nil trace).
-func (h *HomeTrace) Label() string {
-	if h == nil {
-		return ""
-	}
-	return h.label
 }
 
 // push appends an event, overwriting the oldest entry once the ring is
-// full.
+// full; a tally-only handle keeps no events.
 //
 //powifi:noalloc
 func (h *HomeTrace) push(e Event) {
+	if h.ringCap == 0 {
+		return
+	}
 	h.total++
 	if len(h.ring) < h.ringCap {
 		h.ring = append(h.ring, e)
@@ -258,51 +268,37 @@ func (h *HomeTrace) push(e Event) {
 	}
 }
 
-// SetBins records the home's logging-bin count (used to place ring
-// events proportionally in the Chrome export).
-func (h *HomeTrace) SetBins(n int) {
-	if h != nil {
-		h.nBins = n
-	}
-}
-
-// SetBin moves the instrumentation cursor: subsequent cursor-scoped
-// events (surface fallbacks) attribute to this bin.
-//
-//powifi:noalloc
-func (h *HomeTrace) SetBin(bin int) {
-	if h != nil {
-		h.bin = int32(bin)
-	}
-}
-
 // BinSimulated records that bin ran the packet-level event simulation,
-// scheduling events kernel events, and moves the cursor to it.
+// scheduling events kernel events.
 //
 //powifi:noalloc
 func (h *HomeTrace) BinSimulated(bin int, events uint64) {
 	if h == nil {
 		return
 	}
-	h.bin = int32(bin)
+	h.tally.Bins++
 	h.push(Event{Kind: EvBinSim, Bin: int32(bin), Arg: float64(events)})
 }
 
-// SurfaceExact records an exact-solver fallback at the cursor bin.
+// SurfaceOutcome records one operating-point surface query made for
+// bin (core.SurfaceSink): every outcome is tallied, and the anomalies —
+// exact-solver fallbacks and guard-band hits — also enter the ring
+// (grid hits are the steady state).
 //
 //powifi:noalloc
-func (h *HomeTrace) SurfaceExact() {
-	if h != nil {
-		h.push(Event{Kind: EvSurfaceExact, Bin: h.bin})
+func (h *HomeTrace) SurfaceOutcome(bin int, out surface.Outcome) {
+	if h == nil {
+		return
 	}
-}
-
-// SurfaceGuard records a guard-band fallback at the cursor bin.
-//
-//powifi:noalloc
-func (h *HomeTrace) SurfaceGuard() {
-	if h != nil {
-		h.push(Event{Kind: EvSurfaceGuard, Bin: h.bin})
+	switch out {
+	case surface.OutcomeExact:
+		h.tally.SurfaceExact++
+		h.push(Event{Kind: EvSurfaceExact, Bin: int32(bin)})
+	case surface.OutcomeGuardBand:
+		h.tally.SurfaceGuard++
+		h.push(Event{Kind: EvSurfaceGuard, Bin: int32(bin)})
+	default:
+		h.tally.SurfaceHits++
 	}
 }
 
@@ -351,6 +347,7 @@ func (h *HomeTrace) Escalate(bin int, reason EscReason) {
 // Boot records a lifecycle device entering the operating state in bin.
 func (h *HomeTrace) Boot(bin int) {
 	if h != nil {
+		h.tally.Boots++
 		h.push(Event{Kind: EvBoot, Bin: int32(bin)})
 	}
 }
@@ -359,6 +356,7 @@ func (h *HomeTrace) Boot(bin int) {
 // state in bin.
 func (h *HomeTrace) Brownout(bin int) {
 	if h != nil {
+		h.tally.Brownouts++
 		h.push(Event{Kind: EvBrownout, Bin: int32(bin)})
 	}
 }
@@ -367,15 +365,24 @@ func (h *HomeTrace) Brownout(bin int) {
 // site.
 func (h *HomeTrace) Fault(site string) {
 	if h != nil {
+		h.tally.Faults++
 		h.push(Event{Kind: EvFault, Bin: -1, Note: site})
 	}
 }
 
-// Retry records the home re-attempting after a recovered panic.
-func (h *HomeTrace) Retry(attempt int) {
-	if h != nil {
-		h.push(Event{Kind: EvRetry, Bin: -1, Arg: float64(attempt)})
+// Retry re-arms the handle for the home's next attempt after a
+// recovered panic. The ring, escalations, work tallies and wall times
+// start over, so each attempt's forensics stand alone; the faults fired
+// and the attempt count carry over, so every attempt is counted. The
+// new ring opens with the retry event.
+func (h *HomeTrace) Retry() {
+	if h == nil {
+		return
 	}
+	faults, attempt := h.tally.Faults, int(h.tally.Attempts)+1
+	*h = HomeTrace{w: h.w, idx: h.idx, label: h.label, ring: h.ring[:0], ringCap: h.ringCap}
+	h.tally.Faults = faults
+	h.begin(attempt)
 }
 
 // Quarantine records the reducer quarantining the home under the skip
@@ -386,13 +393,22 @@ func (h *HomeTrace) Quarantine() {
 	}
 }
 
-// Kernel records the attempt's batched-kernel wall time (scheduling
-// stream only).
+// BeginKernel and EndKernel bracket the attempt's batched event kernel
+// (scheduling stream only).
 //
 //powifi:noalloc
-func (h *HomeTrace) Kernel(ns int64) {
+func (h *HomeTrace) BeginKernel() {
 	if h != nil {
-		h.kernelNS = ns
+		h.kernelNS = h.w.now()
+	}
+}
+
+// EndKernel closes the kernel span BeginKernel opened.
+//
+//powifi:noalloc
+func (h *HomeTrace) EndKernel() {
+	if h != nil {
+		h.kernelNS = h.w.now() - h.kernelNS
 	}
 }
 
@@ -423,6 +439,28 @@ func (h *HomeTrace) Escalations() uint32 {
 	return h.escTotal
 }
 
+// Tally returns the home's work tallies (zero on a nil handle).
+func (h *HomeTrace) Tally() telemetry.Tally {
+	if h == nil {
+		return telemetry.Tally{}
+	}
+	return h.tally
+}
+
+// SlowHome returns the home's slowest-homes record: its wall time from
+// StartHome to EndHome and where that time went (zero on a nil handle).
+func (h *HomeTrace) SlowHome() telemetry.SlowHome {
+	if h == nil {
+		return telemetry.SlowHome{}
+	}
+	return telemetry.SlowHome{
+		Index:        h.idx,
+		Label:        h.label,
+		WallMS:       float64(h.durNS) / 1e6,
+		DominantSpan: DominantSpan(h.durNS, h.kernelNS, h.stallNS),
+	}
+}
+
 // ringEvents returns the retained ring in oldest-first order.
 func (h *HomeTrace) ringEvents() []EventRecord {
 	if h == nil || len(h.ring) == 0 {
@@ -436,9 +474,9 @@ func (h *HomeTrace) ringEvents() []EventRecord {
 }
 
 // Dump renders the flight recorder into its serialized payload; nil on
-// a nil trace.
+// a nil or tally-only handle, which keeps no ring.
 func (h *HomeTrace) Dump() *Dump {
-	if h == nil {
+	if h == nil || h.ringCap == 0 {
 		return nil
 	}
 	return &Dump{
@@ -451,7 +489,7 @@ func (h *HomeTrace) Dump() *Dump {
 // DominantSpan names where a home's wall time went: an injected stall
 // ("stall"), the batched event kernel ("bin-batch"), or the residual
 // ("other": synthesis, ledger, folds, scheduling). It labels both the
-// trace's slowest_homes and the telemetry probe's slow_homes tables.
+// trace's slowest_homes and telemetry's slow_homes tables.
 func DominantSpan(wallNS, kernelNS, stallNS int64) string {
 	other := wallNS - kernelNS - stallNS
 	switch {

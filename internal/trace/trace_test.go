@@ -5,6 +5,10 @@ import (
 	"encoding/json"
 	"reflect"
 	"testing"
+	"time"
+
+	"repro/internal/surface"
+	"repro/internal/telemetry"
 )
 
 // TestNilSafety pins the disabled state: every method on a nil
@@ -22,9 +26,6 @@ func TestNilSafety(t *testing.T) {
 	}
 
 	var w *Worker
-	if w.Enabled() {
-		t.Fatal("nil Worker Enabled() = true")
-	}
 	ht := w.StartHome(3, "fleet/home/3", 1)
 	if ht != nil {
 		t.Fatalf("nil Worker StartHome = %v, want nil", ht)
@@ -32,11 +33,9 @@ func TestNilSafety(t *testing.T) {
 	w.EndHome(ht)
 
 	// ht is nil: the full instrumentation surface must ignore it.
-	ht.SetBins(24)
-	ht.SetBin(5)
 	ht.BinSimulated(5, 100)
-	ht.SurfaceExact()
-	ht.SurfaceGuard()
+	ht.SurfaceOutcome(5, surface.OutcomeExact)
+	ht.SurfaceOutcome(5, surface.OutcomeGuardBand)
 	ht.OccFit(1, 0.5)
 	ht.HarvestFit(0.5)
 	ht.GuardQuery(5, true)
@@ -44,11 +43,13 @@ func TestNilSafety(t *testing.T) {
 	ht.Boot(2)
 	ht.Brownout(3)
 	ht.Fault("home.panic")
-	ht.Retry(2)
+	ht.Retry()
 	ht.Quarantine()
-	ht.Kernel(100)
+	ht.BeginKernel()
+	ht.EndKernel()
 	ht.Stall(100)
-	if ht.Index() != -1 || ht.Label() != "" || ht.Events() != 0 || ht.Escalations() != 0 {
+	if ht.Events() != 0 || ht.Escalations() != 0 || ht.Tally() != (telemetry.Tally{}) ||
+		ht.SlowHome() != (telemetry.SlowHome{}) {
 		t.Fatal("nil HomeTrace accessors returned non-zero values")
 	}
 	if d := ht.Dump(); d != nil {
@@ -57,24 +58,74 @@ func TestNilSafety(t *testing.T) {
 }
 
 // TestNilAllocs pins the disabled-path allocation budget at zero: the
-// hot-loop instrumentation calls must cost one nil check and nothing
-// else.
+// hot-loop instrumentation calls — the //powifi:noalloc sink entry
+// points — must cost one nil check and nothing else.
 func TestNilAllocs(t *testing.T) {
 	var r *Recorder
 	var w *Worker
 	var ht *HomeTrace
 	if n := testing.AllocsPerRun(100, func() {
 		ht.BinSimulated(5, 100)
-		ht.SurfaceExact()
-		ht.SurfaceGuard()
+		ht.SurfaceOutcome(5, surface.OutcomeHit)
+		ht.SurfaceOutcome(5, surface.OutcomeExact)
 		ht.GuardQuery(5, true)
 		ht.Escalate(5, EscConsensusSplit)
-		ht.SetBin(5)
-		ht.Kernel(10)
+		ht.BeginKernel()
+		ht.EndKernel()
+		ht.Stall(10)
 		w.EndHome(ht)
 		r.CommitHome(ht, false)
 	}); n != 0 {
 		t.Fatalf("nil-receiver instrumentation allocates %v/op, want 0", n)
+	}
+}
+
+// TestTallies checks the per-kind tallies telemetry folds at commit:
+// every surface outcome counts but only anomalies enter the ring, a
+// retry restarts the attempt's ring and tallies while faults and the
+// attempt count carry over, and a tally-only handle keeps tallies but
+// no ring.
+func TestTallies(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		w    *Worker
+		ring bool
+	}{
+		{"recording", NewRecorder().NewWorker(), true},
+		{"tally-only", NewTallyWorker(), false},
+	} {
+		ht := tc.w.StartHome(0, "fleet/home/0", 1)
+		ht.Fault("home.panic")
+		ht.BinSimulated(0, 10)
+		ht.Retry()
+		ht.Fault("home.panic")
+		ht.BinSimulated(0, 10)
+		ht.BinSimulated(1, 10)
+		ht.SurfaceOutcome(0, surface.OutcomeHit)
+		ht.SurfaceOutcome(1, surface.OutcomeHit)
+		ht.SurfaceOutcome(1, surface.OutcomeExact)
+		ht.SurfaceOutcome(1, surface.OutcomeGuardBand)
+		ht.Boot(1)
+		ht.Brownout(1)
+		want := telemetry.Tally{Bins: 2, SurfaceHits: 2, SurfaceExact: 1, SurfaceGuard: 1,
+			Boots: 1, Brownouts: 1, Faults: 2, Attempts: 2}
+		if got := ht.Tally(); got != want {
+			t.Errorf("%s: Tally = %+v, want %+v", tc.name, got, want)
+		}
+		d := ht.Dump()
+		if !tc.ring {
+			if d != nil || ht.Events() != 0 {
+				t.Errorf("%s: tally-only handle kept events: %+v", tc.name, d)
+			}
+			continue
+		}
+		// retry, fault, 2 bin-sims, exact, guard, boot, brownout.
+		if len(d.Events) != 8 || d.Events[0].Kind != "retry" || d.Events[0].Arg != 2 {
+			t.Errorf("%s: ring = %+v, want the second attempt's 8 events opening with retry 2", tc.name, d.Events)
+		}
+		if e := d.Events[4]; e.Kind != "surface-exact" || e.Bin != 1 {
+			t.Errorf("%s: surface event = %+v, want surface-exact on bin 1", tc.name, e)
+		}
 	}
 }
 
@@ -166,7 +217,7 @@ func TestInsertTop(t *testing.T) {
 		{idx: 0, escTotal: 2}, {idx: 1, escTotal: 9},
 		{idx: 2, escTotal: 5}, {idx: 3, escTotal: 9}, {idx: 4, escTotal: 1},
 	} {
-		top = insertTop(top, h, 3, less)
+		top = telemetry.InsertTop(top, h, 3, less)
 	}
 	got := []int{top[0].idx, top[1].idx, top[2].idx}
 	// 9s first (tie to lower index), then the 5; the 2 and 1 fall off.
@@ -256,9 +307,10 @@ func TestWriteChrome(t *testing.T) {
 	end := r.Span(SpanRun)
 	w := r.NewWorker()
 	ht := w.StartHome(0, "fleet/home/0", 1)
-	ht.SetBins(4)
+	ht.BeginKernel()
 	ht.BinSimulated(2, 50)
-	ht.Kernel(1000)
+	time.Sleep(time.Millisecond)
+	ht.EndKernel()
 	w.EndHome(ht)
 	r.CommitHome(ht, true) // failed → retained → ring instants exported
 	end()

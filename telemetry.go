@@ -20,15 +20,18 @@ import (
 // RNG draws, no event-order changes — so a scenario's Report sections
 // are byte-identical with or without telemetry, and the snapshot's
 // work-counter and work-histogram totals are bit-for-bit identical at
-// any WithWorkers value (per-worker shards merge exactly). Scheduling
-// diagnostics (the snapshot's "sched" section and the shard-occupancy
-// histogram) legitimately vary with the worker count; gauges, spans
-// and the manifest's throughput fields are wall-clock observations.
+// any WithWorkers value: each home's work is folded in once, when the
+// run commits the home, in home-index order, so a partial run counts
+// exactly the homes it committed. Scheduling diagnostics (the
+// snapshot's "sched" section, the shard-occupancy and home wall-time
+// histograms, the slowest homes) legitimately vary with the worker
+// count; gauges, spans and the manifest's throughput fields are
+// wall-clock observations.
 //
 // One collector describes one run: pass a fresh NewTelemetry to each
 // Run whose metrics you want isolated. Snapshots may be taken mid-run
-// (the HTTP handler does) — counters are atomic, so a mid-run snapshot
-// is consistent, just partial.
+// (the HTTP handler does); a mid-run snapshot describes the homes
+// committed so far.
 type Telemetry = telemetry.Run
 
 // TelemetrySnapshot is the exported view of a Telemetry collector —

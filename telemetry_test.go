@@ -39,10 +39,11 @@ func telemetryFleetOpts(workers int) []powifi.Option {
 	}
 }
 
-func runTelemetryFleet(t *testing.T, workers int) (*powifi.Report, *powifi.Telemetry) {
+func runTelemetryFleet(t *testing.T, workers int, extra ...powifi.Option) (*powifi.Report, *powifi.Telemetry) {
 	t.Helper()
 	tel := powifi.NewTelemetry()
-	sc, err := powifi.NewScenario(append(telemetryFleetOpts(workers), powifi.WithTelemetry(tel))...)
+	opts := append(telemetryFleetOpts(workers), powifi.WithTelemetry(tel))
+	sc, err := powifi.NewScenario(append(opts, extra...)...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,6 +83,19 @@ func TestTelemetryWorkerInvariance(t *testing.T) {
 	}
 	if s1.Manifest.Seed != 11 || s8.Manifest.Workers != 8 {
 		t.Errorf("manifests: %+v / %+v", s1.Manifest, s8.Manifest)
+	}
+	// Tracing shares the per-home handle telemetry folds from; turning
+	// it on must not move a single work counter or histogram bucket.
+	for _, workers := range []int{1, 8} {
+		traced, _ := runTelemetryFleet(t, workers, powifi.WithTrace(powifi.NewTrace()))
+		st := traced.Telemetry
+		if !reflect.DeepEqual(s1.Counters, st.Counters) {
+			t.Errorf("work counters diverge with tracing on (workers=%d):\noff: %v\non:  %v",
+				workers, s1.Counters, st.Counters)
+		}
+		if ht := st.Histograms["home_harvest_uw"]; !reflect.DeepEqual(h1, ht) {
+			t.Errorf("home_harvest_uw diverges with tracing on (workers=%d):\noff: %+v\non:  %+v", workers, h1, ht)
+		}
 	}
 }
 
