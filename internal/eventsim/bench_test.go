@@ -1,32 +1,56 @@
 package eventsim
 
 import (
+	"fmt"
 	"testing"
 	"time"
 )
 
 // BenchmarkKernelSteadyState measures the allocation-free schedule+fire
-// cycle with a realistic pending-queue depth (the deploy sampler holds
-// roughly a dozen events in flight).
+// cycle at the queue depths the simulators hold: 8–30 pending events in
+// the deploy sampler and fleet (median 14), up to 81 in the paper
+// experiments. Every fired event schedules its successor, and every
+// tenth also cancels a pending event and schedules a replacement, so
+// about 10% of scheduled events are cancelled rather than fired. Delays
+// are uniform in 1–64 µs, so insertions land anywhere in the queue, not
+// only at its near-term end. One op is one scheduled event.
 func BenchmarkKernelSteadyState(b *testing.B) {
-	s := New()
-	const depth = 12
-	var fire func(ctx any)
-	remaining := 0
-	fire = func(ctx any) {
-		if remaining > 0 {
-			remaining--
-			s.AfterCtx(time.Microsecond, fire, nil)
-		}
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i += depth {
-		s.Reset()
-		remaining = depth
-		for j := 0; j < depth; j++ {
-			s.AfterCtx(time.Duration(j)*time.Microsecond, fire, nil)
-		}
-		s.Run()
+	for _, depth := range []int{8, 14, 30, 81} {
+		b.Run(fmt.Sprintf("depth=%d", depth), func(b *testing.B) {
+			s := New()
+			var rng uint64 = 1
+			delay := func() time.Duration {
+				rng = rng*6364136223846793005 + 1442695040888963407
+				return time.Duration(1+rng>>58) * time.Microsecond
+			}
+			left, fired := 0, 0
+			var last Handle
+			var fire func(ctx any)
+			fire = func(any) {
+				fired++
+				if left > 0 && fired%10 == 0 && last.At() != 0 && !last.Cancelled() {
+					last.Cancel()
+					last = s.AfterCtx(delay(), fire, nil)
+					left--
+				}
+				if left > 0 {
+					last = s.AfterCtx(delay(), fire, nil)
+					left--
+				}
+			}
+			run := func(n int) {
+				s.Reset()
+				left, fired = n, 0
+				for j := 0; j < depth && left > 0; j++ {
+					last = s.AfterCtx(delay(), fire, nil)
+					left--
+				}
+				s.Run()
+			}
+			run(10 * depth) // grow the queue and free list
+			b.ReportAllocs()
+			b.ResetTimer()
+			run(b.N)
+		})
 	}
 }

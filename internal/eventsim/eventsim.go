@@ -2,19 +2,21 @@
 // drives all protocol-level experiments.
 //
 // The whole simulator is single-threaded and deterministic: components
-// schedule callbacks at future virtual times on a 4-ary-heap event queue,
-// and the scheduler runs them in (time, sequence) order. Ties are broken by
-// insertion order so that runs are reproducible bit-for-bit. Virtual time
-// is a time.Duration measured from the start of the simulation; at 2.4 GHz
-// Wi-Fi timescales (9 µs slots, 100 µs packets, 24 h deployments)
-// nanosecond resolution in an int64 comfortably covers every experiment.
+// schedule callbacks at future virtual times on a small sorted event
+// queue, and the scheduler runs them in (time, sequence) order. Ties are
+// broken by insertion order so that runs are reproducible bit-for-bit.
+// Virtual time is a time.Duration measured from the start of the
+// simulation; at 2.4 GHz Wi-Fi timescales (9 µs slots, 100 µs packets,
+// 24 h deployments) nanosecond resolution in an int64 comfortably covers
+// every experiment.
 //
 // The kernel is allocation-free in steady state: fired events are recycled
 // through a per-scheduler free list, and the two-argument scheduling forms
 // (AtCtx/AfterCtx) let hot-path components pass a long-lived callback plus
-// a context word instead of allocating a fresh closure per event. Handles
-// returned by the scheduling calls carry a generation number, so a stale
-// Cancel on an already-recycled event is a guaranteed no-op.
+// a context word instead of allocating a fresh closure per event.
+// Cancellation is eager: Cancel takes the event off the queue at once.
+// Handles returned by the scheduling calls carry a generation number, so
+// a stale Cancel on an already-recycled event is a guaranteed no-op.
 package eventsim
 
 import "time"
@@ -24,11 +26,12 @@ import "time"
 // components never hold a bare *Event — they hold a Handle, whose
 // generation check makes use-after-recycle harmless.
 type Event struct {
-	at        time.Duration
+	key       queueEntry // queued (time, sequence) key; key.at is the fire time
 	fn        func(ctx any)
 	ctx       any
-	gen       uint64 // bumped at recycle; validates Handles
-	id        int32  // index in the scheduler's pool table
+	owner     *Scheduler // the queue a Cancel removes the key from
+	gen       uint64     // validates Handles; see recycle and schedule
+	id        int32      // index in the scheduler's pool table
 	cancelled bool
 	next      *Event // free-list link
 }
@@ -40,133 +43,84 @@ type Handle struct {
 	gen uint64
 }
 
-// Cancel prevents the event's callback from running. Safe to call more
-// than once, safe on the zero Handle, and safe after the event has fired
-// (the generation check turns a stale cancel into a no-op).
+// Cancel removes the event from its scheduler's queue, so its callback
+// never runs and Pending shrinks at once. Safe to call more than once,
+// safe on the zero Handle, and safe after the event has fired (the
+// generation check turns a stale cancel into a no-op, so it cannot
+// remove a later event that reuses the slot).
+//
+//powifi:noalloc
 func (h Handle) Cancel() {
-	if h.e != nil && h.e.gen == h.gen {
-		h.e.cancelled = true
+	if e := h.e; e != nil && e.gen == h.gen && !e.cancelled {
+		e.owner.cancel(e)
 	}
 }
 
 // Cancelled reports whether Cancel has been called on this scheduling.
-// A fired-and-recycled event reports false (it can no longer be
+// It stays true until the scheduler reuses the cancelled event for a
+// new scheduling. A fired event reports false (it can no longer be
 // cancelled).
 func (h Handle) Cancelled() bool {
 	return h.e != nil && h.e.gen == h.gen && h.e.cancelled
 }
 
-// At returns the virtual time this scheduling fires at, or zero if the
-// event has already fired and been recycled.
+// At returns the virtual time this scheduling fires at (or would have,
+// if cancelled), or zero once the event has fired or its slot has been
+// reused.
 func (h Handle) At() time.Duration {
 	if h.e == nil || h.e.gen != h.gen {
 		return 0
 	}
-	return h.e.at
+	return h.e.key.at
 }
 
-// heapEntry is one queued scheduling: the (time, sequence) sort key
-// inline plus the pooled event's id, packed to 16 bytes. The heap holds
-// plain values, so sift shifts are pointer-free (no GC write barriers)
-// and key compares hit a single contiguous cache line — both matter
-// because heap traffic is the kernel's single largest steady-state cost
-// once events stop allocating.
+// queueEntry is one queued scheduling: the (time, sequence) sort key
+// inline plus the pooled event's id, packed to 16 bytes. The queue holds
+// plain values, so insertion shifts are pointer-free (no GC write
+// barriers) and a queue of typical depth spans a few cache lines.
 //
 // seqid packs (seq << 32) | id: entries with equal times order by
 // sequence (the id bits only break ties between equal sequences, which
 // cannot occur — sequences are unique). The scheduler guards the 2³²
 // sequence capacity per Reset with an explicit check.
-type heapEntry struct {
+type queueEntry struct {
 	at    time.Duration
 	seqid uint64
 }
 
-// entryLess orders entries by (time, sequence) — the kernel's
-// determinism contract.
-func entryLess(a, b heapEntry) bool {
-	if a.at != b.at {
-		return a.at < b.at
-	}
-	return a.seqid < b.seqid
-}
+// eventQueue is a slice of entries kept sorted in descending (time,
+// sequence) order, so the next event to fire is the last element and a
+// pop is a single load. The kernel's queues are small — the deploy
+// sampler and fleet hold 8–34 events, the paper experiments at most 81
+// — and new events are mostly near-term (DIFS, backoff, end of
+// transmission), so an insertion shifts only the few tail entries that
+// fire sooner. At these depths that beats a heap, whose pop pays a
+// mispredicted child scan per level. Pop order is structural: (time,
+// seqid) is a total order (sequences are unique), so any correct queue
+// fires events in the same order.
+type eventQueue []queueEntry
 
-// eventHeap is a hand-rolled 4-ary min-heap of heapEntry values. The
-// wider node halves the tree depth a push or pop traverses, trading it
-// for a 4-way child scan on pop — a good trade here because the four
-// children are 64 contiguous bytes (one cache line of 16-byte entries),
-// so the scan is four compares on already-resident data while each
-// level of depth saved is a potential cache miss. Pop order is
-// arity-independent: (time, seqid) is a total order (sequences are
-// unique), and any min-heap pops its global minimum, so switching arity
-// cannot reorder events — the determinism contract is structural, not
-// an accident of layout.
-type eventHeap []heapEntry
-
-// heapArity is the heap's branching factor. 4 keeps one node's
-// children inside a single 64-byte cache line.
-const heapArity = 4
-
-// push sifts the new entry up with hole shifting: parents slide down
-// one copy each until the insertion point is found, instead of paying a
-// three-assignment swap per level.
-func (h *eventHeap) push(e heapEntry) {
-	q := append(*h, e)
-	i := len(q) - 1
-	for i > 0 {
-		parent := (i - 1) / heapArity
-		if !entryLess(e, q[parent]) {
-			break
-		}
-		q[i] = q[parent]
-		i = parent
+// push inserts e, sliding the tail entries that fire before it up one
+// slot each. e must carry the largest sequence yet queued — schedule
+// hands out sequences in increasing order — so an entry fires before e
+// exactly when its time is not later, and the key compare reduces to
+// one time compare.
+func (q *eventQueue) push(e queueEntry) {
+	a := append(*q, e)
+	i := len(a) - 1
+	for i > 0 && a[i-1].at <= e.at {
+		a[i] = a[i-1]
+		i--
 	}
-	q[i] = e
-	*h = q
-}
-
-// pop removes the minimum, then sifts the displaced last entry down a
-// hole-shifted path, scanning each node's (up to four) children for
-// the smallest.
-func (h *eventHeap) pop() heapEntry {
-	q := *h
-	n := len(q) - 1
-	top := q[0]
-	e := q[n]
-	q = q[:n]
-	*h = q
-	i := 0
-	for {
-		c := heapArity*i + 1
-		if c >= n {
-			break
-		}
-		end := c + heapArity
-		if end > n {
-			end = n
-		}
-		min := c
-		for j := c + 1; j < end; j++ {
-			if entryLess(q[j], q[min]) {
-				min = j
-			}
-		}
-		if !entryLess(q[min], e) {
-			break
-		}
-		q[i] = q[min]
-		i = min
-	}
-	if n > 0 {
-		q[i] = e
-	}
-	return top
+	a[i] = e
+	*q = a
 }
 
 // Scheduler is the simulation event loop. The zero value is ready to use.
 type Scheduler struct {
 	now     time.Duration
 	seq     uint64
-	events  eventHeap
+	events  eventQueue
 	stopped bool
 	free    *Event   // recycled events
 	pool    []*Event // id → event, every event this scheduler ever made
@@ -195,22 +149,47 @@ func (s *Scheduler) schedule(t time.Duration, fn func(ctx any), ctx any) Handle 
 	if e != nil {
 		s.free = e.next
 		e.next = nil
-		e.cancelled = false
+		if e.cancelled {
+			// Cancel left the generation alone so Cancelled could keep
+			// reporting true; reuse is where the old Handles go stale.
+			e.gen++
+			e.cancelled = false
+		}
 	} else {
-		e = &Event{id: int32(len(s.pool))}
+		e = &Event{id: int32(len(s.pool)), owner: s}
 		s.pool = append(s.pool, e)
 	}
-	e.at = t
-	e.fn = fn
-	e.ctx = ctx
 	if s.seq >= 1<<32 {
-		// The packed heap key carries 32 sequence bits per Reset; at
+		// The packed queue key carries 32 sequence bits per Reset; at
 		// realistic event rates this is years of simulated traffic.
 		panic("eventsim: sequence counter exceeded 2^32; Reset the scheduler")
 	}
-	s.events.push(heapEntry{at: t, seqid: s.seq<<32 | uint64(uint32(e.id))})
+	e.key = queueEntry{at: t, seqid: s.seq<<32 | uint64(uint32(e.id))}
+	e.fn = fn
+	e.ctx = ctx
+	s.events.push(e.key)
 	s.seq++
 	return Handle{e: e, gen: e.gen}
+}
+
+// cancel takes a queued event off the queue and returns it to the free
+// list. Its generation is left unchanged, so Cancelled keeps reporting
+// true until schedule reuses the slot and bumps it. The entry is found by
+// a scan from the tail: cancelled timers (DIFS, backoff, ACK timeout)
+// are near-term, so they sit among the last few entries.
+//
+//powifi:noalloc
+func (s *Scheduler) cancel(e *Event) {
+	q := s.events
+	i := len(q) - 1
+	for q[i].seqid != e.key.seqid {
+		i--
+	}
+	copy(q[i:], q[i+1:])
+	s.events = q[:len(q)-1]
+	e.cancelled = true
+	e.next = s.free
+	s.free = e
 }
 
 // recycle returns a popped event to the free list, invalidating any
@@ -257,8 +236,8 @@ func (s *Scheduler) AfterCtx(d time.Duration, fn func(ctx any), ctx any) Handle 
 // Stop halts the run loop after the currently executing event returns.
 func (s *Scheduler) Stop() { s.stopped = true }
 
-// Pending returns the number of events still queued (including cancelled
-// ones awaiting lazy deletion).
+// Pending returns the number of events still queued. Cancel removes an
+// event at once, so cancelled events are never counted.
 func (s *Scheduler) Pending() int { return len(s.events) }
 
 // Scheduled returns the number of events scheduled since the last
@@ -300,10 +279,7 @@ func (s *Scheduler) Run() {
 //powifi:noalloc
 func (s *Scheduler) RunUntil(deadline time.Duration) {
 	s.stopped = false
-	for len(s.events) > 0 && !s.stopped {
-		if s.events[0].at > deadline {
-			break
-		}
+	for len(s.events) > 0 && !s.stopped && s.events[len(s.events)-1].at <= deadline {
 		s.step()
 	}
 	if !s.stopped && s.now < deadline {
@@ -311,20 +287,19 @@ func (s *Scheduler) RunUntil(deadline time.Duration) {
 	}
 }
 
-// step pops and executes the earliest event, then recycles it.
+// step pops the earliest event off the queue's tail, recycles it and
+// runs its callback.
 //
 //powifi:noalloc
 func (s *Scheduler) step() {
-	entry := s.events.pop()
+	n := len(s.events) - 1
+	entry := s.events[n]
+	s.events = s.events[:n]
 	e := s.pool[uint32(entry.seqid)]
-	if e.cancelled {
-		s.recycle(e)
-		return
-	}
 	s.now = entry.at
 	fn, ctx := e.fn, e.ctx
 	// Recycle before running so the callback's own scheduling can reuse
-	// the slot; the entry is already off the heap, so this is safe.
+	// the slot; the entry is already off the queue, so this is safe.
 	s.recycle(e)
 	fn(ctx)
 }

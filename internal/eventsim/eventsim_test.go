@@ -1,6 +1,9 @@
 package eventsim
 
 import (
+	"fmt"
+	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -94,6 +97,120 @@ func TestCancelAfterFireIsNoop(t *testing.T) {
 	e.Cancel() // must not panic or change anything
 	if count != 1 {
 		t.Errorf("count = %d, want 1", count)
+	}
+}
+
+func TestCancelShrinksPending(t *testing.T) {
+	s := New()
+	s.At(10*time.Microsecond, func() {})
+	h := s.At(20*time.Microsecond, func() {})
+	s.At(30*time.Microsecond, func() {})
+	h.Cancel()
+	if s.Pending() != 2 {
+		t.Fatalf("pending after Cancel = %d, want 2", s.Pending())
+	}
+	h.Cancel() // a second Cancel must not remove anything else
+	if s.Pending() != 2 {
+		t.Fatalf("pending after repeated Cancel = %d, want 2", s.Pending())
+	}
+	if s.Scheduled() != 3 {
+		t.Errorf("Scheduled = %d, want 3: cancelling does not rewind the sequence", s.Scheduled())
+	}
+}
+
+// TestCancelInsideCallback cancels, from inside a running callback, the
+// queue's head, its tail, a same-time sibling of the firing event and
+// the firing event itself (a no-op: its handle went stale at pop).
+func TestCancelInsideCallback(t *testing.T) {
+	// Events a and b share 10 µs, c and d share 20 µs, e is last.
+	names := []string{"a", "b", "c", "d", "e"}
+	times := []time.Duration{10, 10, 20, 20, 30}
+	for _, tc := range []struct {
+		name              string
+		canceller, victim int
+		want              string
+	}{
+		{"head", 1, 2, "abde"},              // at b, the head is c
+		{"tail", 0, 4, "abcd"},              // at a, the tail is e
+		{"same-time sibling", 2, 3, "abce"}, // at c, d shares its time
+		{"self", 2, 2, "abcde"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := New()
+			var fired string
+			handles := make([]Handle, len(names))
+			for i := range names {
+				i := i
+				handles[i] = s.At(times[i]*time.Microsecond, func() {
+					fired += names[i]
+					if i != tc.canceller {
+						return
+					}
+					before := s.Pending()
+					victim := handles[tc.victim]
+					victim.Cancel()
+					wantPending := before - 1
+					if tc.victim == tc.canceller {
+						wantPending = before
+						if victim.Cancelled() {
+							t.Error("a fired event reports Cancelled")
+						}
+					} else if !victim.Cancelled() {
+						t.Error("cancelled victim does not report Cancelled")
+					}
+					if s.Pending() != wantPending {
+						t.Errorf("pending after Cancel = %d, want %d", s.Pending(), wantPending)
+					}
+				})
+			}
+			s.Run()
+			if fired != tc.want {
+				t.Errorf("fired %q, want %q", fired, tc.want)
+			}
+		})
+	}
+}
+
+// TestCancelledUntilSlotReuse pins Cancelled's documented meaning under
+// eager removal: true from the Cancel until the scheduler hands the
+// event's slot to a new scheduling, across a Run and a Reset.
+func TestCancelledUntilSlotReuse(t *testing.T) {
+	s := New()
+	h := s.At(time.Millisecond, func() { t.Error("cancelled event ran") })
+	h.Cancel()
+	if !h.Cancelled() || h.At() != time.Millisecond {
+		t.Fatalf("after Cancel: Cancelled=%v At=%v, want true, 1ms", h.Cancelled(), h.At())
+	}
+	s.Run()
+	s.Reset()
+	if !h.Cancelled() {
+		t.Fatal("Cancelled went false before the slot was reused")
+	}
+	s.At(time.Millisecond, func() {}) // reuses the cancelled slot
+	if h.Cancelled() || h.At() != 0 {
+		t.Errorf("after reuse: Cancelled=%v At=%v, want false, 0", h.Cancelled(), h.At())
+	}
+}
+
+// TestStaleCancelCannotRemoveReusedEvent: with eager removal, the
+// generation check is what stops a stale Cancel from deleting whatever
+// event now occupies the slot.
+func TestStaleCancelCannotRemoveReusedEvent(t *testing.T) {
+	s := New()
+	h := s.At(time.Millisecond, func() {})
+	h.Cancel()
+	ran := false
+	h2 := s.At(2*time.Millisecond, func() { ran = true })
+	if h2.e != h.e {
+		t.Fatal("the new event did not reuse the cancelled slot; the test exercises nothing")
+	}
+	h.Cancel()
+	if s.Pending() != 1 || h2.Cancelled() {
+		t.Fatalf("stale Cancel touched the reused slot: pending=%d, new Cancelled=%v", s.Pending(), h2.Cancelled())
+	}
+	s.Run()
+	if !ran {
+		t.Error("stale Cancel removed the event that reused its slot")
 	}
 }
 
@@ -218,6 +335,9 @@ func TestStaleHandleCannotCancelRecycledEvent(t *testing.T) {
 	if h.Cancelled() {
 		t.Error("stale handle reports Cancelled")
 	}
+	if s.Pending() != 1 {
+		t.Errorf("pending after stale Cancel = %d, want 1", s.Pending())
+	}
 	s.Run()
 	if !ran {
 		t.Error("stale Cancel killed a recycled event")
@@ -233,21 +353,26 @@ func TestZeroHandleIsInert(t *testing.T) {
 }
 
 // TestSteadyStateSchedulingIsAllocationFree pins the kernel's core
-// contract: once the heap and free list have grown to a workload's
-// high-water mark, scheduling and firing events allocates nothing.
+// contract: once the queue and free list have grown to a workload's
+// high-water mark, scheduling, cancelling and firing events allocates
+// nothing. Every firing also schedules a decoy and cancels it, the shape
+// of a DCF station pausing its backoff on a busy edge.
 func TestSteadyStateSchedulingIsAllocationFree(t *testing.T) {
 	s := New()
+	nop := func(any) {}
 	var fire func(ctx any)
 	fire = func(ctx any) {
 		n := ctx.(*int)
 		if *n > 0 {
 			*n--
+			decoy := s.AfterCtx(2*time.Microsecond, nop, nil)
 			s.AfterCtx(time.Microsecond, fire, n)
+			decoy.Cancel()
 		}
 	}
 	n := 100
 	s.AfterCtx(time.Microsecond, fire, &n)
-	s.Run() // grow free list / heap
+	s.Run() // grow free list / queue
 	allocs := testing.AllocsPerRun(10, func() {
 		s.Reset()
 		n = 100
@@ -323,4 +448,272 @@ func TestDeterministicReplay(t *testing.T) {
 			t.Fatalf("replay diverged at %d: %v vs %v", i, a[i], b[i])
 		}
 	}
+}
+
+// refEvent is one scheduling in the reference kernel. Schedulings are
+// never recycled, so a reference handle cannot go stale in the way a
+// pooled one can: it always refers to its own scheduling.
+type refEvent struct {
+	at   time.Duration
+	seq  uint64
+	fn   func()
+	dead bool // fired, cancelled or drained by Reset
+}
+
+// refKernel is the reference the event queue is checked against: the
+// kernel as it was before the sorted queue, a 4-ary min-heap on (time,
+// sequence) with lazy cancellation. It lives only in this test.
+type refKernel struct {
+	now     time.Duration
+	seq     uint64
+	heap    []*refEvent
+	live    int
+	stopped bool
+}
+
+func refLess(a, b *refEvent) bool {
+	if a.at != b.at {
+		return a.at < b.at
+	}
+	return a.seq < b.seq
+}
+
+func (k *refKernel) push(e *refEvent) {
+	k.heap = append(k.heap, e)
+	i := len(k.heap) - 1
+	for i > 0 {
+		p := (i - 1) / 4
+		if !refLess(k.heap[i], k.heap[p]) {
+			break
+		}
+		k.heap[i], k.heap[p] = k.heap[p], k.heap[i]
+		i = p
+	}
+}
+
+func (k *refKernel) pop() *refEvent {
+	h := k.heap
+	top := h[0]
+	n := len(h) - 1
+	h[0] = h[n]
+	h = h[:n]
+	k.heap = h
+	i := 0
+	for {
+		min := i
+		for c := 4*i + 1; c <= 4*i+4 && c < n; c++ {
+			if refLess(h[c], h[min]) {
+				min = c
+			}
+		}
+		if min == i {
+			return top
+		}
+		h[i], h[min] = h[min], h[i]
+		i = min
+	}
+}
+
+func (k *refKernel) Now() time.Duration { return k.now }
+func (k *refKernel) Pending() int       { return k.live }
+func (k *refKernel) Scheduled() uint64  { return k.seq }
+func (k *refKernel) Stop()              { k.stopped = true }
+
+func (k *refKernel) At(t time.Duration, fn func()) (cancel func()) {
+	if t < k.now {
+		t = k.now
+	}
+	e := &refEvent{at: t, seq: k.seq, fn: fn}
+	k.seq++
+	k.live++
+	k.push(e)
+	return func() {
+		if !e.dead {
+			e.dead = true
+			k.live--
+		}
+	}
+}
+
+func (k *refKernel) Reset() {
+	for _, e := range k.heap {
+		e.dead = true
+	}
+	*k = refKernel{heap: k.heap[:0]}
+}
+
+// Run fires events until the heap empties or Stop; unlike RunUntil it
+// leaves the clock at the last firing.
+func (k *refKernel) Run() {
+	k.stopped = false
+	k.fireThrough(math.MaxInt64)
+}
+
+func (k *refKernel) RunUntil(deadline time.Duration) {
+	k.stopped = false
+	k.fireThrough(deadline)
+	if !k.stopped && k.now < deadline {
+		k.now = deadline
+	}
+}
+
+// fireThrough pops and fires live events due by deadline, skipping
+// lazily cancelled ones, until Stop.
+func (k *refKernel) fireThrough(deadline time.Duration) {
+	for len(k.heap) > 0 && !k.stopped && k.heap[0].at <= deadline {
+		e := k.pop()
+		if e.dead {
+			continue
+		}
+		e.dead = true
+		k.live--
+		k.now = e.at
+		e.fn()
+	}
+}
+
+// kernelModel is the surface the differential replay drives: the
+// Scheduler (through schedulerModel) and refKernel both provide it.
+type kernelModel interface {
+	Now() time.Duration
+	At(t time.Duration, fn func()) (cancel func())
+	RunUntil(deadline time.Duration)
+	Run()
+	Stop()
+	Reset()
+	Pending() int
+	Scheduled() uint64
+}
+
+type schedulerModel struct{ *Scheduler }
+
+func (m schedulerModel) At(t time.Duration, fn func()) func() {
+	return m.Scheduler.At(t, fn).Cancel
+}
+
+// replayOps drives k with the operation trace encoded in ops and returns
+// its log: every firing as (sequence, time), and the clock, Pending and
+// Scheduled after every top-level operation. Each kernel reads the
+// trace in its own firing order, so two kernels that fire identically
+// consume it identically and any divergence shows in the logs.
+//
+// Top-level operations schedule (at -3..12 µs from Now: past times clamp
+// and equal-time ties are common), cancel a handle (one of the last
+// eight, or any: live, fired, cancelled or drained by Reset), run a
+// RunUntil window, Run to empty, or Reset. Each firing callback may in
+// turn schedule, cancel or Stop. A trace that runs out reads as zeros:
+// no-op callbacks and a final drain.
+func replayOps(k kernelModel, ops []byte) []string {
+	pos := 0
+	next := func() byte {
+		if pos >= len(ops) {
+			return 0
+		}
+		pos++
+		return ops[pos-1]
+	}
+	var log []string
+	var cancels []func()
+	cancel := func(b byte) {
+		n := len(cancels)
+		if n == 0 {
+			return
+		}
+		i := int(b&0x7f) % n
+		if b&0x80 == 0 && n > 8 {
+			i = n - 1 - int(b)%8
+		}
+		cancels[i]()
+	}
+	var schedule func(b byte)
+	schedule = func(b byte) {
+		seq := k.Scheduled()
+		t := k.Now() + time.Duration(int(b%16)-3)*time.Microsecond
+		cancels = append(cancels, k.At(t, func() {
+			log = append(log, fmt.Sprintf("fire seq=%d at=%v", seq, k.Now()))
+			switch next() % 6 {
+			case 1, 2:
+				schedule(next())
+			case 3:
+				cancel(next())
+			case 4:
+				k.Stop()
+			}
+		}))
+	}
+	for pos < len(ops) {
+		switch next() % 8 {
+		case 0, 1, 2:
+			schedule(next())
+		case 3, 4:
+			cancel(next())
+		case 5:
+			k.RunUntil(k.Now() + time.Duration(next()%32)*time.Microsecond)
+		case 6:
+			k.Run()
+		case 7:
+			if next()%4 == 0 {
+				k.Reset()
+			}
+		}
+		log = append(log, fmt.Sprintf("now=%v pending=%d scheduled=%d", k.Now(), k.Pending(), k.Scheduled()))
+	}
+	for k.Pending() > 0 {
+		k.Run()
+	}
+	return append(log, fmt.Sprintf("drained now=%v scheduled=%d", k.Now(), k.Scheduled()))
+}
+
+// checkAgainstReference replays ops on a fresh Scheduler and on the
+// reference heap, fails at the first line where their logs differ, and
+// returns the Scheduler's log.
+func checkAgainstReference(t *testing.T, ops []byte) []string {
+	t.Helper()
+	got := replayOps(schedulerModel{New()}, ops)
+	want := replayOps(&refKernel{}, ops)
+	for i := 0; i < len(got) && i < len(want); i++ {
+		if got[i] != want[i] {
+			t.Fatalf("log line %d: queue %q, reference heap %q", i, got[i], want[i])
+		}
+	}
+	if len(got) != len(want) {
+		t.Fatalf("log length: queue %d, reference heap %d", len(got), len(want))
+	}
+	return got
+}
+
+func randomOps(seed uint64, n int) []byte {
+	r := xrand.New(seed)
+	ops := make([]byte, n)
+	for i := range ops {
+		ops[i] = byte(r.Intn(256))
+	}
+	return ops
+}
+
+// TestQueueMatchesReferenceHeap is the differential test: on recorded
+// operation traces the sorted queue with eager cancellation fires the
+// same (sequence, time) events, and reports the same Pending and
+// Scheduled, as the 4-ary heap with lazy cancellation.
+func TestQueueMatchesReferenceHeap(t *testing.T) {
+	fires := 0
+	for seed := uint64(1); seed <= 64; seed++ {
+		for _, line := range checkAgainstReference(t, randomOps(seed, 3000)) {
+			if strings.HasPrefix(line, "fire") {
+				fires++
+			}
+		}
+	}
+	if fires < 10000 {
+		t.Errorf("the traces fired only %d events; they exercise too little", fires)
+	}
+}
+
+func FuzzKernelOrder(f *testing.F) {
+	for seed := uint64(1); seed <= 4; seed++ {
+		f.Add(randomOps(seed, 256))
+	}
+	f.Fuzz(func(t *testing.T, ops []byte) {
+		checkAgainstReference(t, ops)
+	})
 }

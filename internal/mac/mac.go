@@ -102,6 +102,12 @@ type Station struct {
 	backoffFireFn func(any)
 	ackBusyFn     func(any)
 	ackTimeoutFn  func()
+	// The two per-reception ACK callbacks, bound the same way: sendAckFn
+	// takes the received *medium.Transmission as its context word
+	// (pooled transmissions are only reused after a Reset, so it is
+	// still intact SIFS later).
+	sendAckFn    func(any)
+	ackClearedFn func(any)
 
 	// Frame pool: frames handed out by NewFrame are reused after Reset,
 	// so steady-state traffic generation allocates nothing.
@@ -144,6 +150,15 @@ func NewStation(id int, name string, loc medium.Location, ch *medium.Channel, rn
 	}
 	s.ackBusyFn = func(any) { s.waitDIFS() }
 	s.ackTimeoutFn = s.onAckTimeout
+	s.sendAckFn = func(ctx any) {
+		tx := ctx.(*medium.Transmission)
+		s.ch.StartTxFrom(s.chIdx, s, tx.Src.StationID(), phy.ACKBytes, phy.AckRate(tx.Rate), medium.KindAck, nil)
+	}
+	s.ackClearedFn = func(any) {
+		if s.st == stWaitDIFS && !s.ch.SensesIdx(s.chIdx) {
+			s.waitDIFS()
+		}
+	}
 	s.chIdx = ch.AddStation(s)
 	return s
 }
@@ -413,23 +428,16 @@ func (s *Station) OnReceive(tx *medium.Transmission, ok bool) {
 		if tx.DstID == s.id {
 			// Acknowledge after SIFS, without carrier sense (per the
 			// standard, control responses pre-empt contention).
-			src := tx.Src.(*Station)
 			ackDur := phy.AckAirtime(tx.Rate)
 			s.ackBusyUntil = s.sch.Now() + phy.SIFS + ackDur + time.Microsecond
-			s.sch.After(phy.SIFS, func() {
-				s.ch.StartTxFrom(s.chIdx, s, src.StationID(), phy.ACKBytes, phy.AckRate(tx.Rate), medium.KindAck, nil)
-			})
+			s.sch.AfterCtx(phy.SIFS, s.sendAckFn, tx)
 			// A station cannot hear (or carrier-sense) its own control
 			// response, so explicitly hold our DCF contention until the
 			// ACK leaves the air; otherwise a zero-slot backoff would
 			// transmit on top of our own in-flight ACK.
 			if s.st == stWaitDIFS || s.st == stBackoff {
 				s.pauseBackoff()
-				s.sch.After(phy.SIFS+ackDur+time.Microsecond, func() {
-					if s.st == stWaitDIFS && !s.ch.SensesIdx(s.chIdx) {
-						s.waitDIFS()
-					}
-				})
+				s.sch.AfterCtx(phy.SIFS+ackDur+time.Microsecond, s.ackClearedFn, nil)
 			}
 		}
 		if f, isFrame := tx.Payload.(*Frame); isFrame && s.OnDeliver != nil {

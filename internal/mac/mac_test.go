@@ -269,3 +269,36 @@ func TestARFFailureResetsSuccessStreak(t *testing.T) {
 		t.Errorf("rate = %v, want still 48 (streak was reset)", a.DataRate())
 	}
 }
+
+// TestUnicastExchangeIsAllocationFree pins the receive path's ACK
+// scheduling: once the pools are warm, a data frame, its ACK and the
+// receiver's contention hold allocate nothing (the SIFS-delayed ACK and
+// the post-ACK resume are long-lived callbacks, not per-reception
+// closures).
+func TestUnicastExchangeIsAllocationFree(t *testing.T) {
+	sch, ch, st := rig(2)
+	acks := 0
+	exchange := func() {
+		sch.Reset()
+		ch.Reset()
+		st[0].Reset()
+		st[1].Reset()
+		// The receiver is contending too, so the reception also takes
+		// the pause-and-resume path around its own ACK.
+		b := st[1].NewFrame()
+		b.DstID, b.Bytes, b.Kind = medium.Broadcast, 100, medium.KindPower
+		st[1].Enqueue(b)
+		f := st[0].NewFrame()
+		f.DstID, f.Bytes, f.Kind = 1, 1500, medium.KindData
+		st[0].Enqueue(f)
+		sch.Run()
+		acks = ch.TxCount[medium.KindAck]
+	}
+	exchange() // warm the frame, transmission and event pools
+	if acks == 0 {
+		t.Fatal("the exchange sent no ACK; the test exercises nothing")
+	}
+	if allocs := testing.AllocsPerRun(20, exchange); allocs > 0 {
+		t.Errorf("unicast exchange allocs/run = %v, want 0", allocs)
+	}
+}
