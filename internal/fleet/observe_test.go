@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"context"
+	"io"
 	"reflect"
 	"testing"
 	"time"
@@ -54,28 +55,93 @@ func TestPartialRunCountsCommittedHomes(t *testing.T) {
 	}
 }
 
-// TestTraceOnlyRecordsWarmupSpan pins the phase spans of a traced run:
-// the surface warm-up gets its own span whether or not telemetry is
-// also collected.
+// TestTraceOnlyRecordsWarmupSpan pins the phase spans of an observed
+// run: the surface warm-up gets its own span whether the run traces,
+// collects telemetry, or both, and a telemetry-only run's tally-only
+// recorder still feeds telemetry's sched counters and shard occupancy.
 func TestTraceOnlyRecordsWarmupSpan(t *testing.T) {
-	for _, withTel := range []bool{false, true} {
-		rec := trace.NewRecorder()
-		h := Hooks{Trace: rec}
-		if withTel {
+	want := []string{trace.SpanSurfaceWarmup, trace.SpanSimulate}
+	for _, tc := range []struct {
+		name       string
+		tel, trace bool
+	}{
+		{"trace", false, true},
+		{"trace+telemetry", true, true},
+		{"telemetry", true, false},
+	} {
+		var h Hooks
+		if tc.tel {
 			h.Telemetry = telemetry.NewRun()
+		}
+		if tc.trace {
+			h.Trace = trace.NewRecorder()
 		}
 		if _, err := RunWith(context.Background(), testConfig(2, 1), h); err != nil {
 			t.Fatal(err)
 		}
-		var phases []string
-		for _, sp := range rec.Summary().Sched.Spans {
-			if sp.TID == 0 {
-				phases = append(phases, sp.Name)
+		if tc.trace {
+			var phases []string
+			for _, sp := range h.Trace.Summary().Sched.Spans {
+				if sp.TID == 0 {
+					phases = append(phases, sp.Name)
+				}
+			}
+			if !reflect.DeepEqual(phases, want) {
+				t.Errorf("%s: trace phase spans = %v, want %v", tc.name, phases, want)
 			}
 		}
-		want := []string{trace.SpanSurfaceWarmup, trace.SpanSimulate}
-		if !reflect.DeepEqual(phases, want) {
-			t.Errorf("telemetry=%v: phase spans = %v, want %v", withTel, phases, want)
+		if !tc.tel {
+			continue
 		}
+		snap := h.Telemetry.Snapshot()
+		var spans []string
+		for _, sp := range snap.Spans {
+			spans = append(spans, sp.Name)
+		}
+		if !reflect.DeepEqual(spans, want) {
+			t.Errorf("%s: telemetry spans = %v, want %v", tc.name, spans, want)
+		}
+		hits, okHits := snap.Sched[telemetry.SchedPoolHits]
+		misses, okMisses := snap.Sched[telemetry.SchedPoolMisses]
+		if !okHits || !okMisses || len(snap.Sched) != 2 || hits+misses != 1 {
+			t.Errorf("%s: sched = %v, want one pool acquire under both keys", tc.name, snap.Sched)
+		}
+		if sh := snap.Histograms[telemetry.HistShardHomes]; sh.N != 1 || sh.Max != 2 {
+			t.Errorf("%s: shard_homes = %+v, want one shard of 2 homes", tc.name, sh)
+		}
+	}
+}
+
+// TestObserversReadableMidRun reads every observer export while a
+// two-worker run commits homes into them — what a metrics scrape does —
+// so the race detector sees snapshots, summaries and exports interleave
+// with the workers' spans and the reducer's commits.
+func TestObserversReadableMidRun(t *testing.T) {
+	tel, rec := telemetry.NewRun(), trace.NewRecorder()
+	done := make(chan error, 1)
+	go func() {
+		_, err := RunWith(context.Background(), testConfig(16, 2), Hooks{Telemetry: tel, Trace: rec})
+		done <- err
+	}()
+	for running := true; running; {
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatal(err)
+			}
+			running = false
+		default:
+		}
+		_ = tel.Snapshot()
+		_ = rec.Summary()
+		if err := tel.WritePrometheus(io.Discard); err != nil {
+			t.Fatal(err)
+		}
+		if err := rec.WriteChrome(io.Discard); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := tel.Snapshot().Histograms[telemetry.HistHomeWallMS].N; got != 16 {
+		t.Errorf("home_wall_ms.n = %d after the run, want 16", got)
 	}
 }

@@ -24,22 +24,9 @@ import (
 // samplerPool recycles pooled sampling contexts across fleet runs. A
 // Sampler fully re-derives its state from (seed, labels) on every bin,
 // so reuse across runs is as output-invisible as reuse across homes.
-// No New hook: acquireSampler constructs on empty so pool reuse is an
-// observable telemetry diagnostic.
+// No New hook: newWorker constructs on empty so pool reuse is an
+// observable scheduling diagnostic.
 var samplerPool sync.Pool
-
-// acquireSampler takes a pooled sampling context, or builds one when
-// the pool is empty, counting either way into the run's scheduling
-// diagnostics (nil-safe when telemetry is off).
-func acquireSampler(t *telemetry.Run) *deploy.Sampler {
-	hits, misses := t.SchedCounter(telemetry.SchedPoolHits), t.SchedCounter(telemetry.SchedPoolMisses)
-	if v := samplerPool.Get(); v != nil {
-		hits.Inc()
-		return v.(*deploy.Sampler)
-	}
-	misses.Inc()
-	return deploy.NewSampler()
-}
 
 // ErrStopped is returned by RunWith when the Home hook ends the run
 // early by returning false. It marks a caller-requested stop — the
@@ -60,13 +47,14 @@ type Hooks struct {
 	// home-index order. Returning false stops the run: workers drain
 	// and exit, and RunWith returns ErrStopped with a nil Result.
 	Home func(HomeRecord) bool
-	// Telemetry, if non-nil, collects the run's metrics, phase spans
-	// and manifest (internal/telemetry). Collection is strictly out of
-	// band — no RNG draws, no event-order changes — so the Result is
-	// byte-identical with or without it. Its work counters and
-	// histograms are folded from each home's observation handle at the
-	// reducer's commit point, so they are bit-for-bit identical at any
-	// worker count and describe exactly the committed homes.
+	// Telemetry, if non-nil, collects the run's metrics and manifest
+	// (internal/telemetry), viewing its spans and scheduling diagnostics
+	// in Trace or, untraced, in a tally-only recorder. Collection is
+	// strictly out of band — no RNG draws, no event-order changes — so
+	// the Result is byte-identical with or without it. Its work counters
+	// and histograms are folded from each home's observation handle at
+	// the reducer's commit point, so they are bit-for-bit identical at
+	// any worker count and describe exactly the committed homes.
 	Telemetry *telemetry.Run
 	// Checkpoint, if non-nil, enables checkpoint/resume for the run:
 	// the reducer's committed home prefix is periodically serialized to
@@ -81,14 +69,13 @@ type Hooks struct {
 	// certification; production runs leave it nil (one branch, zero
 	// overhead).
 	Faults *faultinject.Set
-	// Trace, if non-nil, records the run's span tree and per-home
-	// flight recorders (internal/trace). Tracing follows Telemetry's
-	// out-of-band contract exactly: no RNG draws, no event-order
-	// changes, Result byte-identical with or without it, and the
-	// summary's deterministic section (event counts, retained rings,
-	// escalation reasons) bit-for-bit identical at any worker count
-	// because homes commit through the same reorder buffer as every
-	// other per-home aggregate.
+	// Trace, if non-nil, is the run recorder (internal/trace): the span
+	// tree, the per-home flight recorders and the scheduling
+	// observations Telemetry views. It follows Telemetry's out-of-band
+	// contract, and its summary's deterministic section (event counts,
+	// retained rings, escalation reasons) is bit-for-bit identical at
+	// any worker count: homes commit through the same reorder buffer as
+	// every other per-home aggregate.
 	Trace *trace.Recorder
 }
 
@@ -102,13 +89,10 @@ type worker struct {
 	smp      *deploy.Sampler
 	synthRng *xrand.Rand
 	fi       *faultinject.Set
-	// t receives, on release, the worker's shard occupancy: homes, the
-	// homes it completed.
-	t *telemetry.Run
-	// tr opens each home's observation handle: a recording worker when
-	// the run traces, a tally-only one when it only collects telemetry,
-	// nil when nothing observes. labels sets pprof goroutine labels per
-	// home (traced runs).
+	// rec is the run recorder, nil when nothing observes; tr opens each
+	// home's handle on it. labels sets pprof goroutine labels per home
+	// (traced runs).
+	rec    *trace.Recorder
 	tr     *trace.Worker
 	labels bool
 	devs   [lifecycle.NumKinds]*lifecycle.Device
@@ -123,20 +107,23 @@ type worker struct {
 	homes    int
 }
 
-func newWorker(cfg Config, h Hooks) *worker {
-	w := &worker{
+// newWorker builds a worker on a pooled sampling context, or a new one
+// when the pool is empty, recording which into rec.
+func newWorker(cfg Config, h Hooks, rec *trace.Recorder) *worker {
+	smp, pooled := samplerPool.Get().(*deploy.Sampler)
+	rec.ObservePool(pooled)
+	if !pooled {
+		smp = deploy.NewSampler()
+	}
+	return &worker{
 		cfg:      cfg,
-		smp:      acquireSampler(h.Telemetry),
+		smp:      smp,
 		synthRng: xrand.New(0),
 		fi:       h.Faults,
-		t:        h.Telemetry,
-		tr:       h.Trace.NewWorker(),
+		rec:      rec,
+		tr:       rec.NewWorker(),
 		labels:   h.Trace != nil,
 	}
-	if w.tr == nil && h.Telemetry != nil {
-		w.tr = trace.NewTallyWorker()
-	}
-	return w
 }
 
 // refresh replaces the worker's sampling context after a panicking
@@ -151,11 +138,11 @@ func (w *worker) refresh() {
 
 // release returns the sampling context to the pool, detached from the
 // run's last home so it can never report into this run again, and
-// records the worker's shard occupancy.
+// records the worker's shard occupancy: homes, the homes it completed.
 func (w *worker) release() {
 	w.smp.TraceHome(nil)
 	samplerPool.Put(w.smp)
-	w.t.ObserveShard(w.homes)
+	w.rec.ObserveShard(w.homes)
 }
 
 // device returns the worker's pooled device of the given archetype,
@@ -207,12 +194,10 @@ func RunWith(ctx context.Context, cfg Config, h Hooks) (*Result, error) {
 		return nil, err
 	}
 	t := h.Telemetry
-	// span opens the named phase in both observers (telemetry and the
-	// trace recorder share phase names); either may be nil.
-	span := func(name string) func() {
-		endT, endR := t.Span(name), h.Trace.Span(name)
-		return func() { endT(); endR() }
-	}
+	// rec is the run recorder, the one store of its spans and
+	// scheduling observations: the trace recorder, or telemetry's
+	// tally-only one; nil when nothing observes.
+	rec := telemetry.Bind(t, h.Trace)
 
 	// Degradation deadline: a child context bounds the run's wall
 	// clock. outer stays distinct so caller cancellation (an error)
@@ -266,8 +251,8 @@ func RunWith(ctx context.Context, cfg Config, h Hooks) (*Result, error) {
 	// or built for a harvester it lacks. Either is deterministic and
 	// process-cached, so warming changes no output, but it keeps the
 	// one-time cost out of the simulate span.
-	if (t != nil || h.Trace != nil) && !cfg.Exact && surface.Enabled() {
-		endWarm := span(telemetry.SpanSurfaceWarmup)
+	if rec != nil && !cfg.Exact && surface.Enabled() {
+		endWarm := rec.Span(trace.SpanSurfaceWarmup)
 		surface.For(harvester.NewBatteryFree())
 		if cfg.Population.Lifecycle() {
 			surface.For(harvester.NewBatteryCharging())
@@ -305,15 +290,14 @@ func RunWith(ctx context.Context, cfg Config, h Hooks) (*Result, error) {
 	}
 
 	// observe is the one commit-point fold of a home's observations:
-	// the handle's tallies and wall time and the home's output become
-	// telemetry's counters, histograms and slowest-homes table, and the
-	// handle commits into the trace recorder. It runs on the reducing
-	// goroutine in home-index order, so the totals are identical at any
-	// worker count and a partial run counts exactly its committed
-	// homes.
+	// the handle commits once into the run recorder, and its tallies
+	// and the home's output become telemetry's work counters and
+	// histograms. It runs on the reducing goroutine in home-index
+	// order, so the totals are identical at any worker count and a
+	// partial run counts exactly its committed homes.
 	observe := func(hs homeStats) {
 		failed := hs.fail != nil
-		h.Trace.CommitHome(hs.tr, failed)
+		rec.CommitHome(hs.tr, failed)
 		t.CommitHome(telemetry.Home{
 			Tally:        hs.tr.Tally(),
 			Failed:       failed,
@@ -321,7 +305,6 @@ func RunWith(ctx context.Context, cfg Config, h Hooks) (*Result, error) {
 			SilentBins:   uint64(hs.means.SilentBins),
 			LedgerEvents: uint64(len(hs.life.bins)),
 			HarvestUW:    hs.means.BankedHarvestUW,
-			Wall:         hs.tr.SlowHome(),
 		})
 	}
 
@@ -404,8 +387,8 @@ func RunWith(ctx context.Context, cfg Config, h Hooks) (*Result, error) {
 	// from the pool through the reorder buffer. Either way deliver
 	// commits homes strictly in index order, so the output is identical
 	// by construction.
-	newW := func() *worker { return newWorker(cfg, h) }
-	endSim := span(telemetry.SpanSimulate)
+	newW := func() *worker { return newWorker(cfg, h, rec) }
+	endSim := rec.Span(trace.SpanSimulate)
 	var take func(int) (homeStats, bool)
 	var stop func()
 	if cfg.Workers == 1 {

@@ -1,27 +1,17 @@
 package telemetry
 
 import (
-	"sort"
-
 	"repro/internal/surface"
+	"repro/internal/trace"
 )
 
-// Per-home histogram resolutions. The harvest range mirrors the fleet
+// Per-home harvest histogram resolution. The range mirrors the fleet
 // summary's harvest sketch so the telemetry histogram and the report
 // CDF describe the same range.
 const (
 	harvestHiUW = 500
 	harvestBins = 2000
-
-	shardHomesHi   = 1 << 16
-	shardHomesBins = 256
-
-	homeWallHiMS   = 60_000
-	homeWallMSBins = 1200
 )
-
-// slowHomeCap bounds the slowest-homes table.
-const slowHomeCap = 8
 
 // SurfaceCounters counts operating-point surface queries by outcome
 // straight into the run's surface counters: grid hits, exact-solver
@@ -65,26 +55,10 @@ func (t *Run) SurfaceCounters() *SurfaceCounters {
 	}
 }
 
-// Tally is one home's work tallies. The home's observation handle
-// (trace.HomeTrace) keeps them while the home runs; CommitHome folds
-// them into the work counters once the home commits.
-type Tally struct {
-	// Bins counts logging bins that ran the packet-level event
-	// simulation.
-	Bins uint64
-	// SurfaceHits, SurfaceExact and SurfaceGuard count operating-point
-	// surface queries by outcome.
-	SurfaceHits, SurfaceExact, SurfaceGuard uint64
-	// Boots and Brownouts count lifecycle transitions.
-	Boots, Brownouts uint64
-	// Faults counts injected faults fired and Attempts the attempts
-	// made, over every attempt of the home.
-	Faults, Attempts uint64
-}
-
-// Home is one committed home as the fleet reducer folds it.
+// Home is one committed home as the fleet reducer folds it: the work
+// tallies of its observation handle (trace.HomeTrace) and its output.
 type Home struct {
-	Tally
+	trace.Tally
 	// Failed marks a home quarantined after its attempts ran out: its
 	// work, faults and attempts count, its output does not.
 	Failed bool
@@ -96,18 +70,15 @@ type Home struct {
 	// and its mean banked harvest in µW.
 	SilentBins, LedgerEvents uint64
 	HarvestUW                float64
-	// Wall is the home's wall-time record: it feeds HistHomeWallMS and
-	// the slowest-homes table.
-	Wall SlowHome
 }
 
-// CommitHome folds one committed home into the run: its tallies and
-// output into the work counters, its mean harvest into
-// HistHomeHarvestUW, and its wall time into HistHomeWallMS and the
-// slowest-homes table. The fleet reducer calls it at its commit point
-// in home-index order, so the work totals are identical at any worker
-// count and a partial run counts exactly its committed prefix. No-op on
-// a nil Run.
+// CommitHome folds one committed home's work into the run: its tallies
+// and output into the work counters and its mean harvest into
+// HistHomeHarvestUW. Its wall time is the recorder's to fold
+// (trace.Recorder.CommitHome). The fleet reducer calls it at its commit
+// point in home-index order, so the work totals are identical at any
+// worker count and a partial run counts exactly its committed prefix.
+// No-op on a nil Run.
 func (t *Run) CommitHome(h Home) {
 	if t == nil {
 		return
@@ -138,43 +109,4 @@ func (t *Run) CommitHome(h Home) {
 	if !h.Failed {
 		t.Histogram(HistHomeHarvestUW, 0, harvestHiUW, harvestBins).Observe(h.HarvestUW)
 	}
-	t.Histogram(HistHomeWallMS, 0, homeWallHiMS, homeWallMSBins).Observe(h.Wall.WallMS)
-	t.mu.Lock()
-	t.slow = InsertTop(t.slow, h.Wall, slowHomeCap, SlowHome.Slower)
-	t.mu.Unlock()
-}
-
-// ObserveShard records how many homes one worker shard ran, into the
-// HistShardHomes scheduling diagnostic. No-op on a nil Run.
-func (t *Run) ObserveShard(homes int) {
-	t.Histogram(HistShardHomes, 0, shardHomesHi, shardHomesBins).Observe(float64(homes))
-}
-
-// Slower orders the slowest-homes tables: longer wall time first, ties
-// to the lower home index.
-func (s SlowHome) Slower(o SlowHome) bool {
-	if s.WallMS != o.WallMS {
-		return s.WallMS > o.WallMS
-	}
-	return s.Index < o.Index
-}
-
-// InsertTop inserts x into top, a slice kept sorted under less (best
-// first) and bounded at k entries, dropping the weakest entry past k.
-// It maintains every bounded table of the run's observers: telemetry's
-// and the trace recorder's slowest homes, and the recorder's
-// most-escalated homes.
-func InsertTop[T any](top []T, x T, k int, less func(a, b T) bool) []T {
-	i := sort.Search(len(top), func(i int) bool { return less(x, top[i]) })
-	if i >= k {
-		return top
-	}
-	var zero T
-	top = append(top, zero)
-	copy(top[i+1:], top[i:])
-	top[i] = x
-	if len(top) > k {
-		top = top[:k]
-	}
-	return top
 }

@@ -88,24 +88,29 @@ func (h *Histogram) Observe(x float64) {
 	h.mu.Unlock()
 }
 
-// snapshot summarizes the sketch; the zero HistogramSnapshot stands in
-// for an empty sketch (its Min/Max/quantiles are NaN, which neither
-// JSON nor the text exports can carry).
+// snapshot summarizes the histogram's sketch.
 func (h *Histogram) snapshot() HistogramSnapshot {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	if h.s.N() == 0 {
+	return summarize(h.s)
+}
+
+// summarize renders a sketch's summary; the zero HistogramSnapshot
+// stands in for an empty sketch (its Min/Max/quantiles are NaN, which
+// neither JSON nor the text exports can carry).
+func summarize(s *stats.Sketch) HistogramSnapshot {
+	if s.N() == 0 {
 		return HistogramSnapshot{}
 	}
-	under, over := h.s.OutOfRange()
+	under, over := s.OutOfRange()
 	return HistogramSnapshot{
-		N:         h.s.N(),
-		Mean:      h.s.Mean(),
-		Min:       h.s.Min(),
-		Max:       h.s.Max(),
-		P50:       h.s.Quantile(0.50),
-		P95:       h.s.Quantile(0.95),
-		P99:       h.s.Quantile(0.99),
+		N:         s.N(),
+		Mean:      s.Mean(),
+		Min:       s.Min(),
+		Max:       s.Max(),
+		P50:       s.Quantile(0.50),
+		P95:       s.Quantile(0.95),
+		P99:       s.Quantile(0.99),
 		Underflow: under,
 		Overflow:  over,
 	}

@@ -1,8 +1,9 @@
-// Package telemetry is the run-scoped observability layer for fleet
-// simulations: typed counters, gauges and histograms, phase spans with
-// wall/CPU timing, and a run manifest, exported as one deterministic
-// Snapshot (JSON section of the report), as Prometheus text format, and
-// over an opt-in expvar/debug HTTP handler.
+// Package telemetry is the run-scoped metrics layer for fleet
+// simulations: typed counters, gauges and histograms and a run
+// manifest, exported as one deterministic Snapshot (JSON section of the
+// report), as Prometheus text format, and over an opt-in expvar/debug
+// HTTP handler. Its phase spans and scheduling diagnostics are views
+// over the run recorder (trace.Recorder) it is bound to (Bind).
 //
 // # Determinism contract
 //
@@ -22,11 +23,11 @@
 //     commit point, in home-index order. The totals are therefore
 //     bit-for-bit identical at any worker count, and a partial run
 //     counts exactly the homes it committed.
-//   - Scheduling diagnostics (SchedCounter, HistShardHomes,
-//     HistHomeWallMS, the slowest-homes table) measure how the run was
-//     executed — sampler pool hits, shard occupancy, per-home wall
-//     time. They legitimately vary with the worker count and must
-//     never be compared across parallelism.
+//   - Scheduling diagnostics (the sched counters, HistShardHomes,
+//     HistHomeWallMS, the slowest-homes table) are the recorder's. They
+//     measure how the run was executed — sampler pool hits, shard
+//     occupancy, per-home wall time — vary with the worker count and
+//     must never be compared across parallelism.
 //
 // Gauges, spans and the manifest's elapsed/throughput fields are wall-
 // clock observations and vary run to run by nature.
@@ -38,9 +39,11 @@ import (
 	"runtime"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/stats"
+	"repro/internal/trace"
 )
 
 // Canonical metric names. The fleet engine and the CLIs agree on these;
@@ -67,7 +70,8 @@ const (
 	CounterCheckpointRotations = "checkpoint_rotations"
 	CounterCheckpointFallbacks = "checkpoint_fallbacks"
 
-	// Scheduling diagnostics: legitimately vary with the worker count.
+	// Scheduling diagnostics (the snapshot's "sched" section):
+	// legitimately vary with the worker count.
 	SchedPoolHits   = "sampler_pool_hits"
 	SchedPoolMisses = "sampler_pool_misses"
 
@@ -81,11 +85,6 @@ const (
 	HistHomeHarvestUW = "home_harvest_uw"
 	HistShardHomes    = "shard_homes"
 	HistHomeWallMS    = "home_wall_ms"
-
-	// Phase spans, in the order a fleet run records them.
-	SpanSurfaceWarmup = "surface_warmup"
-	SpanSimulate      = "simulate"
-	SpanReportWrite   = "report_write"
 )
 
 // Run is one simulation run's telemetry collector. The zero of the type
@@ -96,22 +95,40 @@ const (
 type Run struct {
 	mu       sync.Mutex
 	counters map[string]*Counter
-	sched    map[string]*Counter
 	gauges   map[string]*Gauge
 	hists    map[string]*Histogram
-	spans    []SpanSnapshot
 	manifest Manifest
-	slow     []SlowHome
+	// rec is the bound recorder, the store of the run's spans and
+	// scheduling diagnostics: own, or a traced run's recorder.
+	rec atomic.Pointer[trace.Recorder]
+	own *trace.Recorder // tally-only
 }
 
-// NewRun returns an empty enabled collector.
+// NewRun returns an empty enabled collector, bound to a tally-only
+// recorder of its own.
 func NewRun() *Run {
-	return &Run{
+	t := &Run{
 		counters: make(map[string]*Counter),
-		sched:    make(map[string]*Counter),
 		gauges:   make(map[string]*Gauge),
 		hists:    make(map[string]*Histogram),
+		own:      trace.NewTallyRecorder(),
 	}
+	t.rec.Store(t.own)
+	return t
+}
+
+// Bind binds t to the recorder a fleet run records into and returns it:
+// a traced run's rec or, for an untraced run (nil rec), t's own
+// tally-only recorder. On a nil Run it returns rec.
+func Bind(t *Run, rec *trace.Recorder) *trace.Recorder {
+	if t == nil {
+		return rec
+	}
+	if rec == nil {
+		rec = t.own
+	}
+	t.rec.Store(rec)
+	return rec
 }
 
 // Counter returns the named work counter, creating it on first use.
@@ -121,31 +138,7 @@ func (t *Run) Counter(name string) *Counter {
 	if t == nil {
 		return nil
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	c := t.counters[name]
-	if c == nil {
-		c = &Counter{}
-		t.counters[name] = c
-	}
-	return c
-}
-
-// SchedCounter returns the named scheduling-diagnostic counter: same
-// mechanics as Counter, reported under the snapshot's "sched" section
-// because its value legitimately varies with the worker count.
-func (t *Run) SchedCounter(name string) *Counter {
-	if t == nil {
-		return nil
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	c := t.sched[name]
-	if c == nil {
-		c = &Counter{}
-		t.sched[name] = c
-	}
-	return c
+	return metric(t, t.counters, name, func() *Counter { return &Counter{} })
 }
 
 // Gauge returns the named gauge, creating it on first use.
@@ -153,14 +146,7 @@ func (t *Run) Gauge(name string) *Gauge {
 	if t == nil {
 		return nil
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	g := t.gauges[name]
-	if g == nil {
-		g = &Gauge{}
-		t.gauges[name] = g
-	}
-	return g
+	return metric(t, t.gauges, name, func() *Gauge { return &Gauge{} })
 }
 
 // Histogram returns the named histogram, creating it with the given
@@ -169,31 +155,30 @@ func (t *Run) Histogram(name string, lo, hi float64, bins int) *Histogram {
 	if t == nil {
 		return nil
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	h := t.hists[name]
-	if h == nil {
-		h = &Histogram{s: stats.NewSketch(lo, hi, bins)}
-		t.hists[name] = h
-	}
-	return h
+	return metric(t, t.hists, name, func() *Histogram { return &Histogram{s: stats.NewSketch(lo, hi, bins)} })
 }
 
-// Span starts a named phase span and returns its closer: wall time from
-// the call to the closer, plus the process's CPU time (user+system,
-// all threads) consumed in between. Spans append in completion order.
-// On a nil Run the closer is a no-op.
+// metric returns the named metric of one of t's maps, creating it with
+// mk on first use.
+func metric[M any](t *Run, m map[string]*M, name string, mk func() *M) *M {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	x := m[name]
+	if x == nil {
+		x = mk()
+		m[name] = x
+	}
+	return x
+}
+
+// Span starts a named phase span in the bound recorder and returns its
+// closer (trace.Recorder.Span: wall and process CPU time). On a nil Run
+// the closer is a no-op.
 func (t *Run) Span(name string) func() {
 	if t == nil {
 		return func() {}
 	}
-	w0, c0 := time.Now(), ProcessCPUSeconds()
-	return func() {
-		wall, cpu := time.Since(w0).Seconds(), ProcessCPUSeconds()-c0
-		t.mu.Lock()
-		t.spans = append(t.spans, SpanSnapshot{Name: name, WallS: wall, CPUS: cpu})
-		t.mu.Unlock()
-	}
+	return t.rec.Load().Span(name)
 }
 
 // SetManifest records the run manifest (the engine fills it when the
@@ -242,7 +227,8 @@ func HashConfig(v any) string {
 // histograms are workers-invariant; Sched, HistShardHomes,
 // HistHomeWallMS and SlowHomes are scheduling diagnostics; gauges,
 // spans and the manifest's throughput fields are wall-clock
-// observations.
+// observations. Spans and the scheduling diagnostics are the bound
+// recorder's.
 type Snapshot struct {
 	Manifest   Manifest                     `json:"manifest"`
 	Counters   map[string]uint64            `json:"counters,omitempty"`
@@ -250,22 +236,10 @@ type Snapshot struct {
 	Gauges     map[string]float64           `json:"gauges,omitempty"`
 	Histograms map[string]HistogramSnapshot `json:"histograms,omitempty"`
 	Spans      []SpanSnapshot               `json:"spans,omitempty"`
-	// SlowHomes lists the run's slowest homes by wall time — a
-	// scheduling observation like HistHomeWallMS: never compare it
-	// across worker counts.
-	SlowHomes []SlowHome `json:"slow_homes,omitempty"`
-}
-
-// SlowHome is one entry in a slowest-homes table: telemetry's
-// SlowHomes and the trace summary's sched.slowest_homes.
-type SlowHome struct {
-	Index int    `json:"index"`
-	Label string `json:"label"`
-	// WallMS is the home's simulate wall time; DominantSpan names where
-	// it went ("bin-batch" for the event kernel, "stall" for injected
-	// stalls, "other" for the residual).
-	WallMS       float64 `json:"wall_ms"`
-	DominantSpan string  `json:"dominant_span"`
+	// SlowHomes lists the run's slowest homes by wall time — the bound
+	// recorder's slowest-homes table, a scheduling observation like
+	// HistHomeWallMS: never compare it across worker counts.
+	SlowHomes []trace.SlowHome `json:"slow_homes,omitempty"`
 }
 
 // HistogramSnapshot summarizes one histogram's merged sketch.
@@ -281,7 +255,8 @@ type HistogramSnapshot struct {
 	Overflow  uint64  `json:"overflow,omitempty"`
 }
 
-// SpanSnapshot is one completed phase span.
+// SpanSnapshot is one completed phase span: surface warm-up, simulate,
+// report write.
 type SpanSnapshot struct {
 	Name  string  `json:"name"`
 	WallS float64 `json:"wall_s"`
@@ -308,30 +283,43 @@ func (t *Run) Snapshot() Snapshot {
 			snap.Counters[name] = c.Value()
 		}
 	}
-	if len(t.sched) > 0 {
-		snap.Sched = make(map[string]uint64, len(t.sched))
-		for name, c := range t.sched {
-			snap.Sched[name] = c.Value()
-		}
-	}
 	if len(t.gauges) > 0 {
 		snap.Gauges = make(map[string]float64, len(t.gauges))
 		for name, g := range t.gauges {
 			snap.Gauges[name] = g.Value()
 		}
 	}
-	if len(t.hists) > 0 {
-		snap.Histograms = make(map[string]HistogramSnapshot, len(t.hists))
-		for name, h := range t.hists {
-			snap.Histograms[name] = h.snapshot()
+
+	// The scheduling view. Every acquire is a hit or a miss, so the
+	// sched section appears once a worker has taken a sampler; the
+	// scheduling histograms once a home commits or a worker releases.
+	sched := t.rec.Load().Sched()
+	if sched.PoolHits+sched.PoolMisses > 0 {
+		snap.Sched = map[string]uint64{
+			SchedPoolHits:   sched.PoolHits,
+			SchedPoolMisses: sched.PoolMisses,
 		}
 	}
-	if len(t.spans) > 0 {
-		snap.Spans = append([]SpanSnapshot(nil), t.spans...)
+	hists := make(map[string]HistogramSnapshot, len(t.hists)+2)
+	for name, h := range t.hists {
+		hists[name] = h.snapshot()
 	}
-	if len(t.slow) > 0 {
-		snap.SlowHomes = append([]SlowHome(nil), t.slow...)
+	if sk := sched.HomeWallMS; sk.N() > 0 {
+		hists[HistHomeWallMS] = summarize(sk)
 	}
+	if sk := sched.ShardHomes; sk.N() > 0 {
+		hists[HistShardHomes] = summarize(sk)
+	}
+	if len(hists) > 0 {
+		snap.Histograms = hists
+	}
+	for _, sp := range sched.Phases {
+		if sp.Name != trace.SpanRun { // the root span is the trace's alone
+			snap.Spans = append(snap.Spans,
+				SpanSnapshot{Name: sp.Name, WallS: time.Duration(sp.DurNS).Seconds(), CPUS: sp.CPUS})
+		}
+	}
+	snap.SlowHomes = sched.SlowestHomes
 	return snap
 }
 

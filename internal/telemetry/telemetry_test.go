@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"repro/internal/surface"
+	"repro/internal/trace"
 )
 
 func TestNilRunIsInertAndAllocFree(t *testing.T) {
@@ -22,7 +23,10 @@ func TestNilRunIsInertAndAllocFree(t *testing.T) {
 	if c != nil || g != nil || h != nil || sc != nil {
 		t.Fatalf("nil run must hand out nil metrics: %v %v %v %v", c, g, h, sc)
 	}
-	end := run.Span(SpanSimulate)
+	if rec := Bind(run, nil); rec != nil {
+		t.Fatalf("nil run bound a recorder: %v", rec)
+	}
+	end := run.Span(trace.SpanSimulate)
 
 	allocs := testing.AllocsPerRun(100, func() {
 		c.Inc()
@@ -31,7 +35,6 @@ func TestNilRunIsInertAndAllocFree(t *testing.T) {
 		h.Observe(2.5)
 		sc.SurfaceOutcome(3, surface.OutcomeHit)
 		run.CommitHome(Home{SilentBins: 3, HarvestUW: 4.5})
-		run.ObserveShard(4)
 	})
 	if allocs != 0 {
 		t.Fatalf("disabled telemetry allocated %v times per op", allocs)
@@ -52,7 +55,10 @@ func TestCountersGaugesHistograms(t *testing.T) {
 	run := NewRun()
 	run.Counter(CounterHomes).Add(5)
 	run.Counter(CounterHomes).Inc()
-	run.SchedCounter(SchedPoolHits).Add(3)
+	rec := Bind(run, nil)
+	for i := 0; i < 3; i++ {
+		rec.ObservePool(true)
+	}
 	run.Gauge(GaugeBinsPerSec).Set(123.5)
 	h := run.Histogram("x", 0, 10, 100)
 	for i := 0; i < 10; i++ {
@@ -63,8 +69,8 @@ func TestCountersGaugesHistograms(t *testing.T) {
 	if got := snap.Counters[CounterHomes]; got != 6 {
 		t.Fatalf("homes = %d, want 6", got)
 	}
-	if got := snap.Sched[SchedPoolHits]; got != 3 {
-		t.Fatalf("pool hits = %d, want 3", got)
+	if want := map[string]uint64{SchedPoolHits: 3, SchedPoolMisses: 0}; !reflect.DeepEqual(snap.Sched, want) {
+		t.Fatalf("sched = %v, want %v", snap.Sched, want)
 	}
 	if _, ok := snap.Counters[SchedPoolHits]; ok {
 		t.Fatalf("sched counter leaked into work counters")
@@ -93,24 +99,22 @@ func TestEmptyHistogramSnapshotIsFinite(t *testing.T) {
 // TestCommitHome checks the commit-point fold: tallies and output land
 // in the work counters, failed homes count their work, faults and
 // quarantine but no output, lifecycle counters appear only for a
-// lifecycle population, and the slowest-homes table keeps the top
-// entries by wall time with ties to the lower index.
+// lifecycle population, and no scheduling diagnostic appears without
+// the recorder's commits.
 func TestCommitHome(t *testing.T) {
 	run := NewRun()
 	sc := run.SurfaceCounters()
 	sc.SurfaceOutcome(-1, surface.OutcomeGuardBand)
 	for i := 0; i < 10; i++ {
 		run.CommitHome(Home{
-			Tally:      Tally{Bins: 4, SurfaceHits: 8, SurfaceExact: 1, Attempts: 1},
+			Tally:      trace.Tally{Bins: 4, SurfaceHits: 8, SurfaceExact: 1, Attempts: 1},
 			SilentBins: 1,
 			HarvestUW:  float64(10 * i),
-			Wall:       SlowHome{Index: i, WallMS: float64(i % 3)},
 		})
 	}
 	run.CommitHome(Home{
-		Tally:  Tally{Faults: 3, Attempts: 3},
+		Tally:  trace.Tally{Faults: 3, Attempts: 3},
 		Failed: true,
-		Wall:   SlowHome{Index: 10, WallMS: 2},
 	})
 	snap := run.Snapshot()
 	want := map[string]uint64{
@@ -124,18 +128,11 @@ func TestCommitHome(t *testing.T) {
 	if h := snap.Histograms[HistHomeHarvestUW]; h.N != 10 || h.Max != 90 {
 		t.Fatalf("harvest histogram = %+v, want the 10 committed homes", h)
 	}
-	if h := snap.Histograms[HistHomeWallMS]; h.N != 11 {
-		t.Fatalf("wall histogram N = %d, want 11", h.N)
-	}
-	var order []int
-	for _, s := range snap.SlowHomes {
-		order = append(order, s.Index)
-	}
-	if want := []int{2, 5, 8, 10, 1, 4, 7, 0}; !reflect.DeepEqual(order, want) {
-		t.Fatalf("slow homes = %v, want %v", order, want)
+	if _, ok := snap.Histograms[HistHomeWallMS]; ok || snap.SlowHomes != nil || snap.Sched != nil {
+		t.Fatalf("scheduling diagnostics without recorder commits: %+v", snap)
 	}
 
-	run.CommitHome(Home{Lifecycle: true, Tally: Tally{Boots: 1, Attempts: 1}, LedgerEvents: 4})
+	run.CommitHome(Home{Lifecycle: true, Tally: trace.Tally{Boots: 1, Attempts: 1}, LedgerEvents: 4})
 	snap = run.Snapshot()
 	if snap.Counters[CounterLifecycleBoots] != 1 || snap.Counters[CounterLifecycleLedger] != 4 {
 		t.Fatalf("lifecycle counters = %v", snap.Counters)
@@ -161,9 +158,57 @@ func TestCountersAreRaceFree(t *testing.T) {
 	}
 }
 
+// TestSnapshotViewsRecorder checks the scheduling view of a run bound
+// to a trace recorder: slowest homes, home wall time, shard occupancy,
+// pool counts and phase spans all read the recorder, and the
+// trace-only root run span stays out of telemetry's span list.
+func TestSnapshotViewsRecorder(t *testing.T) {
+	run := NewRun()
+	rec := trace.NewRecorder()
+	if got := Bind(run, rec); got != rec {
+		t.Fatalf("Bind = %p, want the trace recorder %p", got, rec)
+	}
+	endRun := rec.Span(trace.SpanRun)
+	endSim := run.Span(trace.SpanSimulate)
+	rec.ObservePool(false)
+	w := rec.NewWorker()
+	for i := 0; i < 3; i++ {
+		ht := w.StartHome(i, "fleet/home", 1)
+		w.EndHome(ht)
+		rec.CommitHome(ht, false)
+	}
+	rec.ObserveShard(3)
+	endSim()
+	endRun()
+
+	snap, sum := run.Snapshot(), rec.Summary().Sched
+	if !reflect.DeepEqual(snap.SlowHomes, sum.SlowestHomes) || len(snap.SlowHomes) != 3 {
+		t.Errorf("slow homes = %+v, want the trace's %+v", snap.SlowHomes, sum.SlowestHomes)
+	}
+	h := snap.Histograms[HistHomeWallMS]
+	if got := (trace.WallQuantiles{N: h.N, P50: h.P50, P99: h.P99, Max: h.Max}); got != sum.HomeWallMS {
+		t.Errorf("home_wall_ms = %+v, want the trace's %+v", got, sum.HomeWallMS)
+	}
+	if h := snap.Histograms[HistShardHomes]; h.N != 1 || h.Max != 3 {
+		t.Errorf("shard_homes = %+v, want one shard of 3", h)
+	}
+	if want := map[string]uint64{SchedPoolHits: 0, SchedPoolMisses: 1}; !reflect.DeepEqual(snap.Sched, want) {
+		t.Errorf("sched = %v, want %v", snap.Sched, want)
+	}
+	if len(snap.Spans) != 1 || snap.Spans[0].Name != trace.SpanSimulate {
+		t.Errorf("spans = %+v, want simulate alone", snap.Spans)
+	}
+
+	// An untraced run rebinds the collector to its own tally-only
+	// recorder, so it never writes into the earlier run's trace.
+	if own := Bind(run, nil); own == rec || run.Snapshot().SlowHomes != nil {
+		t.Errorf("Bind(nil) kept the trace recorder bound")
+	}
+}
+
 func TestSpansRecordWallAndCPU(t *testing.T) {
 	run := NewRun()
-	end := run.Span(SpanSimulate)
+	end := run.Span(trace.SpanSimulate)
 	// Burn a little CPU so the span has something to see.
 	x := 0.0
 	for i := 0; i < 1_000_000; i++ {
@@ -176,7 +221,7 @@ func TestSpansRecordWallAndCPU(t *testing.T) {
 		t.Fatalf("spans = %+v, want one", snap.Spans)
 	}
 	sp := snap.Spans[0]
-	if sp.Name != SpanSimulate || sp.WallS <= 0 {
+	if sp.Name != trace.SpanSimulate || sp.WallS <= 0 {
 		t.Fatalf("span = %+v", sp)
 	}
 	if sp.CPUS < 0 {
@@ -211,12 +256,14 @@ func TestPrometheusExportParses(t *testing.T) {
 	run := NewRun()
 	run.SetManifest(Manifest{Seed: 9, ConfigHash: "abc", Workers: 2, ElapsedS: 0.5, HomesPerSec: 6})
 	run.Counter(CounterHomes).Add(3)
-	run.SchedCounter(SchedPoolMisses).Add(2)
+	rec := Bind(run, nil)
+	rec.ObservePool(false)
+	rec.ObservePool(false)
 	run.Gauge(GaugeAllocsPerBin).Set(4.25)
 	h := run.Histogram(HistHomeHarvestUW, 0, 500, 100)
 	h.Observe(10)
 	h.Observe(20)
-	run.Span(SpanReportWrite)()
+	run.Span(trace.SpanReportWrite)()
 
 	var buf bytes.Buffer
 	if err := run.WritePrometheus(&buf); err != nil {

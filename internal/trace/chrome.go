@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 )
 
@@ -39,8 +40,8 @@ func (r *Recorder) WriteChrome(w io.Writer) error {
 	}
 
 	r.mu.Lock()
-	spans := append([]Span(nil), r.spans...)
-	workers := len(r.workers)
+	spans := slices.Concat(r.sched.Phases, r.spans)
+	workers := r.workers
 	dropped := r.spansDropped
 	retained := r.retained()
 	r.mu.Unlock()
@@ -64,17 +65,14 @@ func (r *Recorder) WriteChrome(w io.Writer) error {
 			Name: sp.Name, Ph: "X", PID: 1, TID: sp.TID,
 			TS: float64(sp.StartNS) / 1e3, Dur: float64(sp.DurNS) / 1e3,
 		}
-		if sp.Home >= 0 {
+		switch {
+		case sp.Home >= 0:
 			ev.Args = map[string]any{"home": sp.Home}
 			if sp.Name == "home" {
 				homes[sp.Home] = window{tid: sp.TID, startUS: ev.TS, durUS: ev.Dur}
 			}
-		}
-		if sp.CPUS > 0 {
-			if ev.Args == nil {
-				ev.Args = map[string]any{}
-			}
-			ev.Args["cpu_s"] = sp.CPUS
+		case sp.CPUS > 0: // run and phase spans
+			ev.Args = map[string]any{"cpu_s": sp.CPUS}
 		}
 		events = append(events, ev)
 	}

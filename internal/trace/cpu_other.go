@@ -1,6 +1,6 @@
 //go:build !unix
 
-package telemetry
+package trace
 
 // ProcessCPUSeconds has no portable implementation off unix; span CPU
 // fields read zero there while wall times stay accurate.

@@ -1,6 +1,6 @@
 //go:build unix
 
-package telemetry
+package trace
 
 import "syscall"
 

@@ -1,17 +1,21 @@
-// Package trace is the run-scoped tracing layer for fleet simulations:
-// hierarchical spans (run → phase → worker → home → bin-batch) with
-// wall and CPU time, a fixed-size per-home flight recorder of
-// structured events, machine-readable escalation reasons for the
-// coarse tier, and a Chrome trace-event export that loads in Perfetto.
+// Package trace is the run recorder for fleet simulations: the one
+// store of a run's spans, scheduling observations and per-home
+// forensics. It keeps hierarchical spans (run → phase → worker → home →
+// bin-batch) with wall and CPU time, a fixed-size per-home flight
+// recorder of structured events, machine-readable escalation reasons
+// for the coarse tier, the per-home wall sketch and slowest-homes
+// table, worker shard occupancy and sampler-pool reuse, and a Chrome
+// trace-event export that loads in Perfetto.
 //
 // Its per-home handle, HomeTrace, is the one instrumentation handle a
 // fleet home carries: deploy, core and lifecycle report into it, and it
-// keeps both the flight recorder and the work tallies internal/telemetry
-// counts. At the fleet reducer's commit point one fold turns each
-// committed handle into telemetry's counters and histograms
-// (telemetry.Run.CommitHome) and into this recorder's aggregates
-// (Recorder.CommitHome). A run that collects telemetry without tracing
-// uses tally-only handles (NewTallyWorker): no ring, no spans.
+// keeps both the flight recorder and the work tallies (Tally) that
+// internal/telemetry counts. At the fleet reducer's commit point each
+// handle commits once into the recorder (Recorder.CommitHome) and its
+// tallies fold into telemetry's work counters; telemetry's spans and
+// scheduling diagnostics are views over the recorder (Recorder.Sched).
+// A run that collects telemetry without tracing uses a tally-only
+// recorder (NewTallyRecorder): no rings and no home spans.
 //
 // # Determinism contract
 //
@@ -40,7 +44,6 @@ import (
 	"strconv"
 
 	"repro/internal/surface"
-	"repro/internal/telemetry"
 )
 
 // Flight-recorder defaults: the ring keeps the newest RingCap events
@@ -71,15 +74,12 @@ const (
 	numEscReasons = 3
 )
 
+var escReasonNames = [numEscReasons]string{"consensus-split", "guard-disagree", "occ-fit-unstable"}
+
 // String returns the stable reason code used in summaries and reports.
 func (r EscReason) String() string {
-	switch r {
-	case EscConsensusSplit:
-		return "consensus-split"
-	case EscGuardDisagree:
-		return "guard-disagree"
-	case EscOccFitUnstable:
-		return "occ-fit-unstable"
+	if int(r) < len(escReasonNames) {
+		return escReasonNames[r]
 	}
 	return "unknown"
 }
@@ -123,33 +123,17 @@ const (
 	EvQuarantine
 )
 
+var eventKindNames = [...]string{
+	EvBinSim: "bin-sim", EvSurfaceExact: "surface-exact", EvSurfaceGuard: "surface-guard",
+	EvOccFit: "occ-fit", EvHarvestFit: "harvest-fit", EvGuardQuery: "guard-query",
+	EvEscalate: "escalate", EvBoot: "boot", EvBrownout: "brownout",
+	EvFault: "fault", EvRetry: "retry", EvQuarantine: "quarantine",
+}
+
 // String returns the stable kind name used in summaries and exports.
 func (k EventKind) String() string {
-	switch k {
-	case EvBinSim:
-		return "bin-sim"
-	case EvSurfaceExact:
-		return "surface-exact"
-	case EvSurfaceGuard:
-		return "surface-guard"
-	case EvOccFit:
-		return "occ-fit"
-	case EvHarvestFit:
-		return "harvest-fit"
-	case EvGuardQuery:
-		return "guard-query"
-	case EvEscalate:
-		return "escalate"
-	case EvBoot:
-		return "boot"
-	case EvBrownout:
-		return "brownout"
-	case EvFault:
-		return "fault"
-	case EvRetry:
-		return "retry"
-	case EvQuarantine:
-		return "quarantine"
+	if int(k) < len(eventKindNames) {
+		return eventKindNames[k]
 	}
 	return "unknown"
 }
@@ -206,15 +190,32 @@ type Dump struct {
 	Dropped uint64        `json:"dropped,omitempty"`
 }
 
+// Tally is one home's work tallies. The home's handle keeps them while
+// the home runs; telemetry folds them into its work counters once the
+// home commits.
+type Tally struct {
+	// Bins counts logging bins that ran the packet-level event
+	// simulation.
+	Bins uint64
+	// SurfaceHits, SurfaceExact and SurfaceGuard count operating-point
+	// surface queries by outcome.
+	SurfaceHits, SurfaceExact, SurfaceGuard uint64
+	// Boots and Brownouts count lifecycle transitions.
+	Boots, Brownouts uint64
+	// Faults counts injected faults fired and Attempts the attempts
+	// made, over every attempt of the home.
+	Faults, Attempts uint64
+}
+
 // HomeTrace is one home's observation handle — the only per-home
 // instrumentation handle of a fleet run. It keeps a fixed-size ring of
 // structured events (the flight recorder), the home's work tallies that
-// telemetry folds at commit (telemetry.Tally), and — for the scheduling
-// stream only — the home's wall-time breakdown. A handle from a
-// tally-only worker (NewTallyWorker) keeps the tallies and wall times
-// but no ring and emits no spans. A nil *HomeTrace (nothing observes)
-// ignores every call; a HomeTrace is owned by one worker at a time and
-// needs no locking.
+// telemetry folds at commit (Tally), and — for the scheduling record
+// only — the home's wall-time breakdown. A handle from a tally-only
+// recorder (NewTallyRecorder) keeps the tallies and wall times but no
+// ring and emits no spans. A nil *HomeTrace (nothing observes) ignores
+// every call; a HomeTrace is owned by one worker at a time and needs no
+// locking.
 type HomeTrace struct {
 	w     *Worker
 	idx   int
@@ -231,10 +232,10 @@ type HomeTrace struct {
 	esc      [numEscReasons]uint32
 	escTotal uint32
 
-	tally telemetry.Tally
+	tally Tally
 
 	// Scheduling observations (never part of the deterministic
-	// summary): wall offsets from the worker's epoch, in ns.
+	// summary): wall offsets from the recorder's epoch, in ns.
 	startNS, durNS, kernelNS, stallNS int64
 }
 
@@ -242,7 +243,7 @@ type HomeTrace struct {
 // start time, and a retry opens the ring with its retry event.
 func (h *HomeTrace) begin(attempt int) {
 	h.tally.Attempts = uint64(attempt)
-	h.startNS = h.w.now()
+	h.startNS = h.w.rec.now()
 	if attempt > 1 {
 		h.push(Event{Kind: EvRetry, Bin: -1, Arg: float64(attempt)})
 	}
@@ -399,7 +400,7 @@ func (h *HomeTrace) Quarantine() {
 //powifi:noalloc
 func (h *HomeTrace) BeginKernel() {
 	if h != nil {
-		h.kernelNS = h.w.now()
+		h.kernelNS = h.w.rec.now()
 	}
 }
 
@@ -408,7 +409,7 @@ func (h *HomeTrace) BeginKernel() {
 //powifi:noalloc
 func (h *HomeTrace) EndKernel() {
 	if h != nil {
-		h.kernelNS = h.w.now() - h.kernelNS
+		h.kernelNS = h.w.rec.now() - h.kernelNS
 	}
 }
 
@@ -440,25 +441,11 @@ func (h *HomeTrace) Escalations() uint32 {
 }
 
 // Tally returns the home's work tallies (zero on a nil handle).
-func (h *HomeTrace) Tally() telemetry.Tally {
+func (h *HomeTrace) Tally() Tally {
 	if h == nil {
-		return telemetry.Tally{}
+		return Tally{}
 	}
 	return h.tally
-}
-
-// SlowHome returns the home's slowest-homes record: its wall time from
-// StartHome to EndHome and where that time went (zero on a nil handle).
-func (h *HomeTrace) SlowHome() telemetry.SlowHome {
-	if h == nil {
-		return telemetry.SlowHome{}
-	}
-	return telemetry.SlowHome{
-		Index:        h.idx,
-		Label:        h.label,
-		WallMS:       float64(h.durNS) / 1e6,
-		DominantSpan: DominantSpan(h.durNS, h.kernelNS, h.stallNS),
-	}
 }
 
 // ringEvents returns the retained ring in oldest-first order.
@@ -488,8 +475,8 @@ func (h *HomeTrace) Dump() *Dump {
 
 // DominantSpan names where a home's wall time went: an injected stall
 // ("stall"), the batched event kernel ("bin-batch"), or the residual
-// ("other": synthesis, ledger, folds, scheduling). It labels both the
-// trace's slowest_homes and telemetry's slow_homes tables.
+// ("other": synthesis, ledger, folds, scheduling). It labels the
+// slowest-homes table.
 func DominantSpan(wallNS, kernelNS, stallNS int64) string {
 	other := wallNS - kernelNS - stallNS
 	switch {
@@ -502,15 +489,15 @@ func DominantSpan(wallNS, kernelNS, stallNS int64) string {
 	}
 }
 
-// escalationReasons renders the per-reason totals, nil when the home
-// never escalated.
-func (h *HomeTrace) escalationReasons() map[string]uint64 {
-	if h.escTotal == 0 {
-		return nil
-	}
-	m := make(map[string]uint64, numEscReasons)
-	for r, n := range h.esc {
+// reasonCounts renders per-reason escalation totals keyed by reason
+// code, nil when nothing escalated.
+func reasonCounts[N uint32 | uint64](esc [numEscReasons]N) map[string]uint64 {
+	var m map[string]uint64
+	for r, n := range esc {
 		if n > 0 {
+			if m == nil {
+				m = make(map[string]uint64, numEscReasons)
+			}
 			m[EscReason(r).String()] = uint64(n)
 		}
 	}

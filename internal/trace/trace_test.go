@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"repro/internal/surface"
-	"repro/internal/telemetry"
 )
 
 // TestNilSafety pins the disabled state: every method on a nil
@@ -21,8 +20,13 @@ func TestNilSafety(t *testing.T) {
 		t.Fatalf("nil Recorder NewWorker = %v, want nil", w)
 	}
 	r.CommitHome(nil, true)
+	r.ObservePool(true)
+	r.ObserveShard(3)
 	if s := r.Summary(); !reflect.DeepEqual(s, Summary{}) {
 		t.Fatalf("nil Recorder Summary = %+v, want zero", s)
+	}
+	if s := r.Sched(); !reflect.DeepEqual(s, Sched{}) {
+		t.Fatalf("nil Recorder Sched = %+v, want zero", s)
 	}
 
 	var w *Worker
@@ -48,8 +52,7 @@ func TestNilSafety(t *testing.T) {
 	ht.BeginKernel()
 	ht.EndKernel()
 	ht.Stall(100)
-	if ht.Events() != 0 || ht.Escalations() != 0 || ht.Tally() != (telemetry.Tally{}) ||
-		ht.SlowHome() != (telemetry.SlowHome{}) {
+	if ht.Events() != 0 || ht.Escalations() != 0 || ht.Tally() != (Tally{}) {
 		t.Fatal("nil HomeTrace accessors returned non-zero values")
 	}
 	if d := ht.Dump(); d != nil {
@@ -75,8 +78,120 @@ func TestNilAllocs(t *testing.T) {
 		ht.Stall(10)
 		w.EndHome(ht)
 		r.CommitHome(ht, false)
+		r.ObservePool(false)
+		r.ObserveShard(1)
 	}); n != 0 {
 		t.Fatalf("nil-receiver instrumentation allocates %v/op, want 0", n)
+	}
+}
+
+// TestTallyRecorderAllocs pins a tally-only recorder's steady state at
+// zero allocations: the handle calls a telemetry-only run makes per
+// bin, and the per-home EndHome and CommitHome, which fold the wall
+// time into the sketch and the bounded slowest-homes table.
+func TestTallyRecorderAllocs(t *testing.T) {
+	r := NewTallyRecorder()
+	w := r.NewWorker()
+	ht := w.StartHome(0, "fleet/home/0", 1)
+	if n := testing.AllocsPerRun(100, func() {
+		ht.BinSimulated(5, 100)
+		ht.SurfaceOutcome(5, surface.OutcomeHit)
+		ht.SurfaceOutcome(5, surface.OutcomeExact)
+		ht.GuardQuery(5, true)
+		ht.Escalate(5, EscConsensusSplit)
+		ht.BeginKernel()
+		ht.EndKernel()
+		ht.Stall(10)
+		w.EndHome(ht)
+		r.CommitHome(ht, false)
+	}); n != 0 {
+		t.Fatalf("tally-only instrumentation allocates %v/op, want 0", n)
+	}
+	if s := r.Summary(); s.HomesTraced != 101 || s.Sched.HomeWallMS.N != 101 || len(s.Sched.Spans) != 0 {
+		t.Fatalf("tally-only summary = %+v, want 101 commits and no home spans", s)
+	}
+}
+
+// TestPhaseSpansSurviveSpanCap pins the phase spans outside the
+// home-span cap: a run whose homes overflow the stream still reports
+// its simulate and run spans, and only home spans count as dropped.
+func TestPhaseSpansSurviveSpanCap(t *testing.T) {
+	r := NewRecorder()
+	endRun := r.Span(SpanRun)
+	endSim := r.Span(SpanSimulate)
+	w := r.NewWorker()
+	const homes = maxSpans/2 + 1000
+	for i := 0; i < homes; i++ {
+		ht := w.StartHome(i, "fleet/home", 1)
+		ht.Stall(1) // a child span beside the home span
+		w.EndHome(ht)
+	}
+	endSim()
+	endRun()
+
+	s := r.Summary().Sched
+	var phases []string
+	for _, sp := range s.Spans {
+		if sp.TID == 0 {
+			phases = append(phases, sp.Name)
+		}
+	}
+	if want := []string{SpanSimulate, SpanRun}; !reflect.DeepEqual(phases, want) {
+		t.Errorf("phase spans = %v, want %v", phases, want)
+	}
+	if want := uint64(2*homes - maxSpans); s.SpansDropped != want {
+		t.Errorf("SpansDropped = %d, want %d home spans", s.SpansDropped, want)
+	}
+	if len(s.Spans) != maxSpans+2 {
+		t.Errorf("len(Spans) = %d, want the capped home stream plus 2 phases", len(s.Spans))
+	}
+}
+
+// TestSchedView checks the scheduling record a bound telemetry
+// collector reads: phase spans, sketches, pool counts and the slowest
+// homes — top entries by wall time, ties to the lower index, failed
+// homes included — copied so a later commit cannot reach the view.
+func TestSchedView(t *testing.T) {
+	r := NewTallyRecorder()
+	r.Span(SpanSimulate)()
+	r.ObservePool(true)
+	r.ObservePool(false)
+	r.ObservePool(false)
+	r.ObserveShard(4)
+	w := r.NewWorker()
+	for i := 0; i <= 10; i++ {
+		ht := w.StartHome(i, "fleet/home", 1)
+		w.EndHome(ht)
+		ht.durNS = int64(i%3) * 1e6
+		if i == 10 {
+			ht.durNS = 2e6
+		}
+		r.CommitHome(ht, i == 10)
+	}
+	s := r.Sched()
+	if len(s.Phases) != 1 || s.Phases[0].Name != SpanSimulate {
+		t.Errorf("Phases = %+v, want one simulate span", s.Phases)
+	}
+	if s.PoolHits != 1 || s.PoolMisses != 2 {
+		t.Errorf("pool = %d hits %d misses, want 1 and 2", s.PoolHits, s.PoolMisses)
+	}
+	if s.ShardHomes.N() != 1 || s.ShardHomes.Max() != 4 {
+		t.Errorf("ShardHomes N=%d max=%v, want one shard of 4", s.ShardHomes.N(), s.ShardHomes.Max())
+	}
+	if s.HomeWallMS.N() != 11 || s.HomeWallMS.Max() != 2 {
+		t.Errorf("wall N=%d max=%v, want 11 homes up to 2 ms", s.HomeWallMS.N(), s.HomeWallMS.Max())
+	}
+	var order []int
+	for _, h := range s.SlowestHomes {
+		order = append(order, h.Index)
+	}
+	if want := []int{2, 5, 8, 10, 1, 4, 7, 0}; !reflect.DeepEqual(order, want) {
+		t.Errorf("slowest homes = %v, want %v", order, want)
+	}
+	r.CommitHome(w.StartHome(11, "fleet/home", 1), false)
+	r.ObserveShard(1)
+	if s.HomeWallMS.N() != 11 || s.ShardHomes.N() != 1 {
+		t.Errorf("a later observation reached the copied view")
 	}
 }
 
@@ -92,7 +207,7 @@ func TestTallies(t *testing.T) {
 		ring bool
 	}{
 		{"recording", NewRecorder().NewWorker(), true},
-		{"tally-only", NewTallyWorker(), false},
+		{"tally-only", NewTallyRecorder().NewWorker(), false},
 	} {
 		ht := tc.w.StartHome(0, "fleet/home/0", 1)
 		ht.Fault("home.panic")
@@ -107,7 +222,7 @@ func TestTallies(t *testing.T) {
 		ht.SurfaceOutcome(1, surface.OutcomeGuardBand)
 		ht.Boot(1)
 		ht.Brownout(1)
-		want := telemetry.Tally{Bins: 2, SurfaceHits: 2, SurfaceExact: 1, SurfaceGuard: 1,
+		want := Tally{Bins: 2, SurfaceHits: 2, SurfaceExact: 1, SurfaceGuard: 1,
 			Boots: 1, Brownouts: 1, Faults: 2, Attempts: 2}
 		if got := ht.Tally(); got != want {
 			t.Errorf("%s: Tally = %+v, want %+v", tc.name, got, want)
@@ -217,7 +332,7 @@ func TestInsertTop(t *testing.T) {
 		{idx: 0, escTotal: 2}, {idx: 1, escTotal: 9},
 		{idx: 2, escTotal: 5}, {idx: 3, escTotal: 9}, {idx: 4, escTotal: 1},
 	} {
-		top = telemetry.InsertTop(top, h, 3, less)
+		top = InsertTop(top, h, 3, less)
 	}
 	got := []int{top[0].idx, top[1].idx, top[2].idx}
 	// 9s first (tie to lower index), then the 5; the 2 and 1 fall off.

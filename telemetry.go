@@ -26,7 +26,9 @@ import (
 // snapshot's "sched" section, the shard-occupancy and home wall-time
 // histograms, the slowest homes) legitimately vary with the worker
 // count; gauges, spans and the manifest's throughput fields are
-// wall-clock observations.
+// wall-clock observations. Spans and scheduling diagnostics are views
+// over the run's recorder — the scenario's Trace when it has one, so
+// the two report the same slowest homes and home wall times.
 //
 // One collector describes one run: pass a fresh NewTelemetry to each
 // Run whose metrics you want isolated. Snapshots may be taken mid-run

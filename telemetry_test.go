@@ -99,6 +99,45 @@ func TestTelemetryWorkerInvariance(t *testing.T) {
 	}
 }
 
+// TestTelemetryViewsTrace pins telemetry's scheduling view over the
+// trace recorder: with both on, telemetry's slowest homes, home wall
+// quantiles and phase spans are the trace's — less the trace-only root
+// run span — at any worker count.
+func TestTelemetryViewsTrace(t *testing.T) {
+	for _, workers := range []int{1, 8} {
+		rep, _ := runTelemetryFleet(t, workers, powifi.WithTrace(powifi.NewTrace()))
+		snap, sched := rep.Telemetry, rep.Trace.Sched
+		if len(snap.SlowHomes) == 0 || !reflect.DeepEqual(snap.SlowHomes, sched.SlowestHomes) {
+			t.Errorf("workers=%d: slow_homes = %+v, want sched.slowest_homes %+v",
+				workers, snap.SlowHomes, sched.SlowestHomes)
+		}
+		h := snap.Histograms["home_wall_ms"]
+		if got := sched.HomeWallMS; h.N != got.N || h.P50 != got.P50 || h.P99 != got.P99 ||
+			h.Max != got.Max || h.N != 24 {
+			t.Errorf("workers=%d: home_wall_ms = %+v, want sched.home_wall_ms %+v over 24 homes",
+				workers, h, got)
+		}
+		var telSpans, traceSpans []string
+		for _, sp := range snap.Spans {
+			telSpans = append(telSpans, sp.Name)
+		}
+		sawRun := false
+		for _, sp := range sched.Spans {
+			switch {
+			case sp.TID != 0:
+			case sp.Name == "run":
+				sawRun = true
+			default:
+				traceSpans = append(traceSpans, sp.Name)
+			}
+		}
+		if !sawRun || len(telSpans) == 0 || !reflect.DeepEqual(telSpans, traceSpans) {
+			t.Errorf("workers=%d: telemetry spans = %v, want the trace's phase spans %v less run (run seen: %v)",
+				workers, telSpans, traceSpans, sawRun)
+		}
+	}
+}
+
 func TestTelemetryIsOutOfBand(t *testing.T) {
 	bare, err := powifi.NewScenario(telemetryFleetOpts(2)...)
 	if err != nil {

@@ -7,14 +7,15 @@ import (
 	"repro/internal/trace"
 )
 
-// Trace is a run-scoped tracing recorder for fleet scenarios: a span
-// tree (run → phase → worker → home → bin-batch) with wall and CPU
-// time, plus a per-home flight recorder — a fixed-size ring of
-// structured events (event-sim milestones, surface exact-fallbacks and
-// guard-band hits, coarse-tier fits, guard queries and escalations
-// with machine-readable reasons, lifecycle boot/brownout transitions,
-// injected faults, retry and quarantine decisions) retained for homes
-// that fail or escalate most.
+// Trace is a run-scoped recorder for fleet scenarios, the one store of
+// a run's spans and scheduling observations (a Telemetry collector on
+// the same run views them): a span tree (run → phase → worker → home →
+// bin-batch) with wall and CPU time, plus a per-home flight recorder —
+// a fixed-size ring of structured events (event-sim milestones, surface
+// exact-fallbacks and guard-band hits, coarse-tier fits, guard queries
+// and escalations with machine-readable reasons, lifecycle
+// boot/brownout transitions, injected faults, retry and quarantine
+// decisions) retained for homes that fail or escalate most.
 //
 // The determinism contract mirrors Telemetry's: tracing is strictly
 // out of band — no RNG draws, no event-order changes — so a scenario's
