@@ -7,6 +7,8 @@ package powifi_test
 import (
 	"context"
 	"fmt"
+	"runtime"
+	"slices"
 	"testing"
 	"time"
 
@@ -15,8 +17,10 @@ import (
 	"repro/internal/experiments"
 	"repro/internal/fleet"
 	"repro/internal/harvester"
+	"repro/internal/lifecycle"
 	"repro/internal/phy"
 	"repro/internal/stats"
+	"repro/internal/trace"
 )
 
 // BenchmarkFig1RectifierTrace regenerates the §2/Fig. 1 rectifier-voltage
@@ -237,15 +241,24 @@ func runFleetBench(b *testing.B, cfg fleet.Config) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(cfg.Homes), "ns/home")
 }
 
+// skipBeyondProcs skips a worker-scaling row the host cannot run in
+// parallel: with more workers than GOMAXPROCS the row measures time
+// slicing, not scaling.
+func skipBeyondProcs(b *testing.B, workers int) {
+	if procs := runtime.GOMAXPROCS(0); workers > procs {
+		b.Skipf("workers=%d exceeds GOMAXPROCS=%d: the row would measure time slicing, not scaling", workers, procs)
+	}
+}
+
 // BenchmarkFleet runs a small fleet at several worker counts on the
 // default (surface) path. The homes are independent discrete-event
 // simulations, so on multicore hardware the sharded path should approach
 // linear speedup over workers=1 (the serial path); results are
-// bit-for-bit identical either way. The ns/home metric is the headline
-// per-home cost the ROADMAP's fleet-scale target cares about.
+// bit-for-bit identical either way.
 func BenchmarkFleet(b *testing.B) {
 	for _, workers := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+			skipBeyondProcs(b, workers)
 			runFleetBench(b, fleetBenchConfig(workers, false))
 		})
 	}
@@ -257,16 +270,16 @@ func BenchmarkFleet(b *testing.B) {
 func BenchmarkFleetExact(b *testing.B) {
 	for _, workers := range []int{1, 8} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+			skipBeyondProcs(b, workers)
 			runFleetBench(b, fleetBenchConfig(workers, true))
 		})
 	}
 }
 
-// sweepBenchConfig is the million-home-sweep workload shape at a
-// CI-friendly home count: a full 24-bin day per home at the fleet
-// default 10 ms sampling window — the configuration the coarse tier is
-// certified for. The per-home rate it produces (homes/sec) is
-// scale-invariant in Homes, so it stands in for the 1M-home target.
+// sweepBenchConfig is the sweep workload shape: a full 24-bin day per
+// home at the fleet default 10 ms sampling window, the configuration
+// the coarse tier is certified for. Its per-home cost does not depend
+// on Homes, so a small fleet measures it.
 func sweepBenchConfig(homes int, coarse bool) fleet.Config {
 	return fleet.Config{
 		Homes:    homes,
@@ -283,14 +296,163 @@ func sweepBenchConfig(homes int, coarse bool) fleet.Config {
 // BenchmarkFleetSweepCoarse is the same sweep on the error-bounded
 // coarse tier (anchor-only event simulation, consensus decisions,
 // fitted magnitudes). Their ratio is the coarse tier's certified-ε
-// speedup; the absolute homes/sec tracks the ROADMAP's million-home
-// single-digit-seconds target.
+// speedup.
 func BenchmarkFleetSweep(b *testing.B) {
 	runFleetBench(b, sweepBenchConfig(200, false))
 }
 
 func BenchmarkFleetSweepCoarse(b *testing.B) {
 	runFleetBench(b, sweepBenchConfig(200, true))
+}
+
+// lifecycleAllocBudgetPerBin is the acceptance ceiling for steady-state
+// heap allocations per lifecycle-mode bin: twice the sampler's 10
+// allocs/bin budget, covering the packet sample plus the archetype
+// chain's per-bin operating-point evaluation.
+const lifecycleAllocBudgetPerBin = 20.0
+
+// lifecycleBenchConfig is the shared lifecycle benchmark workload: the
+// standard 16-home fleet with a mixed device population spanning every
+// archetype.
+func lifecycleBenchConfig(workers int) fleet.Config {
+	cfg := fleetBenchConfig(workers, false)
+	cfg.Population = fleet.DefaultPopulation()
+	var m lifecycle.Mix
+	m[lifecycle.TempSensor] = 0.3
+	m[lifecycle.RechargingTemp] = 0.15
+	m[lifecycle.Camera] = 0.2
+	m[lifecycle.Jawbone] = 0.15
+	m[lifecycle.LiIon] = 0.1
+	m[lifecycle.NiMH] = 0.1
+	cfg.Population.Devices = m
+	return cfg
+}
+
+// BenchmarkLifecycleFleet runs the mixed-device fleet at several worker
+// counts, reporting ns/home and allocs/home. Comparing against
+// BenchmarkFleet quantifies what the stateful lifecycle engine adds on
+// top of the classic aggregates-only run.
+func BenchmarkLifecycleFleet(b *testing.B) {
+	for _, workers := range []int{1, 2, 4, 8} {
+		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+			skipBeyondProcs(b, workers)
+			b.ReportAllocs() // with ns/home: divide allocs/op by the 16 homes for allocs/home
+			runFleetBench(b, lifecycleBenchConfig(workers))
+		})
+	}
+}
+
+// TestLifecycleFleetAllocBudget pins the lifecycle fleet's allocation
+// bound: a steady-state mixed-device fleet stays within twice the
+// sampler's per-bin allocation budget (per-run setup — the result's
+// sketches — amortizes over the bins and is covered by the budget's
+// slack).
+func TestLifecycleFleetAllocBudget(t *testing.T) {
+	cfg := lifecycleBenchConfig(1)
+	res, err := fleet.Run(context.Background(), cfg) // warm pools and surfaces
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(5, func() {
+		if _, err := fleet.Run(context.Background(), cfg); err != nil {
+			t.Fatal(err)
+		}
+	})
+	perBin := allocs / float64(res.TotalBins)
+	if perBin > lifecycleAllocBudgetPerBin {
+		t.Errorf("lifecycle fleet allocs/bin = %.2f exceeds the %.0f budget (2x the sampler's)",
+			perBin, lifecycleAllocBudgetPerBin)
+	}
+	t.Logf("lifecycle fleet allocs/bin = %.2f over %d bins (budget %.0f)", perBin, res.TotalBins, lifecycleAllocBudgetPerBin)
+}
+
+// pairRatio times num and den in alternating pairs (num then den, then
+// den then num), so a drift in host speed weighs on both sides alike,
+// and returns the median of the per-pair ratios num/den. Each side runs
+// once untimed first to build the shared surface and warm the pools.
+func pairRatio(pairs int, num, den func()) float64 {
+	num()
+	den()
+	timed := func(f func()) float64 {
+		start := time.Now()
+		f()
+		return float64(time.Since(start))
+	}
+	ratios := make([]float64, pairs)
+	for i := range ratios {
+		var n, d float64
+		if i%2 == 0 {
+			n = timed(num)
+			d = timed(den)
+		} else {
+			d = timed(den)
+			n = timed(num)
+		}
+		ratios[i] = n / d
+	}
+	slices.Sort(ratios)
+	return ratios[pairs/2]
+}
+
+// TestSpeedRatios holds the three same-process speed gates, each a
+// per-home ratio between two runs of the same fleet:
+//
+//   - surface: the exact Bessel/Newton solve against the operating-point
+//     surface, at least 5×;
+//   - coarse: the exact tier against the coarse tier on the sweep shape,
+//     at least 2.5×, the tier's speedup with its anchor simulations;
+//   - trace: tracing on against tracing off on the sweep shape, at most
+//     1.05×. Four homes per run keep the recorder's fixed per-run cost
+//     in the ratio, and the many cheap pairs keep the median steady.
+//
+// Both sides of a ratio run in this process on this host, so no
+// baseline is carried over from another run.
+func TestSpeedRatios(t *testing.T) {
+	if testing.Short() {
+		t.Skip("timing gate: skipped under -short")
+	}
+	run := func(t *testing.T, cfg fleet.Config) func() {
+		return func() {
+			if _, err := fleet.Run(context.Background(), cfg); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	t.Run("surface", func(t *testing.T) {
+		cfg := fleetBenchConfig(1, false)
+		cfg.Homes = 2
+		exact := cfg
+		exact.Exact = true
+		r := pairRatio(3, run(t, exact), run(t, cfg))
+		t.Logf("exact/surface = %.0f× per home", r)
+		if r < 5 {
+			t.Errorf("surface per-home speedup %.1f× is below the 5× bar", r)
+		}
+	})
+	t.Run("coarse", func(t *testing.T) {
+		r := pairRatio(9, run(t, sweepBenchConfig(50, false)), run(t, sweepBenchConfig(50, true)))
+		t.Logf("exact/coarse = %.2f× per home", r)
+		if r < 2.5 {
+			t.Errorf("coarse per-home speedup %.2f× is below the 2.5× floor", r)
+		}
+	})
+	t.Run("trace", func(t *testing.T) {
+		cfg := sweepBenchConfig(4, false)
+		traced := func() {
+			rec := trace.NewRecorder()
+			if _, err := fleet.RunWith(context.Background(), cfg, fleet.Hooks{Trace: rec}); err != nil {
+				t.Fatal(err)
+			}
+			if got := rec.Summary().HomesTraced; got != cfg.Homes {
+				t.Fatalf("traced %d homes, want %d", got, cfg.Homes)
+			}
+		}
+		r := pairRatio(301, traced, run(t, cfg))
+		t.Logf("traced/untraced = %.3f× per home", r)
+		if r > 1.05 {
+			t.Errorf("tracing overhead %.3f× exceeds the 1.05× budget", r)
+		}
+	})
 }
 
 // BenchmarkFig16USBCharger regenerates the §8(a) Jawbone charging run.
