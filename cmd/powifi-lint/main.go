@@ -1,232 +1,34 @@
 // Command powifi-lint runs the powifi static-enforcement suite
 // (internal/lint): walltime, rngsource, mapiter, noalloc, sdkboundary,
-// mergecheck and directive. It speaks two protocols:
+// mergecheck and directive.
 //
-//   - standalone: powifi-lint [packages] — package patterns are
-//     directories or ./... trees, resolved against the enclosing
-//     module; with no arguments it checks ./...;
-//   - vettool: go vet -vettool=$(which powifi-lint) ./... — the
-//     cmd/go unitchecker protocol (-V=full for the tool ID, -flags for
-//     the supported-flag list, then one invocation per package with a
-//     vet.cfg file).
+//	powifi-lint [packages]
 //
-// Diagnostics go to stderr as file:line:col: analyzer: message; the
-// exit status is non-zero when any are reported.
+// Package patterns are directories or dir/... trees, resolved against
+// the module enclosing the working directory; with no arguments it
+// checks ./... . Every package is linted with its _test.go files and
+// its external test package (package x_test).
+//
+// Diagnostics go to stderr as file:line:col: analyzer: message. The
+// exit status is 2 when any are reported, 1 when a package fails to
+// load or type-check, and 0 otherwise.
 package main //powifi:sdkboundary-ok the lint driver is the enforcement tool itself, not an SDK consumer
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
-	"encoding/json"
 	"fmt"
-	"go/ast"
-	"go/importer"
-	"go/parser"
-	"go/token"
-	"go/types"
 	"io"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
 	"strings"
 
 	"repro/internal/lint"
-	"repro/internal/lint/analysis"
 	"repro/internal/lint/load"
 )
 
 func main() {
-	args := os.Args[1:]
-	switch {
-	case len(args) == 1 && strings.HasPrefix(args[0], "-V"):
-		printVersion()
-	case len(args) == 1 && (args[0] == "-flags" || args[0] == "--flags"):
-		// No analyzer-selection flags: the suite always runs whole.
-		fmt.Println("[]")
-	case len(args) >= 1 && strings.HasSuffix(args[len(args)-1], ".cfg"):
-		os.Exit(unitcheck(args[len(args)-1]))
-	default:
-		os.Exit(standalone(args))
-	}
+	os.Exit(run(os.Args[1:], os.Stderr))
 }
-
-// printVersion implements `powifi-lint -V=full`. cmd/go hashes the
-// output into the build cache key for vet results, so it must change
-// whenever the tool's behavior does: hashing the executable itself
-// guarantees that.
-func printVersion() {
-	id := "unknown"
-	if exe, err := os.Executable(); err == nil {
-		if f, err := os.Open(exe); err == nil {
-			h := sha256.New()
-			if _, err := io.Copy(h, f); err == nil {
-				id = hex.EncodeToString(h.Sum(nil))[:16]
-			}
-			f.Close()
-		}
-	}
-	fmt.Printf("%s version powifi-lint-%s\n", os.Args[0], id)
-}
-
-// diag is one position-resolved diagnostic, carrying the analyzer name.
-type diag struct {
-	pos      token.Position
-	analyzer string
-	msg      string
-}
-
-func sortDiags(ds []diag) {
-	sort.Slice(ds, func(i, j int) bool {
-		a, b := ds[i], ds[j]
-		if a.pos.Filename != b.pos.Filename {
-			return a.pos.Filename < b.pos.Filename
-		}
-		if a.pos.Line != b.pos.Line {
-			return a.pos.Line < b.pos.Line
-		}
-		if a.pos.Column != b.pos.Column {
-			return a.pos.Column < b.pos.Column
-		}
-		return a.analyzer < b.analyzer
-	})
-}
-
-func runSuite(fset *token.FileSet, files []*ast.File, pkg *types.Package, info *types.Info) []diag {
-	var out []diag
-	for _, a := range lint.Analyzers {
-		a := a
-		pass := &analysis.Pass{
-			Analyzer:  a,
-			Fset:      fset,
-			Files:     files,
-			Pkg:       pkg,
-			TypesInfo: info,
-		}
-		pass.Report = func(d analysis.Diagnostic) {
-			out = append(out, diag{pos: fset.Position(d.Pos), analyzer: a.Name, msg: d.Message})
-		}
-		if _, err := a.Run(pass); err != nil {
-			fmt.Fprintf(os.Stderr, "powifi-lint: %s on %s: %v\n", a.Name, pkg.Path(), err)
-		}
-	}
-	return out
-}
-
-func printDiags(ds []diag) {
-	sortDiags(ds)
-	for _, d := range ds {
-		fmt.Fprintf(os.Stderr, "%s: %s: %s\n", d.pos, d.analyzer, d.msg)
-	}
-}
-
-// --- unitchecker mode (go vet -vettool=) ---
-
-// vetConfig mirrors the JSON cmd/go writes to <objdir>/vet.cfg for each
-// package it vets.
-type vetConfig struct {
-	ID                        string
-	Compiler                  string
-	Dir                       string
-	ImportPath                string
-	GoFiles                   []string
-	NonGoFiles                []string
-	IgnoredFiles              []string
-	ImportMap                 map[string]string
-	PackageFile               map[string]string
-	Standard                  map[string]bool
-	PackageVetx               map[string]string
-	VetxOnly                  bool
-	VetxOutput                string
-	GoVersion                 string
-	SucceedOnTypecheckFailure bool
-}
-
-func unitcheck(cfgPath string) int {
-	data, err := os.ReadFile(cfgPath)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "powifi-lint: %v\n", err)
-		return 1
-	}
-	var cfg vetConfig
-	if err := json.Unmarshal(data, &cfg); err != nil {
-		fmt.Fprintf(os.Stderr, "powifi-lint: parsing %s: %v\n", cfgPath, err)
-		return 1
-	}
-	// cmd/go requires the vetx facts file to exist after every
-	// invocation, even a failed one. The suite exports no facts.
-	writeVetx := func() {
-		if cfg.VetxOutput != "" {
-			if err := os.WriteFile(cfg.VetxOutput, []byte("powifi-lint: no facts\n"), 0o666); err != nil {
-				fmt.Fprintf(os.Stderr, "powifi-lint: %v\n", err)
-			}
-		}
-	}
-	if cfg.VetxOnly {
-		writeVetx()
-		return 0
-	}
-
-	fset := token.NewFileSet()
-	var files []*ast.File
-	for _, name := range cfg.GoFiles {
-		f, err := parser.ParseFile(fset, name, nil, parser.ParseComments)
-		if err != nil {
-			writeVetx()
-			if cfg.SucceedOnTypecheckFailure {
-				return 0
-			}
-			fmt.Fprintf(os.Stderr, "powifi-lint: %v\n", err)
-			return 1
-		}
-		files = append(files, f)
-	}
-
-	compiler := cfg.Compiler
-	if compiler == "" {
-		compiler = "gc"
-	}
-	imp := importer.ForCompiler(fset, compiler, func(path string) (io.ReadCloser, error) {
-		if p, ok := cfg.ImportMap[path]; ok {
-			path = p
-		}
-		file, ok := cfg.PackageFile[path]
-		if !ok {
-			return nil, fmt.Errorf("no export data for %q", path)
-		}
-		return os.Open(file)
-	})
-	info := &types.Info{
-		Types:      make(map[ast.Expr]types.TypeAndValue),
-		Defs:       make(map[*ast.Ident]types.Object),
-		Uses:       make(map[*ast.Ident]types.Object),
-		Implicits:  make(map[ast.Node]types.Object),
-		Selections: make(map[*ast.SelectorExpr]*types.Selection),
-		Scopes:     make(map[ast.Node]*types.Scope),
-	}
-	tconf := types.Config{Importer: imp}
-	if cfg.GoVersion != "" {
-		tconf.GoVersion = cfg.GoVersion
-	}
-	pkg, err := tconf.Check(cfg.ImportPath, fset, files, info)
-	if err != nil {
-		writeVetx()
-		if cfg.SucceedOnTypecheckFailure {
-			return 0
-		}
-		fmt.Fprintf(os.Stderr, "powifi-lint: type-checking %s: %v\n", cfg.ImportPath, err)
-		return 1
-	}
-
-	ds := runSuite(fset, files, pkg, info)
-	writeVetx()
-	if len(ds) > 0 {
-		printDiags(ds)
-		return 2
-	}
-	return 0
-}
-
-// --- standalone mode ---
 
 // moduleRoot walks up from dir to the enclosing go.mod, returning the
 // root directory and module path.
@@ -254,100 +56,82 @@ func moduleRoot(dir string) (root, module string, err error) {
 	}
 }
 
-// expandPatterns resolves package patterns (dir, dir/..., ./...) to
-// package directories.
-func expandPatterns(patterns []string) ([]string, error) {
+// importPaths resolves package patterns (dir, dir/..., ./...) to the
+// sorted, distinct import paths of the module's packages.
+func importPaths(root, module string, patterns []string) ([]string, error) {
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
-	var dirs []string
-	seen := map[string]bool{}
-	add := func(d string) {
-		if abs, err := filepath.Abs(d); err == nil && !seen[abs] {
-			seen[abs] = true
-			dirs = append(dirs, abs)
-		}
-	}
+	var paths []string
 	for _, p := range patterns {
-		if p == "..." || strings.HasSuffix(p, "/...") {
-			base := strings.TrimSuffix(strings.TrimSuffix(p, "..."), "/")
-			if base == "" {
-				base = "."
-			}
-			err := filepath.WalkDir(base, func(path string, d os.DirEntry, err error) error {
-				if err != nil {
-					return err
-				}
-				if !d.IsDir() {
-					return nil
-				}
-				name := d.Name()
-				if path != base && (name == "testdata" || name == "vendor" ||
-					strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_")) {
-					return filepath.SkipDir
-				}
-				if hasGoFiles(path) {
-					add(path)
-				}
-				return nil
-			})
-			if err != nil {
-				return nil, err
-			}
+		if p == "..." {
+			p = "./..."
+		}
+		base, tree := strings.CutSuffix(p, "/...")
+		dir, err := filepath.Abs(base)
+		if err != nil {
+			return nil, err
+		}
+		rel, err := filepath.Rel(root, dir)
+		if err != nil || !filepath.IsLocal(rel) {
+			return nil, fmt.Errorf("%s is outside the module root %s", p, root)
+		}
+		path := module
+		if rel != "." {
+			path += "/" + filepath.ToSlash(rel)
+		}
+		if !tree {
+			paths = append(paths, path)
 			continue
 		}
-		add(p)
-	}
-	return dirs, nil
-}
-
-func hasGoFiles(dir string) bool {
-	ents, err := os.ReadDir(dir)
-	if err != nil {
-		return false
-	}
-	for _, e := range ents {
-		name := e.Name()
-		if !e.IsDir() && strings.HasSuffix(name, ".go") &&
-			!strings.HasSuffix(name, "_test.go") && !strings.HasPrefix(name, ".") {
-			return true
+		sub, err := load.Walk(dir, path)
+		if err != nil {
+			return nil, err
 		}
+		paths = append(paths, sub...)
 	}
-	return false
+	slices.Sort(paths)
+	return slices.Compact(paths), nil
 }
 
-func standalone(patterns []string) int {
+// run lints the packages the arguments name, writes diagnostics to
+// stderr and returns the exit status.
+func run(args []string, stderr io.Writer) int {
 	root, module, err := moduleRoot(".")
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "powifi-lint: %v\n", err)
+		fmt.Fprintf(stderr, "powifi-lint: %v\n", err)
 		return 1
 	}
-	dirs, err := expandPatterns(patterns)
+	paths, err := importPaths(root, module, args)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "powifi-lint: %v\n", err)
+		fmt.Fprintf(stderr, "powifi-lint: %v\n", err)
 		return 1
 	}
 	loader := &load.Loader{Root: root, Module: module}
-	var all []diag
-	failed := false
-	for _, dir := range dirs {
-		pkg, err := loader.LoadDir(dir)
+	found, failed := false, false
+	for _, path := range paths {
+		pkgs, err := loader.Load(path)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "powifi-lint: %v\n", err)
+			fmt.Fprintf(stderr, "powifi-lint: %v\n", err)
 			failed = true
 			continue
 		}
-		for _, terr := range pkg.TypeErrors {
-			fmt.Fprintf(os.Stderr, "powifi-lint: %s: %v\n", pkg.Path, terr)
-			failed = true
+		for _, pkg := range pkgs {
+			diags, err := lint.Check(pkg)
+			if err != nil {
+				fmt.Fprintf(stderr, "powifi-lint: %s: %v\n", pkg.Path, err)
+				failed = true
+			}
+			for _, d := range diags {
+				fmt.Fprintln(stderr, d)
+			}
+			found = found || len(diags) > 0
 		}
-		all = append(all, runSuite(pkg.Fset, pkg.Files, pkg.Types, pkg.Info)...)
 	}
-	if len(all) > 0 {
-		printDiags(all)
+	switch {
+	case found:
 		return 2
-	}
-	if failed {
+	case failed:
 		return 1
 	}
 	return 0

@@ -19,11 +19,10 @@ import (
 	"go/types"
 )
 
-// Analyzer describes one static check: a name (the go vet flag and the
-// diagnostic tag), one-paragraph documentation, and the Run function.
+// Analyzer describes one static check: a name (the diagnostic tag),
+// one-paragraph documentation, and the Run function.
 type Analyzer struct {
-	// Name identifies the analyzer in diagnostics and enables it as the
-	// vettool flag -Name. It must be a valid flag name.
+	// Name identifies the analyzer in diagnostics.
 	Name string
 	// Doc is the analyzer's documentation: first line is the summary
 	// shown in flag usage.

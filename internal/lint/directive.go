@@ -10,7 +10,7 @@ import (
 // DirectiveAnalyzer is the hygiene check for the //powifi: comments the
 // other analyzers honor. A typo'd directive (//powifi:walltime-okay) or
 // an escape hatch without a justification silently weakens the suite,
-// so both are vet errors:
+// so both are lint errors:
 //
 //   - the directive name must be one the suite knows;
 //   - every *-ok escape hatch must carry a human-readable reason.

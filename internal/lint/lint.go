@@ -3,8 +3,9 @@
 // hot-path-allocation and SDK-boundary contracts from tribal knowledge
 // (runtime tests, a grep in CI) into compile-time checks.
 //
-// The analyzers (run them all via cmd/powifi-lint, standalone or as
-// `go vet -vettool=`):
+// The analyzers (Check runs them over one loaded package; the
+// `go run ./cmd/powifi-lint ./...` driver and TestRepoIsClean run them
+// over every package of the module, test files included):
 //
 //   - walltime: no wall-clock reads (time.Now/Since/Sleep/timers) in
 //     deterministic packages; escape hatch //powifi:walltime-ok <reason>.
@@ -30,17 +31,22 @@
 //     names only, and every *-ok escape hatch carries a human-readable
 //     reason.
 //
-// All analyzers skip _test.go files: the contracts bind production
-// code, while the runtime suites (goldens, worker-invariance,
+// All analyzers but directive skip _test.go files: the contracts bind
+// production code, while the runtime suites (goldens, worker-invariance,
 // AllocsPerRun pins) exercise the tests themselves.
 package lint
 
 import (
+	"cmp"
+	"errors"
+	"fmt"
 	"go/ast"
 	"go/token"
+	"slices"
 	"strings"
 
 	"repro/internal/lint/analysis"
+	"repro/internal/lint/load"
 )
 
 // Analyzers is the full powifi-lint suite in reporting order.
@@ -52,6 +58,50 @@ var Analyzers = []*analysis.Analyzer{
 	SDKBoundaryAnalyzer,
 	MergecheckAnalyzer,
 	DirectiveAnalyzer,
+}
+
+// Diagnostic is one finding, resolved to its source position and
+// tagged with the analyzer that reported it.
+type Diagnostic struct {
+	Pos      token.Position
+	Analyzer string
+	Message  string
+}
+
+func (d Diagnostic) String() string {
+	return fmt.Sprintf("%s: %s: %s", d.Pos, d.Analyzer, d.Message)
+}
+
+// Check runs the analyzers — the whole suite when none are given —
+// over one loaded package and returns their diagnostics in source
+// order. The error joins the package's type errors and any analyzer
+// failure; the analyzers run regardless, since the AST is intact.
+func Check(pkg *load.Package, analyzers ...*analysis.Analyzer) ([]Diagnostic, error) {
+	if len(analyzers) == 0 {
+		analyzers = Analyzers
+	}
+	errs := slices.Clone(pkg.TypeErrors)
+	var out []Diagnostic
+	for _, a := range analyzers {
+		pass := &analysis.Pass{
+			Analyzer:  a,
+			Fset:      pkg.Fset,
+			Files:     pkg.Files,
+			Pkg:       pkg.Types,
+			TypesInfo: pkg.Info,
+			Report: func(d analysis.Diagnostic) {
+				out = append(out, Diagnostic{Pos: pkg.Fset.Position(d.Pos), Analyzer: a.Name, Message: d.Message})
+			},
+		}
+		if _, err := a.Run(pass); err != nil {
+			errs = append(errs, fmt.Errorf("%s on %s: %w", a.Name, pkg.Path, err))
+		}
+	}
+	slices.SortStableFunc(out, func(x, y Diagnostic) int {
+		return cmp.Or(strings.Compare(x.Pos.Filename, y.Pos.Filename),
+			cmp.Compare(x.Pos.Line, y.Pos.Line), cmp.Compare(x.Pos.Column, y.Pos.Column))
+	})
+	return out, errors.Join(errs...)
 }
 
 // detPackages names the deterministic packages: every package whose
@@ -73,16 +123,6 @@ var detPackages = map[string]bool{
 	"surface":   true,
 	"xrand":     true,
 	"fleet":     true,
-}
-
-// pkgPath returns the package path with any vet compilation-unit suffix
-// (e.g. "repro/internal/fleet [repro/internal/fleet.test]") stripped.
-func pkgPath(pass *analysis.Pass) string {
-	p := pass.Pkg.Path()
-	if i := strings.IndexByte(p, ' '); i >= 0 {
-		p = p[:i]
-	}
-	return p
 }
 
 // isDetPackage reports whether the package path denotes a deterministic
@@ -169,14 +209,4 @@ func (fd fileDirectives) okAt(pass *analysis.Pass, file *ast.File, pos token.Pos
 		}
 	}
 	return false
-}
-
-// fileFor returns the *ast.File containing pos.
-func fileFor(pass *analysis.Pass, pos token.Pos) *ast.File {
-	for _, f := range pass.Files {
-		if f.FileStart <= pos && pos < f.FileEnd {
-			return f
-		}
-	}
-	return nil
 }

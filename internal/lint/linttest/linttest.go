@@ -1,6 +1,7 @@
 // Package linttest is a miniature analysistest: it loads fixture
 // packages from a GOPATH-style tree (testdata/src/<importpath>), runs
-// analyzers over them, and matches reported diagnostics against
+// an analyzer over each one and its external test package through
+// lint.Check, and matches reported diagnostics against
 // expectations written in the fixture source as trailing comments:
 //
 //	time.Now() // want "wall-clock reads"
@@ -12,7 +13,7 @@
 package linttest
 
 import (
-	"fmt"
+	"go/parser"
 	"go/token"
 	"path/filepath"
 	"regexp"
@@ -20,6 +21,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/lint"
 	"repro/internal/lint/analysis"
 	"repro/internal/lint/load"
 )
@@ -37,7 +39,7 @@ func loaderFor(root string) *load.Loader {
 	defer loaderMu.Unlock()
 	l := loaders[root]
 	if l == nil {
-		l = &load.Loader{Root: root, IncludeTests: true}
+		l = &load.Loader{Root: root}
 		loaders[root] = l
 	}
 	return l
@@ -68,23 +70,51 @@ func Run(t *testing.T, testdata string, a *analysis.Analyzer, pkgPaths ...string
 
 func runOne(t *testing.T, l *load.Loader, a *analysis.Analyzer, path string) {
 	t.Helper()
-	pkg, err := l.Load(path)
+	pkgs, err := l.Load(path)
 	if err != nil {
 		t.Fatalf("%s: loading fixture %q: %v", a.Name, path, err)
 	}
-	for _, terr := range pkg.TypeErrors {
-		t.Errorf("%s: fixture %q has type errors: %v", a.Name, path, terr)
+	wants := readWants(t, pkgs[0].Dir)
+	for _, pkg := range pkgs {
+		diags, err := lint.Check(pkg, a)
+		if err != nil {
+			t.Errorf("%s: fixture %q: %v", a.Name, pkg.Path, err)
+		}
+		for _, d := range diags {
+			if !matchWant(wants, d.Pos, d.Message) {
+				t.Errorf("%s: unexpected diagnostic at %s:%d: %s", a.Name, d.Pos.Filename, d.Pos.Line, d.Message)
+			}
+		}
 	}
+	for _, w := range wants {
+		if !w.matched {
+			t.Errorf("%s: no diagnostic at %s:%d matching %q", a.Name, w.file, w.line, w.re)
+		}
+	}
+}
 
-	// Collect expectations from every fixture file's comments.
+// readWants collects the expectations in every Go file of the fixture
+// directory — not only the files the loader type-checked, so a file it
+// skips fails its wants instead of passing unseen.
+func readWants(t *testing.T, dir string) []*expectation {
+	t.Helper()
+	names, err := filepath.Glob(filepath.Join(dir, "*.go"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fset := token.NewFileSet()
 	var wants []*expectation
-	for _, f := range pkg.Files {
+	for _, name := range names {
+		f, err := parser.ParseFile(fset, name, nil, parser.ParseComments)
+		if err != nil {
+			t.Fatal(err)
+		}
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
 				if !strings.Contains(c.Text, "want ") {
 					continue
 				}
-				pos := pkg.Fset.Position(c.Pos())
+				pos := fset.Position(c.Pos())
 				for _, m := range wantRe.FindAllStringSubmatch(c.Text, -1) {
 					pat := m[1]
 					if pat == "" {
@@ -101,31 +131,7 @@ func runOne(t *testing.T, l *load.Loader, a *analysis.Analyzer, path string) {
 			}
 		}
 	}
-
-	var diags []analysis.Diagnostic
-	pass := &analysis.Pass{
-		Analyzer:  a,
-		Fset:      pkg.Fset,
-		Files:     pkg.Files,
-		Pkg:       pkg.Types,
-		TypesInfo: pkg.Info,
-		Report:    func(d analysis.Diagnostic) { diags = append(diags, d) },
-	}
-	if _, err := a.Run(pass); err != nil {
-		t.Fatalf("%s: running on %q: %v", a.Name, path, err)
-	}
-
-	for _, d := range diags {
-		pos := pkg.Fset.Position(d.Pos)
-		if !matchWant(wants, pos, d.Message) {
-			t.Errorf("%s: unexpected diagnostic at %s:%d: %s", a.Name, pos.Filename, pos.Line, d.Message)
-		}
-	}
-	for _, w := range wants {
-		if !w.matched {
-			t.Errorf("%s: no diagnostic at %s:%d matching %q", a.Name, w.file, w.line, w.re)
-		}
-	}
+	return wants
 }
 
 func matchWant(wants []*expectation, pos token.Position, msg string) bool {
@@ -139,29 +145,4 @@ func matchWant(wants []*expectation, pos token.Position, msg string) bool {
 		}
 	}
 	return false
-}
-
-// MustClean runs the analyzer over the package and fails on any
-// diagnostic — for false-positive fixtures that must stay silent, and
-// for self-linting real packages in tests.
-func MustClean(t *testing.T, l *load.Loader, a *analysis.Analyzer, path string) {
-	t.Helper()
-	pkg, err := l.Load(path)
-	if err != nil {
-		t.Fatalf("%s: loading %q: %v", a.Name, path, err)
-	}
-	pass := &analysis.Pass{
-		Analyzer:  a,
-		Fset:      pkg.Fset,
-		Files:     pkg.Files,
-		Pkg:       pkg.Types,
-		TypesInfo: pkg.Info,
-		Report: func(d analysis.Diagnostic) {
-			pos := pkg.Fset.Position(d.Pos)
-			t.Errorf("%s: unexpected diagnostic at %s: %s", a.Name, fmt.Sprintf("%s:%d", pos.Filename, pos.Line), d.Message)
-		},
-	}
-	if _, err := a.Run(pass); err != nil {
-		t.Fatalf("%s: running on %q: %v", a.Name, path, err)
-	}
 }

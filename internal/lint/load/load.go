@@ -4,13 +4,21 @@
 // golang.org/x/tools/go/packages is unavailable; this loader covers the
 // two shapes the lint suite needs:
 //
-//   - the repo itself (the standalone `powifi-lint ./...` driver): the
+//   - the repo itself (`powifi-lint ./...` and TestRepoIsClean): the
 //     module's packages resolve to directories under the module root,
 //     and standard-library imports type-check from $GOROOT/src via the
 //     stdlib "source" importer;
 //   - linttest fixtures (internal/lint/testdata/src): a GOPATH-style
 //     tree where every non-stdlib import path maps to a directory under
 //     the tree root.
+//
+// Test files are always in scope, as under go vet: a package is loaded
+// with its in-package _test.go files, and Load returns its external
+// test package (package x_test) beside it, whose import of x resolves
+// to the test-augmented x. Importers see the augmented package too —
+// a superset of what go vet compiles, which only differs when two
+// packages' in-package tests import each other (legal in Go, reported
+// here as an import cycle).
 //
 // The loader is deliberately simple: no vendoring, no cgo (the build
 // context is forced to CgoEnabled=false, which the repo satisfies —
@@ -36,7 +44,8 @@ import (
 // Package is one loaded, type-checked package.
 type Package struct {
 	// Path is the package's import path (for the module's own packages,
-	// the module-qualified path, e.g. "repro/internal/fleet").
+	// the module-qualified path, e.g. "repro/internal/fleet"; an external
+	// test package adds "_test").
 	Path  string
 	Dir   string
 	Fset  *token.FileSet
@@ -44,9 +53,11 @@ type Package struct {
 	Types *types.Package
 	Info  *types.Info
 	// TypeErrors collects soft type-checking errors. The analyzers run
-	// anyway when the AST is intact; the driver decides whether to
-	// surface them.
+	// anyway when the AST is intact; lint.Check returns them beside the
+	// diagnostics.
 	TypeErrors []error
+
+	xtest []string // external test files, type-checked by Load
 }
 
 // Loader resolves import paths to directories under Root and
@@ -61,11 +72,6 @@ type Loader struct {
 	// Root/internal/fleet. When empty, every import path is tried
 	// verbatim under Root (the fixture-tree shape).
 	Module string
-	// IncludeTests parses the package's in-package _test.go files too.
-	// External test packages (package foo_test) are out of scope: the
-	// analyzers skip test files by contract, so loading them would be
-	// dead weight.
-	IncludeTests bool
 
 	Fset *token.FileSet
 
@@ -130,44 +136,27 @@ func (l *Loader) Import(path string) (*types.Package, error) {
 	return l.stdlib.Import(path)
 }
 
-// Load loads (or returns the cached) package at the given import path.
-func (l *Loader) Load(path string) (*Package, error) {
+// Load loads (or returns the cached) package at the given import path
+// and returns it followed, when the directory has one, by its external
+// test package, which is type-checked afresh on each call.
+func (l *Loader) Load(path string) ([]*Package, error) {
 	l.init()
 	dir := l.dirFor(path)
 	if dir == "" {
 		return nil, fmt.Errorf("lint/load: package %q not found under %s", path, l.Root)
 	}
-	return l.load(path, dir)
-}
-
-// LoadDir loads the package in dir, deriving its import path from the
-// position of dir under Root.
-func (l *Loader) LoadDir(dir string) (*Package, error) {
-	l.init()
-	abs, err := filepath.Abs(dir)
+	pkg, err := l.load(path, dir)
 	if err != nil {
 		return nil, err
 	}
-	root, err := filepath.Abs(l.Root)
+	if len(pkg.xtest) == 0 {
+		return []*Package{pkg}, nil
+	}
+	xpkg, err := l.check(path+"_test", dir, pkg.xtest)
 	if err != nil {
 		return nil, err
 	}
-	rel, err := filepath.Rel(root, abs)
-	if err != nil || strings.HasPrefix(rel, "..") {
-		return nil, fmt.Errorf("lint/load: %s is outside the load root %s", dir, l.Root)
-	}
-	path := filepath.ToSlash(rel)
-	if path == "." {
-		path = ""
-	}
-	if l.Module != "" {
-		if path == "" {
-			path = l.Module
-		} else {
-			path = l.Module + "/" + path
-		}
-	}
-	return l.load(path, abs)
+	return []*Package{pkg, xpkg}, nil
 }
 
 func (l *Loader) load(path, dir string) (*Package, error) {
@@ -188,10 +177,19 @@ func (l *Loader) load(path, dir string) (*Package, error) {
 	if err != nil {
 		return nil, fmt.Errorf("lint/load: %s: %w", dir, err)
 	}
-	names := append([]string(nil), bp.GoFiles...)
-	if l.IncludeTests {
-		names = append(names, bp.TestGoFiles...)
+	pkg, err := l.check(path, dir, append(bp.GoFiles, bp.TestGoFiles...))
+	if err != nil {
+		return nil, err
 	}
+	pkg.xtest = bp.XTestGoFiles
+	l.pkgs[path] = pkg
+	l.state[path] = stDone
+	return pkg, nil
+}
+
+// check parses the named files of dir and type-checks them as one
+// package with the given import path.
+func (l *Loader) check(path, dir string, names []string) (*Package, error) {
 	sort.Strings(names)
 	files := make([]*ast.File, 0, len(names))
 	for _, name := range names {
@@ -227,8 +225,6 @@ func (l *Loader) load(path, dir string) (*Package, error) {
 	pkg.Files = files
 	pkg.Types = tpkg
 	pkg.Info = info
-	l.pkgs[path] = pkg
-	l.state[path] = stDone
 	return pkg, nil
 }
 

@@ -33,7 +33,7 @@ var MapiterAnalyzer = &analysis.Analyzer{
 }
 
 func runMapiter(pass *analysis.Pass) (any, error) {
-	if !isDetPackage(pkgPath(pass)) {
+	if !isDetPackage(pass.Pkg.Path()) {
 		return nil, nil
 	}
 	dirs := parseDirectives(pass)
@@ -63,7 +63,7 @@ func runMapiter(pass *analysis.Pass) (any, error) {
 				"range over map in deterministic package %s: iteration order is randomized and "+
 					"breaks bit-identical worker invariance — sort the keys first, use a fixed "+
 					"array, or annotate //powifi:mapiter-ok <reason> for a commutative fold",
-				pkgPath(pass))
+				pass.Pkg.Path())
 			return true
 		})
 	}

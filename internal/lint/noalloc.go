@@ -36,7 +36,7 @@ var NoallocAnalyzer = &analysis.Analyzer{
 		"Annotate a hot function's doc comment with //powifi:noalloc to have\n" +
 		"escaping composite literals, capturing closures, fmt calls, string\n" +
 		"concatenation, interface boxing, make/new and go statements rejected\n" +
-		"at vet time. The runtime AllocsPerRun pins remain the ground truth.",
+		"at lint time. The runtime AllocsPerRun pins remain the ground truth.",
 	Run: runNoalloc,
 }
 

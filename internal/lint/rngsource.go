@@ -38,7 +38,7 @@ func isXrandPackage(path string) bool {
 }
 
 func runRngsource(pass *analysis.Pass) (any, error) {
-	if isXrandPackage(pkgPath(pass)) {
+	if isXrandPackage(pass.Pkg.Path()) {
 		return nil, nil
 	}
 	dirs := parseDirectives(pass)

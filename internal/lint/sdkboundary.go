@@ -57,7 +57,7 @@ func internalTo(module, imp string) bool {
 }
 
 func runSDKBoundary(pass *analysis.Pass) (any, error) {
-	module, ok := sdkConsumerModule(pkgPath(pass))
+	module, ok := sdkConsumerModule(pass.Pkg.Path())
 	if !ok {
 		return nil, nil
 	}
@@ -81,7 +81,7 @@ func runSDKBoundary(pass *analysis.Pass) (any, error) {
 			}
 			pass.Reportf(imp.Pos(),
 				"internal import %q in SDK consumer %s: cmd/ and examples/ must stay on the "+
-					"public powifi surface (api/powifi.txt)", path, pkgPath(pass))
+					"public powifi surface (api/powifi.txt)", path, pass.Pkg.Path())
 		}
 		if hasInternalImport {
 			// Uses are implied by the import specs (flagged or
@@ -118,7 +118,7 @@ func runSDKBoundary(pass *analysis.Pass) (any, error) {
 			}
 			pass.Reportf(id.Pos(),
 				"use of internal identifier %s.%s in SDK consumer %s",
-				obj.Pkg().Path(), obj.Name(), pkgPath(pass))
+				obj.Pkg().Path(), obj.Name(), pass.Pkg.Path())
 			return true
 		})
 	}

@@ -5,14 +5,14 @@ import (
 	"testing"
 
 	"repro/internal/lint"
-	"repro/internal/lint/analysis"
 	"repro/internal/lint/load"
 )
 
 // TestRepoIsClean runs the full analyzer suite over the repository
-// itself and fails on any diagnostic: the lint contracts are part of
-// tier-1, not just a CI side job. Skipped under -short — type-checking
-// the whole module plus its stdlib closure from source takes a while.
+// itself, test files and external test packages included, and fails on
+// any diagnostic: the lint contracts are part of tier-1, not just a CI
+// side job. Skipped under -short — type-checking the whole module plus
+// its stdlib closure from source takes a while.
 func TestRepoIsClean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("self-lint type-checks the whole module from source; skipped under -short")
@@ -30,28 +30,18 @@ func TestRepoIsClean(t *testing.T) {
 	}
 	l := &load.Loader{Root: root, Module: "repro"}
 	for _, path := range paths {
-		pkg, err := l.Load(path)
+		pkgs, err := l.Load(path)
 		if err != nil {
 			t.Errorf("loading %s: %v", path, err)
 			continue
 		}
-		for _, terr := range pkg.TypeErrors {
-			t.Errorf("type error in %s: %v", path, terr)
-		}
-		for _, a := range lint.Analyzers {
-			pass := &analysis.Pass{
-				Analyzer:  a,
-				Fset:      pkg.Fset,
-				Files:     pkg.Files,
-				Pkg:       pkg.Types,
-				TypesInfo: pkg.Info,
+		for _, pkg := range pkgs {
+			diags, err := lint.Check(pkg)
+			if err != nil {
+				t.Errorf("%s: %v", pkg.Path, err)
 			}
-			pass.Report = func(d analysis.Diagnostic) {
-				pos := pkg.Fset.Position(d.Pos)
-				t.Errorf("%s: %s:%d: %s", a.Name, pos.Filename, pos.Line, d.Message)
-			}
-			if _, err := a.Run(pass); err != nil {
-				t.Errorf("%s on %s: %v", a.Name, path, err)
+			for _, d := range diags {
+				t.Error(d)
 			}
 		}
 	}

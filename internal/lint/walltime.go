@@ -43,7 +43,7 @@ var walltimeBanned = map[string]bool{
 }
 
 func runWalltime(pass *analysis.Pass) (any, error) {
-	if !isDetPackage(pkgPath(pass)) {
+	if !isDetPackage(pass.Pkg.Path()) {
 		return nil, nil
 	}
 	dirs := parseDirectives(pass)
@@ -76,7 +76,7 @@ func runWalltime(pass *analysis.Pass) (any, error) {
 			pass.Reportf(id.Pos(),
 				"time.%s in deterministic package %s: wall-clock reads break the bit-identical "+
 					"worker-invariance contract (annotate //powifi:walltime-ok <reason> if this is "+
-					"genuinely out of band)", id.Name, pkgPath(pass))
+					"genuinely out of band)", id.Name, pass.Pkg.Path())
 			return true
 		})
 	}

@@ -92,6 +92,49 @@ func TestScenarioPartialReport(t *testing.T) {
 	}
 }
 
+// TestHomesPartialEnd pins the stream form of a partial run: the
+// iterator yields the committed, unquarantined records and then one
+// error naming the tripped budget and the committed count that Run's
+// partial summary reports.
+func TestHomesPartialEnd(t *testing.T) {
+	sc := tinyFleet(t, powifi.WithHomes(8), powifi.WithSeed(3),
+		powifi.WithFaults("home.panic@2,times=-1;home.panic@5,times=-1"),
+		powifi.WithFailurePolicy(powifi.FailurePolicy{Skip: true}),
+		powifi.WithMaxFailedHomes(1))
+	rep, err := sc.Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rep.Fleet.Partial || rep.Fleet.PartialReason != powifi.PartialFailureBudget || rep.Fleet.CommittedHomes != 6 {
+		t.Fatalf("Run summary: partial=%v reason=%q committed=%d, want partial failure_budget 6",
+			rep.Fleet.Partial, rep.Fleet.PartialReason, rep.Fleet.CommittedHomes)
+	}
+
+	var recs int
+	var errs []error
+	for _, err := range sc.Homes(context.Background()) {
+		if err != nil {
+			errs = append(errs, err)
+			continue
+		}
+		if len(errs) > 0 {
+			t.Fatal("record yielded after the stream's error")
+		}
+		recs++
+	}
+	if recs != 4 {
+		t.Errorf("yielded %d records, want 4 (6 committed minus 2 quarantined)", recs)
+	}
+	if len(errs) != 1 {
+		t.Fatalf("stream ended with errors %v, want exactly one", errs)
+	}
+	for _, want := range []string{powifi.PartialFailureBudget, "6 of 8 homes committed"} {
+		if !strings.Contains(errs[0].Error(), want) {
+			t.Errorf("final error %q does not name %q", errs[0], want)
+		}
+	}
+}
+
 // TestScenarioFailFast pins the default failure policy through the
 // facade: an injected home panic surfaces as a structured *HomeError.
 func TestScenarioFailFast(t *testing.T) {

@@ -492,72 +492,70 @@ func (s *Scenario) fleetConfig() fleet.Config {
 	return cfg
 }
 
-// fleetFaults arms the WithFaults spec against the run's resolved seed
-// (nil when the option is absent). The spec was validated at option
-// time; re-parsing with the real seed cannot fail.
-func (s *Scenario) fleetFaults(cfg fleet.Config) *faultinject.Set {
-	if s.set&optFaults == 0 {
-		return nil
+// fleetHooks assembles the engine hooks Run and Homes share: progress,
+// checkpoint, faults and observability. An output option without an
+// explicit collector or recorder still needs one to write, so it gets
+// a fresh one.
+func (s *Scenario) fleetHooks(cfg fleet.Config) fleet.Hooks {
+	h := fleet.Hooks{Progress: s.progress, Telemetry: s.telemetry, Trace: s.trace}
+	if h.Telemetry == nil && s.set&optMetricsSink != 0 {
+		h.Telemetry = NewTelemetry()
 	}
-	fi, err := faultinject.Parse(cfg.Seed, s.faults)
-	if err != nil {
-		panic("powifi: validated fault spec failed to re-parse: " + err.Error())
+	if h.Trace == nil && s.set&optTraceOut != 0 {
+		h.Trace = NewTrace()
 	}
-	return fi
+	if s.set&optCheckpoint != 0 {
+		h.Checkpoint = &fleet.Checkpoint{Path: s.checkpoint}
+	}
+	if s.set&optFaults != 0 {
+		// Armed against the run's resolved seed. The spec was validated
+		// at option time; re-parsing with the real seed cannot fail.
+		fi, err := faultinject.Parse(cfg.Seed, s.faults)
+		if err != nil {
+			panic("powifi: validated fault spec failed to re-parse: " + err.Error())
+		}
+		h.Faults = fi
+	}
+	return h
 }
 
-// fleetCheckpoint translates the WithCheckpoint path into the engine's
-// checkpoint descriptor (nil when the option is absent).
-func (s *Scenario) fleetCheckpoint() *fleet.Checkpoint {
-	if s.set&optCheckpoint == 0 {
-		return nil
+// writeSinks writes the WithMetricsSink and WithTraceOutput outputs of
+// a finished run.
+func (s *Scenario) writeSinks(h fleet.Hooks) error {
+	if s.metricsTo != nil {
+		if err := h.Telemetry.WritePrometheus(s.metricsTo); err != nil {
+			return fmt.Errorf("powifi: writing metrics sink: %w", err)
+		}
 	}
-	return &fleet.Checkpoint{Path: s.checkpoint}
+	if s.traceTo != nil {
+		if err := h.Trace.WriteChrome(s.traceTo); err != nil {
+			return fmt.Errorf("powifi: writing trace output: %w", err)
+		}
+	}
+	return nil
 }
 
 func (s *Scenario) runFleet(ctx context.Context) (*Report, error) {
-	t := s.telemetry
-	if t == nil && s.set&optMetricsSink != 0 {
-		// A sink without an explicit collector still needs one to write.
-		t = NewTelemetry()
-	}
-	rec := s.trace
-	if rec == nil && s.set&optTraceOut != 0 {
-		// An output without an explicit recorder still needs one to write.
-		rec = NewTrace()
-	}
 	cfg := s.fleetConfig()
-	endRun := rec.Span(powifitrace.SpanRun)
-	res, err := fleet.RunWith(ctx, cfg, fleet.Hooks{
-		Progress:   s.progress,
-		Telemetry:  t,
-		Trace:      rec,
-		Checkpoint: s.fleetCheckpoint(),
-		Faults:     s.fleetFaults(cfg),
-	})
+	h := s.fleetHooks(cfg)
+	endRun := h.Trace.Span(powifitrace.SpanRun)
+	res, err := fleet.RunWith(ctx, cfg, h)
 	endRun()
 	if err != nil {
 		return nil, err
 	}
 	sum := res.Summarize()
 	rep := newReport(ModeFleet, &Report{Fleet: &sum})
-	if t != nil {
-		snap := t.Snapshot()
+	if h.Telemetry != nil {
+		snap := h.Telemetry.Snapshot()
 		rep.Telemetry = &snap
-		if s.metricsTo != nil {
-			if err := t.WritePrometheus(s.metricsTo); err != nil {
-				return nil, fmt.Errorf("powifi: writing metrics sink: %w", err)
-			}
-		}
 	}
-	if rec != nil {
-		tsum := rec.Summary()
+	if h.Trace != nil {
+		tsum := h.Trace.Summary()
 		rep.Trace = &tsum
-		if s.traceTo != nil {
-			if err := rec.WriteChrome(s.traceTo); err != nil {
-				return nil, fmt.Errorf("powifi: writing trace output: %w", err)
-			}
-		}
+	}
+	if err := s.writeSinks(h); err != nil {
+		return nil, err
 	}
 	return rep, nil
 }
@@ -742,8 +740,14 @@ func (s *Scenario) Bins(ctx context.Context) iter.Seq2[BinSample, error] {
 // value. Breaking out of the loop stops the run: workers drain and
 // exit cleanly, and nothing further is simulated. On cancellation the
 // iterator yields ctx.Err() once (with a zero HomeRecord) and stops.
-// Calling Homes on a single-home or experiment scenario yields a
-// single error.
+// A run cut short by a degradation budget (WithDeadline,
+// WithMaxFailedHomes) ends with one error, after the committed
+// records, naming the budget's reason and the committed home count —
+// the stream form of Run's partial fleet summary. The observability
+// options apply as under Run: WithTelemetry and WithTrace fill their
+// collector and recorder, and WithMetricsSink and WithTraceOutput are
+// written once the stream ends without error or early break. Calling
+// Homes on a single-home or experiment scenario yields a single error.
 func (s *Scenario) Homes(ctx context.Context) iter.Seq2[HomeRecord, error] {
 	return func(yield func(HomeRecord, error) bool) {
 		if s.Mode() != ModeFleet {
@@ -752,19 +756,25 @@ func (s *Scenario) Homes(ctx context.Context) iter.Seq2[HomeRecord, error] {
 		}
 		stopped := false
 		cfg := s.fleetConfig()
-		_, err := fleet.RunWith(ctx, cfg, fleet.Hooks{
-			Progress:   s.progress,
-			Checkpoint: s.fleetCheckpoint(),
-			Faults:     s.fleetFaults(cfg),
-			Home: func(r fleet.HomeRecord) bool {
-				if !yield(r, nil) {
-					stopped = true
-					return false
-				}
-				return true
-			},
-		})
-		if err != nil && !stopped && !errors.Is(err, fleet.ErrStopped) {
+		h := s.fleetHooks(cfg)
+		h.Home = func(r fleet.HomeRecord) bool {
+			stopped = !yield(r, nil)
+			return !stopped
+		}
+		endRun := h.Trace.Span(powifitrace.SpanRun)
+		res, err := fleet.RunWith(ctx, cfg, h)
+		endRun()
+		if stopped {
+			return
+		}
+		if err == nil {
+			err = s.writeSinks(h)
+			if res.Partial {
+				err = errors.Join(fmt.Errorf("powifi: fleet run partial (%s): %d of %d homes committed",
+					res.PartialReason, res.CommittedHomes, cfg.Homes), err)
+			}
+		}
+		if err != nil {
 			yield(HomeRecord{}, err)
 		}
 	}

@@ -362,3 +362,39 @@ func TestServeMetricsDrainsInflightScrape(t *testing.T) {
 		t.Fatal("scrape after shutdown should fail")
 	}
 }
+
+// TestHomesObservability pins the observability options on the fleet
+// iterator: the collector and recorder count exactly the records the
+// stream yielded, and both sinks are written when the stream ends.
+func TestHomesObservability(t *testing.T) {
+	tel, rec := powifi.NewTelemetry(), powifi.NewTrace()
+	var metrics, chrome bytes.Buffer
+	sc, err := powifi.NewScenario(append(telemetryFleetOpts(2), powifi.WithHomes(4),
+		powifi.WithTelemetry(tel), powifi.WithTrace(rec),
+		powifi.WithMetricsSink(&metrics), powifi.WithTraceOutput(&chrome))...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var recs uint64
+	for _, err := range sc.Homes(context.Background()) {
+		if err != nil {
+			t.Fatal(err)
+		}
+		recs++
+	}
+	if recs != 4 {
+		t.Fatalf("yielded %d records, want 4", recs)
+	}
+	if got := tel.Snapshot().Counters["homes"]; got != recs {
+		t.Errorf("homes counter = %d, want %d", got, recs)
+	}
+	if got := rec.Summary().HomesTraced; got != int(recs) {
+		t.Errorf("HomesTraced = %d, want %d", got, recs)
+	}
+	if !strings.Contains(metrics.String(), "\npowifi_homes_total 4\n") {
+		t.Errorf("metrics sink lacks powifi_homes_total 4:\n%s", metrics.String())
+	}
+	if !json.Valid(chrome.Bytes()) || !strings.Contains(chrome.String(), `"name":"home"`) {
+		t.Errorf("trace output is not a Chrome trace with home spans: %.200s", chrome.String())
+	}
+}
