@@ -161,11 +161,12 @@ func (smp *Sampler) simulate(b *BinBatch, bin int, each func(bin int) bool) bool
 	if each != nil && !each(bin) {
 		return false
 	}
-	b.Occupancy[bin] = smp.sampleBin(smp.plan.seed*1_000_003+uint64(bin),
+	occ, events := smp.sampleBin(smp.plan.seed*1_000_003+uint64(bin),
 		smp.plan.clientLoad[bin], smp.plan.neighborLoad[bin], smp.plan.window)
+	b.Occupancy[bin] = occ
 	b.Simulated[bin] = true
 	if smp.tr != nil {
-		smp.tr.BinSimulated(bin, smp.sched.Scheduled())
+		smp.tr.BinSimulated(bin, events)
 	}
 	return true
 }

@@ -23,7 +23,7 @@ func perBinRef(smp *Sampler, cfg HomeConfig, opts Options) []BinSample {
 	}
 	ref := make([]BinSample, n)
 	for bin := range ref {
-		occ := smp.sampleBin(cfg.Seed*1_000_003+uint64(bin),
+		occ, _ := smp.sampleBin(cfg.Seed*1_000_003+uint64(bin),
 			smp.plan.clientLoad[bin], smp.plan.neighborLoad[bin], opts.Window)
 		cum := 0.0
 		for _, v := range occ {

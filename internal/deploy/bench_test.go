@@ -25,7 +25,7 @@ func BenchmarkSampleBin(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				occ := smp.sampleBin(seed+uint64(i%1440), clientLoad, neighborLoad, window)
+				occ, _ := smp.sampleBin(seed+uint64(i%1440), clientLoad, neighborLoad, window)
 				if occ[0] <= 0 {
 					b.Fatal("no occupancy sampled")
 				}

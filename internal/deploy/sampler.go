@@ -259,16 +259,26 @@ func (smp *Sampler) planBins(cfg HomeConfig, opts Options, nBins int) {
 }
 
 // sampleBin resets the pooled context and runs one packet-level window,
-// returning the router's per-channel occupancy fractions. The start-up
-// sequence (neighbor generators in channel/contender order, then the
-// client feed, then the router) reproduces the original fresh-build
-// scheduling order event for event.
+// returning the router's per-channel occupancy fractions and the bin's
+// kernel event count.
+//
+// The three PoWiFi channels do not overlap and share no state: each
+// component draws from its own (seed, label) stream and only channel 1
+// carries the client feed. So each channel runs as its own pass on the
+// one scheduler, which then holds a third of the bin's timers. Within a
+// channel the start-up order (contenders in order, the client feed,
+// then the router radio) and the rising sequence numbers are those of a
+// single pass over all three channels, so each channel fires exactly
+// the subsequence of events it would there, and the event count is the
+// sum of the passes'.
 //
 //powifi:noalloc
-func (smp *Sampler) sampleBin(seed uint64, clientLoad float64, neighborLoad [3]float64, window time.Duration) [3]float64 {
-	smp.sched.Reset()
-	for i := range smp.channels {
-		smp.channels[i].Reset()
+func (smp *Sampler) sampleBin(seed uint64, clientLoad float64, neighborLoad [3]float64, window time.Duration) (occ [3]float64, events uint64) {
+	smp.rt.Reset(seed)
+	for i, ch := range smp.channels {
+		// The monitor reset reads the clock, so the scheduler goes first.
+		smp.sched.Reset()
+		ch.Reset()
 		smp.monitors[i].Reset()
 		// Only contenders that ran last bin carry state worth clearing;
 		// the dormant spares are still in their just-reset state.
@@ -276,50 +286,44 @@ func (smp *Sampler) sampleBin(seed uint64, clientLoad float64, neighborLoad [3]f
 			smp.bg[i][k].Station.Reset()
 		}
 		smp.lastActiveBg[i] = 0
-	}
-	smp.rt.Reset(seed)
 
-	// Neighbor load on each channel, spread over several contending
-	// stations: a crowded neighborhood does not just offer more airtime,
-	// it also fields more DCF contenders, each of which wins transmit
-	// opportunities against our router. Only the contenders a fresh
-	// build would have constructed participate this bin; the pooled
-	// spares beyond them are deactivated so the medium's per-frame loops
-	// see exactly the fresh-build station set.
-	for i := range smp.channels {
-		load := neighborLoad[i]
-		if load <= 0 {
-			smp.channels[i].SetActiveStations(1) // router radio only
-			continue
+		// Neighbor load, spread over several contending stations: a
+		// crowded neighborhood does not just offer more airtime, it also
+		// fields more DCF contenders, each of which wins transmit
+		// opportunities against our router. Only the contenders a fresh
+		// build would have constructed participate this bin; the pooled
+		// spares beyond them are deactivated so the medium's per-frame
+		// loops see exactly the fresh-build station set.
+		if load := neighborLoad[i]; load <= 0 {
+			ch.SetActiveStations(1) // router radio only
+		} else {
+			stations := 1 + int(load/0.2)
+			if stations > maxBgStations {
+				stations = maxBgStations
+			}
+			ch.SetActiveStations(1 + stations)
+			smp.lastActiveBg[i] = stations
+			for k := 0; k < stations; k++ {
+				bg := smp.bg[i][k]
+				bg.RNG().ReseedFromLabel(seed, smp.bgLabels[i][k])
+				bg.Load = load / float64(stations)
+				bg.Start()
+			}
 		}
-		stations := 1 + int(load/0.2)
-		if stations > maxBgStations {
-			stations = maxBgStations
+
+		// The home's own client traffic rides channel 1 through the
+		// router's fair queue, competing with the injector exactly as
+		// §3.2 describes.
+		if i == 0 && clientLoad > 0 {
+			smp.clientRng.ReseedFromLabel(seed, "clients")
+			smp.clientMean = smp.frameAir / clientLoad
+			smp.armClient()
 		}
-		smp.channels[i].SetActiveStations(1 + stations)
-		smp.lastActiveBg[i] = stations
-		for k := 0; k < stations; k++ {
-			bg := smp.bg[i][k]
-			bg.RNG().ReseedFromLabel(seed, smp.bgLabels[i][k])
-			bg.Load = load / float64(stations)
-			bg.Start()
-		}
-	}
 
-	// The home's own client traffic rides channel 1 through the router's
-	// fair queue, competing with the injector exactly as §3.2 describes.
-	if clientLoad > 0 {
-		smp.clientRng.ReseedFromLabel(seed, "clients")
-		smp.clientMean = smp.frameAir / clientLoad
-		smp.armClient()
+		smp.rt.StartRadio(i)
+		smp.sched.RunUntil(window)
+		occ[i] = smp.monitors[i].MeanOccupancy()
+		events += smp.sched.Scheduled()
 	}
-
-	smp.rt.Start()
-	smp.sched.RunUntil(window)
-
-	var occ [3]float64
-	for i, mon := range smp.monitors {
-		occ[i] = mon.MeanOccupancy()
-	}
-	return occ
+	return occ, events
 }

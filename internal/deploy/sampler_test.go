@@ -1,6 +1,8 @@
 package deploy
 
 import (
+	"math"
+	"slices"
 	"testing"
 	"time"
 
@@ -116,4 +118,141 @@ func TestRunBatchAllocBudget(t *testing.T) {
 		t.Errorf("steady-state RunBatch allocs/bin = %v, budget is 10", perBin)
 	}
 	t.Logf("steady-state RunBatch allocs/bin = %v", perBin)
+}
+
+// sampleBinInterleaved is the reference the per-channel passes of
+// sampleBin are certified against: the single-pass form that runs all
+// three channels interleaved on one scheduler, resetting everything
+// once and starting every channel's contenders, then the client feed,
+// then the whole router, before one RunUntil.
+func (smp *Sampler) sampleBinInterleaved(seed uint64, clientLoad float64, neighborLoad [3]float64, window time.Duration) ([3]float64, uint64) {
+	smp.sched.Reset()
+	for i := range smp.channels {
+		smp.channels[i].Reset()
+		smp.monitors[i].Reset()
+		for k := 0; k < smp.lastActiveBg[i]; k++ {
+			smp.bg[i][k].Station.Reset()
+		}
+		smp.lastActiveBg[i] = 0
+	}
+	smp.rt.Reset(seed)
+
+	for i := range smp.channels {
+		load := neighborLoad[i]
+		if load <= 0 {
+			smp.channels[i].SetActiveStations(1)
+			continue
+		}
+		stations := 1 + int(load/0.2)
+		if stations > maxBgStations {
+			stations = maxBgStations
+		}
+		smp.channels[i].SetActiveStations(1 + stations)
+		smp.lastActiveBg[i] = stations
+		for k := 0; k < stations; k++ {
+			bg := smp.bg[i][k]
+			bg.RNG().ReseedFromLabel(seed, smp.bgLabels[i][k])
+			bg.Load = load / float64(stations)
+			bg.Start()
+		}
+	}
+
+	if clientLoad > 0 {
+		smp.clientRng.ReseedFromLabel(seed, "clients")
+		smp.clientMean = smp.frameAir / clientLoad
+		smp.armClient()
+	}
+
+	smp.rt.Start()
+	smp.sched.RunUntil(window)
+
+	var occ [3]float64
+	for i, mon := range smp.monitors {
+		occ[i] = mon.MeanOccupancy()
+	}
+	return occ, smp.sched.Scheduled()
+}
+
+// channelPassPair holds two dirty pooled contexts, one sampling bins in
+// per-channel passes and one in the interleaved reference form.
+type channelPassPair struct{ passes, ref *Sampler }
+
+// check samples one bin both ways and fails unless the occupancy floats
+// are bit-identical and the kernel event counts agree.
+func (p channelPassPair) check(t *testing.T, seed uint64, clientLoad float64, neighborLoad [3]float64, window time.Duration) {
+	t.Helper()
+	got, gotEvents := p.passes.sampleBin(seed, clientLoad, neighborLoad, window)
+	want, wantEvents := p.ref.sampleBinInterleaved(seed, clientLoad, neighborLoad, window)
+	for i := range got {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("seed %d client %v neighbors %v window %v: channel %d occupancy %v, interleaved %v",
+				seed, clientLoad, neighborLoad, window, i, got[i], want[i])
+		}
+	}
+	if gotEvents != wantEvents {
+		t.Fatalf("seed %d client %v neighbors %v window %v: %d kernel events, interleaved %d",
+			seed, clientLoad, neighborLoad, window, gotEvents, wantEvents)
+	}
+}
+
+// TestSampleBinChannelPasses certifies the per-channel passes against
+// the interleaved reference over randomized bins: idle channels (router
+// radio only) and one to four contenders, with and without client load,
+// at 2, 3 and 10 ms windows.
+func TestSampleBinChannelPasses(t *testing.T) {
+	rng := xrand.NewFromLabel(5, "sampler/channel-passes")
+	pair := channelPassPair{NewSampler(), NewSampler()}
+	windows := []time.Duration{2 * time.Millisecond, 3 * time.Millisecond, 10 * time.Millisecond}
+	var contenders [maxBgStations + 1]int // channel passes per contender count
+	var clientBins [2]int                 // without, with client load
+	var windowBins [3]int
+	for bin := 0; bin < 600; bin++ {
+		var neighborLoad [3]float64
+		for i := range neighborLoad {
+			if !rng.Bool(0.25) {
+				neighborLoad[i] = rng.Uniform(0.01, 0.9)
+			}
+			n := 0
+			if l := neighborLoad[i]; l > 0 {
+				n = min(1+int(l/0.2), maxBgStations)
+			}
+			contenders[n]++
+		}
+		clientLoad := 0.0
+		if rng.Bool(0.7) {
+			clientLoad = rng.Uniform(0.02, 0.6)
+			clientBins[1]++
+		} else {
+			clientBins[0]++
+		}
+		w := rng.Intn(len(windows))
+		windowBins[w]++
+		pair.check(t, rng.Uint64(), clientLoad, neighborLoad, windows[w])
+	}
+	for n, c := range contenders {
+		if c == 0 {
+			t.Errorf("no channel ran with %d contenders", n)
+		}
+	}
+	if slices.Contains(clientBins[:], 0) || slices.Contains(windowBins[:], 0) {
+		t.Errorf("coverage gap: bins without/with client load %v, per window %v", clientBins, windowBins)
+	}
+}
+
+// FuzzSampleBinChannels drives the same differential from fuzzed seeds,
+// loads and windows. Loads are mapped to thousandths (0–1.0 neighbor,
+// 0–0.6 client) and the window to 0.5–10 ms, so every input is a
+// well-formed bin.
+func FuzzSampleBinChannels(f *testing.F) {
+	f.Add(uint64(1), uint16(350), uint16(250), uint16(80), uint16(400), uint16(9500))
+	f.Add(uint64(2), uint16(0), uint16(0), uint16(0), uint16(0), uint16(1500))
+	f.Add(uint64(3), uint16(600), uint16(1000), uint16(0), uint16(850), uint16(2500))
+	pair := channelPassPair{NewSampler(), NewSampler()}
+	f.Fuzz(func(t *testing.T, seed uint64, client, n1, n6, n11, windowUs uint16) {
+		neighborLoad := [3]float64{
+			float64(n1%1001) / 1000, float64(n6%1001) / 1000, float64(n11%1001) / 1000,
+		}
+		window := time.Duration(500+int(windowUs)%9501) * time.Microsecond
+		pair.check(t, seed, float64(client%601)/1000, neighborLoad, window)
+	})
 }

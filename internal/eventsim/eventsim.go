@@ -91,8 +91,9 @@ type queueEntry struct {
 // eventQueue is a slice of entries kept sorted in descending (time,
 // sequence) order, so the next event to fire is the last element and a
 // pop is a single load. The kernel's queues are small — the deploy
-// sampler and fleet hold 8–34 events, the paper experiments at most 81
-// — and new events are mostly near-term (DIFS, backoff, end of
+// sampler, which simulates one channel at a time, holds 6 events on
+// average at a pop and at most 12; the paper experiments at most 81 —
+// and new events are mostly near-term (DIFS, backoff, end of
 // transmission), so an insertion shifts only the few tail entries that
 // fire sooner. At these depths that beats a heap, whose pop pays a
 // mispredicted child scan per level. Pop order is structural: (time,
@@ -242,7 +243,8 @@ func (s *Scheduler) Pending() int { return len(s.events) }
 
 // Scheduled returns the number of events scheduled since the last
 // Reset. Callers that Reset per simulation window read it as the
-// window's kernel event count.
+// window's kernel event count; the deploy sampler, which runs a bin as
+// three per-channel passes, sums the three passes' counts.
 func (s *Scheduler) Scheduled() uint64 { return s.seq }
 
 // Reset drains all queued events into the free list and rewinds the

@@ -223,13 +223,23 @@ func (r *Router) powerRate() phy.Rate {
 }
 
 // Start launches the beacons on every radio and, except under Baseline,
-// the power injectors.
+// the power injectors, radio by radio in Config.Channels order.
 func (r *Router) Start() {
-	for _, radio := range r.radios {
-		radio.startBeacons(r.Cfg.BeaconInterval)
-		if r.Cfg.Scheme != Baseline {
-			radio.Injector.Start()
-		}
+	for i := range r.radios {
+		r.StartRadio(i)
+	}
+}
+
+// StartRadio launches radio i's beacons and, except under Baseline, its
+// power injector; i indexes the radios in Config.Channels order,
+// skipping channels New found no medium for. Radios share no state, so
+// a caller that simulates each channel in its own scheduler pass starts
+// only that channel's radio.
+func (r *Router) StartRadio(i int) {
+	radio := r.radios[i]
+	radio.startBeacons(r.Cfg.BeaconInterval)
+	if r.Cfg.Scheme != Baseline {
+		radio.Injector.Start()
 	}
 }
 

@@ -1,6 +1,7 @@
 package router
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -263,5 +264,93 @@ func TestStopHaltsBeacons(t *testing.T) {
 	after := channels[phy.Channel1].TxCount[medium.KindBeacon]
 	if after > before {
 		t.Errorf("beacons continued after Stop: %d -> %d", before, after)
+	}
+}
+
+// TestStartRadioIsolated runs one radio's start-up alone and checks that
+// no other radio moved: its injector made no attempt, its MAC sent no
+// frame and its beacon was never armed.
+func TestStartRadioIsolated(t *testing.T) {
+	for i, chNum := range phy.PoWiFiChannels {
+		sched, _, rt := newRig(PoWiFi)
+		rt.StartRadio(i)
+		sched.RunUntil(300 * time.Millisecond)
+		for j, other := range rt.radios {
+			if j == i {
+				if other.Injector.Attempted == 0 || other.MAC.TxFrames == 0 || !other.beaconOn {
+					t.Errorf("StartRadio(%d) left %v idle", i, chNum)
+				}
+				continue
+			}
+			if other.Injector.Attempted != 0 || other.MAC.TxFrames != 0 ||
+				other.beaconOn || other.beaconEv != (eventsim.Handle{}) {
+				t.Errorf("StartRadio(%d) moved %v: attempted %d, tx frames %d, beacon on %v",
+					i, other.Channel, other.Injector.Attempted, other.MAC.TxFrames, other.beaconOn)
+			}
+		}
+	}
+}
+
+// startAllRadios is the reference Start is certified against: one loop
+// arming each radio's beacons, then its injector, with no per-radio
+// entry point in between.
+func startAllRadios(r *Router) {
+	for _, radio := range r.radios {
+		radio.startBeacons(r.Cfg.BeaconInterval)
+		if r.Cfg.Scheme != Baseline {
+			radio.Injector.Start()
+		}
+	}
+}
+
+// TestStartMatchesReference checks that Start, a loop over
+// StartRadio, schedules the same events as the reference: per radio the
+// same beacon and injector fire times, the same number of events at
+// start-up, then the same transmissions in the same order across all
+// three channels, so equal-time ties (the beacons) fire in the same
+// sequence order.
+func TestStartMatchesReference(t *testing.T) {
+	type txRecord struct {
+		ch    phy.Channel
+		start time.Duration
+		kind  medium.FrameKind
+	}
+	type trace struct {
+		kickoff          []time.Duration // per radio: beacon, then injector
+		startup, running uint64          // events scheduled by start and by the run
+		log              []txRecord
+	}
+	run := func(scheme Scheme, start func(*Router)) (tr trace) {
+		sched, channels, rt := newRig(scheme)
+		for _, chNum := range phy.PoWiFiChannels {
+			ch := chNum
+			channels[ch].Observers = append(channels[ch].Observers, func(tx *medium.Transmission) {
+				tr.log = append(tr.log, txRecord{ch, tx.Start, tx.Kind})
+			})
+		}
+		start(rt)
+		for _, radio := range rt.radios {
+			tr.kickoff = append(tr.kickoff, radio.beaconEv.At(), radio.Injector.stopEv.At())
+		}
+		tr.startup = sched.Scheduled()
+		sched.RunUntil(250 * time.Millisecond)
+		tr.running = sched.Scheduled() - tr.startup
+		return tr
+	}
+	for _, scheme := range []Scheme{Baseline, PoWiFi} {
+		want := run(scheme, startAllRadios)
+		got := run(scheme, (*Router).Start)
+		if fmt.Sprint(got.kickoff) != fmt.Sprint(want.kickoff) {
+			t.Errorf("%v: kick-off times %v, reference %v", scheme, got.kickoff, want.kickoff)
+		}
+		if got.startup != want.startup || got.running != want.running || len(got.log) != len(want.log) {
+			t.Fatalf("%v: %d+%d events and %d transmissions, reference %d+%d and %d", scheme,
+				got.startup, got.running, len(got.log), want.startup, want.running, len(want.log))
+		}
+		for k := range got.log {
+			if got.log[k] != want.log[k] {
+				t.Fatalf("%v: transmission %d is %+v, reference %+v", scheme, k, got.log[k], want.log[k])
+			}
+		}
 	}
 }
