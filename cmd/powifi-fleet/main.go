@@ -23,8 +23,7 @@
 // provably stable escalates back to the event simulation. Boot/silence
 // decisions stay bit-identical to the default tier; aggregate
 // magnitudes carry the tier's ε, which is certified at the default 10ms
-// -window only (deploy.CoarseOptions documents the gap below ~5ms).
-// Incompatible with -devices.
+// -window; a shorter -window is refused. Incompatible with -devices.
 //
 // A population device mix (-devices) switches on the stateful
 // device-lifecycle engine: each home is assigned one device archetype —
@@ -132,7 +131,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		devices  = fs.String("devices", "", "device-archetype shares enabling the lifecycle engine, e.g. temp=0.5,camera=0.3,jawbone=0.2")
 		horizon  = fs.Duration("horizon", 0, "deployment horizon per home (overrides -duration when set)")
 		exact    = fs.Bool("exact", false, "bypass the operating-point surface; solve every bin exactly")
-		coarse   = fs.Bool("coarse", false, "error-bounded coarse tier: event-simulate anchor bins, proxy the rest (decisions bit-identical; magnitudes within the ε certified at the default 10ms -window, which does not hold below ~5ms: see deploy.CoarseOptions)")
+		coarse   = fs.Bool("coarse", false, "error-bounded coarse tier: event-simulate anchor bins, proxy the rest (decisions bit-identical; magnitudes within the ε certified at the default 10ms -window; a shorter -window is refused)")
 		scenPath = fs.String("scenario", "", "run a declarative scenario JSON file instead of the configuration flags")
 		quiet    = fs.Bool("q", false, "suppress the timing line on stderr")
 		cpuProf  = fs.String("cpuprofile", "", "write a CPU profile to this file")

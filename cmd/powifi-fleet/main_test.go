@@ -44,6 +44,8 @@ func TestFlagValidation(t *testing.T) {
 		{"bad device mix", tinyArgs("-devices", "toaster=1"), 2, "unknown device archetype"},
 		{"malformed device mix", tinyArgs("-devices", "temp"), 2, "not name=weight"},
 		{"zero device mix", tinyArgs("-devices", "temp=0"), 2, "no positive share"},
+		{"coarse with devices", tinyArgs("-coarse", "-devices", "temp=1"), 1, "device-lifecycle population"},
+		{"coarse below certified window", tinyArgs("-coarse"), 1, "below its certified 10ms"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

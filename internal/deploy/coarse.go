@@ -1,9 +1,16 @@
 package deploy
 
 import (
+	"time"
+
 	"repro/internal/core"
 	"repro/internal/trace"
 )
+
+// CoarseCertifiedWindow is the shortest measurement window the coarse
+// tier's ε is certified at (TestRunBatchCoarseCertification runs at
+// it). The fleet engine refuses the coarse tier below it.
+const CoarseCertifiedWindow = 10 * time.Millisecond
 
 // CoarseOptions tunes the error-bounded coarse tier. The zero value
 // selects the certified defaults; the certification suite in
@@ -14,12 +21,14 @@ import (
 // proxy is a regression over event-simulated anchors, so its error
 // floor is the anchors' own DCF measurement noise, which shrinks with
 // the number of frames a window fits. The contract is certified at the
-// fleet's default 10ms window (per-home mean occupancy within 10%,
-// banked harvest within 15%, population aggregates unbiased within 3%,
-// boot/silence decisions bit-identical always); very short windows
-// (≲5ms) quantize occupancy coarsely enough that the per-home
-// magnitude bounds do not hold, though the decision guarantee — which
-// rests on the guard band, not the fit — still does.
+// fleet's default 10ms window, CoarseCertifiedWindow (per-home mean
+// occupancy within 10%, banked harvest within 15%, population
+// aggregates unbiased within 3%, boot/silence decisions bit-identical
+// always). Very short windows (≲5ms) quantize occupancy coarsely
+// enough that the per-home magnitude bounds do not hold, though the
+// decision guarantee — which rests on the guard band, not the fit —
+// still does; the fleet engine therefore refuses the coarse tier below
+// CoarseCertifiedWindow.
 type CoarseOptions struct {
 	// Stride is the anchor spacing: every Stride-th bin (plus the final
 	// bin) runs the full packet-level event simulation; the bins between

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/deploy"
 	"repro/internal/lifecycle"
 )
 
@@ -100,5 +101,31 @@ func TestCoarseRejectsLifecycle(t *testing.T) {
 		t.Fatal("coarse + lifecycle population accepted; want validation error")
 	} else if !strings.Contains(err.Error(), "coarse") {
 		t.Fatalf("unexpected error for coarse + lifecycle: %v", err)
+	}
+}
+
+// TestCoarseRejectsShortWindow pins the coarse tier's envelope: its ε
+// is certified at deploy.CoarseCertifiedWindow, so a shorter window is
+// refused at validation, naming both windows, while the certified
+// window itself runs.
+func TestCoarseRejectsShortWindow(t *testing.T) {
+	cfg := coarseConfig(2, 1)
+	cfg.Window = 2 * time.Millisecond
+	_, err := Run(context.Background(), cfg)
+	if err == nil {
+		t.Fatal("coarse tier at a 2ms window accepted; want validation error")
+	}
+	for _, want := range []string{"coarse", "2ms", "10ms", "certified"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not mention %q", err, want)
+		}
+	}
+	cfg.Window = deploy.CoarseCertifiedWindow
+	if _, err := Run(context.Background(), cfg); err != nil {
+		t.Fatalf("coarse tier at the certified window refused: %v", err)
+	}
+	cfg.Window, cfg.Coarse = 2*time.Millisecond, false
+	if _, err := Run(context.Background(), cfg); err != nil {
+		t.Fatalf("exact tier at a 2ms window refused: %v", err)
 	}
 }

@@ -128,7 +128,8 @@ type Config struct {
 	// magnitudes carry the certified ε (see deploy.CoarseOptions).
 	// Incompatible with a device-lifecycle population: the lifecycle
 	// ledger integrates per-bin magnitudes over time, which would
-	// compound the proxy ε outside its certified bound.
+	// compound the proxy ε outside its certified bound. Refused below
+	// deploy.CoarseCertifiedWindow, where the ε is not certified.
 	Coarse bool
 	// Policy decides what a per-home panic does to the run; the zero
 	// value fails fast (see FailurePolicy).
@@ -214,6 +215,10 @@ func (c Config) withDefaults() (Config, error) {
 	}
 	if c.Coarse && p.Lifecycle() {
 		return c, fmt.Errorf("fleet: the coarse tier cannot run a device-lifecycle population (the ledger integrates per-bin magnitudes, compounding the proxy ε)")
+	}
+	if c.Coarse && c.Window < deploy.CoarseCertifiedWindow {
+		return c, fmt.Errorf("fleet: the coarse tier cannot run at Window = %v, below its certified %v (a shorter window fits too few frames per anchor for the proxy ε to hold)",
+			c.Window, deploy.CoarseCertifiedWindow)
 	}
 	switch {
 	case c.Policy.Retry < 0:

@@ -24,7 +24,7 @@
 //     import the module's internal packages; escape hatch
 //     //powifi:sdkboundary-ok <reason> (package clause = whole file,
 //     import line = that import).
-//   - mergecheck: error results of stats.Sketch/Welford TryMerge and of
+//   - mergecheck: error results of stats.Sketch.TryMerge and of
 //     the checkpoint encode/decode path must not be discarded; escape
 //     hatch //powifi:mergecheck-ok <reason>.
 //   - directive: hygiene for the //powifi: comments themselves — known

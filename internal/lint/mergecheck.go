@@ -10,11 +10,11 @@ import (
 
 // MergecheckAnalyzer forbids discarding the error results of the
 // repo's validated-merge and checkpoint codec calls. Sketch.TryMerge
-// and Welford.TryMerge exist precisely because a silent mismatched
-// merge corrupts a fleet aggregate without failing; discarding their
-// error turns them back into the footgun they replaced. The checkpoint
-// encode/decode path has the same property: an ignored error there is
-// a resumed run folding garbage.
+// exists precisely because a silent mismatched merge corrupts a fleet
+// aggregate without failing; discarding its error turns it back into
+// the footgun it replaced. The checkpoint encode/decode path has the
+// same property: an ignored error there is a resumed run folding
+// garbage.
 //
 // Flagged callees:
 //   - any method named TryMerge;

@@ -1,21 +1,18 @@
-// Mergeable aggregates for sharded simulation runs. A fleet-scale run
-// splits its homes across workers; each worker accumulates order-
-// independent partial aggregates which are then combined exactly. Two
-// kinds are provided:
+// Mergeable aggregates for fleet runs. A fleet-scale run splits its
+// homes across workers and folds each home's results in home-index
+// order. Two kinds are provided:
 //
 //   - Sketch, a fixed-resolution quantile/CDF sketch whose state is
 //     integer bin counts plus exact extremes. Integer addition is
-//     associative and commutative, so merging shard sketches in any
-//     order is bit-for-bit identical to building one sketch from the
+//     associative and commutative, so merging sketches in any order is
+//     bit-for-bit identical to building one sketch from the
 //     concatenated sample.
 //
-//   - Welford, a running mean/variance with the parallel (Chan et al.)
-//     merge. Floating-point accumulation is order-sensitive (and Merge
-//     is associative only up to rounding), so callers that need
-//     bit-for-bit reproducibility across worker counts must feed it in
-//     a fixed order — the fleet reducer Adds per-home scalar summaries
-//     in home-index order via its reorder buffer, never from a
-//     worker-dependent order.
+//   - Welford, a running mean/variance. Floating-point accumulation is
+//     order-sensitive, so callers that need bit-for-bit reproducibility
+//     across worker counts must feed it in a fixed order — the fleet
+//     reducer Adds per-home scalar summaries in home-index order via
+//     its reorder buffer, never from a worker-dependent order.
 package stats
 
 import (
@@ -23,9 +20,8 @@ import (
 	"math"
 )
 
-// Welford is a running mean/variance accumulator with support for
-// merging partial accumulators. The zero value is an empty accumulator
-// ready for use.
+// Welford is a running mean/variance accumulator. The zero value is an
+// empty accumulator ready for use.
 type Welford struct {
 	N    uint64
 	Mean float64
@@ -38,58 +34,6 @@ func (w *Welford) Add(x float64) {
 	delta := x - w.Mean
 	w.Mean += delta / float64(w.N)
 	w.M2 += delta * (x - w.Mean)
-}
-
-// Merge folds another accumulator into this one using the parallel
-// variance combination. Merging (a then b) equals adding all of b's
-// samples after a's up to floating-point rounding.
-func (w *Welford) Merge(o Welford) {
-	if o.N == 0 {
-		return
-	}
-	if w.N == 0 {
-		*w = o
-		return
-	}
-	n1, n2 := float64(w.N), float64(o.N)
-	tot := n1 + n2
-	delta := o.Mean - w.Mean
-	w.Mean += delta * n2 / tot
-	w.M2 += o.M2 + delta*delta*n1*n2/tot
-	w.N += o.N
-}
-
-// checkMergeable rejects accumulators whose state cannot have come from
-// a sequence of Adds: a non-finite mean or sum of squared deviations, a
-// negative M2, or a claimed sample count with no consistent moments.
-// Merging one would silently poison every downstream aggregate.
-func (w Welford) checkMergeable() error {
-	if w.N == 0 {
-		return nil
-	}
-	if math.IsNaN(w.Mean) || math.IsInf(w.Mean, 0) {
-		return fmt.Errorf("stats: welford accumulator (n=%d) has non-finite mean %v", w.N, w.Mean)
-	}
-	if math.IsNaN(w.M2) || math.IsInf(w.M2, 0) || w.M2 < 0 {
-		return fmt.Errorf("stats: welford accumulator (n=%d) has invalid M2 %v", w.N, w.M2)
-	}
-	return nil
-}
-
-// TryMerge is Merge with explicit validation: both accumulators must be
-// well-formed (finite mean, non-negative finite M2). On error the
-// receiver is left unchanged; Merge itself performs no validation, so
-// shard reducers that cannot tolerate silent corruption should prefer
-// TryMerge.
-func (w *Welford) TryMerge(o Welford) error {
-	if err := w.checkMergeable(); err != nil {
-		return err
-	}
-	if err := o.checkMergeable(); err != nil {
-		return err
-	}
-	w.Merge(o)
-	return nil
 }
 
 // Variance returns the population variance, or 0 with fewer than two

@@ -60,82 +60,6 @@ func TestWelfordEdgeCases(t *testing.T) {
 	if w.Mean != 5 || w.Variance() != 0 {
 		t.Errorf("singleton = mean %v var %v, want 5, 0", w.Mean, w.Variance())
 	}
-	var a Welford
-	a.Merge(w) // merge into empty adopts the other side
-	if a != w {
-		t.Errorf("merge into empty = %+v, want %+v", a, w)
-	}
-	b := w
-	b.Merge(Welford{}) // merging an empty accumulator is a no-op
-	if b != w {
-		t.Errorf("merge of empty = %+v, want %+v", b, w)
-	}
-}
-
-// TestWelfordShardedMergeMatchesSingleShot checks the parallel merge
-// against single-shot accumulation over random shard splits. Floating-
-// point rounding differs between the two orders, so the comparison is
-// to tight relative tolerance rather than bit-for-bit.
-func TestWelfordShardedMergeMatchesSingleShot(t *testing.T) {
-	f := func(seed uint64, splitsRaw uint8) bool {
-		r := xrand.New(seed)
-		xs := sample(r, 200+r.Intn(200))
-		splits := 1 + int(splitsRaw%7)
-
-		var whole Welford
-		for _, x := range xs {
-			whole.Add(x)
-		}
-		var merged Welford
-		for i := 0; i < splits; i++ {
-			var part Welford
-			for j := i; j < len(xs); j += splits {
-				part.Add(xs[j])
-			}
-			merged.Merge(part)
-		}
-		if merged.N != whole.N {
-			return false
-		}
-		return closeRel(merged.Mean, whole.Mean, 1e-9) &&
-			closeRel(merged.Variance(), whole.Variance(), 1e-6)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestWelfordMergeAssociative(t *testing.T) {
-	f := func(seed uint64) bool {
-		r := xrand.New(seed)
-		parts := make([]Welford, 3)
-		for i := range parts {
-			for _, x := range sample(r, 30+r.Intn(50)) {
-				parts[i].Add(x)
-			}
-		}
-		ab := parts[0]
-		ab.Merge(parts[1])
-		ab.Merge(parts[2]) // (a+b)+c
-		bc := parts[1]
-		bc.Merge(parts[2])
-		a := parts[0]
-		a.Merge(bc) // a+(b+c)
-		return ab.N == a.N &&
-			closeRel(ab.Mean, a.Mean, 1e-9) &&
-			closeRel(ab.Variance(), a.Variance(), 1e-6)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Error(err)
-	}
-}
-
-func closeRel(a, b, tol float64) bool {
-	if a == b {
-		return true
-	}
-	scale := math.Max(math.Abs(a), math.Abs(b))
-	return math.Abs(a-b) <= tol*math.Max(scale, 1)
 }
 
 // TestSketchShardedMergeIsExact is the core sharding guarantee: a merge
@@ -397,60 +321,4 @@ func TestSketchTryMergeMatchesMerge(t *testing.T) {
 	if !reflect.DeepEqual(viaMerge, viaTry) {
 		t.Error("TryMerge and Merge diverged on compatible sketches")
 	}
-}
-
-func TestWelfordTryMerge(t *testing.T) {
-	var a, b Welford
-	for _, x := range []float64{1, 2, 3} {
-		a.Add(x)
-	}
-	for _, x := range []float64{4, 5} {
-		b.Add(x)
-	}
-	want := a
-	want.Merge(b)
-	got := a
-	if err := got.TryMerge(b); err != nil {
-		t.Fatal(err)
-	}
-	if got != want {
-		t.Errorf("TryMerge = %+v, want %+v", got, want)
-	}
-
-	bad := []struct {
-		name string
-		o    Welford
-	}{
-		{"nan mean", Welford{N: 2, Mean: math.NaN()}},
-		{"inf mean", Welford{N: 2, Mean: math.Inf(1)}},
-		{"negative m2", Welford{N: 2, Mean: 1, M2: -1}},
-		{"nan m2", Welford{N: 2, Mean: 1, M2: math.NaN()}},
-	}
-	for _, tc := range bad {
-		t.Run(tc.name, func(t *testing.T) {
-			got := a
-			if err := got.TryMerge(tc.o); err == nil {
-				t.Fatal("TryMerge accepted a corrupt accumulator")
-			}
-			if got != a {
-				t.Error("failed TryMerge modified the receiver")
-			}
-		})
-	}
-	t.Run("corrupt receiver", func(t *testing.T) {
-		got := Welford{N: 3, Mean: 1, M2: -2}
-		if err := got.TryMerge(b); err == nil {
-			t.Fatal("TryMerge accepted a corrupt receiver")
-		}
-	})
-	t.Run("empty sides", func(t *testing.T) {
-		var e Welford
-		if err := e.TryMerge(Welford{}); err != nil {
-			t.Fatal(err)
-		}
-		got := Welford{}
-		if err := got.TryMerge(a); err != nil || got != a {
-			t.Errorf("empty receiver TryMerge = %+v, %v; want %+v", got, err, a)
-		}
-	})
 }

@@ -1,8 +1,8 @@
 // Package stats provides the summary statistics used by the experiment
 // harness: empirical CDFs (every occupancy and throughput figure in the
 // paper is a CDF), percentiles, means, fixed-width time series for the
-// 24-hour deployment logs, and the mergeable aggregates (Sketch,
-// Welford) that sharded fleet runs reduce with.
+// 24-hour deployment logs, and the fleet aggregates: the mergeable
+// quantile Sketch and the Welford running mean/variance.
 package stats
 
 import (

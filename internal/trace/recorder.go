@@ -447,15 +447,20 @@ func (r *Recorder) Summary() Summary {
 	s.Retained = r.retained()
 
 	sched := &SchedSummary{SpansDropped: r.spansDropped}
-	for _, sp := range slices.Concat(r.sched.Phases, r.spans) {
-		sched.Spans = append(sched.Spans, SpanRecord{
-			Name:    sp.Name,
-			TID:     sp.TID,
-			Home:    sp.Home,
-			StartUS: float64(sp.StartNS) / 1e3,
-			DurUS:   float64(sp.DurNS) / 1e3,
-			CPUS:    sp.CPUS,
-		})
+	if n := len(r.sched.Phases) + len(r.spans); n > 0 {
+		sched.Spans = make([]SpanRecord, 0, n)
+		for _, spans := range [2][]Span{r.sched.Phases, r.spans} {
+			for _, sp := range spans {
+				sched.Spans = append(sched.Spans, SpanRecord{
+					Name:    sp.Name,
+					TID:     sp.TID,
+					Home:    sp.Home,
+					StartUS: float64(sp.StartNS) / 1e3,
+					DurUS:   float64(sp.DurNS) / 1e3,
+					CPUS:    sp.CPUS,
+				})
+			}
+		}
 	}
 	if wall := r.sched.HomeWallMS; wall.N() > 0 {
 		sched.HomeWallMS = WallQuantiles{

@@ -1,6 +1,8 @@
 package powifi
 
 import (
+	"bufio"
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -113,11 +115,133 @@ func newReport(mode string, r *Report) *Report {
 }
 
 // WriteJSON writes the report as indented JSON under the versioned
-// schema.
+// schema: the bytes json.Encoder with SetIndent("", "  ") writes for
+// the whole report. It streams, encoding one section at a time and the
+// trace section's span list one record at a time, so writing a report
+// costs the memory of its largest section, not of the document. On
+// error, a prefix of the document may already have been written.
 func (r *Report) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r)
+	jw := newJSONWriter(w)
+	jw.raw("{")
+	jw.member("schema", r.Schema)
+	jw.member("version", r.Version)
+	jw.member("mode", r.Mode)
+	if r.Fleet != nil {
+		jw.member("fleet", r.Fleet)
+	}
+	if r.Home != nil {
+		jw.member("home", r.Home)
+	}
+	if r.Experiment != nil {
+		jw.member("experiment", r.Experiment)
+	}
+	if r.Telemetry != nil {
+		jw.member("telemetry", r.Telemetry)
+	}
+	if r.Trace != nil {
+		jw.key("trace")
+		jw.trace(r.Trace)
+	}
+	jw.raw("\n}\n")
+	return jw.flush()
+}
+
+// jsonWriter writes one indented JSON document piece by piece. Every
+// piece goes through one encoder into one reused buffer, so a piece
+// costs its own encoded size and allocates nothing once the buffer has
+// grown to the largest piece.
+type jsonWriter struct {
+	w       *bufio.Writer
+	buf     bytes.Buffer
+	enc     *json.Encoder
+	members int // top-level members written
+	err     error
+}
+
+func newJSONWriter(w io.Writer) *jsonWriter {
+	jw := &jsonWriter{w: bufio.NewWriter(w)}
+	jw.enc = json.NewEncoder(&jw.buf)
+	return jw
+}
+
+func (jw *jsonWriter) raw(s string) {
+	if jw.err == nil {
+		_, jw.err = jw.w.WriteString(s)
+	}
+}
+
+// encode returns v indented as a value nested under prefix — what
+// json.MarshalIndent(v, prefix, "  ") returns. The bytes are valid
+// until the next call; nil after an error.
+func (jw *jsonWriter) encode(prefix string, v any) []byte {
+	if jw.err != nil {
+		return nil
+	}
+	jw.buf.Reset()
+	jw.enc.SetIndent(prefix, "  ")
+	if jw.err = jw.enc.Encode(v); jw.err != nil {
+		return nil
+	}
+	return bytes.TrimSuffix(jw.buf.Bytes(), []byte("\n"))
+}
+
+func (jw *jsonWriter) write(b []byte) {
+	if jw.err == nil {
+		_, jw.err = jw.w.Write(b)
+	}
+}
+
+// key starts the next top-level member.
+func (jw *jsonWriter) key(k string) {
+	if jw.members > 0 {
+		jw.raw(",")
+	}
+	jw.members++
+	jw.raw("\n  \"" + k + "\": ")
+}
+
+// member writes one top-level member whole.
+func (jw *jsonWriter) member(k string, v any) {
+	jw.key(k)
+	jw.write(jw.encode("  ", v))
+}
+
+// trace writes the trace section, its sched.spans one record at a
+// time. Sched is the summary's last member and Spans the sched
+// section's first (TestReportJSONMatchesEncoder pins both), so the
+// section is the summary without Sched up to its closing brace, the
+// span list, then the sched section without Spans after its opening
+// brace.
+func (jw *jsonWriter) trace(t *TraceSummary) {
+	if t.Sched == nil || len(t.Sched.Spans) == 0 {
+		jw.write(jw.encode("  ", t))
+		return
+	}
+	head, sched := *t, *t.Sched
+	head.Sched, sched.Spans = nil, nil
+	jw.write(bytes.TrimSuffix(jw.encode("  ", &head), []byte("\n  }")))
+	jw.raw(`,
+    "sched": {
+      "spans": [`)
+	for i := range t.Sched.Spans {
+		if i > 0 {
+			jw.raw(",")
+		}
+		jw.raw("\n        ")
+		jw.write(jw.encode("        ", &t.Sched.Spans[i]))
+	}
+	jw.raw("\n      ],")
+	if b := jw.encode("    ", &sched); b != nil {
+		jw.write(b[1:])
+	}
+	jw.raw("\n  }")
+}
+
+func (jw *jsonWriter) flush() error {
+	if jw.err != nil {
+		return jw.err
+	}
+	return jw.w.Flush()
 }
 
 // WriteText writes the report's human-readable form: the fleet

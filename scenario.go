@@ -204,7 +204,8 @@ func WithExact(exact bool) Option {
 // the tier's certified ε (documented on the engine's CoarseOptions).
 // Fleet-only, and incompatible with WithDevices: the lifecycle ledger
 // integrates per-bin magnitudes over time, which would compound the
-// proxy ε outside its certified bound.
+// proxy ε outside its certified bound. Run refuses it with a WithWindow
+// below 10ms, the window its ε is certified at.
 func WithCoarse(coarse bool) Option {
 	return func(s *Scenario) error { s.coarse, s.set = coarse, s.set|optCoarse; return nil }
 }

@@ -20,16 +20,21 @@ import (
 )
 
 // traceFleetOpts is a fleet sized to exercise the instrumented layers:
-// the coarse tier for fits/guard-queries/escalations, a fault for the
-// failure path, and a skip policy so the run completes.
+// the coarse tier at its certified window for fits/guard-queries/
+// escalations (sensors placed out to 18 ft, past the default 15, so
+// some homes sit near the boot threshold and escalate), a fault for
+// the failure path, and a skip policy so the run completes.
 func traceFleetOpts(workers int) []powifi.Option {
+	pop := powifi.DefaultFleetPopulation()
+	pop.MaxSensorFt = 18
 	return []powifi.Option{
+		powifi.WithPopulation(pop),
 		powifi.WithHomes(24),
 		powifi.WithSeed(11),
 		powifi.WithWorkers(workers),
 		powifi.WithHorizon(6 * time.Hour),
 		powifi.WithBinWidth(30 * time.Minute),
-		powifi.WithWindow(2 * time.Millisecond),
+		powifi.WithWindow(10 * time.Millisecond),
 		powifi.WithCoarse(true),
 		powifi.WithFaults("home.panic@5"),
 		powifi.WithFailurePolicy(powifi.FailurePolicy{Skip: true}),
@@ -111,6 +116,20 @@ func TestTraceWorkerInvariance(t *testing.T) {
 	}
 	if len(s1.Retained) == 0 {
 		t.Error("no retained homes despite an injected failure")
+	}
+	if s1.EscalatedBins == 0 {
+		t.Error("coarse run recorded no escalations")
+	}
+	kinds := map[string]bool{}
+	for _, h := range s1.Retained {
+		for _, e := range h.Ring {
+			kinds[e.Kind] = true
+		}
+	}
+	for _, want := range []string{"guard-query", "escalate"} {
+		if !kinds[want] {
+			t.Errorf("no retained ring holds a %q event (kinds %v)", want, kinds)
+		}
 	}
 }
 
