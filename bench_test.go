@@ -109,7 +109,7 @@ func BenchmarkFig10HarvesterOutput(b *testing.B) {
 // distance curves, including the range searches.
 func BenchmarkFig11TempSensorRate(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res := experiments.RunFig11([]float64{5, 10, 15, 20, 25})
+		res := experiments.RunFig11([]float64{5, 10, 15, 20, 25}, false)
 		if res.RechargingRangeFt <= res.BatteryFreeRangeFt {
 			b.Fatal("range ordering violated")
 		}
@@ -119,7 +119,7 @@ func BenchmarkFig11TempSensorRate(b *testing.B) {
 // BenchmarkFig12CameraInterFrame regenerates the Fig. 12 camera curves.
 func BenchmarkFig12CameraInterFrame(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		experiments.RunFig12([]float64{5, 10, 15, 17})
+		experiments.RunFig12([]float64{5, 10, 15, 17}, false)
 	}
 }
 
@@ -127,7 +127,7 @@ func BenchmarkFig12CameraInterFrame(b *testing.B) {
 // sweep.
 func BenchmarkFig13ThroughWall(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res := experiments.RunFig13()
+		res := experiments.RunFig13(false)
 		if res.InterFrame[len(res.InterFrame)-1] <= res.InterFrame[0] {
 			b.Fatal("wall ordering violated")
 		}

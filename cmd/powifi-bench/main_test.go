@@ -7,8 +7,6 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-
-	"repro/internal/surface"
 )
 
 func runCLI(t *testing.T, args []string) (code int, out, errBuf bytes.Buffer) {
@@ -55,24 +53,6 @@ func TestRunsExperiment(t *testing.T) {
 		if !strings.Contains(out.String(), want) {
 			t.Errorf("output missing %q:\n%s", want, out.String())
 		}
-	}
-}
-
-// TestExactFlagDisablesSurfaceDuringRun pins the -exact escape hatch:
-// the surface is off while experiments run and restored afterwards.
-func TestExactFlagDisablesSurfaceDuringRun(t *testing.T) {
-	if !surface.Enabled() {
-		t.Fatal("surface must start enabled")
-	}
-	code, out, errBuf := runCLI(t, []string{"-exact", "fig13"})
-	if code != 0 {
-		t.Fatalf("exit %d: %s", code, errBuf.String())
-	}
-	if !surface.Enabled() {
-		t.Error("-exact did not restore the surface after the run")
-	}
-	if !strings.Contains(out.String(), "== fig13") {
-		t.Errorf("experiment did not run under -exact:\n%s", out.String())
 	}
 }
 

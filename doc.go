@@ -90,16 +90,15 @@
 // and one runner per paper table/figure (internal/experiments). The
 // repository's determinism, RNG-discipline, hot-path-allocation and
 // SDK-boundary contracts are enforced at compile time by a stdlib-only
-// static-analysis suite (internal/lint) behind the cmd/powifi-lint vet
-// tool; see DESIGN.md "Static enforcement".
+// static-analysis suite (internal/lint), run over the whole module by
+// the standalone cmd/powifi-lint driver; see DESIGN.md "Static
+// enforcement".
 //
-// Entry points:
+// Entry points, all on the public SDK:
 //
-//	cmd/powifi-bench    regenerate any table or figure (thin Scenario shim)
-//	cmd/powifi-fleet    fleet-scale deployment study (thin Scenario shim)
-//	cmd/powifi-router   standalone router/occupancy exploration
-//	cmd/powifi-harvest  harvester characterization sweeps
-//	examples/           six runnable scenarios, all on the public SDK
+//	cmd/powifi-bench  regenerate any table or figure (thin Scenario shim)
+//	cmd/powifi-fleet  fleet-scale deployment study (thin Scenario shim)
+//	examples/         six runnable scenarios
 //
 // See DESIGN.md for the system inventory, the public API contract and
 // schema-version policy, and the fleet layer's exact-sharding design.
@@ -130,5 +129,5 @@ func DescribeExperiment(id string) string { return experiments.Describe(id) }
 // the paper-scale configuration) instead; it adds cancellation and the
 // versioned Report envelope. RunExperiment remains as a thin shim.
 func RunExperiment(id string, w io.Writer, quick bool) bool {
-	return experiments.Run(id, w, quick)
+	return experiments.Run(id, w, experiments.Config{Quick: quick})
 }

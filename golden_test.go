@@ -153,7 +153,7 @@ func TestGoldenBenchTables(t *testing.T) {
 				t.Skip("slow experiment; run without -short")
 			}
 			var buf bytes.Buffer
-			if !experiments.Run(exp.id, &buf, true) {
+			if !experiments.Run(exp.id, &buf, experiments.Config{Quick: true}) {
 				t.Fatalf("unknown experiment %q", exp.id)
 			}
 			compareGolden(t, "bench_"+exp.id, buf.String())

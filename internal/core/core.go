@@ -156,11 +156,11 @@ type operatingSolver interface {
 }
 
 // solverFor returns the operating-point solver for h: the shared
-// error-bounded surface unless exact (or the global escape hatch)
-// forces the direct path. The surface pointer is memoized through cache
-// so the per-bin hot path never re-derives the registry key.
+// error-bounded surface unless the device's exact flag forces the
+// direct path. The surface pointer is memoized through cache so the
+// per-bin hot path never re-derives the registry key.
 func solverFor(h *harvester.Harvester, exact bool, cache **surface.Surface) operatingSolver {
-	if exact || !surface.Enabled() {
+	if exact {
 		return h
 	}
 	if *cache == nil {
@@ -260,13 +260,12 @@ type TempSensorDevice struct {
 	// solver, bypassing the shared interpolation surface
 	// (internal/surface). The surface certifies a relative error ≤ 1e-6
 	// against the exact solver and makes identical boot decisions, so
-	// Exact matters only when validating the surface itself (the CLIs
-	// expose it as -exact).
+	// Exact matters only when validating the surface itself (the SDK
+	// exposes it per run as WithExact).
 	Exact bool
 	// Tele, when set, observes each surface query's outcome (grid hit,
 	// exact fallback, guard-band trigger). Queries made on the direct
-	// solver (Exact, or the surface globally disabled) are not surface
-	// queries and are not observed.
+	// solver (Exact) are not surface queries and are not observed.
 	Tele SurfaceSink
 
 	surf *surface.Surface // memoized by solverFor
@@ -324,7 +323,7 @@ func (d *TempSensorDevice) UpdateRate(link PowerLink) float64 {
 // interpolation surface (internal/surface): identical boot decisions,
 // harvested power within the surface's certified ε of the exact solver,
 // and a per-bin cost of a table lookup instead of a Bessel/Newton solve.
-// Set Exact (or disable the surface globally) to force the direct path.
+// Set Exact to force the direct path.
 // bin is the logging bin the query is made for, reported to Tele (-1
 // outside a binned run).
 func (d *TempSensorDevice) Evaluate(bin int, link PowerLink) (rateHz, netW float64) {

@@ -3,10 +3,13 @@ package experiments
 import (
 	"bytes"
 	"math"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/deploy"
 	"repro/internal/harvester"
 	"repro/internal/phy"
@@ -37,7 +40,7 @@ func TestRegistryComplete(t *testing.T) {
 
 func TestRunUnknownID(t *testing.T) {
 	var buf bytes.Buffer
-	if Run("nonsense", &buf, true) {
+	if Run("nonsense", &buf, Config{Quick: true}) {
 		t.Error("unknown experiment id should return false")
 	}
 }
@@ -170,7 +173,7 @@ func TestFig11Shape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("slow: range searches over the harvester model")
 	}
-	res := RunFig11([]float64{5, 10, 19, 25})
+	res := RunFig11([]float64{5, 10, 19, 25}, false)
 	if res.BatteryFree[0] <= res.BatteryFree[1] {
 		t.Error("battery-free rate should fall with distance")
 	}
@@ -191,7 +194,7 @@ func TestFig12Shape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("slow: range searches over the harvester model")
 	}
-	res := RunFig12([]float64{5, 10, 15})
+	res := RunFig12([]float64{5, 10, 15}, false)
 	for i := 1; i < len(res.DistancesFt); i++ {
 		if res.BatteryFree[i] <= res.BatteryFree[i-1] {
 			t.Error("battery-free inter-frame time should grow with distance")
@@ -203,7 +206,7 @@ func TestFig12Shape(t *testing.T) {
 }
 
 func TestFig13Ordering(t *testing.T) {
-	res := RunFig13()
+	res := RunFig13(false)
 	// Free space fastest; double sheet-rock slowest.
 	free := res.InterFrame[0]
 	sheetrock := res.InterFrame[len(res.InterFrame)-1]
@@ -283,7 +286,7 @@ func TestExtMultiRouterConcurrencyWins(t *testing.T) {
 }
 
 func TestExtMultiChannelAblation(t *testing.T) {
-	res := RunExtMultiChannel(12, 41)
+	res := RunExtMultiChannel(12, 41, false)
 	if res.SingleChRate <= 0 {
 		t.Fatal("single-channel sensor silent at 12 ft")
 	}
@@ -294,7 +297,7 @@ func TestExtMultiChannelAblation(t *testing.T) {
 }
 
 func TestExtPDoSStarvesSensor(t *testing.T) {
-	res := RunExtPDoS(0.85, time.Second, 37)
+	res := RunExtPDoS(0.85, time.Second, 37, false)
 	if res.AttackOccPct >= res.CleanOccPct {
 		t.Error("attacker failed to reduce router occupancy")
 	}
@@ -310,11 +313,165 @@ func TestAllQuickRunnersProduceOutput(t *testing.T) {
 	// Smoke-run the cheap experiments end to end through the registry.
 	for _, id := range []string{"fig1", "fig9", "fig10", "fig11", "fig12", "fig13", "fig16", "table1"} {
 		var buf bytes.Buffer
-		if !Run(id, &buf, true) {
+		if !Run(id, &buf, Config{Quick: true}) {
 			t.Fatalf("runner %s missing", id)
 		}
 		if buf.Len() == 0 {
 			t.Errorf("runner %s produced no output", id)
 		}
+	}
+}
+
+// TestExactReachesSurfaceRunners pins that Config.Exact reaches every
+// runner whose devices query the operating-point surface. The printed
+// tables round the surface's ε away, so the runners' structured results
+// are compared instead. Other than the solver, each run is deterministic:
+// an exact result that differs from the surface result, but only within
+// ε, shows the flag reached the devices; where the result carries its
+// inputs, the exact values must also equal, bit for bit, those of devices
+// built with Exact set.
+func TestExactReachesSurfaceRunners(t *testing.T) {
+	minutes := func(ds ...[]time.Duration) []float64 {
+		var out []float64
+		for _, d := range slices.Concat(ds...) {
+			out = append(out, d.Minutes())
+		}
+		return out
+	}
+	exactSensors := func() []*core.TempSensorDevice {
+		bf, bc := core.NewBatteryFreeTempSensor(), core.NewRechargingTempSensor()
+		bf.Exact, bc.Exact = true, true
+		return []*core.TempSensorDevice{bf, bc}
+	}
+	exactCameras := func() []*core.CameraDevice {
+		bf, bc := core.NewBatteryFreeCamera(), core.NewRechargingCamera()
+		bf.Exact, bc.Exact = true, true
+		return []*core.CameraDevice{bf, bc}
+	}
+	cases := []struct {
+		id   string
+		slow bool
+		// device extracts a result's device-derived values; exact
+		// recomputes them on Exact devices (nil when the result does
+		// not carry its inputs).
+		device, exact func(Table) []float64
+	}{
+		{id: "fig11", slow: true,
+			device: func(tb Table) []float64 {
+				r := tb.(*Fig11Result)
+				return slices.Concat(r.BatteryFree, r.Recharging)
+			},
+			exact: func(tb Table) []float64 {
+				var out []float64
+				for _, dev := range exactSensors() {
+					for _, d := range tb.(*Fig11Result).DistancesFt {
+						out = append(out, dev.UpdateRate(core.PoWiFiLink(d, 0.913)))
+					}
+				}
+				return out
+			}},
+		{id: "fig12", slow: true,
+			device: func(tb Table) []float64 {
+				r := tb.(*Fig12Result)
+				return minutes(r.BatteryFree, r.Recharging)
+			},
+			exact: func(tb Table) []float64 {
+				var out []time.Duration
+				for _, dev := range exactCameras() {
+					for _, d := range tb.(*Fig12Result).DistancesFt {
+						out = append(out, dev.InterFrameTime(core.PoWiFiLink(d, 0.909)))
+					}
+				}
+				return minutes(out)
+			}},
+		{id: "fig13",
+			device: func(tb Table) []float64 { return minutes(tb.(*Fig13Result).InterFrame) },
+			exact: func(tb Table) []float64 {
+				cam := exactCameras()[0]
+				var out []time.Duration
+				for _, wall := range tb.(*Fig13Result).Walls {
+					link := core.PoWiFiLink(5, 0.909)
+					link.Wall = wall
+					out = append(out, cam.InterFrameTime(link))
+				}
+				return minutes(out)
+			}},
+		{id: "ext-multichannel",
+			device: func(tb Table) []float64 {
+				r := tb.(*MultiChannelAblation)
+				return []float64{r.SingleChRate, r.TriChRate}
+			}},
+		{id: "ext-pdos",
+			device: func(tb Table) []float64 {
+				r := tb.(*PDoSResult)
+				return []float64{r.CleanRate, r.AttackRate}
+			}},
+	}
+	for _, c := range cases {
+		t.Run(c.id, func(t *testing.T) {
+			if c.slow {
+				if testing.Short() {
+					t.Skip("slow: exact range searches over the harvester model")
+				}
+				t.Parallel()
+			}
+			exact := registry[c.id].run(Config{Quick: true, Exact: true})
+			surf := registry[c.id].run(Config{Quick: true})
+			checkExact(t, c.device(exact), c.device(surf))
+			if c.exact != nil && !reflect.DeepEqual(c.device(exact), c.exact(exact)) {
+				t.Errorf("exact run %v, devices built with Exact %v", c.device(exact), c.exact(exact))
+			}
+		})
+	}
+
+	// fig14 and fig15 both run RunFig14(deployOptions(cfg)); an exact
+	// run of the quick configuration takes seconds per home, so the
+	// options are checked directly and RunFig14 at a reduced scale.
+	t.Run("fig14", func(t *testing.T) {
+		for _, exact := range []bool{false, true} {
+			if got := deployOptions(Config{Quick: true, Exact: exact}).Exact; got != exact {
+				t.Errorf("deployOptions(Exact: %v).Exact = %v", exact, got)
+			}
+		}
+		opts := deploy.Options{BinWidth: time.Hour, Window: 20 * time.Millisecond, Hours: 2, SensorDistanceFt: 10}
+		surf := RunFig14(opts)
+		opts.Exact = true
+		exact := RunFig14(opts)
+		var e, s []float64
+		for i := range exact.Results {
+			if !reflect.DeepEqual(exact.Results[i].Cumulative, surf.Results[i].Cumulative) {
+				t.Errorf("home %d: occupancy depends on the solver", exact.Results[i].Home.ID)
+			}
+			e = append(e, exact.Results[i].SensorRates...)
+			s = append(s, surf.Results[i].SensorRates...)
+		}
+		checkExact(t, e, s)
+	})
+}
+
+// checkExact asserts that exact and surface values agree within the
+// surface's certified ε (the device-level tolerance of
+// core.TestEvaluateSurfaceMatchesExactSolver), with identical boot
+// decisions, and that they are not bit-identical: bit-identical values
+// would mean the exact flag never reached the solver.
+func checkExact(t *testing.T, exact, surf []float64) {
+	t.Helper()
+	if len(exact) != len(surf) || len(exact) == 0 {
+		t.Fatalf("exact run has %d values, surface run %d", len(exact), len(surf))
+	}
+	same := true
+	for i := range exact {
+		if exact[i] != surf[i] {
+			same = false
+		}
+		if (exact[i] > 0) != (surf[i] > 0) {
+			t.Errorf("value %d: boot decisions diverged (exact %v, surface %v)", i, exact[i], surf[i])
+		}
+		if math.Abs(exact[i]-surf[i]) > math.Max(1e-6*math.Abs(exact[i]), 1e-6) {
+			t.Errorf("value %d: exact %v, surface %v: beyond ε", i, exact[i], surf[i])
+		}
+	}
+	if same {
+		t.Errorf("exact and surface runs are bit-identical (%v): the exact flag did not reach the solver", exact)
 	}
 }

@@ -115,8 +115,9 @@ type PDoSResult struct {
 }
 
 // RunExtPDoS measures the router under a rogue carrier-sense attacker
-// offering the given airtime fraction on every channel.
-func RunExtPDoS(attackerLoad float64, perRun time.Duration, seed uint64) *PDoSResult {
+// offering the given airtime fraction on every channel; exact puts the
+// sensor on the direct operating-point solver.
+func RunExtPDoS(attackerLoad float64, perRun time.Duration, seed uint64, exact bool) *PDoSResult {
 	run := func(attack bool) (occPct float64, rate float64) {
 		sched := eventsim.New()
 		channels := make(map[phy.Channel]*medium.Channel, 3)
@@ -145,6 +146,7 @@ func RunExtPDoS(attackerLoad float64, perRun time.Duration, seed uint64) *PDoSRe
 			total += occ[chNum]
 		}
 		sensor := core.NewBatteryFreeTempSensor()
+		sensor.Exact = exact
 		link := core.PowerLink{
 			TxPowerDBm: 30, TxGainDBi: 6, RxGainDBi: 2,
 			DistanceFt: 10, Occupancy: core.OccupancyFromMap(occ),
@@ -171,27 +173,24 @@ func (r *PDoSResult) WriteTable(w io.Writer) {
 
 func init() {
 	register("ext-multirouter", "§8c extension: multiple PoWiFi routers, CSMA vs concurrent",
-		func(w io.Writer, quick bool) {
-			header(w, "ext-multirouter", "Multiple PoWiFi routers")
+		"Multiple PoWiFi routers",
+		func(cfg Config) Table {
 			per := 3 * time.Second
-			if quick {
+			if cfg.Quick {
 				per = time.Second
 			}
-			RunExtMultiRouter(per, 31).WriteTable(w)
+			return RunExtMultiRouter(per, 31)
 		})
 	register("ext-multichannel", "§3.1 ablation: single-channel vs tri-channel power delivery",
-		func(w io.Writer, quick bool) {
-			header(w, "ext-multichannel", "Multi-channel harvesting ablation")
-			RunExtMultiChannel(12, 41).WriteTable(w)
-		})
-	register("ext-pdos", "§8d extension: power denial-of-service attack",
-		func(w io.Writer, quick bool) {
-			header(w, "ext-pdos", "Power denial-of-service")
+		"Multi-channel harvesting ablation",
+		func(cfg Config) Table { return RunExtMultiChannel(12, 41, cfg.Exact) })
+	register("ext-pdos", "§8d extension: power denial-of-service attack", "Power denial-of-service",
+		func(cfg Config) Table {
 			per := 3 * time.Second
-			if quick {
+			if cfg.Quick {
 				per = time.Second
 			}
-			RunExtPDoS(0.85, per, 37).WriteTable(w)
+			return RunExtPDoS(0.85, per, 37, cfg.Exact)
 		})
 }
 
@@ -212,8 +211,9 @@ type MultiChannelAblation struct {
 }
 
 // RunExtMultiChannel evaluates both designs at the given distance, using
-// the measured single-channel occupancy ceiling.
-func RunExtMultiChannel(distanceFt float64, seed uint64) *MultiChannelAblation {
+// the measured single-channel occupancy ceiling; exact puts the sensor
+// on the direct operating-point solver.
+func RunExtMultiChannel(distanceFt float64, seed uint64, exact bool) *MultiChannelAblation {
 	// Measure the actual single-radio occupancy ceiling on a free channel.
 	sched := eventsim.New()
 	ch := medium.NewChannel(phy.Channel6, sched)
@@ -236,6 +236,7 @@ func RunExtMultiChannel(distanceFt float64, seed uint64) *MultiChannelAblation {
 		Occupancy: [3]float64{ceiling, ceiling, ceiling},
 	}
 	dev := core.NewBatteryFreeTempSensor()
+	dev.Exact = exact
 	res.SingleChRate = dev.UpdateRate(single)
 	res.TriChRate = dev.UpdateRate(tri)
 	return res

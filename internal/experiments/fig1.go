@@ -79,7 +79,7 @@ func RunFig1(occupancy float64, duration time.Duration) *Fig1Result {
 	return res
 }
 
-// WriteTo prints the trace summary and a coarse series.
+// WriteTable prints the trace summary and a coarse series.
 func (r *Fig1Result) WriteTable(w io.Writer) {
 	fmt.Fprintf(w, "rectifier threshold: %.2f V\n", r.Threshold)
 	fmt.Fprintf(w, "peak voltage over trace: %.3f V\n", r.PeakV)
@@ -101,12 +101,12 @@ func (r *Fig1Result) WriteTable(w io.Writer) {
 
 func init() {
 	register("fig1", "rectifier voltage under a conventional router (never boots)",
-		func(w io.Writer, quick bool) {
-			header(w, "fig1", "Key challenge with Wi-Fi power delivery")
+		"Key challenge with Wi-Fi power delivery",
+		func(cfg Config) Table {
 			dur := 10 * time.Millisecond
-			if quick {
+			if cfg.Quick {
 				dur = 4 * time.Millisecond
 			}
-			RunFig1(0.40, dur).WriteTable(w)
+			return RunFig1(0.40, dur)
 		})
 }

@@ -21,10 +21,12 @@ type Fig11Result struct {
 	RechargingRangeFt  float64
 }
 
-// RunFig11 sweeps distance for both temperature-sensor versions.
-func RunFig11(distances []float64) *Fig11Result {
+// RunFig11 sweeps distance for both temperature-sensor versions; exact
+// puts both on the direct operating-point solver.
+func RunFig11(distances []float64, exact bool) *Fig11Result {
 	bf := core.NewBatteryFreeTempSensor()
 	bc := core.NewRechargingTempSensor()
+	bf.Exact, bc.Exact = exact, exact
 	const occupancy = 0.913
 	res := &Fig11Result{DistancesFt: distances}
 	for _, d := range distances {
@@ -41,7 +43,7 @@ func RunFig11(distances []float64) *Fig11Result {
 	return res
 }
 
-// WriteTo prints the update-rate table.
+// WriteTable prints the update-rate table.
 func (r *Fig11Result) WriteTable(w io.Writer) {
 	fmt.Fprintln(w, "distance_ft  battery_free  battery_recharging  (reads/s)")
 	for i, d := range r.DistancesFt {
@@ -62,10 +64,12 @@ type Fig12Result struct {
 	RechargingRangeFt  float64
 }
 
-// RunFig12 sweeps distance for both camera versions.
-func RunFig12(distances []float64) *Fig12Result {
+// RunFig12 sweeps distance for both camera versions; exact puts both on
+// the direct operating-point solver.
+func RunFig12(distances []float64, exact bool) *Fig12Result {
 	bf := core.NewBatteryFreeCamera()
 	bc := core.NewRechargingCamera()
+	bf.Exact, bc.Exact = exact, exact
 	const occupancy = 0.909
 	res := &Fig12Result{DistancesFt: distances}
 	for _, d := range distances {
@@ -90,7 +94,7 @@ func fmtIFT(d time.Duration) string {
 	return fmt.Sprintf("%7.1fm", d.Minutes())
 }
 
-// WriteTo prints the inter-frame table.
+// WriteTable prints the inter-frame table.
 func (r *Fig12Result) WriteTable(w io.Writer) {
 	fmt.Fprintln(w, "distance_ft  battery_free  battery_recharging  (minutes between frames)")
 	for i, d := range r.DistancesFt {
@@ -108,9 +112,11 @@ type Fig13Result struct {
 	InterFrame []time.Duration
 }
 
-// RunFig13 evaluates each wall material at five feet.
-func RunFig13() *Fig13Result {
+// RunFig13 evaluates each wall material at five feet; exact puts the
+// camera on the direct operating-point solver.
+func RunFig13(exact bool) *Fig13Result {
 	cam := core.NewBatteryFreeCamera()
+	cam.Exact = exact
 	const occupancy = 0.909
 	walls := []rf.WallMaterial{rf.NoWall, rf.WoodenDoor, rf.GlassDoublePane, rf.HollowWall, rf.DoubleSheetrock}
 	res := &Fig13Result{Walls: walls}
@@ -122,7 +128,7 @@ func RunFig13() *Fig13Result {
 	return res
 }
 
-// WriteTo prints the per-material table in the paper's order.
+// WriteTable prints the per-material table in the paper's order.
 func (r *Fig13Result) WriteTable(w io.Writer) {
 	fmt.Fprintln(w, "material      inter_frame_min")
 	for i, wall := range r.Walls {
@@ -136,27 +142,22 @@ func (r *Fig13Result) WriteTable(w io.Writer) {
 }
 
 func init() {
-	register("fig11", "temperature sensor update rate vs distance",
-		func(w io.Writer, quick bool) {
-			header(w, "fig11", "Update rate of temperature sensors")
+	register("fig11", "temperature sensor update rate vs distance", "Update rate of temperature sensors",
+		func(cfg Config) Table {
 			distances := []float64{1, 2.5, 5, 7.5, 10, 12.5, 15, 17.5, 20, 22.5, 25, 27.5, 30}
-			if quick {
+			if cfg.Quick {
 				distances = []float64{2, 5, 10, 15, 20, 25, 30}
 			}
-			RunFig11(distances).WriteTable(w)
+			return RunFig11(distances, cfg.Exact)
 		})
-	register("fig12", "camera inter-frame time vs distance",
-		func(w io.Writer, quick bool) {
-			header(w, "fig12", "Camera prototype results")
+	register("fig12", "camera inter-frame time vs distance", "Camera prototype results",
+		func(cfg Config) Table {
 			distances := []float64{2, 4, 6, 8, 10, 12, 14, 16, 17, 18, 20, 22, 23}
-			if quick {
+			if cfg.Quick {
 				distances = []float64{5, 10, 15, 17, 20, 23}
 			}
-			RunFig12(distances).WriteTable(w)
+			return RunFig12(distances, cfg.Exact)
 		})
-	register("fig13", "battery-free camera through walls",
-		func(w io.Writer, quick bool) {
-			header(w, "fig13", "Battery-free camera in through-the-wall scenarios")
-			RunFig13().WriteTable(w)
-		})
+	register("fig13", "battery-free camera through walls", "Battery-free camera in through-the-wall scenarios",
+		func(cfg Config) Table { return RunFig13(cfg.Exact) })
 }

@@ -27,7 +27,7 @@ func RunFig14(opts deploy.Options) *Fig14Result {
 	return res
 }
 
-// WriteTo prints per-home occupancy summaries.
+// WriteTable prints per-home occupancy summaries.
 func (r *Fig14Result) WriteTable(w io.Writer) {
 	fmt.Fprintln(w, "home  mean_cumulative  min_bin  max_bin  (percent; paper range of means: 78-127%)")
 	for _, res := range r.Results {
@@ -55,7 +55,7 @@ func RunFig15(f14 *Fig14Result) *Fig15Result {
 	return res
 }
 
-// WriteTo prints quantiles per home.
+// WriteTable prints quantiles per home.
 func (r *Fig15Result) WriteTable(w io.Writer) {
 	fmt.Fprintln(w, "home  p10    p50    p90   (reads/s at 10 ft)")
 	for i, home := range r.Homes {
@@ -75,7 +75,7 @@ func RunTable1() *Table1Result {
 	return &Table1Result{Homes: deploy.PaperHomes()}
 }
 
-// WriteTo prints Table 1.
+// WriteTable prints Table 1.
 func (r *Table1Result) WriteTable(w io.Writer) {
 	fmt.Fprint(w, "Home #         ")
 	for _, h := range r.Homes {
@@ -138,48 +138,34 @@ func RunFig16(distanceCM float64, duration time.Duration) *Fig16Result {
 	return res
 }
 
-// WriteTo prints the charging summary.
+// WriteTable prints the charging summary.
 func (r *Fig16Result) WriteTable(w io.Writer) {
 	fmt.Fprintf(w, "average charge current: %.2f mA (paper: 2.3 mA)\n", r.ChargeCurrentMA)
 	fmt.Fprintf(w, "state of charge: %.0f%% -> %.0f%% in %v (paper: 0%% -> 41%% in 2.5 h)\n",
 		r.StartSoC*100, r.EndSoC*100, r.Duration)
 }
 
+// deployOptions is the logging setup of the fig14 and fig15 runs.
+func deployOptions(cfg Config) deploy.Options {
+	opts := deploy.DefaultOptions()
+	opts.Exact = cfg.Exact
+	if cfg.Quick {
+		opts.BinWidth = 20 * time.Minute
+		opts.Window = 400 * time.Millisecond
+	} else {
+		opts.BinWidth = 5 * time.Minute
+		opts.Window = 500 * time.Millisecond
+	}
+	return opts
+}
+
 func init() {
-	register("fig14", "six-home deployment occupancy logs",
-		func(w io.Writer, quick bool) {
-			header(w, "fig14", "PoWiFi channel occupancies in home deployments")
-			opts := deploy.DefaultOptions()
-			if quick {
-				opts.BinWidth = 20 * time.Minute
-				opts.Window = 400 * time.Millisecond
-			} else {
-				opts.BinWidth = 5 * time.Minute
-				opts.Window = 500 * time.Millisecond
-			}
-			RunFig14(opts).WriteTable(w)
-		})
-	register("fig15", "battery-free temperature sensor across homes",
-		func(w io.Writer, quick bool) {
-			header(w, "fig15", "Battery-free temperature sensor across homes")
-			opts := deploy.DefaultOptions()
-			if quick {
-				opts.BinWidth = 20 * time.Minute
-				opts.Window = 400 * time.Millisecond
-			} else {
-				opts.BinWidth = 5 * time.Minute
-				opts.Window = 500 * time.Millisecond
-			}
-			RunFig15(RunFig14(opts)).WriteTable(w)
-		})
-	register("table1", "deployment summary",
-		func(w io.Writer, quick bool) {
-			header(w, "table1", "Summary of our home deployment")
-			RunTable1().WriteTable(w)
-		})
-	register("fig16", "Wi-Fi power via USB (Jawbone UP24 recharge)",
-		func(w io.Writer, quick bool) {
-			header(w, "fig16", "Wi-Fi power via USB")
-			RunFig16(6, 150*time.Minute).WriteTable(w)
-		})
+	register("fig14", "six-home deployment occupancy logs", "PoWiFi channel occupancies in home deployments",
+		func(cfg Config) Table { return RunFig14(deployOptions(cfg)) })
+	register("fig15", "battery-free temperature sensor across homes", "Battery-free temperature sensor across homes",
+		func(cfg Config) Table { return RunFig15(RunFig14(deployOptions(cfg))) })
+	register("table1", "deployment summary", "Summary of our home deployment",
+		func(Config) Table { return RunTable1() })
+	register("fig16", "Wi-Fi power via USB (Jawbone UP24 recharge)", "Wi-Fi power via USB",
+		func(Config) Table { return RunFig16(6, 150*time.Minute) })
 }

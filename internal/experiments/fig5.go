@@ -44,7 +44,7 @@ func RunFig5(delaysUS, thresholds []int, perPoint time.Duration, seed uint64) *F
 	return res
 }
 
-// WriteTo prints the sweep in the paper's layout.
+// WriteTable prints the sweep in the paper's layout.
 func (r *Fig5Result) WriteTable(w io.Writer) {
 	fmt.Fprint(w, "delay_us")
 	for _, qd := range r.Thresholds {
@@ -62,16 +62,16 @@ func (r *Fig5Result) WriteTable(w io.Writer) {
 
 func init() {
 	register("fig5", "occupancy vs inter-packet delay and queue threshold",
-		func(w io.Writer, quick bool) {
-			header(w, "fig5", "Effect of inter-packet delay on occupancy")
+		"Effect of inter-packet delay on occupancy",
+		func(cfg Config) Table {
 			delays := []int{20, 50, 100, 150, 200, 250, 300, 350, 400}
 			thresholds := []int{1, 5, 50, 100}
 			per := 4 * time.Second
-			if quick {
+			if cfg.Quick {
 				delays = []int{50, 100, 200, 400}
 				thresholds = []int{1, 5, 50}
 				per = 1 * time.Second
 			}
-			RunFig5(delays, thresholds, per, 5).WriteTable(w)
+			return RunFig5(delays, thresholds, per, 5)
 		})
 }

@@ -92,7 +92,7 @@ func RunFig6a(rates []float64, perRun time.Duration, seed uint64) *Fig6aResult {
 	return res
 }
 
-// WriteTo prints the Fig. 6a table.
+// WriteTable prints the Fig. 6a table.
 func (r *Fig6aResult) WriteTable(w io.Writer) {
 	fmt.Fprint(w, "udp_rate_mbps")
 	for _, s := range benchSchemes {
@@ -158,7 +158,7 @@ func RunFig6b(runs int, perRun time.Duration, seed uint64) *Fig6bResult {
 	return res
 }
 
-// WriteTo prints quantiles of each scheme's throughput CDF.
+// WriteTable prints quantiles of each scheme's throughput CDF.
 func (r *Fig6bResult) WriteTable(w io.Writer) {
 	fmt.Fprintln(w, "scheme      p10    p50    p90  (Mbps, 500 ms intervals)")
 	for _, s := range benchSchemes {
@@ -237,7 +237,7 @@ func (r *Fig6cResult) MeanDelayVsBaseline(s router.Scheme) float64 {
 	return sum / float64(len(base))
 }
 
-// WriteTo prints the per-site PLT table.
+// WriteTable prints the per-site PLT table.
 func (r *Fig6cResult) WriteTable(w io.Writer) {
 	fmt.Fprint(w, "site            ")
 	for _, s := range benchSchemes {
@@ -273,46 +273,39 @@ func writeOccupancy(w io.Writer, label string, s occupancySummary) {
 }
 
 func init() {
-	register("fig6a", "effect on UDP throughput (4 schemes)",
-		func(w io.Writer, quick bool) {
-			header(w, "fig6a", "Effect on UDP traffic")
+	register("fig6a", "effect on UDP throughput (4 schemes)", "Effect on UDP traffic",
+		func(cfg Config) Table {
 			rates := []float64{1, 5, 10, 15, 20, 25, 30, 35, 40, 45, 50}
 			per := 3 * time.Second
-			if quick {
+			if cfg.Quick {
 				rates = []float64{5, 15, 30, 50}
 				per = 1500 * time.Millisecond
 			}
-			RunFig6a(rates, per, 11).WriteTable(w)
+			return RunFig6a(rates, per, 11)
 		})
-	register("fig6b", "effect on TCP throughput (4 schemes)",
-		func(w io.Writer, quick bool) {
-			header(w, "fig6b", "Effect on TCP traffic")
+	register("fig6b", "effect on TCP throughput (4 schemes)", "Effect on TCP traffic",
+		func(cfg Config) Table {
 			runs, per := 10, 4*time.Second
-			if quick {
+			if cfg.Quick {
 				runs, per = 3, 2*time.Second
 			}
-			RunFig6b(runs, per, 13).WriteTable(w)
+			return RunFig6b(runs, per, 13)
 		})
-	register("fig6c", "effect on page load time of top-10 US sites",
-		func(w io.Writer, quick bool) {
-			header(w, "fig6c", "Effect on page load time")
+	register("fig6c", "effect on page load time of top-10 US sites", "Effect on page load time",
+		func(cfg Config) Table {
 			loads := 5
-			if quick {
+			if cfg.Quick {
 				loads = 1
 			}
-			RunFig6c(loads, 17).WriteTable(w)
+			return RunFig6c(loads, 17)
 		})
-	register("fig7", "channel occupancy CDFs during the UDP/TCP/PLT runs",
-		func(w io.Writer, quick bool) {
-			header(w, "fig7", "PoWiFi channel occupancies")
+	register("fig7", "channel occupancy CDFs during the UDP/TCP/PLT runs", "PoWiFi channel occupancies",
+		func(cfg Config) Table {
 			per := 4 * time.Second
-			if quick {
+			if cfg.Quick {
 				per = 2 * time.Second
 			}
-			res := RunFig7Occupancies(per, 11)
-			writeOccupancy(w, "UDP experiments (paper cumulative mean 97.6%)", res.UDP)
-			writeOccupancy(w, "TCP experiments (paper cumulative mean 100.9%)", res.TCP)
-			writeOccupancy(w, "PLT experiments (paper cumulative mean 87.6%)", res.PLT)
+			return RunFig7Occupancies(per, 11)
 		})
 }
 
@@ -326,6 +319,13 @@ const (
 // Fig7Result groups the occupancy summaries of the three workload types.
 type Fig7Result struct {
 	UDP, TCP, PLT occupancySummary
+}
+
+// WriteTable prints the three summaries against the paper's means.
+func (r *Fig7Result) WriteTable(w io.Writer) {
+	writeOccupancy(w, "UDP experiments (paper cumulative mean 97.6%)", r.UDP)
+	writeOccupancy(w, "TCP experiments (paper cumulative mean 100.9%)", r.TCP)
+	writeOccupancy(w, "PLT experiments (paper cumulative mean 87.6%)", r.PLT)
 }
 
 // RunFig7Occupancies measures PoWiFi channel occupancy under the UDP, TCP

@@ -86,7 +86,7 @@ func runNeighborPair(scheme router.Scheme, neighborRate phy.Rate, perRun time.Du
 	return sink.ThroughputMbps(0, perRun)
 }
 
-// WriteTo prints the Fig. 8 table.
+// WriteTable prints the Fig. 8 table.
 func (r *Fig8Result) WriteTable(w io.Writer) {
 	fmt.Fprint(w, "neighbor_rate")
 	for _, s := range Fig8Schemes {
@@ -104,15 +104,15 @@ func (r *Fig8Result) WriteTable(w io.Writer) {
 
 func init() {
 	register("fig8", "fairness to neighboring networks",
-		func(w io.Writer, quick bool) {
-			header(w, "fig8", "Effect on neighboring networks")
+		"Effect on neighboring networks",
+		func(cfg Config) Table {
 			rates := []phy.Rate{phy.Rate6Mbps, phy.Rate9Mbps, phy.Rate12Mbps, phy.Rate18Mbps,
 				phy.Rate24Mbps, phy.Rate36Mbps, phy.Rate48Mbps, phy.Rate54Mbps}
 			per := 3 * time.Second
-			if quick {
+			if cfg.Quick {
 				rates = []phy.Rate{phy.Rate6Mbps, phy.Rate18Mbps, phy.Rate54Mbps}
 				per = 1 * time.Second
 			}
-			RunFig8(rates, per, 23).WriteTable(w)
+			return RunFig8(rates, per, 23)
 		})
 }

@@ -45,7 +45,7 @@ func (r *Fig9Result) WorstInBand(series []float64) float64 {
 	return worst
 }
 
-// WriteTo prints the sweep.
+// WriteTable prints the sweep.
 func (r *Fig9Result) WriteTable(w io.Writer) {
 	fmt.Fprintln(w, "freq_GHz  battery_free_dB  battery_charging_dB")
 	for i, f := range r.FreqHz {
@@ -92,7 +92,7 @@ func RunFig10(version harvester.Version, stepDB float64) *Fig10Result {
 	return res
 }
 
-// WriteTo prints the sweep.
+// WriteTable prints the sweep.
 func (r *Fig10Result) WriteTable(w io.Writer) {
 	fmt.Fprintf(w, "%s harvester (sensitivity %.1f dBm)\n", r.Version, r.SensitivityDBm)
 	fmt.Fprintln(w, "input_dBm  ch1_uW  ch6_uW  ch11_uW")
@@ -102,23 +102,21 @@ func (r *Fig10Result) WriteTable(w io.Writer) {
 }
 
 func init() {
-	register("fig9", "harvester return loss across the Wi-Fi band",
-		func(w io.Writer, quick bool) {
-			header(w, "fig9", "Harvester return loss")
+	register("fig9", "harvester return loss across the Wi-Fi band", "Harvester return loss",
+		func(cfg Config) Table {
 			step := 2e6
-			if quick {
+			if cfg.Quick {
 				step = 8e6
 			}
-			RunFig9(step).WriteTable(w)
+			return RunFig9(step)
 		})
 	register("fig10", "available output power at the harvester vs input power",
-		func(w io.Writer, quick bool) {
-			header(w, "fig10", "Available output power at the harvester")
+		"Available output power at the harvester",
+		func(cfg Config) Table {
 			step := 2.0
-			if quick {
+			if cfg.Quick {
 				step = 4.0
 			}
-			RunFig10(harvester.BatteryFree, step).WriteTable(w)
-			RunFig10(harvester.BatteryCharging, step).WriteTable(w)
+			return tables{RunFig10(harvester.BatteryFree, step), RunFig10(harvester.BatteryCharging, step)}
 		})
 }

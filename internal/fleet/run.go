@@ -251,7 +251,7 @@ func RunWith(ctx context.Context, cfg Config, h Hooks) (*Result, error) {
 	// or built for a harvester it lacks. Either is deterministic and
 	// process-cached, so warming changes no output, but it keeps the
 	// one-time cost out of the simulate span.
-	if rec != nil && !cfg.Exact && surface.Enabled() {
+	if rec != nil && !cfg.Exact {
 		endWarm := rec.Span(trace.SpanSurfaceWarmup)
 		surface.For(harvester.NewBatteryFree())
 		if cfg.Population.Lifecycle() {

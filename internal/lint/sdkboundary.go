@@ -16,8 +16,9 @@ import (
 // exactly the kind of leak that lets the SDK rot. This replaces the
 // grep-based CI step — unlike the grep it resolves real imports (so a
 // renamed or dot import cannot hide) and it covers every cmd/ and
-// examples/ package, with an explicit, reasoned escape hatch for the
-// paper-era demo CLIs that predate the SDK:
+// examples/ package, with an explicit, reasoned escape hatch for code
+// that is not an SDK consumer (today only the lint driver itself;
+// TestSDKBoundaryHatches pins the inventory):
 // //powifi:sdkboundary-ok <reason> on the package clause exempts the
 // file; on an import line, that import.
 var SDKBoundaryAnalyzer = &analysis.Analyzer{

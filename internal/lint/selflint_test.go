@@ -1,7 +1,12 @@
 package lint_test
 
 import (
+	"go/parser"
+	"go/token"
+	"io/fs"
 	"path/filepath"
+	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/lint"
@@ -44,5 +49,59 @@ func TestRepoIsClean(t *testing.T) {
 				t.Error(d)
 			}
 		}
+	}
+}
+
+// TestSDKBoundaryHatches pins the inventory of //powifi:sdkboundary-ok
+// escape hatches in the module (lint testdata aside). The only holder
+// is the lint driver, which is the enforcement tool rather than an SDK
+// consumer; every other command and example runs on the public facade.
+// A new bypass has to add itself here and say why.
+func TestSDKBoundaryHatches(t *testing.T) {
+	want := []string{"cmd/powifi-lint/main.go"}
+
+	root, err := filepath.Abs("../..")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fset := token.NewFileSet()
+	var got []string
+	err = filepath.WalkDir(root, func(p string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		name := d.Name()
+		if d.IsDir() {
+			if p != root && (name == "testdata" || name == "vendor" || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_")) {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(name, ".go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, p, nil, parser.ParseComments)
+		if err != nil {
+			return err
+		}
+		rel, err := filepath.Rel(root, p)
+		if err != nil {
+			return err
+		}
+		for _, cg := range f.Comments {
+			for _, c := range cg.List {
+				rest, ok := strings.CutPrefix(c.Text, "//powifi:sdkboundary-ok")
+				if ok && (rest == "" || rest[0] == ' ' || rest[0] == '\t') {
+					got = append(got, filepath.ToSlash(rel))
+				}
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("sdkboundary-ok hatches in %v, want only %v", got, want)
 	}
 }

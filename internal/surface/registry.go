@@ -3,25 +3,9 @@ package surface
 import (
 	"fmt"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/harvester"
 )
-
-// enabled is the process-wide escape hatch: when false, callers that
-// consult Enabled() (core.TempSensorDevice.Evaluate) take the exact
-// solver instead of the surface. The CLIs expose it as -exact.
-var enabled atomic.Bool
-
-func init() { enabled.Store(true) }
-
-// Enabled reports whether the surface fast path is active.
-func Enabled() bool { return enabled.Load() }
-
-// SetEnabled toggles the surface fast path process-wide. It exists for
-// the CLIs' -exact escape hatch and for A/B parity tests; per-run control
-// should prefer the Exact fields on deploy.Options and fleet.Config.
-func SetEnabled(v bool) { enabled.Store(v) }
 
 // registry caches one surface per distinct harvester configuration.
 // Devices are constructed afresh per simulated home, so the cache is

@@ -21,18 +21,6 @@ func TestRegistrySharesBuilds(t *testing.T) {
 	}
 }
 
-// TestEnabledToggle pins the global escape hatch.
-func TestEnabledToggle(t *testing.T) {
-	if !Enabled() {
-		t.Fatal("surface must be enabled by default")
-	}
-	SetEnabled(false)
-	if Enabled() {
-		t.Error("SetEnabled(false) did not take")
-	}
-	SetEnabled(true)
-}
-
 // TestOutOfDomainFallsBackToExact: a drive past the grid's upper bound
 // must produce exactly the direct solver's result (the fallback calls
 // it), never an extrapolation.

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"io"
 	"iter"
-	"sync"
 	"time"
 
 	"repro/internal/deploy"
@@ -16,7 +15,6 @@ import (
 	"repro/internal/fleet"
 	"repro/internal/lifecycle"
 	"repro/internal/phy"
-	"repro/internal/surface"
 	powifitrace "repro/internal/trace"
 )
 
@@ -37,15 +35,10 @@ const (
 // options, or load a declarative JSON form with LoadScenario; execute
 // it with Run, or stream results with Bins (single-home) and Homes
 // (fleet). A Scenario is immutable after NewScenario and safe for
-// concurrent use by multiple goroutines (each Run builds its own
-// simulation state), with two caveats: the WithProgress callback, if
-// any, must itself be safe for the concurrency the caller creates, and
-// experiment scenarios with WithExact toggle the process-wide
-// operating-point surface for the duration of their Run — they
-// serialize among themselves, but a concurrent non-exact run in the
-// same process would take the exact solver path during that window
-// (identical boot decisions, results within the surface's certified ε,
-// just slower).
+// concurrent use by multiple goroutines: each Run builds its own
+// simulation state, and every option, WithExact included, holds for
+// that run only. The WithProgress callback, if any, must itself be
+// safe for the concurrency the caller creates.
 type Scenario struct {
 	set        optSet
 	homes      int
@@ -656,30 +649,12 @@ func (s *Scenario) runHome(ctx context.Context) (*Report, error) {
 	return newReport(ModeHome, &Report{Home: hr}), nil
 }
 
-// exactExperimentMu serializes experiment runs that bypass the
-// operating-point surface: the bypass is a process-wide switch (the
-// experiment runners predate per-run Exact plumbing), so concurrent
-// save/disable/restore sequences would corrupt each other and could
-// leave the surface disabled for the whole process.
-var exactExperimentMu sync.Mutex
-
 func (s *Scenario) runExperiment(ctx context.Context) (*Report, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	if s.exact {
-		// The experiment runners consult the process-wide surface
-		// switch; serialize exact runs and restore whatever happens.
-		// Concurrent non-exact runs during this window would also see
-		// the surface off — see the Scenario doc's concurrency caveat.
-		exactExperimentMu.Lock()
-		defer exactExperimentMu.Unlock()
-		prev := surface.Enabled()
-		surface.SetEnabled(false)
-		defer surface.SetEnabled(prev)
-	}
 	var buf bytes.Buffer
-	if !experiments.Run(s.experiment, &buf, !s.full) {
+	if !experiments.Run(s.experiment, &buf, experiments.Config{Quick: !s.full, Exact: s.exact}) {
 		return nil, fmt.Errorf("powifi: unknown experiment %q", s.experiment)
 	}
 	return newReport(ModeExperiment, &Report{Experiment: &ExperimentReport{

@@ -578,3 +578,87 @@ func TestScenarioExperimentMatchesRunExperiment(t *testing.T) {
 		t.Errorf("unknown experiment error: %v", err)
 	}
 }
+
+// TestExactIsPerRun pins that WithExact on an experiment scenario
+// changes the solver of that run only. An exact fig13 loops on one
+// goroutine while a non-exact single-home Bins stream and a small
+// fleet Run execute; both must be bit-identical to the same runs made
+// with nothing else in flight.
+func TestExactIsPerRun(t *testing.T) {
+	ctx := context.Background()
+	home, err := powifi.NewScenario(
+		powifi.WithHome(powifi.PaperHomes()[0]),
+		powifi.WithHorizon(time.Hour),
+		powifi.WithBinWidth(10*time.Minute),
+		powifi.WithWindow(20*time.Millisecond))
+	if err != nil {
+		t.Fatal(err)
+	}
+	runHome := func() []powifi.BinSample {
+		var bins []powifi.BinSample
+		for b, err := range home.Bins(ctx) {
+			if err != nil {
+				t.Fatal(err)
+			}
+			bins = append(bins, b)
+		}
+		return bins
+	}
+	fleet := tinyFleet(t)
+	runFleet := func() []byte {
+		rep, err := fleet.Run(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := rep.WriteJSON(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	wantBins, wantFleet := runHome(), runFleet()
+
+	exp, err := powifi.NewScenario(powifi.WithExperiment("fig13"), powifi.WithExact(true))
+	if err != nil {
+		t.Fatal(err)
+	}
+	stop := make(chan struct{})
+	first := make(chan struct{})
+	done := make(chan error, 1)
+	go func() {
+		for i := 0; ; i++ {
+			if _, err := exp.Run(ctx); err != nil {
+				done <- err
+				return
+			}
+			if i == 0 {
+				close(first)
+			}
+			select {
+			case <-stop:
+				done <- nil
+				return
+			default:
+			}
+		}
+	}()
+	select {
+	case <-first:
+	case err := <-done:
+		t.Fatal(err)
+	}
+	defer func() {
+		close(stop)
+		if err := <-done; err != nil {
+			t.Error(err)
+		}
+	}()
+	for i := 0; i < 3; i++ {
+		if got := runHome(); !reflect.DeepEqual(got, wantBins) {
+			t.Errorf("round %d: home bins differ from the serial run while an exact experiment runs", i)
+		}
+		if got := runFleet(); !bytes.Equal(got, wantFleet) {
+			t.Errorf("round %d: fleet report differs from the serial run while an exact experiment runs", i)
+		}
+	}
+}
