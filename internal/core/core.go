@@ -464,12 +464,17 @@ func (d *CameraDevice) InterFrameTime(link PowerLink) time.Duration {
 
 // OperatingRangeFt returns the maximum distance (feet) at which the given
 // predicate holds, searching outward in 0.25 ft steps — how the paper
-// reports sensor ranges.
+// reports sensor ranges. The predicate is assumed monotone: once it
+// holds, it holds at every shorter distance, so the scan stops at the
+// first step that fails after one that held. For a predicate that holds
+// on several separate bands, the result is the far edge of the nearest.
 func OperatingRangeFt(maxFt float64, operates func(distanceFt float64) bool) float64 {
 	lastGood := 0.0
 	for d := 0.5; d <= maxFt; d += 0.25 {
 		if operates(d) {
 			lastGood = d
+		} else if lastGood > 0 {
+			break
 		}
 	}
 	return lastGood

@@ -199,8 +199,17 @@ func TestOperatingRangeFtEdges(t *testing.T) {
 	if got := OperatingRangeFt(30, func(d float64) bool { return true }); got < 29.5 {
 		t.Errorf("always-operating range = %v, want max", got)
 	}
-	if got := OperatingRangeFt(30, func(d float64) bool { return d <= 12 }); math.Abs(got-12) > 0.3 {
+	calls := 0
+	if got := OperatingRangeFt(30, func(d float64) bool { calls++; return d <= 12 }); math.Abs(got-12) > 0.3 {
 		t.Errorf("threshold range = %v, want about 12", got)
+	}
+	// 0.5 to 12 ft in 0.25 ft steps holds at 47 steps; the scan stops at
+	// the first step past it.
+	if calls != 48 {
+		t.Errorf("threshold range asked the predicate %d times, want 48", calls)
+	}
+	if got := OperatingRangeFt(30, func(d float64) bool { return d >= 3 && d <= 12 }); math.Abs(got-12) > 0.3 {
+		t.Errorf("range starting past the first step = %v, want about 12", got)
 	}
 }
 

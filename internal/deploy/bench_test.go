@@ -15,24 +15,36 @@ func benchBinInputs() (seed uint64, clientLoad float64, neighborLoad [3]float64,
 // BenchmarkSampleBin measures the pooled per-bin packet-level sample —
 // the fleet hot path — reporting ns/bin and allocs/bin directly. The
 // window sub-benchmarks bracket the fleet default (2 ms in the fleet
-// benchmark config, 10 ms in the fleet CLI default).
+// benchmark config, 10 ms in the fleet CLI default). The idle ones run
+// a bin with no neighbor load, so all three channels are solo passes:
+// the router radio alone, and with the client feed on channel 1.
 func BenchmarkSampleBin(b *testing.B) {
+	seed, clientLoad, neighborLoad, _ := benchBinInputs()
 	for _, window := range []time.Duration{2 * time.Millisecond, 10 * time.Millisecond} {
 		b.Run(fmt.Sprintf("window=%v", window), func(b *testing.B) {
-			smp := NewSampler()
-			seed, clientLoad, neighborLoad, _ := benchBinInputs()
-			smp.sampleBin(seed, clientLoad, neighborLoad, window) // warm pools
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				occ, _ := smp.sampleBin(seed+uint64(i%1440), clientLoad, neighborLoad, window)
-				if occ[0] <= 0 {
-					b.Fatal("no occupancy sampled")
-				}
-			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/bin")
+			benchSampleBin(b, seed, clientLoad, neighborLoad, window)
 		})
 	}
+	b.Run("idle=router/window=10ms", func(b *testing.B) {
+		benchSampleBin(b, seed, 0, [3]float64{}, 10*time.Millisecond)
+	})
+	b.Run("idle=router+client/window=10ms", func(b *testing.B) {
+		benchSampleBin(b, seed, clientLoad, [3]float64{}, 10*time.Millisecond)
+	})
+}
+
+func benchSampleBin(b *testing.B, seed uint64, clientLoad float64, neighborLoad [3]float64, window time.Duration) {
+	smp := NewSampler()
+	smp.sampleBin(seed, clientLoad, neighborLoad, window) // warm pools
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		occ, _ := smp.sampleBin(seed+uint64(i%1440), clientLoad, neighborLoad, window)
+		if occ[0] <= 0 {
+			b.Fatal("no occupancy sampled")
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/bin")
 }
 
 // BenchmarkRunBatchPooled measures a full pooled single-home run into

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/eventsim"
+	"repro/internal/mac"
 	"repro/internal/medium"
 	"repro/internal/monitor"
 	"repro/internal/phy"
@@ -41,6 +42,7 @@ type Sampler struct {
 	sched    *eventsim.Scheduler
 	channels [3]*medium.Channel
 	rt       *router.Router
+	radios   [3]*router.Radio // rt's radios in channel order
 	monitors [3]*monitor.Monitor
 
 	// bg[i][k] is contender k on PoWiFi channel i; bgLabels caches the
@@ -143,6 +145,7 @@ func NewSampler() *Sampler {
 	smp.rt = router.New(rcfg, smp.sched, channels, 100, 0)
 
 	for i, chNum := range phy.PoWiFiChannels {
+		smp.radios[i] = smp.rt.Radio(chNum)
 		smp.monitors[i] = monitor.New(smp.channels[i], time.Second, 100+i)
 		for k := 0; k < maxBgStations; k++ {
 			smp.bg[i][k] = traffic.NewBackground(smp.sched, smp.channels[i], 300+10*i+k,
@@ -152,15 +155,10 @@ func NewSampler() *Sampler {
 	}
 
 	smp.clientRng = xrand.New(0)
-	radio := smp.rt.Radio(phy.Channel1).MAC
+	radio := smp.radios[0].MAC
 	smp.frameAir = float64(phy.Airtime(1500+phy.MACOverheadBytes, phy.Rate54Mbps))
 	smp.clientFire = func(any) {
-		f := radio.NewFrame()
-		f.DstID = medium.Broadcast // home devices in aggregate
-		f.Bytes = 1500
-		f.Kind = medium.KindData
-		f.FixedRate = phy.Rate54Mbps
-		radio.Enqueue(f)
+		radio.Enqueue(clientFrame(radio))
 		smp.armClient()
 	}
 
@@ -186,7 +184,22 @@ func (smp *Sampler) TraceHome(ht *trace.HomeTrace) {
 // armClient schedules the next Poisson client-frame arrival, exactly as
 // the original closure chain did: draw the gap, then fire-and-rearm.
 func (smp *Sampler) armClient() {
-	smp.sched.AfterCtx(time.Duration(smp.clientRng.Exp(smp.clientMean)), smp.clientFire, nil)
+	smp.sched.AfterCtx(smp.clientGap(), smp.clientFire, nil)
+}
+
+// clientGap draws the time to the next client-frame arrival.
+func (smp *Sampler) clientGap() time.Duration {
+	return time.Duration(smp.clientRng.Exp(smp.clientMean))
+}
+
+// clientFrame returns one client downlink frame from radio's pool.
+func clientFrame(radio *mac.Station) *mac.Frame {
+	f := radio.NewFrame()
+	f.DstID = medium.Broadcast // home devices in aggregate
+	f.Bytes = 1500
+	f.Kind = medium.KindData
+	f.FixedRate = phy.Rate54Mbps
+	return f
 }
 
 // planBins draws the home's full bin plan into smp.plan: the per-home
@@ -270,7 +283,8 @@ func (smp *Sampler) planBins(cfg HomeConfig, opts Options, nBins int) {
 // then the router radio) and the rising sequence numbers are those of a
 // single pass over all three channels, so each channel fires exactly
 // the subsequence of events it would there, and the event count is the
-// sum of the passes'.
+// sum of the passes'. A channel with no neighbor load has the router
+// radio as its only station, and soloPass runs it without the kernel.
 //
 //powifi:noalloc
 func (smp *Sampler) sampleBin(seed uint64, clientLoad float64, neighborLoad [3]float64, window time.Duration) (occ [3]float64, events uint64) {
@@ -287,6 +301,15 @@ func (smp *Sampler) sampleBin(seed uint64, clientLoad float64, neighborLoad [3]f
 		}
 		smp.lastActiveBg[i] = 0
 
+		// The home's own client traffic rides channel 1 through the
+		// router's fair queue, competing with the injector exactly as
+		// §3.2 describes.
+		client := i == 0 && clientLoad > 0
+		if client {
+			smp.clientRng.ReseedFromLabel(seed, "clients")
+			smp.clientMean = smp.frameAir / clientLoad
+		}
+
 		// Neighbor load, spread over several contending stations: a
 		// crowded neighborhood does not just offer more airtime, it also
 		// fields more DCF contenders, each of which wins transmit
@@ -294,29 +317,26 @@ func (smp *Sampler) sampleBin(seed uint64, clientLoad float64, neighborLoad [3]f
 		// build would have constructed participate this bin; the pooled
 		// spares beyond them are deactivated so the medium's per-frame
 		// loops see exactly the fresh-build station set.
-		if load := neighborLoad[i]; load <= 0 {
+		load := neighborLoad[i]
+		if load <= 0 {
 			ch.SetActiveStations(1) // router radio only
-		} else {
-			stations := 1 + int(load/0.2)
-			if stations > maxBgStations {
-				stations = maxBgStations
-			}
-			ch.SetActiveStations(1 + stations)
-			smp.lastActiveBg[i] = stations
-			for k := 0; k < stations; k++ {
-				bg := smp.bg[i][k]
-				bg.RNG().ReseedFromLabel(seed, smp.bgLabels[i][k])
-				bg.Load = load / float64(stations)
-				bg.Start()
-			}
+			events += smp.soloPass(i, client, window)
+			occ[i] = smp.monitors[i].MeanOccupancy()
+			continue
 		}
-
-		// The home's own client traffic rides channel 1 through the
-		// router's fair queue, competing with the injector exactly as
-		// §3.2 describes.
-		if i == 0 && clientLoad > 0 {
-			smp.clientRng.ReseedFromLabel(seed, "clients")
-			smp.clientMean = smp.frameAir / clientLoad
+		stations := 1 + int(load/0.2)
+		if stations > maxBgStations {
+			stations = maxBgStations
+		}
+		ch.SetActiveStations(1 + stations)
+		smp.lastActiveBg[i] = stations
+		for k := 0; k < stations; k++ {
+			bg := smp.bg[i][k]
+			bg.RNG().ReseedFromLabel(seed, smp.bgLabels[i][k])
+			bg.Load = load / float64(stations)
+			bg.Start()
+		}
+		if client {
 			smp.armClient()
 		}
 
@@ -326,4 +346,123 @@ func (smp *Sampler) sampleBin(seed uint64, clientLoad float64, neighborLoad [3]f
 		events += smp.sched.Scheduled()
 	}
 	return occ, events
+}
+
+// The router radio's timers on a solo pass.
+const (
+	soloClient = iota
+	soloBeacon
+	soloMAC
+	soloInjector
+	numSoloTimers
+)
+
+// soloTimers is the router radio's timer set on a channel it has to
+// itself. Each timer carries the kernel's (time, sequence) key, and
+// sequence numbers are handed out in the order the kernel path would
+// schedule the events, so ties fire in the kernel's order and seq ends
+// as the pass's kernel event count.
+type soloTimers struct {
+	at  [numSoloTimers]time.Duration // math.MaxInt64 when disarmed
+	key [numSoloTimers]uint64
+	seq uint64
+}
+
+func (t *soloTimers) arm(k int, at time.Duration) {
+	t.at[k], t.key[k] = at, t.seq
+	t.seq++
+}
+
+// before reports whether timer j fires before timer k.
+func (t *soloTimers) before(j, k int) bool {
+	return t.at[j] < t.at[k] || t.at[j] == t.at[k] && t.key[j] < t.key[k]
+}
+
+// nextSource returns the traffic-source timer (client, beacon or
+// injector) that fires first.
+func (t *soloTimers) nextSource() int {
+	k := soloClient
+	if t.before(soloBeacon, k) {
+		k = soloBeacon
+	}
+	if t.before(soloInjector, k) {
+		k = soloInjector
+	}
+	return k
+}
+
+// enqueue hands f to the radio's MAC, arming the MAC timer where the
+// kernel path's Enqueue would schedule one.
+func (t *soloTimers) enqueue(st *mac.Station, f *mac.Frame, now time.Duration) bool {
+	ok, due := st.SoloEnqueue(f, now)
+	if due >= 0 {
+		t.arm(soloMAC, due)
+	}
+	return ok
+}
+
+// soloPass runs channel i's window when the router radio is the only
+// station on it, and returns the pass's kernel event count. With no one
+// to sense, collide with or deliver to, the pass is the radio's timers —
+// client arrivals (channel 1 only), beacons, the MAC's one access timer
+// and the injector's wake — fired in the kernel's (time, sequence)
+// order by a straight-line loop over the same objects and RNG streams
+// the kernel path uses. TestSampleBinChannelPasses and
+// FuzzSampleBinChannels certify it bit for bit against the kernel.
+//
+//powifi:noalloc
+func (smp *Sampler) soloPass(i int, client bool, window time.Duration) uint64 {
+	radio, mon := smp.radios[i], smp.monitors[i]
+	st, in := radio.MAC, radio.Injector
+	beacon := smp.rt.Cfg.BeaconInterval
+	var t soloTimers
+	for k := range t.at {
+		t.at[k] = math.MaxInt64
+	}
+	// Start-up as on the kernel path: the client feed, StartRadio's
+	// beacon timer, then the injector's first send, which Injector.Start
+	// makes at once rather than as an event, so the loop opens with it.
+	if client {
+		t.arm(soloClient, smp.clientGap())
+	}
+	if beacon > 0 {
+		t.arm(soloBeacon, beacon)
+	}
+	k, now := soloInjector, time.Duration(0)
+	for {
+		switch k {
+		case soloClient:
+			t.enqueue(st, clientFrame(st), now)
+			t.arm(soloClient, now+smp.clientGap())
+		case soloBeacon:
+			t.enqueue(st, radio.Beacon(), now)
+			t.arm(soloBeacon, now+beacon)
+		case soloInjector:
+			if f := in.Packet(); f != nil && t.enqueue(st, f, now) {
+				in.Injected++
+			}
+			t.arm(soloInjector, now+in.NextDelay())
+		}
+		// The MAC timer chain touches no source timer, so it runs on
+		// until the next source timer is due.
+		k = t.nextSource()
+		for t.before(soloMAC, k) && t.at[soloMAC] <= window {
+			now = t.at[soloMAC]
+			t.at[soloMAC] = math.MaxInt64
+			due, bytes, rate := st.SoloFire(now)
+			if bytes > 0 {
+				mon.Record(bytes, rate, now)
+			}
+			if due >= 0 {
+				t.arm(soloMAC, due)
+			}
+		}
+		if now = t.at[k]; now > window {
+			break
+		}
+	}
+	// Nothing is queued, so this only moves the clock the monitor reads
+	// to the end of the window, as the kernel pass leaves it.
+	smp.sched.RunUntil(window)
+	return t.seq
 }

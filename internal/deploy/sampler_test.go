@@ -86,19 +86,33 @@ func TestPooledSamplerMatchesRun(t *testing.T) {
 // heap allocations (in practice zero — the budget leaves headroom for
 // the conditional-drive slices the solver layer allocates on booting
 // links).
+//
+// An idle bin (no neighbor load, so every channel is a solo pass) must
+// allocate nothing at all, with or without client load.
 func TestSampleBinAllocBudget(t *testing.T) {
-	smp := NewSampler()
 	seed, clientLoad, neighborLoad, window := benchBinInputs()
-	smp.sampleBin(seed, clientLoad, neighborLoad, window) // warm pools
-	bin := 0
-	allocs := testing.AllocsPerRun(50, func() {
-		bin++
-		smp.sampleBin(seed+uint64(bin), clientLoad, neighborLoad, window)
-	})
-	if allocs > 10 {
-		t.Errorf("steady-state sampleBin allocs/bin = %v, budget is 10", allocs)
+	for _, c := range []struct {
+		name         string
+		clientLoad   float64
+		neighborLoad [3]float64
+		budget       float64
+	}{
+		{"contended", clientLoad, neighborLoad, 10},
+		{"idle", 0, [3]float64{}, 0},
+		{"idle+client", clientLoad, [3]float64{}, 0},
+	} {
+		smp := NewSampler()
+		smp.sampleBin(seed, c.clientLoad, c.neighborLoad, window) // warm pools
+		bin := 0
+		allocs := testing.AllocsPerRun(50, func() {
+			bin++
+			smp.sampleBin(seed+uint64(bin), c.clientLoad, c.neighborLoad, window)
+		})
+		if allocs > c.budget {
+			t.Errorf("%s: steady-state sampleBin allocs/bin = %v, budget is %v", c.name, allocs, c.budget)
+		}
+		t.Logf("%s: steady-state allocs/bin = %v", c.name, allocs)
 	}
-	t.Logf("steady-state allocs/bin = %v", allocs)
 }
 
 // TestRunBatchAllocBudget extends the allocation budget to a whole
@@ -196,16 +210,17 @@ func (p channelPassPair) check(t *testing.T, seed uint64, clientLoad float64, ne
 }
 
 // TestSampleBinChannelPasses certifies the per-channel passes against
-// the interleaved reference over randomized bins: idle channels (router
-// radio only) and one to four contenders, with and without client load,
-// at 2, 3 and 10 ms windows.
+// the interleaved reference over randomized bins: idle channels (the
+// solo loop) and one to four contenders (the kernel), with and without
+// client load, at 2, 3 and 10 ms windows and at 120 ms, past the
+// 102.4 ms beacon interval.
 func TestSampleBinChannelPasses(t *testing.T) {
 	rng := xrand.NewFromLabel(5, "sampler/channel-passes")
 	pair := channelPassPair{NewSampler(), NewSampler()}
-	windows := []time.Duration{2 * time.Millisecond, 3 * time.Millisecond, 10 * time.Millisecond}
+	windows := []time.Duration{2 * time.Millisecond, 3 * time.Millisecond, 10 * time.Millisecond, 120 * time.Millisecond}
 	var contenders [maxBgStations + 1]int // channel passes per contender count
 	var clientBins [2]int                 // without, with client load
-	var windowBins [3]int
+	var windowBins [4]int
 	for bin := 0; bin < 600; bin++ {
 		var neighborLoad [3]float64
 		for i := range neighborLoad {
@@ -234,6 +249,11 @@ func TestSampleBinChannelPasses(t *testing.T) {
 			t.Errorf("no channel ran with %d contenders", n)
 		}
 	}
+	solo, kernel := contenders[0], 600*3-contenders[0]
+	if solo == 0 || kernel == 0 {
+		t.Errorf("channel passes: %d solo, %d kernel; both paths must run", solo, kernel)
+	}
+	t.Logf("channel passes: %d solo, %d kernel", solo, kernel)
 	if slices.Contains(clientBins[:], 0) || slices.Contains(windowBins[:], 0) {
 		t.Errorf("coverage gap: bins without/with client load %v, per window %v", clientBins, windowBins)
 	}
@@ -241,18 +261,51 @@ func TestSampleBinChannelPasses(t *testing.T) {
 
 // FuzzSampleBinChannels drives the same differential from fuzzed seeds,
 // loads and windows. Loads are mapped to thousandths (0–1.0 neighbor,
-// 0–0.6 client) and the window to 0.5–10 ms, so every input is a
-// well-formed bin.
+// 0–0.6 client) and the window to 0.5–131.6 ms in 2 µs steps, past the
+// 102.4 ms beacon interval, so every input is a well-formed bin.
 func FuzzSampleBinChannels(f *testing.F) {
-	f.Add(uint64(1), uint16(350), uint16(250), uint16(80), uint16(400), uint16(9500))
-	f.Add(uint64(2), uint16(0), uint16(0), uint16(0), uint16(0), uint16(1500))
-	f.Add(uint64(3), uint16(600), uint16(1000), uint16(0), uint16(850), uint16(2500))
+	f.Add(uint64(1), uint16(350), uint16(250), uint16(80), uint16(400), uint16(4500))
+	f.Add(uint64(2), uint16(0), uint16(0), uint16(0), uint16(0), uint16(500))
+	f.Add(uint64(3), uint16(600), uint16(1000), uint16(0), uint16(850), uint16(1000))
+	// Idle channels with client load, the solo loop's busiest case,
+	// within and past the beacon interval.
+	f.Add(uint64(4), uint16(450), uint16(0), uint16(0), uint16(0), uint16(4750))
+	f.Add(uint64(5), uint16(300), uint16(0), uint16(0), uint16(0), uint16(60000))
+	f.Add(uint64(6), uint16(120), uint16(0), uint16(500), uint16(0), uint16(55000))
 	pair := channelPassPair{NewSampler(), NewSampler()}
-	f.Fuzz(func(t *testing.T, seed uint64, client, n1, n6, n11, windowUs uint16) {
+	f.Fuzz(func(t *testing.T, seed uint64, client, n1, n6, n11, window2Us uint16) {
 		neighborLoad := [3]float64{
 			float64(n1%1001) / 1000, float64(n6%1001) / 1000, float64(n11%1001) / 1000,
 		}
-		window := time.Duration(500+int(windowUs)%9501) * time.Microsecond
+		window := time.Duration(500+2*int(window2Us)) * time.Microsecond
 		pair.check(t, seed, float64(client%601)/1000, neighborLoad, window)
 	})
+}
+
+// TestSoloTimersTieOrder pins the solo loop's tie rule: timers due at
+// the same time fire in the order they were armed, as the kernel's
+// (time, sequence) key orders them.
+func TestSoloTimersTieOrder(t *testing.T) {
+	var tm soloTimers
+	tm.arm(soloInjector, 5)
+	tm.arm(soloClient, 7)
+	tm.arm(soloMAC, 5)
+	tm.arm(soloBeacon, 9)
+	if !tm.before(soloInjector, soloMAC) || tm.before(soloMAC, soloInjector) {
+		t.Fatal("the injector, armed first at the same time, must fire before the MAC timer")
+	}
+	if k := tm.nextSource(); k != soloInjector {
+		t.Fatalf("next source = timer %d, want the injector", k)
+	}
+	tm.arm(soloInjector, 5) // re-armed at the same time: now the later sequence
+	if !tm.before(soloMAC, soloInjector) {
+		t.Fatal("the MAC timer must now fire before the re-armed injector")
+	}
+	tm.arm(soloClient, 5)
+	if k := tm.nextSource(); k != soloInjector {
+		t.Fatalf("next source = timer %d, want the injector, armed before the client", k)
+	}
+	if tm.seq != 6 {
+		t.Fatalf("handed out %d sequence numbers, want 6", tm.seq)
+	}
 }

@@ -392,6 +392,14 @@ func (s *Station) onAckTimeout() {
 
 // finishFrame completes the life of the current frame and moves on.
 func (s *Station) finishFrame(ok bool) {
+	s.retire(ok)
+	s.waitDIFS()
+}
+
+// retire completes the life of the current frame, takes the next one
+// from the queue and draws the post-transmission backoff; the caller
+// then waits DIFS.
+func (s *Station) retire(ok bool) {
 	f := s.current
 	s.current = nil
 	s.currentTx = nil
@@ -407,7 +415,71 @@ func (s *Station) finishFrame(ok bool) {
 	// refills only after the in-service frame finishes, and the frame then
 	// still has to win a full contention cycle.
 	s.current = s.Qdisc.Dequeue()
-	s.beginBackoff()
+	s.slotsLeft = s.rng.Intn(s.cw + 1)
+}
+
+// A station alone on its channel never senses it busy, never collides
+// and never receives, so its DCF reduces to one pending timer: DIFS,
+// the backoff countdown or the end of a transmission. SoloEnqueue and
+// SoloFire run that timer, with Enqueue's and the timer callbacks'
+// state changes and RNG draws, for a caller that keeps the clock
+// instead of the scheduler. Frames must be broadcast: no ACK can come.
+
+// SoloEnqueue is Enqueue for a station alone on its channel. Where
+// Enqueue would arm the DIFS timer, it returns the time that timer is
+// due instead; due is negative when no timer was armed.
+func (s *Station) SoloEnqueue(f *Frame, now time.Duration) (ok bool, due time.Duration) {
+	if !s.Qdisc.Enqueue(f) {
+		s.QueueDrops++
+		return false, -1
+	}
+	if s.st != stIdle {
+		return true, -1
+	}
+	s.current = s.Qdisc.Dequeue() // an idle station holds no frame
+	s.st = stWaitDIFS
+	return true, now + phy.DIFS
+}
+
+// SoloFire fires the timer the last SoloEnqueue or SoloFire armed, at
+// its due time now. It returns the due time of the next timer (negative
+// when the station goes idle) and, when a transmission ended, the
+// frame's on-air length and rate as the medium would report them
+// (sentBytes is 0 otherwise).
+func (s *Station) SoloFire(now time.Duration) (due time.Duration, sentBytes int, sentRate phy.Rate) {
+	switch s.st {
+	case stWaitDIFS:
+		if s.slotsLeft > 0 {
+			s.st = stBackoff
+			s.backoffStart = now
+			return now + time.Duration(s.slotsLeft)*phy.SlotTime, 0, 0
+		}
+	case stBackoff:
+		s.slotsLeft = 0
+	case stTx:
+		f := s.current
+		if f.DstID != medium.Broadcast {
+			panic("mac: SoloFire ended a unicast frame")
+		}
+		sentBytes, sentRate = f.Bytes+phy.MACOverheadBytes, s.rate(f)
+		s.retire(true)
+		s.st = stWaitDIFS
+		return now + phy.DIFS, sentBytes, sentRate
+	}
+	// The DIFS or backoff timer expired: transmit.
+	if s.current == nil {
+		s.current = s.Qdisc.Dequeue()
+	}
+	f := s.current
+	if f == nil {
+		s.st = stIdle
+		return -1, 0, 0
+	}
+	s.st = stTx
+	air := s.ch.Airtime(f.Bytes+phy.MACOverheadBytes, s.rate(f))
+	s.TxFrames++
+	s.TxAirtimeData += air
+	return now + air, 0, 0
 }
 
 // OnReceive implements medium.Station.

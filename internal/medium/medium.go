@@ -369,11 +369,7 @@ func (c *Channel) StartTxFrom(srcIdx int, src Station, dstID, bytes int, rate ph
 	tx.Kind = kind
 	tx.Payload = payload
 	tx.Start = now
-	if bytes != c.lastAirBytes || rate != c.lastAirRate {
-		c.lastAirBytes, c.lastAirRate = bytes, rate
-		c.lastAirtime = phy.Airtime(bytes, rate)
-	}
-	tx.End = now + c.lastAirtime
+	tx.End = now + c.Airtime(bytes, rate)
 	// Record pairwise overlaps with already-active transmissions.
 	for _, other := range c.active {
 		other.overlapped = append(other.overlapped, tx)
@@ -400,6 +396,16 @@ func (c *Channel) StartTxFrom(srcIdx int, src Station, dstID, bytes int, rate ph
 
 	c.Sched.AtCtx(tx.End, c.endTxFn, tx)
 	return tx
+}
+
+// Airtime returns phy.Airtime(bytes, rate) through the channel's
+// one-entry memo.
+func (c *Channel) Airtime(bytes int, rate phy.Rate) time.Duration {
+	if bytes != c.lastAirBytes || rate != c.lastAirRate {
+		c.lastAirBytes, c.lastAirRate = bytes, rate
+		c.lastAirtime = phy.Airtime(bytes, rate)
+	}
+	return c.lastAirtime
 }
 
 // endTx resolves a completed transmission: removes it from the air,

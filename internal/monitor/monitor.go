@@ -68,17 +68,25 @@ func (m *Monitor) capture(tx *medium.Transmission) {
 	if len(m.filter) > 0 && !m.passes(tx.Src.StationID()) {
 		return
 	}
+	m.Record(tx.Bytes, tx.Rate, tx.End)
+}
+
+// Record accounts one captured frame of bytes (the full MAC frame
+// length) sent at rate and ending at end. It is capture's accounting
+// without the transmission, for a caller that runs a channel without
+// the medium; the caller applies the source filter itself.
+func (m *Monitor) Record(bytes int, rate phy.Rate, end time.Duration) {
 	m.captured++
 	// The paper computes size/rate from the radiotap headers, which
 	// excludes the PLCP preamble; do the same. bytes·8/Mbps gives
 	// microseconds on the air.
-	if tx.Bytes != m.lastBytes || tx.Rate != m.lastRate {
-		m.lastBytes, m.lastRate = tx.Bytes, tx.Rate
-		m.lastOnAir = time.Duration(float64(tx.Bytes*8)/tx.Rate.Mbps()*1000) * time.Nanosecond
+	if bytes != m.lastBytes || rate != m.lastRate {
+		m.lastBytes, m.lastRate = bytes, rate
+		m.lastOnAir = time.Duration(float64(bytes*8)/rate.Mbps()*1000) * time.Nanosecond
 	}
 	onAir := m.lastOnAir
 	m.total += onAir
-	bin := int((tx.End - m.started) / m.BinWidth)
+	bin := int((end - m.started) / m.BinWidth)
 	for bin >= len(m.bins) {
 		m.bins = append(m.bins, 0)
 	}

@@ -257,18 +257,23 @@ func (radio *Radio) startBeacons(interval time.Duration) {
 			if !radio.beaconOn {
 				return
 			}
-			f := radio.MAC.NewFrame()
-			f.DstID = medium.Broadcast
-			f.Bytes = 100
-			f.Kind = medium.KindBeacon
-			f.FixedRate = phy.Rate6Mbps
-			radio.MAC.Enqueue(f)
+			radio.MAC.Enqueue(radio.Beacon())
 			if radio.beaconOn {
 				radio.beaconEv = radio.sched.AfterCtx(radio.beaconInterval, radio.beaconFn, nil)
 			}
 		}
 	}
 	radio.beaconEv = radio.sched.AfterCtx(interval, radio.beaconFn, nil)
+}
+
+// Beacon returns the radio's next beacon frame from its MAC's pool.
+func (radio *Radio) Beacon() *mac.Frame {
+	f := radio.MAC.NewFrame()
+	f.DstID = medium.Broadcast
+	f.Bytes = 100
+	f.Kind = medium.KindBeacon
+	f.FixedRate = phy.Rate6Mbps
+	return f
 }
 
 // Stop halts the injectors and beacons.
@@ -323,21 +328,28 @@ func (in *Injector) Start() {
 				return
 			}
 			in.inject()
-			delay := in.Cfg.InterPacketDelay
-			if in.Cfg.SleepJitter > 0 {
-				j := in.rng.Normal(0, in.Cfg.SleepJitter*float64(delay))
-				delay += time.Duration(j)
-			}
-			if in.Cfg.UserWakeCost > 0 {
-				delay += time.Duration(in.rng.Exp(float64(in.Cfg.UserWakeCost)))
-			}
-			if delay < 10*time.Microsecond {
-				delay = 10 * time.Microsecond
-			}
-			in.stopEv = in.Sched.AfterCtx(delay, in.loopFn, nil)
+			in.stopEv = in.Sched.AfterCtx(in.NextDelay(), in.loopFn, nil)
 		}
 	}
 	in.loopFn(nil)
+}
+
+// NextDelay draws the user-space sleep until the next send: the
+// inter-packet delay plus timer jitter and the wake cost, at least
+// 10 µs.
+func (in *Injector) NextDelay() time.Duration {
+	delay := in.Cfg.InterPacketDelay
+	if in.Cfg.SleepJitter > 0 {
+		j := in.rng.Normal(0, in.Cfg.SleepJitter*float64(delay))
+		delay += time.Duration(j)
+	}
+	if in.Cfg.UserWakeCost > 0 {
+		delay += time.Duration(in.rng.Exp(float64(in.Cfg.UserWakeCost)))
+	}
+	if delay < 10*time.Microsecond {
+		delay = 10 * time.Microsecond
+	}
+	return delay
 }
 
 // Stop halts the injection loop.
@@ -350,19 +362,27 @@ func (in *Injector) Stop() {
 // inject performs one user-space send: the IP_Power check followed by the
 // MAC enqueue.
 func (in *Injector) inject() {
+	if f := in.Packet(); f != nil && in.MAC.Enqueue(f) {
+		in.Injected++
+	}
+}
+
+// Packet performs one user-space send up to the MAC: it counts the
+// attempt, applies the IP_Power check and returns the power packet to
+// enqueue, or nil when the check drops it. The caller counts Injected
+// when the MAC accepts the packet.
+func (in *Injector) Packet() *mac.Frame {
 	in.Attempted++
 	if in.CheckQLen && in.MAC.QueueLen() >= in.Cfg.QueueDepthThreshold {
 		// ip_local_out_sk: enough packets queued already; drop the power
 		// packet and return the error to user space.
 		in.DroppedByIPPower++
-		return
+		return nil
 	}
 	f := in.MAC.NewFrame()
 	f.DstID = medium.Broadcast
 	f.Bytes = in.Cfg.PowerPacketBytes
 	f.Kind = medium.KindPower
 	f.FixedRate = in.Rate
-	if in.MAC.Enqueue(f) {
-		in.Injected++
-	}
+	return f
 }
