@@ -463,21 +463,37 @@ func (d *CameraDevice) InterFrameTime(link PowerLink) time.Duration {
 }
 
 // OperatingRangeFt returns the maximum distance (feet) at which the given
-// predicate holds, searching outward in 0.25 ft steps — how the paper
-// reports sensor ranges. The predicate is assumed monotone: once it
-// holds, it holds at every shorter distance, so the scan stops at the
-// first step that fails after one that held. For a predicate that holds
-// on several separate bands, the result is the far edge of the nearest.
+// predicate holds, on a grid of 0.25 ft steps from 0.5 ft out to maxFt —
+// how the paper reports sensor ranges. The predicate is assumed to hold
+// on one band of steps (for a device, from the nearest step out to its
+// range): the search scans out to the first step that holds, gallops
+// outward while it holds and bisects the last gap, so a range costs
+// about a dozen predicate calls rather than one per step. The result is
+// the band's far edge.
 func OperatingRangeFt(maxFt float64, operates func(distanceFt float64) bool) float64 {
-	lastGood := 0.0
-	for d := 0.5; d <= maxFt; d += 0.25 {
-		if operates(d) {
-			lastGood = d
-		} else if lastGood > 0 {
-			break
+	// Step k is at 0.5 + 0.25k ft, the float repeated 0.25 ft additions
+	// make: every step is a multiple of 0.25, so both are exact.
+	step := func(k int) float64 { return 0.5 + 0.25*float64(k) }
+	holds := func(k int) bool { return step(k) <= maxFt && operates(step(k)) }
+	lo := 0
+	for ; !holds(lo); lo++ {
+		if step(lo) > maxFt {
+			return 0
 		}
 	}
-	return lastGood
+	stride := 1
+	for holds(lo + stride) {
+		lo += stride
+		stride *= 2
+	}
+	for hi := lo + stride; hi-lo > 1; {
+		if mid := lo + (hi-lo)/2; holds(mid) {
+			lo = mid
+		} else {
+			hi = mid
+		}
+	}
+	return step(lo)
 }
 
 // BatteryChargeTime returns the time to bring a battery from fromSoC to

@@ -199,17 +199,42 @@ func TestOperatingRangeFtEdges(t *testing.T) {
 	if got := OperatingRangeFt(30, func(d float64) bool { return true }); got < 29.5 {
 		t.Errorf("always-operating range = %v, want max", got)
 	}
-	calls := 0
-	if got := OperatingRangeFt(30, func(d float64) bool { calls++; return d <= 12 }); math.Abs(got-12) > 0.3 {
-		t.Errorf("threshold range = %v, want about 12", got)
+	for _, c := range []struct {
+		name     string
+		operates func(d float64) bool
+		want     float64
+		calls    int
+	}{
+		// The first step holds; the gallop probes 0.75, 1.25, 2.25,
+		// 4.25, 8.25 and 16.25 ft, and 5 bisections close on 12.
+		{"threshold", func(d float64) bool { return d <= 12 }, 12, 12},
+		// The scan asks 0.5 ... 3 ft, the gallop 3.25 ... 18.75 ft, and
+		// 5 bisections close on 12.
+		{"band", func(d float64) bool { return d >= 3 && d <= 12 }, 12, 11 + 6 + 5},
+		// Past the last step counts as failing and costs no call.
+		{"always", func(d float64) bool { return true }, 30, 12},
+	} {
+		calls := 0
+		got := OperatingRangeFt(30, func(d float64) bool { calls++; return c.operates(d) })
+		if got != c.want {
+			t.Errorf("%s range = %v, want %v", c.name, got, c.want)
+		}
+		if calls > c.calls {
+			t.Errorf("%s range asked the predicate %d times, want at most %d", c.name, calls, c.calls)
+		}
 	}
-	// 0.5 to 12 ft in 0.25 ft steps holds at 47 steps; the scan stops at
-	// the first step past it.
-	if calls != 48 {
-		t.Errorf("threshold range asked the predicate %d times, want 48", calls)
-	}
-	if got := OperatingRangeFt(30, func(d float64) bool { return d >= 3 && d <= 12 }); math.Abs(got-12) > 0.3 {
-		t.Errorf("range starting past the first step = %v, want about 12", got)
+	// The result is a grid step, the float repeated 0.25 ft additions
+	// from 0.5 ft make.
+	for _, edge := range []float64{0.5, 0.75, 7.3, 17.25, 23.9, 39.75} {
+		want := 0.0
+		for d := 0.5; d <= 40; d += 0.25 {
+			if d <= edge {
+				want = d
+			}
+		}
+		if got := OperatingRangeFt(40, func(d float64) bool { return d <= edge }); math.Float64bits(got) != math.Float64bits(want) {
+			t.Errorf("range with edge %v = %v, want the step %v", edge, got, want)
+		}
 	}
 }
 

@@ -16,8 +16,10 @@ func benchBinInputs() (seed uint64, clientLoad float64, neighborLoad [3]float64,
 // the fleet hot path — reporting ns/bin and allocs/bin directly. The
 // window sub-benchmarks bracket the fleet default (2 ms in the fleet
 // benchmark config, 10 ms in the fleet CLI default). The idle ones run
-// a bin with no neighbor load, so all three channels are solo passes:
-// the router radio alone, and with the client feed on channel 1.
+// a bin with no neighbor load, so the router radio is alone on every
+// channel, with and without the client feed on channel 1; the
+// contenders=4 one runs full neighbor load, four contenders on every
+// channel, the channel pass's worst case.
 func BenchmarkSampleBin(b *testing.B) {
 	seed, clientLoad, neighborLoad, _ := benchBinInputs()
 	for _, window := range []time.Duration{2 * time.Millisecond, 10 * time.Millisecond} {
@@ -30,6 +32,9 @@ func BenchmarkSampleBin(b *testing.B) {
 	})
 	b.Run("idle=router+client/window=10ms", func(b *testing.B) {
 		benchSampleBin(b, seed, clientLoad, [3]float64{}, 10*time.Millisecond)
+	})
+	b.Run("contenders=4/window=10ms", func(b *testing.B) {
+		benchSampleBin(b, seed, clientLoad, [3]float64{0.85, 0.85, 0.85}, 10*time.Millisecond)
 	})
 }
 

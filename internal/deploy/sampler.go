@@ -3,6 +3,7 @@ package deploy
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"time"
 
 	"repro/internal/core"
@@ -51,11 +52,10 @@ type Sampler struct {
 	bg       [3][maxBgStations]*traffic.Background
 	bgLabels [3][maxBgStations]string
 
-	// Client downlink feed on channel 1 (persistent callbacks; armed
-	// only for bins with client load).
+	// Client downlink feed on channel 1 (armed only for bins with
+	// client load).
 	clientRng  *xrand.Rand
 	clientMean float64
-	clientFire func(any)
 
 	homeRng  *xrand.Rand
 	sensor   *core.TempSensorDevice
@@ -154,17 +154,31 @@ func NewSampler() *Sampler {
 		}
 	}
 
+	smp.checkOneCollisionDomain()
+
 	smp.clientRng = xrand.New(0)
-	radio := smp.radios[0].MAC
 	smp.frameAir = float64(phy.Airtime(1500+phy.MACOverheadBytes, phy.Rate54Mbps))
-	smp.clientFire = func(any) {
-		radio.Enqueue(clientFrame(radio))
-		smp.armClient()
-	}
 
 	smp.homeRng = xrand.New(0)
 	smp.sensor = core.NewBatteryFreeTempSensor()
 	return smp
+}
+
+// checkOneCollisionDomain panics unless every station attached to a
+// channel, active or spare, senses every other one there: the envelope
+// the channel pass relies on (see pass). Attachment index 0 is the
+// router radio and 1+k contender k.
+func (smp *Sampler) checkOneCollisionDomain() {
+	for _, ch := range smp.channels {
+		for src := 0; src <= maxBgStations; src++ {
+			for dst := 0; dst <= maxBgStations; dst++ {
+				if rx := ch.StationRxDBm(src, dst); src != dst && rx < phy.CSThresholdDBm {
+					panic(fmt.Sprintf("deploy: on channel %v, station %d does not sense station %d (%.1f dBm, below the %v dBm carrier-sense threshold)",
+						ch.Num, dst, src, rx, phy.CSThresholdDBm))
+				}
+			}
+		}
+	}
 }
 
 // TraceHome attaches (or, with nil, detaches) one home's observation
@@ -179,12 +193,6 @@ func (smp *Sampler) TraceHome(ht *trace.HomeTrace) {
 	if ht != nil {
 		smp.sensor.Tele = ht
 	}
-}
-
-// armClient schedules the next Poisson client-frame arrival, exactly as
-// the original closure chain did: draw the gap, then fire-and-rearm.
-func (smp *Sampler) armClient() {
-	smp.sched.AfterCtx(smp.clientGap(), smp.clientFire, nil)
 }
 
 // clientGap draws the time to the next client-frame arrival.
@@ -277,29 +285,40 @@ func (smp *Sampler) planBins(cfg HomeConfig, opts Options, nBins int) {
 //
 // The three PoWiFi channels do not overlap and share no state: each
 // component draws from its own (seed, label) stream and only channel 1
-// carries the client feed. So each channel runs as its own pass on the
-// one scheduler, which then holds a third of the bin's timers. Within a
-// channel the start-up order (contenders in order, the client feed,
-// then the router radio) and the rising sequence numbers are those of a
-// single pass over all three channels, so each channel fires exactly
-// the subsequence of events it would there, and the event count is the
-// sum of the passes'. A channel with no neighbor load has the router
-// radio as its only station, and soloPass runs it without the kernel.
+// carries the client feed. So each channel runs as its own pass, and
+// the event count is the sum of the passes'. A pass fires exactly the
+// events, in the same order and with the same draws, that the channel
+// fires in one event-kernel run over all three channels (the form kept
+// in sampler_test.go); see pass.
 //
 //powifi:noalloc
 func (smp *Sampler) sampleBin(seed uint64, clientLoad float64, neighborLoad [3]float64, window time.Duration) (occ [3]float64, events uint64) {
 	smp.rt.Reset(seed)
-	for i, ch := range smp.channels {
+	for i := range smp.channels {
 		// The monitor reset reads the clock, so the scheduler goes first.
 		smp.sched.Reset()
-		ch.Reset()
 		smp.monitors[i].Reset()
 		// Only contenders that ran last bin carry state worth clearing;
 		// the dormant spares are still in their just-reset state.
 		for k := 0; k < smp.lastActiveBg[i]; k++ {
 			smp.bg[i][k].Station.Reset()
 		}
-		smp.lastActiveBg[i] = 0
+
+		// Neighbor load, spread over several contending stations: a
+		// crowded neighborhood does not just offer more airtime, it also
+		// fields more DCF contenders, each of which wins transmit
+		// opportunities against our router. Only the contenders a fresh
+		// build would have constructed take part this bin.
+		stations := 0
+		if load := neighborLoad[i]; load > 0 {
+			stations = min(1+int(load/0.2), maxBgStations)
+			for k := 0; k < stations; k++ {
+				bg := smp.bg[i][k]
+				bg.RNG().ReseedFromLabel(seed, smp.bgLabels[i][k])
+				bg.Load = load / float64(stations)
+			}
+		}
+		smp.lastActiveBg[i] = stations
 
 		// The home's own client traffic rides channel 1 through the
 		// router's fair queue, competing with the injector exactly as
@@ -310,159 +329,228 @@ func (smp *Sampler) sampleBin(seed uint64, clientLoad float64, neighborLoad [3]f
 			smp.clientMean = smp.frameAir / clientLoad
 		}
 
-		// Neighbor load, spread over several contending stations: a
-		// crowded neighborhood does not just offer more airtime, it also
-		// fields more DCF contenders, each of which wins transmit
-		// opportunities against our router. Only the contenders a fresh
-		// build would have constructed participate this bin; the pooled
-		// spares beyond them are deactivated so the medium's per-frame
-		// loops see exactly the fresh-build station set.
-		load := neighborLoad[i]
-		if load <= 0 {
-			ch.SetActiveStations(1) // router radio only
-			events += smp.soloPass(i, client, window)
-			occ[i] = smp.monitors[i].MeanOccupancy()
-			continue
-		}
-		stations := 1 + int(load/0.2)
-		if stations > maxBgStations {
-			stations = maxBgStations
-		}
-		ch.SetActiveStations(1 + stations)
-		smp.lastActiveBg[i] = stations
-		for k := 0; k < stations; k++ {
-			bg := smp.bg[i][k]
-			bg.RNG().ReseedFromLabel(seed, smp.bgLabels[i][k])
-			bg.Load = load / float64(stations)
-			bg.Start()
-		}
-		if client {
-			smp.armClient()
-		}
-
-		smp.rt.StartRadio(i)
+		events += smp.pass(i, stations, client, window)
+		// The pass queues nothing, so this only moves the clock the
+		// monitor reads to the end of the window.
 		smp.sched.RunUntil(window)
 		occ[i] = smp.monitors[i].MeanOccupancy()
-		events += smp.sched.Scheduled()
 	}
 	return occ, events
 }
 
-// The router radio's timers on a solo pass.
+// A channel pass's timers. Station s (0 for the router radio, 1+k for
+// contender k, in attachment order) has a MAC timer at index s: its
+// DIFS or backoff, or the end of its transmission while it is on the
+// air, when it has no access timer. The traffic sources follow: the
+// router radio's client feed, beacon and injector, then contender k's
+// arrivals at tInjector+1+k.
 const (
-	soloClient = iota
-	soloBeacon
-	soloMAC
-	soloInjector
-	numSoloTimers
+	tClient = 1 + maxBgStations + iota
+	tBeacon
+	tInjector
+	maxTimers = tInjector + 1 + maxBgStations
 )
 
-// soloTimers is the router radio's timer set on a channel it has to
-// itself. Each timer carries the kernel's (time, sequence) key, and
-// sequence numbers are handed out in the order the kernel path would
-// schedule the events, so ties fire in the kernel's order and seq ends
-// as the pass's kernel event count.
-type soloTimers struct {
-	at  [numSoloTimers]time.Duration // math.MaxInt64 when disarmed
-	key [numSoloTimers]uint64
-	seq uint64
+// passTimers is a channel pass's timer set. Each timer carries the
+// kernel's (time, sequence) key, and sequence numbers are handed out
+// wherever the kernel path would schedule an event, so ties fire in the
+// kernel's order and seq ends as the pass's kernel event count.
+type passTimers struct {
+	at     [maxTimers]time.Duration // math.MaxInt64 when disarmed
+	key    [maxTimers]uint64        // math.MaxUint64 when disarmed
+	seq    uint64
+	window time.Duration
 }
 
-func (t *soloTimers) arm(k int, at time.Duration) {
-	t.at[k], t.key[k] = at, t.seq
+// arm sets timer k to fire at at. A timer due past the window never
+// fires in the pass, so it is disarmed, but it still takes its sequence
+// number.
+func (t *passTimers) arm(k int, at time.Duration) {
+	if at > t.window {
+		t.disarm(k)
+	} else {
+		t.at[k], t.key[k] = at, t.seq
+	}
 	t.seq++
 }
 
-// before reports whether timer j fires before timer k.
-func (t *soloTimers) before(j, k int) bool {
-	return t.at[j] < t.at[k] || t.at[j] == t.at[k] && t.key[j] < t.key[k]
+func (t *passTimers) disarm(k int) {
+	t.at[k], t.key[k] = math.MaxInt64, math.MaxUint64
 }
 
-// nextSource returns the traffic-source timer (client, beacon or
-// injector) that fires first.
-func (t *soloTimers) nextSource() int {
-	k := soloClient
-	if t.before(soloBeacon, k) {
-		k = soloBeacon
-	}
-	if t.before(soloInjector, k) {
-		k = soloInjector
+// before reports whether timer j fires before timer k; a disarmed
+// timer fires before none.
+func (t *passTimers) before(j, k int) bool {
+	// A 128-bit compare of (time, sequence), without branches.
+	_, borrow := bits.Sub64(t.key[j], t.key[k], 0)
+	_, borrow = bits.Sub64(uint64(t.at[j]), uint64(t.at[k]), borrow)
+	return borrow != 0
+}
+
+// next returns the first of timers [lo, hi) to fire.
+func (t *passTimers) next(lo, hi int) int {
+	k := lo
+	for j := lo + 1; j < hi; j++ {
+		if t.before(j, k) {
+			k = j
+		}
 	}
 	return k
 }
 
-// enqueue hands f to the radio's MAC, arming the MAC timer where the
-// kernel path's Enqueue would schedule one.
-func (t *soloTimers) enqueue(st *mac.Station, f *mac.Frame, now time.Duration) bool {
-	ok, due := st.SoloEnqueue(f, now)
-	if due >= 0 {
-		t.arm(soloMAC, due)
-	}
+// channelPass is one channel's pass: its timers and its stations in
+// attachment order.
+type channelPass struct {
+	passTimers
+	st    [1 + maxBgStations]*mac.Station
+	n     int // active stations
+	onAir int // the transmitting station, -1 when the channel is idle
+	mon   *monitor.Monitor
+}
+
+// enqueue hands f to station s's MAC at now, arming its access timer
+// where the kernel path's Enqueue would schedule one.
+//
+//powifi:noalloc
+func (p *channelPass) enqueue(s int, f *mac.Frame, now time.Duration) bool {
+	ok, due := p.st[s].EnqueueAt(f, now, p.onAir >= 0 && p.onAir != s)
+	p.armMAC(s, due)
 	return ok
 }
 
-// soloPass runs channel i's window when the router radio is the only
-// station on it, and returns the pass's kernel event count. With no one
-// to sense, collide with or deliver to, the pass is the radio's timers —
-// client arrivals (channel 1 only), beacons, the MAC's one access timer
-// and the injector's wake — fired in the kernel's (time, sequence)
-// order by a straight-line loop over the same objects and RNG streams
-// the kernel path uses. TestSampleBinChannelPasses and
+// armMAC arms station s's MAC timer at due; a negative due, where the
+// kernel path arms no timer, takes no sequence number.
+func (p *channelPass) armMAC(s int, due time.Duration) {
+	if due >= 0 {
+		p.arm(s, due)
+	}
+}
+
+// access fires station s's DIFS or backoff timer at now: it arms the
+// backoff countdown or starts a transmission, a busy edge for every
+// other station.
+//
+//powifi:noalloc
+func (p *channelPass) access(s int, now time.Duration) {
+	due, onAir := p.st[s].FireAt(now)
+	p.armMAC(s, due)
+	if !onAir {
+		return
+	}
+	p.onAir = s
+	for j, st := range p.st[:p.n] {
+		if j != s && st.BusyAt(now) {
+			p.disarm(j)
+		}
+	}
+}
+
+// endTx ends station s's transmission at now: idle edges go to the
+// other stations in attachment order, then the source retires the frame
+// and the monitor records it if it is the router's.
+//
+//powifi:noalloc
+func (p *channelPass) endTx(s int, now time.Duration) {
+	p.onAir = -1
+	for j, st := range p.st[:p.n] {
+		if j != s {
+			p.armMAC(j, st.IdleAt(now))
+		}
+	}
+	due, bytes, rate := p.st[s].CompleteAt(now)
+	p.arm(s, due)
+	if s == 0 {
+		p.mon.Record(bytes, rate, now)
+	}
+}
+
+// pass runs channel i's window with the given number of active
+// contenders and returns the pass's kernel event count.
+//
+// Every station on the channel senses every other one (NewSampler
+// checks this) and every frame is broadcast, so the channel is one
+// collision domain: at most one frame is on the air, none collides and
+// every one decodes. The medium then reduces to carrier-sense edges: a
+// transmission start is a busy edge for every other station, which
+// freezes its DIFS or backoff; its end is an idle edge, which restarts
+// a deferring station's DIFS, before the source retires the frame and
+// the monitor records it if it is the router's. Delivery only counts
+// received frames, which the sampler never reads, so it is skipped. The
+// pass fires its timers in the kernel's (time, sequence) order through
+// the MAC's shared transitions and the same objects and RNG streams the
+// kernel path uses; TestSampleBinChannelPasses and
 // FuzzSampleBinChannels certify it bit for bit against the kernel.
 //
 //powifi:noalloc
-func (smp *Sampler) soloPass(i int, client bool, window time.Duration) uint64 {
-	radio, mon := smp.radios[i], smp.monitors[i]
-	st, in := radio.MAC, radio.Injector
+func (smp *Sampler) pass(i, contenders int, client bool, window time.Duration) uint64 {
+	radio, in := smp.radios[i], smp.radios[i].Injector
 	beacon := smp.rt.Cfg.BeaconInterval
-	var t soloTimers
-	for k := range t.at {
-		t.at[k] = math.MaxInt64
+	p := channelPass{
+		passTimers: passTimers{window: window},
+		n:          1 + contenders, onAir: -1, mon: smp.monitors[i],
 	}
-	// Start-up as on the kernel path: the client feed, StartRadio's
-	// beacon timer, then the injector's first send, which Injector.Start
-	// makes at once rather than as an event, so the loop opens with it.
+	sources := tInjector + p.n
+	for k := range p.at[:sources] {
+		p.disarm(k) // the timers next scans; the rest stay unused
+	}
+	p.st[0] = radio.MAC
+	// Start-up as on the kernel path: the contenders' first arrivals, the
+	// client feed, StartRadio's beacon timer, then the injector's first
+	// send, which Injector.Start makes at once rather than as an event,
+	// so the loop opens with it.
+	for k, bg := range smp.bg[i][:contenders] {
+		bg.Prime()
+		p.st[1+k] = bg.Station
+		p.arm(tInjector+1+k, bg.Gap())
+	}
 	if client {
-		t.arm(soloClient, smp.clientGap())
+		p.arm(tClient, smp.clientGap())
 	}
 	if beacon > 0 {
-		t.arm(soloBeacon, beacon)
+		p.arm(tBeacon, beacon)
 	}
-	k, now := soloInjector, time.Duration(0)
+	k, now := tInjector, time.Duration(0)
 	for {
 		switch k {
-		case soloClient:
-			t.enqueue(st, clientFrame(st), now)
-			t.arm(soloClient, now+smp.clientGap())
-		case soloBeacon:
-			t.enqueue(st, radio.Beacon(), now)
-			t.arm(soloBeacon, now+beacon)
-		case soloInjector:
-			if f := in.Packet(); f != nil && t.enqueue(st, f, now) {
+		case tInjector:
+			if f := in.Packet(); f != nil && p.enqueue(0, f, now) {
 				in.Injected++
 			}
-			t.arm(soloInjector, now+in.NextDelay())
+			p.arm(k, now+in.NextDelay())
+		case tClient:
+			p.enqueue(0, clientFrame(p.st[0]), now)
+			p.arm(k, now+smp.clientGap())
+		case tBeacon:
+			p.enqueue(0, radio.Beacon(), now)
+			p.arm(k, now+beacon)
+		default:
+			bg := smp.bg[i][k-tInjector-1]
+			p.enqueue(k-tInjector, bg.Frame(), now)
+			p.arm(k, now+bg.Gap())
 		}
-		// The MAC timer chain touches no source timer, so it runs on
-		// until the next source timer is due.
-		k = t.nextSource()
-		for t.before(soloMAC, k) && t.at[soloMAC] <= window {
-			now = t.at[soloMAC]
-			t.at[soloMAC] = math.MaxInt64
-			due, bytes, rate := st.SoloFire(now)
-			if bytes > 0 {
-				mon.Record(bytes, rate, now)
+		// MAC timers touch no source timer, so they run on until the
+		// next source timer is due. While a frame is on the air, its end
+		// is the only MAC timer armed.
+		k = p.next(tClient, sources)
+		for {
+			s := p.onAir
+			if s < 0 {
+				s = p.next(0, p.n)
 			}
-			if due >= 0 {
-				t.arm(soloMAC, due)
+			if !p.before(s, k) {
+				break
+			}
+			now = p.at[s]
+			p.disarm(s)
+			if s == p.onAir {
+				p.endTx(s, now)
+			} else {
+				p.access(s, now)
 			}
 		}
-		if now = t.at[k]; now > window {
-			break
+		if now = p.at[k]; now == math.MaxInt64 {
+			return p.seq
 		}
+		p.disarm(k)
 	}
-	// Nothing is queued, so this only moves the clock the monitor reads
-	// to the end of the window, as the kernel pass leaves it.
-	smp.sched.RunUntil(window)
-	return t.seq
 }

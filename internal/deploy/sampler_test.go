@@ -3,9 +3,11 @@ package deploy
 import (
 	"math"
 	"slices"
+	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/phy"
 	"repro/internal/xrand"
 )
 
@@ -81,14 +83,9 @@ func TestPooledSamplerMatchesRun(t *testing.T) {
 	}
 }
 
-// TestSampleBinAllocBudget pins the tentpole's steady-state allocation
-// contract: once pools are warm, one packet-level bin costs at most 10
-// heap allocations (in practice zero — the budget leaves headroom for
-// the conditional-drive slices the solver layer allocates on booting
-// links).
-//
-// An idle bin (no neighbor load, so every channel is a solo pass) must
-// allocate nothing at all, with or without client load.
+// TestSampleBinAllocBudget pins the steady-state allocation contract:
+// once pools are warm, one packet-level bin allocates nothing, contended
+// or idle, with or without client load.
 func TestSampleBinAllocBudget(t *testing.T) {
 	seed, clientLoad, neighborLoad, window := benchBinInputs()
 	for _, c := range []struct {
@@ -97,7 +94,7 @@ func TestSampleBinAllocBudget(t *testing.T) {
 		neighborLoad [3]float64
 		budget       float64
 	}{
-		{"contended", clientLoad, neighborLoad, 10},
+		{"contended", clientLoad, neighborLoad, 0},
 		{"idle", 0, [3]float64{}, 0},
 		{"idle+client", clientLoad, [3]float64{}, 0},
 	} {
@@ -174,7 +171,15 @@ func (smp *Sampler) sampleBinInterleaved(seed uint64, clientLoad float64, neighb
 	if clientLoad > 0 {
 		smp.clientRng.ReseedFromLabel(seed, "clients")
 		smp.clientMean = smp.frameAir / clientLoad
-		smp.armClient()
+		// Fire-and-rearm: draw the gap, then at each arrival enqueue a
+		// client frame and draw the next gap.
+		radio := smp.radios[0].MAC
+		var arrive func(any)
+		arrive = func(any) {
+			radio.Enqueue(clientFrame(radio))
+			smp.sched.AfterCtx(smp.clientGap(), arrive, nil)
+		}
+		smp.sched.AfterCtx(smp.clientGap(), arrive, nil)
 	}
 
 	smp.rt.Start()
@@ -209,11 +214,10 @@ func (p channelPassPair) check(t *testing.T, seed uint64, clientLoad float64, ne
 	}
 }
 
-// TestSampleBinChannelPasses certifies the per-channel passes against
-// the interleaved reference over randomized bins: idle channels (the
-// solo loop) and one to four contenders (the kernel), with and without
-// client load, at 2, 3 and 10 ms windows and at 120 ms, past the
-// 102.4 ms beacon interval.
+// TestSampleBinChannelPasses certifies the channel passes against the
+// interleaved kernel reference over randomized bins: zero to four
+// contenders per channel, with and without client load, at 2, 3 and
+// 10 ms windows and at 120 ms, past the 102.4 ms beacon interval.
 func TestSampleBinChannelPasses(t *testing.T) {
 	rng := xrand.NewFromLabel(5, "sampler/channel-passes")
 	pair := channelPassPair{NewSampler(), NewSampler()}
@@ -249,11 +253,7 @@ func TestSampleBinChannelPasses(t *testing.T) {
 			t.Errorf("no channel ran with %d contenders", n)
 		}
 	}
-	solo, kernel := contenders[0], 600*3-contenders[0]
-	if solo == 0 || kernel == 0 {
-		t.Errorf("channel passes: %d solo, %d kernel; both paths must run", solo, kernel)
-	}
-	t.Logf("channel passes: %d solo, %d kernel", solo, kernel)
+	t.Logf("channel passes per contender count: %v", contenders)
 	if slices.Contains(clientBins[:], 0) || slices.Contains(windowBins[:], 0) {
 		t.Errorf("coverage gap: bins without/with client load %v, per window %v", clientBins, windowBins)
 	}
@@ -267,11 +267,16 @@ func FuzzSampleBinChannels(f *testing.F) {
 	f.Add(uint64(1), uint16(350), uint16(250), uint16(80), uint16(400), uint16(4500))
 	f.Add(uint64(2), uint16(0), uint16(0), uint16(0), uint16(0), uint16(500))
 	f.Add(uint64(3), uint16(600), uint16(1000), uint16(0), uint16(850), uint16(1000))
-	// Idle channels with client load, the solo loop's busiest case,
-	// within and past the beacon interval.
+	// Idle channels with client load, within and past the beacon
+	// interval.
 	f.Add(uint64(4), uint16(450), uint16(0), uint16(0), uint16(0), uint16(4750))
 	f.Add(uint64(5), uint16(300), uint16(0), uint16(0), uint16(0), uint16(60000))
 	f.Add(uint64(6), uint16(120), uint16(0), uint16(500), uint16(0), uint16(55000))
+	// Four contenders on every channel with client load, at 120 ms.
+	f.Add(uint64(7), uint16(400), uint16(800), uint16(800), uint16(800), uint16(59750))
+	// A contender arrival tied with the 102.4 ms beacon (found by search:
+	// the tie needs an exponential gap to land on the exact nanosecond).
+	f.Add(uint64(86496), uint16(300), uint16(1000), uint16(1000), uint16(1000), uint16(65535))
 	pair := channelPassPair{NewSampler(), NewSampler()}
 	f.Fuzz(func(t *testing.T, seed uint64, client, n1, n6, n11, window2Us uint16) {
 		neighborLoad := [3]float64{
@@ -282,30 +287,92 @@ func FuzzSampleBinChannels(f *testing.F) {
 	})
 }
 
-// TestSoloTimersTieOrder pins the solo loop's tie rule: timers due at
-// the same time fire in the order they were armed, as the kernel's
-// (time, sequence) key orders them.
-func TestSoloTimersTieOrder(t *testing.T) {
-	var tm soloTimers
-	tm.arm(soloInjector, 5)
-	tm.arm(soloClient, 7)
-	tm.arm(soloMAC, 5)
-	tm.arm(soloBeacon, 9)
-	if !tm.before(soloInjector, soloMAC) || tm.before(soloMAC, soloInjector) {
-		t.Fatal("the injector, armed first at the same time, must fire before the MAC timer")
+// TestPassTimersTieOrder pins the channel pass's tie rule, which
+// random bins almost never exercise: MAC timers due at the same time
+// fire in the order they were armed, as the kernel's (time, sequence)
+// key orders them, and a transmission starting at that instant pauses
+// the later timer before it fires.
+func TestPassTimersTieOrder(t *testing.T) {
+	smp := NewSampler()
+	bg := smp.bg[0][0]
+	p := channelPass{passTimers: passTimers{window: time.Second}, n: 2, onAir: -1, mon: smp.monitors[0]}
+	for k := range p.at {
+		p.disarm(k)
 	}
-	if k := tm.nextSource(); k != soloInjector {
-		t.Fatalf("next source = timer %d, want the injector", k)
+	p.st[0], p.st[1] = smp.radios[0].MAC, bg.Station
+	// Both stations take a frame at time 0 on the idle channel, the
+	// contender first: both wait DIFS, due at the same instant.
+	p.enqueue(1, bg.Frame(), 0)
+	p.enqueue(0, smp.radios[0].Beacon(), 0)
+	if p.at[0] != p.at[1] {
+		t.Fatalf("DIFS timers due at %v and %v, want a tie", p.at[0], p.at[1])
 	}
-	tm.arm(soloInjector, 5) // re-armed at the same time: now the later sequence
-	if !tm.before(soloMAC, soloInjector) {
-		t.Fatal("the MAC timer must now fire before the re-armed injector")
+	if s := p.next(0, p.n); s != 1 || p.before(0, 1) {
+		t.Fatalf("next MAC timer = station %d, want the contender, armed first", s)
 	}
-	tm.arm(soloClient, 5)
-	if k := tm.nextSource(); k != soloInjector {
-		t.Fatalf("next source = timer %d, want the injector, armed before the client", k)
+	now := p.at[1]
+	p.disarm(1)
+	p.access(1, now) // zero backoff slots: the contender transmits
+	if p.onAir != 1 {
+		t.Fatalf("station on the air = %d, want the contender", p.onAir)
 	}
-	if tm.seq != 6 {
-		t.Fatalf("handed out %d sequence numbers, want 6", tm.seq)
+	if p.at[0] != math.MaxInt64 {
+		t.Fatalf("the router's tied DIFS timer is still armed at %v after the busy edge", p.at[0])
 	}
+	// The end of the transmission restarts the router's DIFS before the
+	// contender's own, so the router's fires first.
+	end := p.at[1]
+	p.disarm(1)
+	p.endTx(1, end)
+	if p.at[0] != p.at[1] || !p.before(0, 1) {
+		t.Fatalf("after the idle edge: router DIFS (%v, %d), contender (%v, %d); want a tie the router wins",
+			p.at[0], p.key[0], p.at[1], p.key[1])
+	}
+	if p.seq != 5 {
+		t.Fatalf("handed out %d sequence numbers, want 5 (two DIFS, the end, two DIFS)", p.seq)
+	}
+}
+
+// TestSamplerOneCollisionDomain pins the channel pass's envelope: every
+// station NewSampler attaches to a channel senses every other one, the
+// interleaved kernel reference logs no collision over randomized
+// contended bins, and a sampler whose stations could not hear each
+// other is refused at construction.
+func TestSamplerOneCollisionDomain(t *testing.T) {
+	smp := NewSampler()
+	for _, ch := range smp.channels {
+		for src := 0; src <= maxBgStations; src++ {
+			for dst := 0; dst <= maxBgStations; dst++ {
+				if rx := ch.StationRxDBm(src, dst); src != dst && rx < phy.CSThresholdDBm {
+					t.Errorf("channel %v: station %d hears station %d at %.1f dBm, below carrier sense", ch.Num, dst, src, rx)
+				}
+			}
+		}
+	}
+
+	rng := xrand.NewFromLabel(11, "sampler/collision-domain")
+	for bin := 0; bin < 200; bin++ {
+		var neighborLoad [3]float64
+		for i := range neighborLoad {
+			neighborLoad[i] = rng.Uniform(0.01, 0.9)
+		}
+		window := []time.Duration{2 * time.Millisecond, 10 * time.Millisecond, 120 * time.Millisecond}[rng.Intn(3)]
+		smp.sampleBinInterleaved(rng.Uint64(), rng.Uniform(0, 0.6), neighborLoad, window)
+		for _, ch := range smp.channels {
+			if ch.Collisions != 0 {
+				t.Fatalf("bin %d: channel %v logged %d collisions", bin, ch.Num, ch.Collisions)
+			}
+		}
+	}
+
+	defer func() {
+		msg, _ := recover().(string)
+		if !strings.Contains(msg, "station 0 does not sense station 3") {
+			t.Fatalf("a contender out of carrier-sense range: recovered %q, want a panic naming the pair", msg)
+		}
+	}()
+	far := NewSampler()
+	far.bg[0][2].Station.PowerDBm = -80
+	far.channels[0].InvalidateRxCache()
+	far.checkOneCollisionDomain()
 }

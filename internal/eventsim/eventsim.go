@@ -90,15 +90,14 @@ type queueEntry struct {
 
 // eventQueue is a slice of entries kept sorted in descending (time,
 // sequence) order, so the next event to fire is the last element and a
-// pop is a single load. The kernel's queues are small — the deploy
-// sampler, which simulates one channel at a time, holds 6 events on
-// average at a pop and at most 12; the paper experiments at most 81 —
-// and new events are mostly near-term (DIFS, backoff, end of
-// transmission), so an insertion shifts only the few tail entries that
-// fire sooner. At these depths that beats a heap, whose pop pays a
-// mispredicted child scan per level. Pop order is structural: (time,
-// seqid) is a total order (sequences are unique), so any correct queue
-// fires events in the same order.
+// pop is a single load. The kernel's queues are small — the paper
+// experiments build at most 81 entries — and new events are mostly
+// near-term (DIFS, backoff, end of transmission), so an insertion
+// shifts only the few tail entries that fire sooner. At these depths
+// that beats a heap, whose pop pays a mispredicted child scan per
+// level. Pop order is structural: (time, seqid) is a total order
+// (sequences are unique), so any correct queue fires events in the
+// same order.
 type eventQueue []queueEntry
 
 // push inserts e, sliding the tail entries that fire before it up one
@@ -243,8 +242,7 @@ func (s *Scheduler) Pending() int { return len(s.events) }
 
 // Scheduled returns the number of events scheduled since the last
 // Reset. Callers that Reset per simulation window read it as the
-// window's kernel event count; the deploy sampler, which runs a bin as
-// three per-channel passes, sums the three passes' counts.
+// window's kernel event count.
 func (s *Scheduler) Scheduled() uint64 { return s.seq }
 
 // Reset drains all queued events into the free list and rewinds the

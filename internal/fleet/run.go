@@ -160,8 +160,8 @@ func (w *worker) device(k lifecycle.Kind) *lifecycle.Device {
 // Run executes the fleet simulation: cfg.Homes independent single-home
 // deployments sharded across cfg.Workers workers, streamed into the
 // mergeable aggregates of Result. Each home runs its own isolated
-// discrete-event kernel (the kernel itself is deliberately single-
-// threaded; the fleet layer is where the parallelism lives).
+// packet-level simulation (deliberately single-threaded; the fleet
+// layer is where the parallelism lives).
 //
 // Cancelling ctx stops the run promptly: every worker checks its
 // context once per logging bin (never more than one bin's worth of

@@ -242,38 +242,23 @@ func (s *Station) QueueLen() int {
 // Enqueue adds a frame to the transmit queue. It returns false (and drops
 // the frame) when the queue discipline rejects it.
 func (s *Station) Enqueue(f *Frame) bool {
-	if !s.Qdisc.Enqueue(f) {
-		s.QueueDrops++
-		return false
-	}
-	if s.st == stIdle {
-		s.startAccess()
-	}
-	return true
-}
-
-// startAccess begins channel access for the head-of-queue frame: wait for
-// the channel to be idle for DIFS, then transmit (or finish a pending
-// backoff first).
-func (s *Station) startAccess() {
-	if s.current == nil {
-		s.current = s.Qdisc.Dequeue()
-	}
-	if s.current == nil {
-		s.st = stIdle
-		return
-	}
-	s.waitDIFS()
+	ok, due := s.EnqueueAt(f, s.sch.Now(), s.ch.SensesIdx(s.chIdx))
+	s.armDIFS(due)
+	return ok
 }
 
 // waitDIFS arms the DIFS timer if the channel is idle; otherwise the
 // station stays deferring until OnChannelIdle re-arms it.
 func (s *Station) waitDIFS() {
-	s.st = stWaitDIFS
-	if !s.IgnoreCS && s.ch.SensesIdx(s.chIdx) {
-		return // OnChannelIdle will call waitDIFS again
+	s.armDIFS(s.enterDIFS(s.sch.Now(), s.ch.SensesIdx(s.chIdx)))
+}
+
+// armDIFS schedules the DIFS timer at due, the time a transition
+// returned; a negative due arms nothing.
+func (s *Station) armDIFS(due time.Duration) {
+	if due >= 0 {
+		s.pendingAccess = s.sch.AtCtx(due, s.difsFireFn, nil)
 	}
-	s.pendingAccess = s.sch.AfterCtx(phy.DIFS, s.difsFireFn, nil)
 }
 
 // beginBackoff draws a fresh backoff and starts counting it down.
@@ -285,41 +270,31 @@ func (s *Station) beginBackoff() {
 // resumeBackoff counts down the remaining backoff slots while the channel
 // stays idle.
 func (s *Station) resumeBackoff() {
-	s.st = stBackoff
-	s.backoffStart = s.sch.Now()
-	d := time.Duration(s.slotsLeft) * phy.SlotTime
-	s.pendingAccess = s.sch.AfterCtx(d, s.backoffFireFn, nil)
+	s.pendingAccess = s.sch.AtCtx(s.startBackoff(s.sch.Now()), s.backoffFireFn, nil)
 }
 
 // pauseBackoff freezes the countdown when the channel goes busy.
 func (s *Station) pauseBackoff() {
+	s.cancelAccess()
+	s.freeze(s.sch.Now())
+}
+
+// cancelAccess takes the pending DIFS or backoff timer off the queue.
+func (s *Station) cancelAccess() {
 	s.pendingAccess.Cancel()
 	s.pendingAccess = eventsim.Handle{}
-	if s.st == stBackoff {
-		elapsed := int((s.sch.Now() - s.backoffStart) / phy.SlotTime)
-		if elapsed > s.slotsLeft {
-			elapsed = s.slotsLeft
-		}
-		s.slotsLeft -= elapsed
-	}
-	s.st = stWaitDIFS
 }
 
 // OnChannelBusy implements medium.Station.
 func (s *Station) OnChannelBusy() {
-	if s.IgnoreCS {
-		return
-	}
-	if s.st == stWaitDIFS || s.st == stBackoff {
-		s.pauseBackoff()
+	if s.BusyAt(s.sch.Now()) {
+		s.cancelAccess()
 	}
 }
 
 // OnChannelIdle implements medium.Station.
 func (s *Station) OnChannelIdle() {
-	if s.st == stWaitDIFS {
-		s.waitDIFS()
-	}
+	s.armDIFS(s.IdleAt(s.sch.Now()))
 }
 
 // rate returns the transmission rate for a frame.
@@ -334,12 +309,8 @@ func (s *Station) rate(f *Frame) phy.Rate {
 // backoff the station may reach this point with no frame in hand; it picks
 // up anything that arrived during the countdown or goes idle.
 func (s *Station) transmit() {
-	if s.current == nil {
-		s.current = s.Qdisc.Dequeue()
-	}
-	f := s.current
+	f := s.head()
 	if f == nil {
-		s.st = stIdle
 		return
 	}
 	if now := s.sch.Now(); now < s.ackBusyUntil {
@@ -396,6 +367,59 @@ func (s *Station) finishFrame(ok bool) {
 	s.waitDIFS()
 }
 
+// The DCF's transitions, shared by the scheduler-driven callbacks above
+// and by a caller that keeps the clock and the carrier sense itself (the
+// deploy sampler's channel pass). Each takes the time now and, where
+// the rule depends on it, whether the station senses the channel busy;
+// where the callbacks would arm a timer, it returns the time the timer
+// is due instead (negative when none is armed). The exported forms
+// serve channels on which every station senses every other and every
+// frame is broadcast: no two frames overlap and no ACK is exchanged.
+
+// enterDIFS is waitDIFS's rule: the station waits for the channel to
+// stay idle for DIFS from now. If it senses the channel busy, no timer
+// is armed and the next idle edge restarts the wait.
+func (s *Station) enterDIFS(now time.Duration, busy bool) time.Duration {
+	s.st = stWaitDIFS
+	if busy && !s.IgnoreCS {
+		return -1
+	}
+	return now + phy.DIFS
+}
+
+// startBackoff is resumeBackoff's rule: the remaining slots count down
+// from now.
+func (s *Station) startBackoff(now time.Duration) time.Duration {
+	s.st = stBackoff
+	s.backoffStart = now
+	return now + time.Duration(s.slotsLeft)*phy.SlotTime
+}
+
+// freeze is pauseBackoff's rule: a busy edge at now keeps the backoff
+// slots not yet counted down, and the station defers.
+func (s *Station) freeze(now time.Duration) {
+	if s.st == stBackoff {
+		elapsed := int((now - s.backoffStart) / phy.SlotTime)
+		if elapsed > s.slotsLeft {
+			elapsed = s.slotsLeft
+		}
+		s.slotsLeft -= elapsed
+	}
+	s.st = stWaitDIFS
+}
+
+// head returns the frame an expired access timer puts on the air: the
+// one in hand or the queue's head. With neither the station goes idle.
+func (s *Station) head() *Frame {
+	if s.current == nil {
+		s.current = s.Qdisc.Dequeue()
+	}
+	if s.current == nil {
+		s.st = stIdle
+	}
+	return s.current
+}
+
 // retire completes the life of the current frame, takes the next one
 // from the queue and draws the post-transmission backoff; the caller
 // then waits DIFS.
@@ -418,17 +442,9 @@ func (s *Station) retire(ok bool) {
 	s.slotsLeft = s.rng.Intn(s.cw + 1)
 }
 
-// A station alone on its channel never senses it busy, never collides
-// and never receives, so its DCF reduces to one pending timer: DIFS,
-// the backoff countdown or the end of a transmission. SoloEnqueue and
-// SoloFire run that timer, with Enqueue's and the timer callbacks'
-// state changes and RNG draws, for a caller that keeps the clock
-// instead of the scheduler. Frames must be broadcast: no ACK can come.
-
-// SoloEnqueue is Enqueue for a station alone on its channel. Where
-// Enqueue would arm the DIFS timer, it returns the time that timer is
-// due instead; due is negative when no timer was armed.
-func (s *Station) SoloEnqueue(f *Frame, now time.Duration) (ok bool, due time.Duration) {
+// EnqueueAt is Enqueue at now, for a station that senses the channel
+// busy or not: an idle station takes the frame in hand and waits DIFS.
+func (s *Station) EnqueueAt(f *Frame, now time.Duration, busy bool) (ok bool, due time.Duration) {
 	if !s.Qdisc.Enqueue(f) {
 		s.QueueDrops++
 		return false, -1
@@ -437,49 +453,65 @@ func (s *Station) SoloEnqueue(f *Frame, now time.Duration) (ok bool, due time.Du
 		return true, -1
 	}
 	s.current = s.Qdisc.Dequeue() // an idle station holds no frame
-	s.st = stWaitDIFS
-	return true, now + phy.DIFS
+	return true, s.enterDIFS(now, busy)
 }
 
-// SoloFire fires the timer the last SoloEnqueue or SoloFire armed, at
-// its due time now. It returns the due time of the next timer (negative
-// when the station goes idle) and, when a transmission ended, the
-// frame's on-air length and rate as the medium would report them
-// (sentBytes is 0 otherwise).
-func (s *Station) SoloFire(now time.Duration) (due time.Duration, sentBytes int, sentRate phy.Rate) {
-	switch s.st {
-	case stWaitDIFS:
-		if s.slotsLeft > 0 {
-			s.st = stBackoff
-			s.backoffStart = now
-			return now + time.Duration(s.slotsLeft)*phy.SlotTime, 0, 0
-		}
-	case stBackoff:
-		s.slotsLeft = 0
-	case stTx:
-		f := s.current
-		if f.DstID != medium.Broadcast {
-			panic("mac: SoloFire ended a unicast frame")
-		}
-		sentBytes, sentRate = f.Bytes+phy.MACOverheadBytes, s.rate(f)
-		s.retire(true)
-		s.st = stWaitDIFS
-		return now + phy.DIFS, sentBytes, sentRate
+// BusyAt is OnChannelBusy at now: a station waiting out DIFS or a
+// backoff freezes its countdown and reports true, and the caller
+// disarms its access timer.
+func (s *Station) BusyAt(now time.Duration) bool {
+	if s.IgnoreCS || s.st != stWaitDIFS && s.st != stBackoff {
+		return false
 	}
-	// The DIFS or backoff timer expired: transmit.
-	if s.current == nil {
-		s.current = s.Qdisc.Dequeue()
+	s.freeze(now)
+	return true
+}
+
+// IdleAt is OnChannelIdle at now: a deferring station waits DIFS again.
+func (s *Station) IdleAt(now time.Duration) (due time.Duration) {
+	if s.st != stWaitDIFS {
+		return -1
 	}
-	f := s.current
+	return s.enterDIFS(now, false)
+}
+
+// FireAt fires the access timer armed last, at its due time now: DIFS
+// with backoff slots left starts the countdown, and DIFS without them or
+// the countdown's end puts the head frame on the air. It returns the
+// due time of the countdown's end or of the transmission's (negative
+// when the station goes idle), and whether a transmission started. The
+// caller sends busy edges to the other stations and ends the
+// transmission with CompleteAt.
+func (s *Station) FireAt(now time.Duration) (due time.Duration, onAir bool) {
+	if s.st == stWaitDIFS && s.slotsLeft > 0 {
+		return s.startBackoff(now), false
+	}
+	s.slotsLeft = 0
+	f := s.head()
 	if f == nil {
-		s.st = stIdle
-		return -1, 0, 0
+		return -1, false
 	}
 	s.st = stTx
 	air := s.ch.Airtime(f.Bytes+phy.MACOverheadBytes, s.rate(f))
 	s.TxFrames++
 	s.TxAirtimeData += air
-	return now + air, 0, 0
+	return now + air, true
+}
+
+// CompleteAt ends the station's transmission at now, after the caller
+// sent the idle edges: the frame retires and the station waits DIFS on
+// the idle channel. It returns when that DIFS is due, and the frame's
+// on-air length and rate as the medium reports them. Frames must be
+// broadcast; CompleteAt panics on a unicast one, whose ACK exchange
+// only the scheduler path models.
+func (s *Station) CompleteAt(now time.Duration) (due time.Duration, bytes int, rate phy.Rate) {
+	f := s.current
+	if f.DstID != medium.Broadcast {
+		panic("mac: CompleteAt ended a unicast frame")
+	}
+	bytes, rate = f.Bytes+phy.MACOverheadBytes, s.rate(f)
+	s.retire(true)
+	return s.enterDIFS(now, false), bytes, rate
 }
 
 // OnReceive implements medium.Station.

@@ -296,6 +296,13 @@ func (c *Channel) AddStation(s Station) int {
 	return len(c.stations) - 1
 }
 
+// StationRxDBm returns the power the station at attachment index dst
+// receives from the one at src: what carrier sense compares with
+// phy.CSThresholdDBm.
+func (c *Channel) StationRxDBm(src, dst int) float64 {
+	return c.rxStationPower(src, dst, c.stations[src], c.stations[dst])
+}
+
 // SetActiveStations makes only the first n attached stations participate
 // in the medium; later attachments lie dormant (a pooling layer's spare
 // contenders). n is clamped to the attached count. The pairwise power

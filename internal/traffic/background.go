@@ -73,45 +73,66 @@ func (b *Background) draw() frameProfile {
 	return officeMix[len(officeMix)-1]
 }
 
-// meanAirtime returns the expectation of the mix's frame airtime.
-func meanAirtime() time.Duration {
+// mixAirtime is the expectation of the mix's frame airtime.
+var mixAirtime = func() time.Duration {
 	var sum float64
 	for _, p := range officeMix {
 		sum += p.weight * float64(phy.Airtime(p.bytes+phy.MACOverheadBytes, p.rate))
 	}
 	return time.Duration(sum)
-}
+}()
 
 // Start begins offering load. The generator clocks frame arrivals as a
 // Poisson process whose mean inter-arrival yields the target airtime
 // fraction. The arrival callback and the frames it enqueues are pooled,
 // so a running generator allocates nothing per packet.
 func (b *Background) Start() {
-	if b.Load <= 0 {
+	if !b.Prime() {
 		return
 	}
-	b.mean = float64(meanAirtime()) / b.Load
 	if b.fireFn == nil {
 		b.fireFn = func(any) {
-			p := b.draw()
-			// Broadcast keeps the generator self-contained (no ACK peer
-			// needed); occupancy contribution is identical.
-			f := b.Station.NewFrame()
-			f.DstID = medium.Broadcast
-			f.Bytes = p.bytes
-			f.Kind = medium.KindData
-			f.FixedRate = p.rate
-			b.Station.Enqueue(f)
+			b.Station.Enqueue(b.Frame())
 			b.arm()
 		}
 	}
 	b.arm()
 }
 
+// Prime readies the generator to offer its current Load and reports
+// whether it offers any. Start primes it; a caller that clocks the
+// arrivals itself primes it and then draws each arrival's Gap and Frame
+// in Start's order: the first gap, then per arrival the frame and the
+// next gap.
+func (b *Background) Prime() bool {
+	if b.Load <= 0 {
+		return false
+	}
+	b.mean = float64(mixAirtime) / b.Load
+	return true
+}
+
+// Gap draws the time to the next Poisson arrival.
+func (b *Background) Gap() time.Duration {
+	return time.Duration(b.rng.Exp(b.mean))
+}
+
+// Frame draws the next frame from the mix, from the station's pool.
+// Broadcast keeps the generator self-contained (no ACK peer needed);
+// occupancy contribution is identical.
+func (b *Background) Frame() *mac.Frame {
+	p := b.draw()
+	f := b.Station.NewFrame()
+	f.DstID = medium.Broadcast
+	f.Bytes = p.bytes
+	f.Kind = medium.KindData
+	f.FixedRate = p.rate
+	return f
+}
+
 // arm schedules the next Poisson arrival.
 func (b *Background) arm() {
-	delay := time.Duration(b.rng.Exp(b.mean))
-	b.feed = b.Sched.AfterCtx(delay, b.fireFn, nil)
+	b.feed = b.Sched.AfterCtx(b.Gap(), b.fireFn, nil)
 }
 
 // SetLoad adjusts the offered load for subsequent arrivals (used by the
