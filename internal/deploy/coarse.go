@@ -65,11 +65,14 @@ func (c CoarseOptions) withDefaults() CoarseOptions {
 // outputs come from two cheap closed forms instead:
 //
 //   - its boot/silence decision is the surrounding anchors' consensus,
-//     accepted only after a single guard query confirms the verdict is
-//     stable under a ±Guard relative occupancy swing (silence is
-//     monotone in occupancy at the fixed link budget, so one query at
-//     the adversarial end of the swing certifies the whole interval;
-//     a per-home dominance frontier dedups queries across bins);
+//     accepted only after a guard query confirms the verdict is stable
+//     under a ±Guard relative occupancy swing (silence is monotone in
+//     occupancy at the fixed link budget, so one query at the
+//     adversarial end of the swing certifies the whole interval, and one
+//     seeded query per verdict, at the componentwise extreme of the bins
+//     that hold it, certifies a typical home's bins all at once; a
+//     per-home dominance frontier is what the pass falls back on when a
+//     seed fails);
 //   - its harvest magnitude comes from a least-squares fit of the
 //     home's awake anchors (net harvested power against cumulative
 //     occupancy), and its sensor rate from the sensor's closed-form
@@ -227,24 +230,31 @@ func (smp *Sampler) RunBatchCoarse(cfg HomeConfig, opts Options, copts CoarseOpt
 	//     verdict must hold at (1+Guard) and a non-silent verdict at
 	//     (1-Guard); the opposite end then follows by monotonicity.
 	//   - Verdicts transfer between bins by componentwise domination: a
-	//     bin whose occupancy dominates a known non-silent bin is
+	//     bin whose occupancy dominates a known non-silent occupancy is
 	//     non-silent without a query, and one dominated by a known silent
-	//     bin is silent. The diurnal load ramp makes a home's bins
-	//     near-totally ordered, so each home pays only a few frontier
-	//     queries instead of one per proxied bin.
+	//     occupancy is silent.
+	//
+	// So each side's frontier is seeded first with one query at the
+	// componentwise extreme of the bins that will ask it: the minimum of
+	// the bins the anchors call awake, the maximum of those they call
+	// silent. When the seed holds, it settles its whole side; when it
+	// fails, the per-bin queries below run as they would unseeded, and
+	// monotonicity makes their answers the same either way. Per-channel
+	// load jitter leaves a home's bins rarely ordered among themselves,
+	// so without the seed nearly every proxied bin would pay a query.
 	//
 	// Any bin whose anchors disagree, whose guard query contradicts the
 	// anchor verdict, or whose fitted harvest contradicts the verdict's
 	// sign escalates to the exact event simulation.
+	smp.seedGuards(b, opts, copts)
+	guardHi, guardLo := &smp.guardHi, &smp.guardLo
 	esc := smp.escBuf[:0]
-	var guardHi, guardLo frontier
 	for bin := 0; bin < nBins; bin++ {
 		if b.Simulated[bin] {
 			continue
 		}
-		a0, a1 := smp.coarseAnchors(bin, nBins, copts.Stride)
-		silent := b.SensorRate[a0] <= 0
-		if (b.SensorRate[a1] <= 0) != silent {
+		silent, agree := anchorVerdict(b, bin, copts.Stride)
+		if !agree {
 			esc = append(esc, escalation{int32(bin), trace.EscConsensusSplit})
 			smp.tr.Escalate(bin, trace.EscConsensusSplit)
 			continue
@@ -312,6 +322,67 @@ func (smp *Sampler) RunBatchCoarse(cfg HomeConfig, opts Options, copts CoarseOpt
 	return true
 }
 
+// seedGuards resets the guard frontiers and seeds them with one query
+// per side, at the componentwise extreme of the occupancies of the
+// proxied bins whose anchors agree on that side's verdict: the minimum
+// at (1-Guard) for awake, the maximum at (1+Guard) for silent. A side
+// with fewer than two such bins gains nothing from a seed and is left
+// unseeded. The query is attributed to the side's lowest-index bin, so
+// trace rings and surface outcomes only ever see real bin indices.
+func (smp *Sampler) seedGuards(b *BinBatch, opts Options, copts CoarseOptions) {
+	smp.guardHi.reset()
+	smp.guardLo.reset()
+	var lo, hi guardSeed
+	for bin := 0; bin < b.Len(); bin++ {
+		if b.Simulated[bin] {
+			continue
+		}
+		silent, agree := anchorVerdict(b, bin, copts.Stride)
+		if !agree {
+			continue
+		}
+		if silent {
+			hi.fold(bin, b.Occupancy[bin], true)
+		} else {
+			lo.fold(bin, b.Occupancy[bin], false)
+		}
+	}
+	if lo.n >= 2 {
+		silent := smp.silentAt(lo.bin, opts, lo.occ, 1-copts.Guard)
+		smp.guardLo.add(lo.occ, silent)
+		smp.tr.GuardQuery(lo.bin, !silent)
+	}
+	if hi.n >= 2 {
+		silent := smp.silentAt(hi.bin, opts, hi.occ, 1+copts.Guard)
+		smp.guardHi.add(hi.occ, silent)
+		smp.tr.GuardQuery(hi.bin, silent)
+	}
+}
+
+// guardSeed accumulates one side's seed point: the count of bins that
+// will ask the side's frontier, the first of them, and the
+// componentwise extreme of their occupancies (the maximum when upper,
+// else the minimum).
+type guardSeed struct {
+	n   int
+	bin int
+	occ [3]float64
+}
+
+func (g *guardSeed) fold(bin int, occ [3]float64, upper bool) {
+	if g.n == 0 {
+		g.bin, g.occ = bin, occ
+	}
+	for c, v := range occ {
+		if upper {
+			g.occ[c] = max(g.occ[c], v)
+		} else {
+			g.occ[c] = min(g.occ[c], v)
+		}
+	}
+	g.n++
+}
+
 // verdict is a frontier lookup result.
 type verdict uint8
 
@@ -350,6 +421,11 @@ func (f *frontier) knows(occ [3]float64) verdict {
 	return verdictUnknown
 }
 
+// reset empties the frontier, keeping its backing arrays.
+func (f *frontier) reset() {
+	f.silent, f.awake = f.silent[:0], f.awake[:0]
+}
+
 func (f *frontier) add(occ [3]float64, silent bool) {
 	if silent {
 		f.silent = append(f.silent, occ)
@@ -369,16 +445,15 @@ func (smp *Sampler) coarseLoad(bin, c int) float64 {
 	return l
 }
 
-// coarseAnchors returns the simulated anchor bins surrounding a proxied
-// bin on the stride grid: the anchor at or below it, and the next one
-// above (clamped to the final bin, which is always simulated).
-func (smp *Sampler) coarseAnchors(bin, nBins, stride int) (a0, a1 int) {
-	a0 = bin - bin%stride
-	a1 = a0 + stride
-	if a1 > nBins-1 {
-		a1 = nBins - 1
-	}
-	return a0, a1
+// anchorVerdict returns whether the anchors surrounding a proxied bin
+// call it silent, and whether they agree. The anchors are the simulated
+// bins on the stride grid at or below the bin and the next one above,
+// clamped to the final bin, which is always simulated.
+func anchorVerdict(b *BinBatch, bin, stride int) (silent, agree bool) {
+	a0 := bin - bin%stride
+	a1 := min(a0+stride, b.Len()-1)
+	silent = b.SensorRate[a0] <= 0
+	return silent, (b.SensorRate[a1] <= 0) == silent
 }
 
 // silentAt reports whether the sensor is silent (cannot boot, or nets

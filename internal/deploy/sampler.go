@@ -76,8 +76,11 @@ type Sampler struct {
 	// loads) the current home's bins are driven from; see planBins.
 	plan binPlan
 
-	// escBuf is the pooled escalation work list of the coarse tier.
-	escBuf []escalation
+	// escBuf is the pooled escalation work list of the coarse tier, and
+	// guardHi and guardLo its pooled guard frontiers (see
+	// RunBatchCoarse).
+	escBuf           []escalation
+	guardHi, guardLo frontier
 }
 
 // escalation is one coarse-tier bin pushed back to the exact path,

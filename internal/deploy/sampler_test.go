@@ -113,22 +113,43 @@ func TestSampleBinAllocBudget(t *testing.T) {
 }
 
 // TestRunBatchAllocBudget extends the allocation budget to a whole
-// pooled home run into a reused batch: packet sample plus sensor
-// evaluation per bin.
+// pooled home run into a reused batch, on both tiers: packet samples,
+// sensor evaluation and, on the coarse tier, the fits, guard queries
+// and escalations. Once the pools, the batch and the shared surface are
+// warm, a home allocates nothing.
 func TestRunBatchAllocBudget(t *testing.T) {
-	smp := NewSampler()
-	opts := Options{BinWidth: time.Hour, Window: 2 * time.Millisecond, Hours: 2, SensorDistanceFt: 10}
-	home := PaperHomes()[2]
-	var b BinBatch
-	smp.RunBatch(home, opts, &b, nil) // warm pools, the batch and the shared surface
-	allocs := testing.AllocsPerRun(20, func() {
-		smp.RunBatch(home, opts, &b, nil)
-	})
-	perBin := allocs / float64(opts.NumBins())
-	if perBin > 10 {
-		t.Errorf("steady-state RunBatch allocs/bin = %v, budget is 10", perBin)
+	opts := Options{BinWidth: time.Hour, Window: 10 * time.Millisecond, Hours: 24}
+	for _, c := range []struct {
+		name       string
+		distanceFt float64
+		run        func(*Sampler, HomeConfig, Options, *BinBatch) bool
+	}{
+		{"exact", 10, func(smp *Sampler, cfg HomeConfig, opts Options, b *BinBatch) bool {
+			return smp.RunBatch(cfg, opts, b, nil)
+		}},
+		// At the edge of the paper homes' boot threshold, so one home's
+		// seed and guard queries fail and its bins escalate as well as
+		// proxy.
+		{"coarse", 16, func(smp *Sampler, cfg HomeConfig, opts Options, b *BinBatch) bool {
+			return smp.RunBatchCoarse(cfg, opts, CoarseOptions{}, b, nil)
+		}},
+	} {
+		smp := NewSampler()
+		opts.SensorDistanceFt = c.distanceFt
+		var b BinBatch
+		homes := PaperHomes()
+		for _, home := range homes {
+			c.run(smp, home, opts, &b) // warm pools, the batch and the shared surface
+		}
+		i := 0
+		allocs := testing.AllocsPerRun(10, func() {
+			c.run(smp, homes[i%len(homes)], opts, &b)
+			i++
+		})
+		if allocs != 0 {
+			t.Errorf("%s: steady-state allocs/home = %v, want 0", c.name, allocs)
+		}
 	}
-	t.Logf("steady-state RunBatch allocs/bin = %v", perBin)
 }
 
 // sampleBinInterleaved is the reference the per-channel passes of

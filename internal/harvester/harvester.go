@@ -325,7 +325,8 @@ func (h *Harvester) BurstyOperating(chans []ChannelPower, occupancy []float64) O
 	if len(chans) == 0 || len(chans) != len(occupancy) {
 		return Operating{}
 	}
-	cond, anyActive, ok := BurstyConditional(chans, occupancy)
+	var buf [3]ChannelPower // the three PoWiFi channels; more spill to the heap
+	cond, anyActive, ok := BurstyConditional(buf[:0], chans, occupancy)
 	if !ok {
 		return h.IdleOperating()
 	}
@@ -338,8 +339,12 @@ func (h *Harvester) BurstyOperating(chans []ChannelPower, occupancy []float64) O
 // probability. ok is false when no channel carries power, in which case
 // the chain idles. This conditioning step is shared verbatim by the exact
 // solver and the interpolated surface so the two paths cannot diverge in
-// their burst model.
-func BurstyConditional(chans []ChannelPower, occupancy []float64) (cond []ChannelPower, anyActive float64, ok bool) {
+// their burst model. The conditioned powers are appended to dst, so a
+// caller that passes a stack buffer with room for its channels keeps the
+// query off the heap.
+//
+//powifi:noalloc
+func BurstyConditional(dst, chans []ChannelPower, occupancy []float64) (cond []ChannelPower, anyActive float64, ok bool) {
 	// Probability at least one channel is transmitting.
 	silent := 1.0
 	avgTotal := 0.0
@@ -356,15 +361,14 @@ func BurstyConditional(chans []ChannelPower, occupancy []float64) (cond []Channe
 	}
 	anyActive = 1 - silent
 	if anyActive <= 0 || avgTotal <= 0 {
-		return nil, anyActive, false
+		return dst, anyActive, false
 	}
 	// Conditional mean incident power while active, distributed across
 	// channels in proportion to their average contributions.
-	cond = make([]ChannelPower, len(chans))
 	for i, c := range chans {
-		cond[i] = ChannelPower{FreqHz: c.FreqHz, PowerW: c.PowerW * occupancy[i] / anyActive}
+		dst = append(dst, ChannelPower{FreqHz: c.FreqHz, PowerW: c.PowerW * occupancy[i] / anyActive})
 	}
-	return cond, anyActive, true
+	return dst, anyActive, true
 }
 
 // IdleOperating returns the operating point of a chain with no RF drive:

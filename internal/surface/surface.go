@@ -492,7 +492,8 @@ func (s *Surface) BurstyOperatingOutcome(chans []harvester.ChannelPower, occupan
 	if len(chans) == 0 || len(chans) != len(occupancy) {
 		return harvester.Operating{}, OutcomeHit
 	}
-	cond, anyActive, ok := harvester.BurstyConditional(chans, occupancy)
+	var buf [3]harvester.ChannelPower // the three PoWiFi channels; more spill to the heap
+	cond, anyActive, ok := harvester.BurstyConditional(buf[:0], chans, occupancy)
 	if !ok {
 		return s.h.IdleOperating(), OutcomeHit
 	}
