@@ -77,7 +77,9 @@ type HomeMeans struct {
 	BankedHarvestUW float64
 	// SensorRate is the mean sensor update rate.
 	SensorRate float64
-	// SilentBins counts the bins whose sensor could not boot.
+	// SilentBins counts the bins whose sensor rate is ≤ 0: the sensor
+	// could not boot, or its chain booted but harvested exactly 0 W (the
+	// Seiko startup plateau).
 	SilentBins int
 }
 

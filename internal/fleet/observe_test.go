@@ -1,7 +1,9 @@
 package fleet
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"io"
 	"reflect"
 	"testing"
@@ -143,5 +145,86 @@ func TestObserversReadableMidRun(t *testing.T) {
 	}
 	if got := tel.Snapshot().Histograms[telemetry.HistHomeWallMS].N; got != 16 {
 		t.Errorf("home_wall_ms.n = %d after the run, want 16", got)
+	}
+}
+
+// TestRecycledHandlesStayOutOfRetainedRings pins the recycling of
+// observation handles: the recorder keeps the rings of failed and top-K
+// most-escalated homes, and only the handles it lets go return to the
+// workers. A traced coarse fleet with its sensors at 16-24 ft escalates
+// in most homes, so the top-K table churns and releases handles that
+// later homes reuse, and a quarantined home keeps its ring beside them.
+// Every retained ring must read at the end of the run as it did when
+// its home entered the table, and the deterministic summary (everything
+// outside sched) must be identical at 1 and 8 workers and between two
+// back-to-back runs in one process, each with its own free list.
+func TestRecycledHandlesStayOutOfRetainedRings(t *testing.T) {
+	if testing.Short() {
+		t.Skip("near the boot threshold the coarse tier's guard queries solve exactly")
+	}
+	run := func(workers int) []byte {
+		cfg := coarseConfig(24, workers)
+		cfg.Hours = 2
+		cfg.Population = DefaultPopulation()
+		cfg.Population.MinSensorFt, cfg.Population.MaxSensorFt = 16, 24
+		cfg.Policy = FailurePolicy{Skip: true}
+		rec := trace.NewRecorder()
+		entered := make(map[int]trace.HomeSummary) // each ring as it entered the table
+		var held map[int]bool
+		evicted := 0
+		_, err := RunWith(context.Background(), cfg, Hooks{
+			Trace:  rec,
+			Faults: mustFaults(t, cfg, "home.panic@5,times=-1"),
+			Home: func(HomeRecord) bool {
+				now := make(map[int]bool)
+				for _, hs := range rec.Summary().Retained {
+					now[hs.Index] = true
+					if _, ok := entered[hs.Index]; !ok {
+						entered[hs.Index] = hs
+					}
+				}
+				for idx := range held {
+					if !now[idx] {
+						evicted++
+					}
+				}
+				held = now
+				return true
+			},
+		})
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		s := rec.Summary()
+		if evicted == 0 {
+			t.Errorf("workers=%d: no handle left the top-K table, so none was recycled from it", workers)
+		}
+		failed := 0
+		for _, hs := range s.Retained {
+			if hs.Retained == "failed" {
+				failed++
+			}
+			if !reflect.DeepEqual(hs, entered[hs.Index]) {
+				t.Errorf("workers=%d: home %d's retained ring changed after it was retained:\nthen %+v\nnow  %+v",
+					workers, hs.Index, entered[hs.Index], hs)
+			}
+		}
+		if failed != 1 {
+			t.Errorf("workers=%d: %d failed homes retained, want the quarantined home 5", workers, failed)
+		}
+		t.Logf("workers=%d: %d retained, %d evicted from the top-K", workers, len(s.Retained), evicted)
+		s.Sched = nil
+		b, err := json.Marshal(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	serial := run(1)
+	if again := run(1); !bytes.Equal(serial, again) {
+		t.Errorf("trace summary differs between back-to-back runs:\nfirst  %s\nsecond %s", serial, again)
+	}
+	if parallel := run(8); !bytes.Equal(serial, parallel) {
+		t.Errorf("trace summary differs between 1 and 8 workers:\n1: %s\n8: %s", serial, parallel)
 	}
 }

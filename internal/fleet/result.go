@@ -42,9 +42,11 @@ type homeStats struct {
 	idx   int
 	home  Home
 	means deploy.HomeMeans
-	// Per-bin columns (one backing array, sliced three ways): cumulative
-	// occupancy %, banked harvest µW, and sensor rate Hz per bin.
-	binCum, binUW, binRate []float64
+	// cols holds the per-bin fold columns back to back, one bin count
+	// each: cumulative occupancy %, banked harvest µW and sensor rate Hz
+	// (see columns). The reducer hands the array back to the workers
+	// once the home commits.
+	cols []float64
 	// life carries the home's device-lifecycle scalars and per-bin
 	// ledger observations when the population enables the engine
 	// (hasLife); the classic aggregates above are produced either way.
@@ -58,6 +60,12 @@ type homeStats struct {
 	// tr is the home's flight recorder when the run traces; it rides
 	// the reorder buffer so trace commits happen in home-index order.
 	tr *trace.HomeTrace
+}
+
+// columns slices cols into the three per-bin fold columns.
+func (hs *homeStats) columns() (cum, uw, rate []float64) {
+	n := len(hs.cols) / 3
+	return hs.cols[:n:n], hs.cols[n : 2*n : 2*n], hs.cols[2*n:]
 }
 
 // Result holds the fleet-level aggregates of one run.
@@ -79,7 +87,7 @@ type Result struct {
 	BinOcc     *stats.Sketch // per-bin cumulative occupancy, %
 	Harvest    *stats.Sketch // per-bin harvested power, µW
 	Latency    *stats.Sketch // per-bin sensor update latency, s (responsive bins)
-	SilentBins uint64        // bins where the sensor could not boot
+	SilentBins uint64        // bins with sensor rate ≤ 0: no boot, or a booted chain harvesting 0 W
 	TotalBins  uint64
 
 	// Arch holds the per-archetype lifecycle aggregates, nil unless the
@@ -129,11 +137,12 @@ func newResult(cfg Config) *Result {
 // of the Welford moments; it is the single commit point, so a run's
 // reducer state after k calls depends only on homes [0, k).
 func (r *Result) addHome(hs homeStats) {
-	for i := range hs.binCum {
+	cum, uw, rates := hs.columns()
+	for i := range cum {
 		r.TotalBins++
-		r.BinOcc.Add(hs.binCum[i])
-		r.Harvest.Add(hs.binUW[i])
-		if rate := hs.binRate[i]; rate > 0 {
+		r.BinOcc.Add(cum[i])
+		r.Harvest.Add(uw[i])
+		if rate := rates[i]; rate > 0 {
 			r.Latency.Add(1 / rate)
 		} else {
 			r.SilentBins++

@@ -7,6 +7,7 @@ import (
 	"runtime"
 	"runtime/debug"
 	"runtime/pprof"
+	"slices"
 	"strconv"
 	"sync"
 	"time"
@@ -99,6 +100,9 @@ type worker struct {
 	// batch is the worker's reusable struct-of-arrays bin buffer; the
 	// batched kernel refills it per home without reallocating.
 	batch deploy.BinBatch
+	// free is the run's free list the worker takes each home's storage
+	// from.
+	free *freeList
 	// lifeBins collects the in-flight attempt's per-bin lifecycle
 	// observations (the pooled devices' OnBin target). attemptHome hands
 	// the slice to the home's homeStats, so the bins are committed with
@@ -107,9 +111,62 @@ type worker struct {
 	homes    int
 }
 
+// homeBufs is the storage a home's result borrows for its trip to the
+// reducer: the per-bin column array, the lifecycle ledger's bins and, in
+// observed runs, the observation handle.
+type homeBufs struct {
+	cols []float64
+	bins []lifecycle.BinStats
+	tr   *trace.HomeTrace
+}
+
+// freeList is one run's free list of homeBufs, the one recycling path of
+// the serial and the sharded loop alike. The reducer puts a home's
+// storage back once the home has committed (the handle only if the
+// recorder did not retain it); a worker takes it for its next home, or
+// allocates when the list is empty. Neither side waits on the other,
+// and a buffer has one owner at a time. The list never drops storage,
+// so it holds at most the run's peak of homes in flight, which the run
+// held at once anyway: after a spike in the reorder buffer (one slow
+// home while the other workers run on) the steady state still
+// allocates nothing.
+type freeList struct {
+	mu   sync.Mutex
+	free []homeBufs
+}
+
+// newFreeList sizes a run's free list from its worker count: a home
+// running per worker, a finished one per reorder-channel slot, about as
+// many parked in the reorder buffer, and the one being delivered.
+func newFreeList(workers int) *freeList {
+	return &freeList{free: make([]homeBufs, 0, 3*workers+1)}
+}
+
+// get takes a home's storage from the list; the zero homeBufs, for the
+// caller to allocate, when the list is empty.
+func (s *freeList) get() homeBufs {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	n := len(s.free)
+	if n == 0 {
+		return homeBufs{}
+	}
+	b := s.free[n-1]
+	s.free[n-1] = homeBufs{}
+	s.free = s.free[:n-1]
+	return b
+}
+
+// put hands a committed home's storage back.
+func (s *freeList) put(b homeBufs) {
+	s.mu.Lock()
+	s.free = append(s.free, b)
+	s.mu.Unlock()
+}
+
 // newWorker builds a worker on a pooled sampling context, or a new one
 // when the pool is empty, recording which into rec.
-func newWorker(cfg Config, h Hooks, rec *trace.Recorder) *worker {
+func newWorker(cfg Config, h Hooks, rec *trace.Recorder, free *freeList) *worker {
 	smp, pooled := samplerPool.Get().(*deploy.Sampler)
 	rec.ObservePool(pooled)
 	if !pooled {
@@ -123,6 +180,7 @@ func newWorker(cfg Config, h Hooks, rec *trace.Recorder) *worker {
 		rec:      rec,
 		tr:       rec.NewWorker(),
 		labels:   h.Trace != nil,
+		free:     free,
 	}
 }
 
@@ -294,10 +352,11 @@ func RunWith(ctx context.Context, cfg Config, h Hooks) (*Result, error) {
 	// and the home's output become telemetry's work counters and
 	// histograms. It runs on the reducing goroutine in home-index
 	// order, so the totals are identical at any worker count and a
-	// partial run counts exactly its committed homes.
-	observe := func(hs homeStats) {
+	// partial run counts exactly its committed homes. It returns the
+	// handle the recorder released, for recycling.
+	observe := func(hs homeStats) *trace.HomeTrace {
 		failed := hs.fail != nil
-		rec.CommitHome(hs.tr, failed)
+		released := rec.CommitHome(hs.tr, failed)
 		t.CommitHome(telemetry.Home{
 			Tally:        hs.tr.Tally(),
 			Failed:       failed,
@@ -306,7 +365,12 @@ func RunWith(ctx context.Context, cfg Config, h Hooks) (*Result, error) {
 			LedgerEvents: uint64(len(hs.life.bins)),
 			HarvestUW:    hs.means.BankedHarvestUW,
 		})
+		return released
 	}
+
+	// free is the run's free list of committed homes' storage (see
+	// freeList); a new one per run, so no storage outlives its run.
+	free := newFreeList(cfg.Workers)
 
 	// deliver folds one home into the result and feeds the hooks; it
 	// reports whether the run should continue. With checkpointing on,
@@ -315,8 +379,10 @@ func RunWith(ctx context.Context, cfg Config, h Hooks) (*Result, error) {
 	// exactly the homes the reducer has committed. Exhausted homes
 	// (hs.fail) arrive through the same reorder buffer, so the failure
 	// policy applies at a deterministic, workers-invariant point of the
-	// reduce order.
+	// reduce order. A home that continues the run hands its storage back
+	// to the workers as deliver's last step.
 	deliver := func(hs homeStats) (bool, error) {
+		var released *trace.HomeTrace
 		if hs.fail != nil {
 			if cfg.Policy.failFast() {
 				// Checkpoint the prefix *below* the failed home so a
@@ -337,13 +403,13 @@ func RunWith(ctx context.Context, cfg Config, h Hooks) (*Result, error) {
 			// forensics include the decision itself.
 			hs.tr.Quarantine()
 			hs.fail.Trace = hs.tr.Dump()
-			observe(hs)
+			released = observe(hs)
 			res.Errors = append(res.Errors, *hs.fail)
 			if cfg.MaxFailedHomes > 0 && len(res.Errors) > cfg.MaxFailedHomes {
 				return false, &partialStop{reason: PartialFailureBudget, committed: hs.idx + 1}
 			}
 		} else {
-			observe(hs)
+			released = observe(hs)
 			res.addHome(hs)
 			if h.Home != nil && !h.Home(hs.record()) {
 				err := ErrStopped
@@ -362,6 +428,12 @@ func RunWith(ctx context.Context, cfg Config, h Hooks) (*Result, error) {
 		if h.Progress != nil {
 			h.Progress(committed, cfg.Homes)
 		}
+		// Every reader of the home's storage has run: addHome and the
+		// archetype fold read the columns and ledger bins, observe the
+		// handle and len(life.bins). The Home hook's HomeRecord copies
+		// scalars only, and a checkpoint serializes the Result only. So
+		// reuse cannot reach any output.
+		free.put(homeBufs{cols: hs.cols, bins: hs.life.bins, tr: released})
 		return true, nil
 	}
 
@@ -387,7 +459,7 @@ func RunWith(ctx context.Context, cfg Config, h Hooks) (*Result, error) {
 	// from the pool through the reorder buffer. Either way deliver
 	// commits homes strictly in index order, so the output is identical
 	// by construction.
-	newW := func() *worker { return newWorker(cfg, h, rec) }
+	newW := func() *worker { return newWorker(cfg, h, rec, free) }
 	endSim := rec.Span(trace.SpanSimulate)
 	var take func(int) (homeStats, bool)
 	var stop func()
@@ -499,18 +571,26 @@ func shard(ctx context.Context, cfg Config, start int, newW func() *worker) (tak
 		close(out)
 	}()
 
-	pending := make(map[int]homeStats, cfg.Workers)
+	// The reorder buffer's depth stays near the worker count, so a
+	// linear scan finds a parked home; a slice keeps the steady state
+	// free of the map's churn.
+	pending := make([]homeStats, 0, cfg.Workers)
 	take = func(idx int) (homeStats, bool) {
 		for {
-			if hs, ok := pending[idx]; ok {
-				delete(pending, idx)
-				return hs, true
+			for i, hs := range pending {
+				if hs.idx == idx {
+					last := len(pending) - 1
+					pending[i] = pending[last]
+					pending[last] = homeStats{}
+					pending = pending[:last]
+					return hs, true
+				}
 			}
 			hs, ok := <-out
 			if !ok {
 				return homeStats{}, false
 			}
-			pending[hs.idx] = hs
+			pending = append(pending, hs)
 		}
 	}
 	stop = func() {
@@ -527,13 +607,12 @@ func shard(ctx context.Context, cfg Config, start int, newW func() *worker) (tak
 // sampler, and a home whose attempts are exhausted rides the reorder
 // buffer as a failed homeStats so the reducer applies the policy at a
 // deterministic, workers-invariant point. The home keeps one
-// observation handle across its attempts (HomeTrace.Retry). ok ==
-// false only means context cancellation.
+// observation handle across its attempts (HomeTrace.Retry); its other
+// storage comes from the run's free list, and a failed attempt's is
+// dropped. ok == false only means context cancellation.
 func (w *worker) runHome(ctx context.Context, idx int) (homeStats, bool) {
-	var ht *trace.HomeTrace
-	if w.tr != nil {
-		ht = w.tr.StartHome(idx, homeLabel(idx), 1)
-	}
+	bufs := w.free.get()
+	ht := w.tr.OpenHome(bufs.tr, idx, homeStem)
 	if w.labels {
 		// Label the goroutine for the home so -cpuprofile samples
 		// become home-attributable in pprof.
@@ -541,7 +620,7 @@ func (w *worker) runHome(ctx context.Context, idx int) (homeStats, bool) {
 			pprof.Labels("phase", "simulate", "home", strconv.Itoa(idx))))
 	}
 	for attempt := 1; ; attempt++ {
-		hs, ok, ferr := w.attemptHome(ctx, idx, ht)
+		hs, ok, ferr := w.attemptHome(ctx, idx, ht, bufs)
 		if ferr == nil && !ok {
 			return hs, false
 		}
@@ -561,12 +640,14 @@ func (w *worker) runHome(ctx context.Context, idx int) (homeStats, bool) {
 		}
 		ht.Retry()
 		w.refresh()
+		bufs = homeBufs{}
 	}
 }
 
-// homeLabel is home idx's RNG stream label, which also names it in
-// errors and traces.
-func homeLabel(idx int) string { return "fleet/home/" + strconv.Itoa(idx) }
+// homeStem prefixes a home's index in its RNG stream label
+// ("fleet/home/<index>"), which also names the home in errors and
+// traces.
+const homeStem = "fleet/home/"
 
 // attemptHome simulates one synthesized home on the worker's pooled
 // sampler through the batched kernel, reporting into the home's
@@ -575,18 +656,19 @@ func homeLabel(idx int) string { return "fleet/home/" + strconv.Itoa(idx) }
 // coarse tier), the scalar summary and the per-bin fold columns are
 // derived in one pass over the finished batch, and — in lifecycle
 // mode — the pooled lifecycle device walks the batch in bin order, its
-// per-bin observations recorded into hs. The context is checked once
-// per event-simulated bin; on cancellation the home is abandoned
+// per-bin observations recorded into hs. The columns and ledger bins
+// reuse bufs' arrays when they are large enough. The context is checked
+// once per event-simulated bin; on cancellation the home is abandoned
 // mid-batch and attemptHome reports ok == false (the home is never
 // committed). A panic anywhere in the attempt is recovered into ferr;
 // the partially built hs, lifecycle bins included, is discarded by the
 // caller.
-func (w *worker) attemptHome(ctx context.Context, idx int, ht *trace.HomeTrace) (hs homeStats, ok bool, ferr *HomeError) {
+func (w *worker) attemptHome(ctx context.Context, idx int, ht *trace.HomeTrace, bufs homeBufs) (hs homeStats, ok bool, ferr *HomeError) {
 	defer func() {
 		if r := recover(); r != nil {
 			ferr = &HomeError{
 				Index: idx,
-				Label: homeLabel(idx),
+				Label: homeStem + strconv.Itoa(idx),
 				Msg:   fmt.Sprint(r),
 				Stack: string(debug.Stack()),
 			}
@@ -633,24 +715,23 @@ func (w *worker) attemptHome(ctx context.Context, idx int, ht *trace.HomeTrace) 
 	nBins := b.Len() // at least one: Config validation rejects shorter runs
 
 	// One backing array, sliced into the three per-bin fold columns that
-	// ride the reorder buffer to the reducer.
-	cols := make([]float64, 3*nBins)
+	// ride the reorder buffer to the reducer; every element is written
+	// below, so a recycled array carries nothing over.
 	hs = homeStats{
-		idx:     idx,
-		home:    h,
-		binCum:  cols[:nBins:nBins],
-		binUW:   cols[nBins : 2*nBins : 2*nBins],
-		binRate: cols[2*nBins:],
+		idx:  idx,
+		home: h,
+		cols: slices.Grow(bufs.cols[:0], 3*nBins)[:3*nBins],
 	}
-	copy(hs.binCum, b.CumulativePct)
-	copy(hs.binRate, b.SensorRate)
-	for i := range hs.binUW {
+	cum, uw, rate := hs.columns()
+	copy(cum, b.CumulativePct)
+	copy(rate, b.SensorRate)
+	for i := range uw {
 		// A silent bin banks nothing; BankedHarvestUW owns the clamp
 		// convention the home fold shares.
-		hs.binUW[i] = b.Sample(i).BankedHarvestUW()
+		uw[i] = b.Sample(i).BankedHarvestUW()
 	}
 	if dev != nil {
-		w.lifeBins = make([]lifecycle.BinStats, 0, nBins)
+		w.lifeBins = slices.Grow(bufs.bins[:0], nBins)
 		dev.VisitBatch(b)
 	}
 	hs.means = b.Means()

@@ -28,7 +28,7 @@ func SynthesizeHome(cfg Config, i int) Home {
 func synthesizeHome(rng *xrand.Rand, cfg Config, i int) Home {
 	// Equivalent to NewFromLabel(seed, fmt.Sprintf("fleet/home/%d", i))
 	// without the per-home formatting.
-	rng.Reseed(xrand.LabelSeedInt(cfg.Seed, "fleet/home/", i))
+	rng.Reseed(xrand.LabelSeedInt(cfg.Seed, homeStem, i))
 	p := cfg.Population
 
 	users := p.MinUsers + rng.Intn(p.MaxUsers-p.MinUsers+1)

@@ -179,15 +179,35 @@ func (r *Recorder) NewWorker() *Worker {
 	return &Worker{rec: r, tid: r.workers}
 }
 
-// StartHome opens a home's handle at the given attempt; nil on a nil
-// Worker. Later attempts of the same home reuse it through
-// HomeTrace.Retry.
+// StartHome opens a new handle for home idx at the given attempt, named
+// label; nil on a nil Worker. Later attempts of the same home reuse it
+// through HomeTrace.Retry. A fleet run opens its handles with OpenHome
+// instead.
 func (w *Worker) StartHome(idx int, label string, attempt int) *HomeTrace {
 	if w == nil {
 		return nil
 	}
-	ht := &HomeTrace{w: w, idx: idx, label: label, ringCap: w.rec.ringCap}
+	ht := new(HomeTrace)
+	ht.open(w, idx, label, "")
 	ht.begin(attempt)
+	return ht
+}
+
+// OpenHome opens home idx's handle for its first attempt, named stem
+// followed by idx; nil on a nil Worker. It re-arms spare, a handle
+// Recorder.CommitHome released, when there is one, and allocates only
+// when spare is nil. The name is formatted only where it is emitted, so
+// a recycled handle costs a home no allocation.
+func (w *Worker) OpenHome(spare *HomeTrace, idx int, stem string) *HomeTrace {
+	if w == nil {
+		return nil
+	}
+	ht := spare
+	if ht == nil {
+		ht = new(HomeTrace)
+	}
+	ht.open(w, idx, "", stem)
+	ht.begin(1)
 	return ht
 }
 
@@ -225,10 +245,16 @@ func (w *Worker) EndHome(ht *HomeTrace) {
 // marks a home whose attempts were exhausted; its ring is always
 // retained. Safe on nil Recorder or nil HomeTrace.
 //
+// It returns the handle the recorder no longer holds, for the caller to
+// recycle through Worker.OpenHome: ht itself when it was not retained,
+// the least-escalated retained handle when ht displaced it from the
+// top-K, nil otherwise. Nothing else keeps a handle: the slowest-homes
+// table and the span stream hold copies.
+//
 //powifi:noalloc
-func (r *Recorder) CommitHome(ht *HomeTrace, failed bool) {
+func (r *Recorder) CommitHome(ht *HomeTrace, failed bool) (released *HomeTrace) {
 	if r == nil || ht == nil {
-		return
+		return nil
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -237,20 +263,37 @@ func (r *Recorder) CommitHome(ht *HomeTrace, failed bool) {
 	for i, n := range ht.esc {
 		r.esc[i] += uint64(n)
 	}
-	if failed {
+	switch {
+	case failed:
 		r.failed = append(r.failed, ht)
-	} else if ht.escTotal > 0 {
-		r.topEsc = InsertTop(r.topEsc, ht, r.topK, func(a, b *HomeTrace) bool {
-			if a.escTotal != b.escTotal {
-				return a.escTotal > b.escTotal
+	case ht.escTotal == 0:
+		released = ht
+	default:
+		if n := len(r.topEsc); n == r.topK {
+			released = ht
+			if moreEscalated(ht, r.topEsc[n-1]) {
+				released = r.topEsc[n-1]
 			}
-			return a.idx < b.idx
-		})
+		}
+		r.topEsc = InsertTop(r.topEsc, ht, r.topK, moreEscalated)
 	}
-	slow := SlowHome{Index: ht.idx, Label: ht.label, WallMS: float64(ht.durNS) / 1e6,
+	slow := SlowHome{Index: ht.idx, WallMS: float64(ht.durNS) / 1e6,
 		DominantSpan: DominantSpan(ht.durNS, ht.kernelNS, ht.stallNS)}
 	r.sched.HomeWallMS.Add(slow.WallMS)
-	r.sched.SlowestHomes = InsertTop(r.sched.SlowestHomes, slow, r.topK, SlowHome.Slower)
+	if top := r.sched.SlowestHomes; len(top) < r.topK || slow.Slower(top[len(top)-1]) {
+		slow.Label = ht.name()
+		r.sched.SlowestHomes = InsertTop(top, slow, r.topK, SlowHome.Slower)
+	}
+	return released
+}
+
+// moreEscalated orders the retained top-K: more escalations first, ties
+// to the lower home index.
+func moreEscalated(a, b *HomeTrace) bool {
+	if a.escTotal != b.escTotal {
+		return a.escTotal > b.escTotal
+	}
+	return a.idx < b.idx
 }
 
 // SlowHome is one entry in the slowest-homes table: the trace summary's
@@ -418,7 +461,7 @@ func (r *Recorder) retained() []HomeSummary {
 func homeSummary(ht *HomeTrace, why string) HomeSummary {
 	return HomeSummary{
 		Index:             ht.idx,
-		Label:             ht.label,
+		Label:             ht.name(),
 		Retained:          why,
 		Events:            ht.total,
 		Ring:              ht.ringEvents(),

@@ -11,8 +11,10 @@
 // fleet home carries: deploy, core and lifecycle report into it, and it
 // keeps both the flight recorder and the work tallies (Tally) that
 // internal/telemetry counts. At the fleet reducer's commit point each
-// handle commits once into the recorder (Recorder.CommitHome) and its
-// tallies fold into telemetry's work counters; telemetry's spans and
+// handle commits once into the recorder (Recorder.CommitHome), which
+// hands back the handles it does not retain for the next homes to
+// reopen (Worker.OpenHome), and its tallies fold into telemetry's work
+// counters; telemetry's spans and
 // scheduling diagnostics are views over the recorder (Recorder.Sched).
 // A run that collects telemetry without tracing uses a tally-only
 // recorder (NewTallyRecorder): no rings and no home spans.
@@ -217,9 +219,13 @@ type Tally struct {
 // every call; a HomeTrace is owned by one worker at a time and needs no
 // locking.
 type HomeTrace struct {
-	w     *Worker
-	idx   int
-	label string
+	w   *Worker
+	idx int
+	// label names the home as StartHome was given it; a handle OpenHome
+	// opened keeps a constant stem instead, and its name (stem followed
+	// by the home index) is formatted only where it is emitted: a dump,
+	// a retained ring, an inserted slowest-homes row.
+	label, stem string
 
 	// ring grows lazily up to ringCap, then wraps: a quiet home costs
 	// a few small appends, never the full ring's allocation. ringCap
@@ -237,6 +243,22 @@ type HomeTrace struct {
 	// Scheduling observations (never part of the deterministic
 	// summary): wall offsets from the recorder's epoch, in ns.
 	startNS, durNS, kernelNS, stallNS int64
+}
+
+// open re-arms h for home idx on worker w. The ring keeps its storage,
+// so a recycled handle allocates nothing until its ring outgrows the
+// last home's.
+func (h *HomeTrace) open(w *Worker, idx int, label, stem string) {
+	*h = HomeTrace{w: w, idx: idx, label: label, stem: stem, ring: h.ring[:0], ringCap: w.rec.ringCap}
+}
+
+// name returns the home's label, formatting a stem-named handle's from
+// its index.
+func (h *HomeTrace) name() string {
+	if h.stem == "" {
+		return h.label
+	}
+	return h.stem + strconv.Itoa(h.idx)
 }
 
 // begin opens the given attempt: it stamps the attempt count and the
@@ -381,7 +403,7 @@ func (h *HomeTrace) Retry() {
 		return
 	}
 	faults, attempt := h.tally.Faults, int(h.tally.Attempts)+1
-	*h = HomeTrace{w: h.w, idx: h.idx, label: h.label, ring: h.ring[:0], ringCap: h.ringCap}
+	h.open(h.w, h.idx, h.label, h.stem)
 	h.tally.Faults = faults
 	h.begin(attempt)
 }
@@ -467,7 +489,7 @@ func (h *HomeTrace) Dump() *Dump {
 		return nil
 	}
 	return &Dump{
-		Label:   h.label,
+		Label:   h.name(),
 		Events:  h.ringEvents(),
 		Dropped: h.total - uint64(len(h.ring)),
 	}

@@ -112,6 +112,69 @@ func TestTallyRecorderAllocs(t *testing.T) {
 	}
 }
 
+// TestCommitHomeReleasesUnretainedHandles pins the recycling contract:
+// CommitHome hands back exactly the handles it no longer holds (an
+// unretained home's, or the top-K entry a more-escalated home
+// displaced), and OpenHome re-arms a released handle as a fresh one,
+// its ring emptied but its storage kept, allocating nothing.
+func TestCommitHomeReleasesUnretainedHandles(t *testing.T) {
+	r := NewRecorder()
+	w := r.NewWorker()
+	commit := func(idx int, escalations int, failed bool) (*HomeTrace, *HomeTrace) {
+		ht := w.OpenHome(nil, idx, "fleet/home/")
+		for i := 0; i < escalations; i++ {
+			ht.Escalate(i, EscGuardDisagree)
+		}
+		w.EndHome(ht)
+		return ht, r.CommitHome(ht, failed)
+	}
+	if ht, released := commit(0, 0, false); released != ht {
+		t.Errorf("quiet home: released %p, want its own handle %p", released, ht)
+	}
+	if _, released := commit(1, 0, true); released != nil {
+		t.Errorf("failed home: released %p, want nil (always retained)", released)
+	}
+	var weakest *HomeTrace
+	for i := 0; i < DefaultTopK; i++ {
+		ht, released := commit(10+i, 1, false)
+		if released != nil {
+			t.Fatalf("top-K filling: home %d released %p, want nil", 10+i, released)
+		}
+		weakest = ht // ties rank by index, so the last is the weakest
+	}
+	if ht, released := commit(30, 1, false); released != ht {
+		t.Errorf("home too weak for a full table: released %p, want its own handle %p", released, ht)
+	}
+	if _, released := commit(31, 2, false); released != weakest {
+		t.Errorf("displacing home: released %p, want the displaced weakest %p", released, weakest)
+	}
+	for _, hs := range r.Summary().Retained {
+		if hs.Index == weakest.idx {
+			t.Errorf("displaced home %d still retained", hs.Index)
+		}
+	}
+
+	spare := weakest
+	ringCap := cap(spare.ring)
+	ht := w.OpenHome(spare, 40, "fleet/home/")
+	if ht != spare || len(ht.ring) != 0 || cap(ht.ring) != ringCap || ht.Events() != 0 || ht.Escalations() != 0 {
+		t.Fatalf("reopened handle: same=%v ring %d/%d events %d escalations %d, want the spare emptied with its storage",
+			ht == spare, len(ht.ring), cap(ht.ring), ht.Events(), ht.Escalations())
+	}
+	ht.BinSimulated(0, 9)
+	if d := ht.Dump(); d.Label != "fleet/home/40" || len(d.Events) != 1 || d.Dropped != 0 {
+		t.Fatalf("reopened handle's dump = %+v, want home 40 with its one event", d)
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		ht = w.OpenHome(ht, 40, "fleet/home/")
+		ht.BinSimulated(0, 9)
+		ht.Escalate(0, EscConsensusSplit)
+		ht.Retry()
+	}); n != 0 {
+		t.Fatalf("reopening a released handle allocates %v/op, want 0", n)
+	}
+}
+
 // TestPhaseSpansSurviveSpanCap pins the phase spans outside the
 // home-span cap: a run whose homes overflow the stream still reports
 // its simulate and run spans, and only home spans count as dropped.
