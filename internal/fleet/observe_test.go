@@ -148,6 +148,39 @@ func TestObserversReadableMidRun(t *testing.T) {
 	}
 }
 
+// TestWallSketchResolvesHomes pins the scheduling sketches' resolution
+// on a traced run with one stalled home: the per-home wall sketch must
+// resolve the fleet's sub-millisecond homes, its p50 far below the
+// stalled home's maximum, which lands in the sketch's overflow, and
+// every histogram's mean must lie within its [min, max].
+func TestWallSketchResolvesHomes(t *testing.T) {
+	cfg := testConfig(24, 2)
+	tel, rec := telemetry.NewRun(), trace.NewRecorder()
+	if _, err := RunWith(context.Background(), cfg, Hooks{
+		Telemetry: tel,
+		Trace:     rec,
+		Faults:    mustFaults(t, cfg, "home.slow@3,delay=150ms"),
+	}); err != nil {
+		t.Fatal(err)
+	}
+	snap := tel.Snapshot()
+	wall := snap.Histograms[telemetry.HistHomeWallMS]
+	if wall.N != 24 || wall.Max < 150 || wall.Overflow != 1 {
+		t.Errorf("home_wall_ms = %+v, want 24 homes, the stalled one (≥150 ms) in the overflow", wall)
+	}
+	if wall.P50 > wall.Max/10 || wall.P50 <= wall.Min {
+		t.Errorf("home_wall_ms p50 = %v, want it resolved within (min %v, max/10 %v]", wall.P50, wall.Min, wall.Max/10)
+	}
+	for name, h := range snap.Histograms {
+		if h.Mean < h.Min || h.Mean > h.Max {
+			t.Errorf("%s mean = %v, outside [min %v, max %v]", name, h.Mean, h.Min, h.Max)
+		}
+	}
+	if q := rec.Summary().Sched.HomeWallMS; q.P50 != wall.P50 || q.Max != wall.Max {
+		t.Errorf("trace home_wall_ms = %+v, want telemetry's p50 %v and max %v", q, wall.P50, wall.Max)
+	}
+}
+
 // TestRecycledHandlesStayOutOfRetainedRings pins the recycling of
 // observation handles: the recorder keeps the rings of failed and top-K
 // most-escalated homes, and only the handles it lets go return to the

@@ -97,7 +97,10 @@ func (h *Histogram) snapshot() HistogramSnapshot {
 
 // summarize renders a sketch's summary; the zero HistogramSnapshot
 // stands in for an empty sketch (its Min/Max/quantiles are NaN, which
-// neither JSON nor the text exports can carry).
+// neither JSON nor the text exports can carry). The sketch's mean
+// counts each sample at its bin's midpoint, which can lie past the
+// exact extremes when the samples crowd one bin, so it is clamped into
+// [Min, Max].
 func summarize(s *stats.Sketch) HistogramSnapshot {
 	if s.N() == 0 {
 		return HistogramSnapshot{}
@@ -105,7 +108,7 @@ func summarize(s *stats.Sketch) HistogramSnapshot {
 	under, over := s.OutOfRange()
 	return HistogramSnapshot{
 		N:         s.N(),
-		Mean:      s.Mean(),
+		Mean:      min(max(s.Mean(), s.Min()), s.Max()),
 		Min:       s.Min(),
 		Max:       s.Max(),
 		P50:       s.Quantile(0.50),

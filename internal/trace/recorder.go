@@ -15,12 +15,20 @@ import (
 // spans are kept apart and never count against the cap.
 const maxSpans = 20000
 
-// Scheduling sketch resolutions: per-home wall times of realistic
-// sweeps sit well under a minute, and a worker shard runs at most a few
-// tens of thousands of homes.
+// spanChunkLen is the home-span store's chunk length in records: a
+// 32 KB chunk.
+const spanChunkLen = 1024
+
+// Scheduling sketch resolutions. A fleet home takes 0.07–6 ms on either
+// tier at the default window, so the wall sketch resolves 25 µs over
+// [0, 100 ms) in 4,000 bins (32 KB). A slower home — a long window, an
+// injected stall, a coarse home at the boot threshold — lands in the
+// sketch's overflow: counted, and its exact wall time kept as the
+// maximum and in the slowest-homes table. A worker shard runs at most a
+// few tens of thousands of homes.
 const (
-	wallHiMS   = 60_000
-	wallMSBins = 1200
+	wallHiMS   = 100
+	wallMSBins = 4000
 
 	shardHomesHi   = 1 << 16
 	shardHomesBins = 256
@@ -37,8 +45,9 @@ const (
 )
 
 // Span is one completed span. Start is the wall offset from the
-// recorder epoch; TID is 0 for the run and phase spans and the worker's
-// id for worker/home/bin-batch spans.
+// recorder epoch. The recorder keeps its run and phase spans as Spans,
+// with TID 0 and Home -1, and its home spans more compactly
+// (homeSpan).
 type Span struct {
 	Name    string
 	TID     int
@@ -47,6 +56,51 @@ type Span struct {
 	DurNS   int64
 	CPUS    float64 // process CPU over the span; run/phase spans only
 }
+
+// Home-span kinds: a home attempt's span and its two child spans.
+const (
+	kindHome uint8 = iota
+	kindStall
+	kindBinBatch
+)
+
+var homeSpanNames = [...]string{kindHome: "home", kindStall: "stall", kindBinBatch: "bin-batch"}
+
+// homeSpan is one record of the home-span stream: 32 bytes where a Span
+// takes 56. TID is the worker's id.
+type homeSpan struct {
+	startNS, durNS int64
+	tid, home      int32
+	kind           uint8
+}
+
+func (h *homeSpan) name() string { return homeSpanNames[h.kind] }
+
+// spanStore is the home-span stream. Its records live in fixed-size
+// chunks, allocated one at a time and never copied or regrown, so the
+// stream costs its records' bytes up to the last chunk. Records below a
+// length read under the recorder's lock stay put, so a reader may read
+// them after dropping the lock while the run appends more.
+type spanStore struct {
+	chunks []*[spanChunkLen]homeSpan // capacity fixed at the first chunk
+	n      int
+}
+
+// add appends one record; the caller caps the stream at maxSpans.
+func (s *spanStore) add(h homeSpan) {
+	i := s.n % spanChunkLen
+	if i == 0 {
+		if s.chunks == nil {
+			s.chunks = make([]*[spanChunkLen]homeSpan, 0, (maxSpans+spanChunkLen-1)/spanChunkLen)
+		}
+		s.chunks = append(s.chunks, new([spanChunkLen]homeSpan))
+	}
+	s.chunks[s.n/spanChunkLen][i] = h
+	s.n++
+}
+
+// at returns record i, which must be below the stream's length.
+func (s *spanStore) at(i int) *homeSpan { return &s.chunks[i/spanChunkLen][i%spanChunkLen] }
 
 // Recorder is one run's recorder: the one store of its spans and
 // scheduling observations (which a bound telemetry collector views),
@@ -61,7 +115,7 @@ type Recorder struct {
 	topK    int
 
 	mu           sync.Mutex
-	spans        []Span // home-span stream, capped at maxSpans
+	spans        spanStore // home-span stream, capped at maxSpans
 	spansDropped uint64
 	workers      int
 
@@ -105,15 +159,13 @@ func NewTallyRecorder() *Recorder {
 func (r *Recorder) now() int64 { return time.Since(r.epoch).Nanoseconds() }
 
 // addSpan appends to the home-span stream, counting drops beyond the
-// cap.
-func (r *Recorder) addSpan(s Span) {
-	r.mu.Lock()
-	if len(r.spans) < maxSpans {
-		r.spans = append(r.spans, s)
+// cap. The caller holds r.mu.
+func (r *Recorder) addSpan(kind uint8, tid, home int, startNS, durNS int64) {
+	if r.spans.n < maxSpans {
+		r.spans.add(homeSpan{startNS: startNS, durNS: durNS, tid: int32(tid), home: int32(home), kind: kind})
 	} else {
 		r.spansDropped++
 	}
-	r.mu.Unlock()
 }
 
 // Span starts a run or phase span (tid 0) and returns its closer: wall
@@ -226,14 +278,15 @@ func (w *Worker) EndHome(ht *HomeTrace) {
 	if r.ringCap == 0 {
 		return
 	}
-	r.addSpan(Span{Name: "home", TID: w.tid, Home: ht.idx, StartNS: ht.startNS, DurNS: ht.durNS})
+	r.mu.Lock()
+	r.addSpan(kindHome, w.tid, ht.idx, ht.startNS, ht.durNS)
 	if ht.stallNS > 0 {
-		r.addSpan(Span{Name: "stall", TID: w.tid, Home: ht.idx, StartNS: ht.startNS, DurNS: ht.stallNS})
+		r.addSpan(kindStall, w.tid, ht.idx, ht.startNS, ht.stallNS)
 	}
 	if ht.kernelNS > 0 {
-		r.addSpan(Span{Name: "bin-batch", TID: w.tid, Home: ht.idx,
-			StartNS: ht.startNS + ht.stallNS, DurNS: ht.kernelNS})
+		r.addSpan(kindBinBatch, w.tid, ht.idx, ht.startNS+ht.stallNS, ht.kernelNS)
 	}
+	r.mu.Unlock()
 }
 
 // CommitHome folds one home's handle into the recorder: its events,
@@ -490,19 +543,27 @@ func (r *Recorder) Summary() Summary {
 	s.Retained = r.retained()
 
 	sched := &SchedSummary{SpansDropped: r.spansDropped}
-	if n := len(r.sched.Phases) + len(r.spans); n > 0 {
+	if n := len(r.sched.Phases) + r.spans.n; n > 0 {
 		sched.Spans = make([]SpanRecord, 0, n)
-		for _, spans := range [2][]Span{r.sched.Phases, r.spans} {
-			for _, sp := range spans {
-				sched.Spans = append(sched.Spans, SpanRecord{
-					Name:    sp.Name,
-					TID:     sp.TID,
-					Home:    sp.Home,
-					StartUS: float64(sp.StartNS) / 1e3,
-					DurUS:   float64(sp.DurNS) / 1e3,
-					CPUS:    sp.CPUS,
-				})
-			}
+		for _, sp := range r.sched.Phases {
+			sched.Spans = append(sched.Spans, SpanRecord{
+				Name:    sp.Name,
+				TID:     sp.TID,
+				Home:    sp.Home,
+				StartUS: float64(sp.StartNS) / 1e3,
+				DurUS:   float64(sp.DurNS) / 1e3,
+				CPUS:    sp.CPUS,
+			})
+		}
+		for i := range r.spans.n {
+			h := r.spans.at(i)
+			sched.Spans = append(sched.Spans, SpanRecord{
+				Name:    h.name(),
+				TID:     int(h.tid),
+				Home:    int(h.home),
+				StartUS: float64(h.startNS) / 1e3,
+				DurUS:   float64(h.durNS) / 1e3,
+			})
 		}
 	}
 	if wall := r.sched.HomeWallMS; wall.N() > 0 {
