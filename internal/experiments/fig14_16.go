@@ -9,7 +9,6 @@ import (
 	"repro/internal/deploy"
 	"repro/internal/harvester"
 	"repro/internal/stats"
-	"repro/internal/units"
 )
 
 // Fig14Result is the six-home deployment occupancy study (Fig. 14 and the
@@ -134,7 +133,6 @@ func RunFig16(distanceCM float64, duration time.Duration) *Fig16Result {
 		battery.SelfDischarge(step)
 	}
 	res.EndSoC = battery.SoC()
-	_ = units.Microwatts // keep units linked for documentation consistency
 	return res
 }
 

@@ -6,6 +6,9 @@ import (
 	"runtime"
 	"testing"
 	"time"
+
+	"repro/internal/telemetry"
+	"repro/internal/trace"
 )
 
 // waitGoroutines polls until the process goroutine count drops back to
@@ -40,48 +43,111 @@ func warmSurface(t *testing.T) {
 // cancelling the context mid-run returns ctx.Err() promptly (workers
 // check once per logging bin, so at most one bin's worth of work per
 // worker after the cancel), discards partial results, and leaks no
-// goroutines.
+// goroutines — also when every worker is blocked on a full ring behind
+// a home the reducer has not committed.
 func TestCancelMidRun(t *testing.T) {
 	warmSurface(t)
-	// Big enough that the run takes seconds uncancelled: the prompt
-	// return below is then meaningful.
-	cfg := testConfig(4096, 4)
-	baseline := runtime.NumGoroutine()
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+		// hooks arms the run; ready returns once the run has reached the
+		// state the cancel must interrupt.
+		hooks func(ctx context.Context) Hooks
+		ready func(Hooks)
+	}{
+		{
+			// Big enough that the run takes seconds uncancelled: the
+			// prompt return below is then meaningful. Let the pool spin up
+			// and get into the packet-level work.
+			name:  "mid-run",
+			cfg:   testConfig(4096, 4),
+			hooks: func(context.Context) Hooks { return Hooks{} },
+			ready: func(Hooks) { time.Sleep(50 * time.Millisecond) },
+		},
+		{
+			// The reducer stalls in home 0's Home hook until the cancel,
+			// so slot 0's storage never comes back: the workers finish
+			// homes 1..len(ring)−1 and then both block on home
+			// len(ring), which needs it.
+			name: "ring-full",
+			cfg:  testConfig(64, 2),
+			hooks: func(ctx context.Context) Hooks {
+				return Hooks{
+					Telemetry: telemetry.NewRun(),
+					Trace:     trace.NewRecorder(),
+					Home: func(r HomeRecord) bool {
+						if r.Index == 0 {
+							<-ctx.Done()
+						}
+						return true
+					},
+				}
+			},
+			ready: func(h Hooks) {
+				ring := slotsPerWorker * 2
+				deadline := time.Now().Add(10 * time.Second)
+				for homeSpans(h.Trace) < ring {
+					if time.Now().After(deadline) {
+						t.Fatalf("ring-full: only %d of %d homes ran", homeSpans(h.Trace), ring)
+					}
+					time.Sleep(5 * time.Millisecond)
+				}
+				time.Sleep(20 * time.Millisecond) // let the last worker block too
+			},
+		},
+	} {
+		baseline := runtime.NumGoroutine()
+		ctx, cancel := context.WithCancel(context.Background())
+		h := tc.hooks(ctx)
+		type outcome struct {
+			res *Result
+			err error
+		}
+		done := make(chan outcome, 1)
+		go func() {
+			res, err := RunWith(ctx, tc.cfg, h)
+			done <- outcome{res, err}
+		}()
 
-	ctx, cancel := context.WithCancel(context.Background())
-	type outcome struct {
-		res *Result
-		err error
+		tc.ready(h)
+		cancel()
+		cancelAt := time.Now()
+
+		select {
+		case o := <-done:
+			if !errors.Is(o.err, context.Canceled) {
+				t.Fatalf("%s: cancelled run returned %v, want context.Canceled", tc.name, o.err)
+			}
+			if o.res != nil {
+				t.Errorf("%s: cancelled run returned a partial Result; partials must be discarded", tc.name)
+			}
+			// The bound is generous next to the per-bin check granularity
+			// (a 2 ms-window bin simulates in well under a millisecond),
+			// but far below the seconds the full run takes.
+			if d := time.Since(cancelAt); d > 500*time.Millisecond {
+				t.Errorf("%s: run took %v to return after cancel", tc.name, d)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("%s: run did not return after cancel", tc.name)
+		}
+		waitGoroutines(t, baseline)
+		if h.Telemetry != nil {
+			if waits := h.Telemetry.Snapshot().Sched[telemetry.SchedSlotWaits]; waits == 0 {
+				t.Errorf("%s: no worker waited on a slot, so the ring was never full", tc.name)
+			}
+		}
 	}
-	done := make(chan outcome, 1)
-	go func() {
-		res, err := Run(ctx, cfg)
-		done <- outcome{res, err}
-	}()
+}
 
-	// Let the pool spin up and get into the packet-level work.
-	time.Sleep(50 * time.Millisecond)
-	cancel()
-	cancelAt := time.Now()
-
-	select {
-	case o := <-done:
-		if !errors.Is(o.err, context.Canceled) {
-			t.Fatalf("cancelled run returned %v, want context.Canceled", o.err)
+// homeSpans counts the home spans rec has recorded so far.
+func homeSpans(rec *trace.Recorder) int {
+	n := 0
+	for _, sp := range rec.Summary().Sched.Spans {
+		if sp.Name == "home" {
+			n++
 		}
-		if o.res != nil {
-			t.Error("cancelled run returned a partial Result; partials must be discarded")
-		}
-		// The bound is generous next to the per-bin check granularity
-		// (a 2 ms-window bin simulates in well under a millisecond),
-		// but far below the seconds the full run takes.
-		if d := time.Since(cancelAt); d > 500*time.Millisecond {
-			t.Errorf("run took %v to return after cancel", d)
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("run did not return after cancel")
 	}
-	waitGoroutines(t, baseline)
+	return n
 }
 
 // TestCancelBeforeRun pins the fast path: an already-cancelled context

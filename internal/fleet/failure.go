@@ -13,8 +13,8 @@ import (
 //
 // Failure handling preserves the fleet's determinism contract: a panic
 // is attributed to its home index, retries re-derive the home from
-// (seed, index) on a fresh sampler, and failed homes flow through the
-// same reorder buffer as successes — so which home fails first, which
+// (seed, index) on a fresh sampler, and failed homes commit in the same
+// home-index order as successes — so which home fails first, which
 // homes are quarantined, and every succeeded-home aggregate are all
 // bit-identical at any worker count.
 type FailurePolicy struct {

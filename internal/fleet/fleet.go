@@ -13,8 +13,8 @@
 //     internal/xrand label streams, so a home simulates identically no
 //     matter which worker runs it. Every home's summary — per-bin
 //     columns, scalar means, lifecycle ledger bins — is committed by one
-//     reducer in home-index order (through a reorder buffer when
-//     sharded), so -workers=1 and -workers=N produce bit-for-bit
+//     reducer in home-index order (through a bounded ring of slots
+//     when sharded), so -workers=1 and -workers=N produce bit-for-bit
 //     identical output.
 //
 //  2. Bounded memory. A full per-home log (1440 bins x 3 channels for a

@@ -62,7 +62,7 @@ func TestLifecycleDeterministicAcrossWorkerCounts(t *testing.T) {
 		}
 	}
 	// The per-archetype Welford reductions are order-sensitive; the
-	// reorder buffer must make them identical, not merely close.
+	// home-index commit order must make them identical, not merely close.
 	for k := range serial.Arch {
 		a, b := serial.Arch[k], parallel.Arch[k]
 		if a.TTFUW != b.TTFUW || a.OutageW != b.OutageW || a.ChargeTimeW != b.ChargeTimeW ||

@@ -103,10 +103,8 @@ func TestTraceOnlyRecordsWarmupSpan(t *testing.T) {
 		if !reflect.DeepEqual(spans, want) {
 			t.Errorf("%s: telemetry spans = %v, want %v", tc.name, spans, want)
 		}
-		hits, okHits := snap.Sched[telemetry.SchedPoolHits]
-		misses, okMisses := snap.Sched[telemetry.SchedPoolMisses]
-		if !okHits || !okMisses || len(snap.Sched) != 2 || hits+misses != 1 {
-			t.Errorf("%s: sched = %v, want one pool acquire under both keys", tc.name, snap.Sched)
+		if want := map[string]uint64{telemetry.SchedSlotWaits: 0}; !reflect.DeepEqual(snap.Sched, want) {
+			t.Errorf("%s: sched = %v, want %v: one worker never waits on a slot", tc.name, snap.Sched, want)
 		}
 		if sh := snap.Histograms[telemetry.HistShardHomes]; sh.N != 1 || sh.Max != 2 {
 			t.Errorf("%s: shard_homes = %+v, want one shard of 2 homes", tc.name, sh)
@@ -259,5 +257,46 @@ func TestRecycledHandlesStayOutOfRetainedRings(t *testing.T) {
 	}
 	if parallel := run(8); !bytes.Equal(serial, parallel) {
 		t.Errorf("trace summary differs between 1 and 8 workers:\n1: %s\n8: %s", serial, parallel)
+	}
+}
+
+// TestRingBoundsRunAhead pins the sharded loop's memory bound from the
+// trace's home spans: a worker starts home i only once home
+// i − len(ring) has committed, so one slow home holds every other worker
+// within one ring of it. Home 5 stalls for 200 ms, time enough for the
+// other worker to run every later home if nothing held it back.
+func TestRingBoundsRunAhead(t *testing.T) {
+	cfg := testConfig(64, 2)
+	rec := trace.NewRecorder()
+	h := Hooks{Trace: rec, Faults: mustFaults(t, cfg, "home.slow@5,delay=200ms")}
+	if _, err := RunWith(context.Background(), cfg, h); err != nil {
+		t.Fatal(err)
+	}
+	spans := rec.Summary().Sched.Spans
+	end5 := -1.0
+	for _, sp := range spans {
+		if sp.Name == "home" && sp.Home == 5 {
+			end5 = sp.StartUS + sp.DurUS
+		}
+	}
+	if end5 < 0 {
+		t.Fatal("no home span for the stalled home 5")
+	}
+	bound := 5 + slotsPerWorker*cfg.Workers
+	var ahead, early []int
+	for _, sp := range spans {
+		if sp.Name == "home" && sp.Home > 5 && sp.StartUS < end5 {
+			if ahead = append(ahead, sp.Home); sp.Home >= bound {
+				early = append(early, sp.Home)
+			}
+		}
+	}
+	if len(early) > 0 {
+		t.Errorf("homes %v started before home 5 ended; none from %d on may", early, bound)
+	}
+	// The other worker must have filled the ring, or the bound was never
+	// tested.
+	if len(ahead) < bound-6 {
+		t.Errorf("homes %v started while home 5 stalled, want all of 6..%d", ahead, bound-1)
 	}
 }

@@ -2,6 +2,7 @@
 
 package fleet
 
-// The race detector's sync.Pool drops a random share of the values put
-// back, so allocation budgets do not hold under it.
+// The race detector's instrumentation shifts allocation counts, and it
+// slows the budget test's shapes about sevenfold, so allocation budgets
+// are not checked under it.
 func init() { raceEnabled = true }

@@ -32,9 +32,9 @@ const (
 )
 
 // homeStats is the summary a worker emits per home: the scalar means,
-// plus the home's per-bin fold inputs as plain columns. These flow
-// through the reorder buffer and are folded into the fleet aggregates
-// in home-index order by Result.addHome — the per-bin sketch adds and
+// plus the home's per-bin fold inputs as plain columns. These are
+// folded into the fleet aggregates in home-index order by
+// Result.addHome — the per-bin sketch adds and
 // lifecycle ledger bins included — so the reducing goroutine owns
 // every aggregate and a checkpoint of the committed home prefix is a
 // complete snapshot of the run's state.
@@ -44,21 +44,21 @@ type homeStats struct {
 	means deploy.HomeMeans
 	// cols holds the per-bin fold columns back to back, one bin count
 	// each: cumulative occupancy %, banked harvest µW and sensor rate Hz
-	// (see columns). The reducer hands the array back to the workers
-	// once the home commits.
+	// (see columns). The reducer hands the array back to the home's
+	// slot once the home commits.
 	cols []float64
 	// life carries the home's device-lifecycle scalars and per-bin
 	// ledger observations when the population enables the engine
 	// (hasLife); the classic aggregates above are produced either way.
 	hasLife bool
 	life    lifeHomeStats
-	// fail marks a home whose attempts were exhausted: it rides the
-	// reorder buffer like a success (so the failure surfaces at a
+	// fail marks a home whose attempts were exhausted: it commits in
+	// home-index order like a success (so the failure surfaces at a
 	// deterministic, workers-invariant point of the reduce order) but
 	// the reducer routes it to the failure policy instead of addHome.
 	fail *HomeError
 	// tr is the home's flight recorder when the run traces; it rides
-	// the reorder buffer so trace commits happen in home-index order.
+	// with the home so trace commits happen in home-index order.
 	tr *trace.HomeTrace
 }
 

@@ -22,12 +22,11 @@ import (
 	"repro/internal/xrand"
 )
 
-// samplerPool recycles pooled sampling contexts across fleet runs. A
-// Sampler fully re-derives its state from (seed, labels) on every bin,
-// so reuse across runs is as output-invisible as reuse across homes.
-// No New hook: newWorker constructs on empty so pool reuse is an
-// observable scheduling diagnostic.
-var samplerPool sync.Pool
+// slotsPerWorker sizes a sharded run's ring (see shard): the homes each
+// worker may have in flight or finished ahead of the committed prefix.
+// Each doubling about halves how often workers wait behind a slow home;
+// 8 covers the 6–8 homes one slow exact-sweep home let a worker run ahead.
+const slotsPerWorker = 8
 
 // ErrStopped is returned by RunWith when the Home hook ends the run
 // early by returning false. It marks a caller-requested stop — the
@@ -75,13 +74,13 @@ type Hooks struct {
 	// observations Telemetry views. It follows Telemetry's out-of-band
 	// contract, and its summary's deterministic section (event counts,
 	// retained rings, escalation reasons) is bit-for-bit identical at
-	// any worker count: homes commit through the same reorder buffer as
-	// every other per-home aggregate.
+	// any worker count: homes commit in home-index order like every
+	// other per-home aggregate.
 	Trace *trace.Recorder
 }
 
-// worker is one shard's pooled per-worker state: the sampling context,
-// the synthesis RNG, and — in lifecycle mode — one pooled device per
+// worker is one shard's per-worker state: the sampling context, the
+// synthesis RNG, and — in lifecycle mode — one pooled device per
 // archetype, built lazily and reused across every home the worker runs
 // (Device.Begin re-derives all run state, so pooling is output-
 // invisible; the lifecycle parity suite pins this).
@@ -100,107 +99,37 @@ type worker struct {
 	// batch is the worker's reusable struct-of-arrays bin buffer; the
 	// batched kernel refills it per home without reallocating.
 	batch deploy.BinBatch
-	// free is the run's free list the worker takes each home's storage
-	// from.
-	free *freeList
 	// lifeBins collects the in-flight attempt's per-bin lifecycle
 	// observations (the pooled devices' OnBin target). attemptHome hands
 	// the slice to the home's homeStats, so the bins are committed with
 	// the home or thrown away with a panicking attempt.
 	lifeBins []lifecycle.BinStats
-	homes    int
+	// homes counts the homes the worker completed; waits the times it
+	// found the next home's slot storage not yet returned (see shard).
+	homes, waits int
 }
 
 // homeBufs is the storage a home's result borrows for its trip to the
 // reducer: the per-bin column array, the lifecycle ledger's bins and, in
-// observed runs, the observation handle.
+// observed runs, the observation handle. The zero homeBufs is valid:
+// the home allocates what it lacks.
 type homeBufs struct {
 	cols []float64
 	bins []lifecycle.BinStats
 	tr   *trace.HomeTrace
 }
 
-// freeList is one run's free list of homeBufs, the one recycling path of
-// the serial and the sharded loop alike. The reducer puts a home's
-// storage back once the home has committed (the handle only if the
-// recorder did not retain it); a worker takes it for its next home, or
-// allocates when the list is empty. Neither side waits on the other,
-// and a buffer has one owner at a time. The list never drops storage,
-// so it holds at most the run's peak of homes in flight, which the run
-// held at once anyway: after a spike in the reorder buffer (one slow
-// home while the other workers run on) the steady state still
-// allocates nothing.
-type freeList struct {
-	mu   sync.Mutex
-	free []homeBufs
-}
-
-// newFreeList sizes a run's free list from its worker count: a home
-// running per worker, a finished one per reorder-channel slot, about as
-// many parked in the reorder buffer, and the one being delivered.
-func newFreeList(workers int) *freeList {
-	return &freeList{free: make([]homeBufs, 0, 3*workers+1)}
-}
-
-// get takes a home's storage from the list; the zero homeBufs, for the
-// caller to allocate, when the list is empty.
-func (s *freeList) get() homeBufs {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	n := len(s.free)
-	if n == 0 {
-		return homeBufs{}
-	}
-	b := s.free[n-1]
-	s.free[n-1] = homeBufs{}
-	s.free = s.free[:n-1]
-	return b
-}
-
-// put hands a committed home's storage back.
-func (s *freeList) put(b homeBufs) {
-	s.mu.Lock()
-	s.free = append(s.free, b)
-	s.mu.Unlock()
-}
-
-// newWorker builds a worker on a pooled sampling context, or a new one
-// when the pool is empty, recording which into rec.
-func newWorker(cfg Config, h Hooks, rec *trace.Recorder, free *freeList) *worker {
-	smp, pooled := samplerPool.Get().(*deploy.Sampler)
-	rec.ObservePool(pooled)
-	if !pooled {
-		smp = deploy.NewSampler()
-	}
-	return &worker{
-		cfg:      cfg,
-		smp:      smp,
-		synthRng: xrand.New(0),
-		fi:       h.Faults,
-		rec:      rec,
-		tr:       rec.NewWorker(),
-		labels:   h.Trace != nil,
-		free:     free,
-	}
-}
-
-// refresh replaces the worker's sampling context after a panicking
-// attempt: the pooled context may hold arbitrary mid-bin state, so it
-// is dropped on the floor (never returned to the pool) and a fresh one
-// is built for the retry. A Sampler re-derives everything from
-// (seed, labels) per bin, so the retry's output is identical to what a
-// first-attempt success would have produced.
+// refresh replaces the worker's sampling context, which a panicking
+// attempt may have left mid-bin, for the retry. A Sampler re-derives
+// everything from (seed, labels) per bin, so the retry's output is
+// identical to what a first-attempt success would have produced.
 func (w *worker) refresh() {
 	w.smp = deploy.NewSampler()
 }
 
-// release returns the sampling context to the pool, detached from the
-// run's last home so it can never report into this run again, and
-// records the worker's shard occupancy: homes, the homes it completed.
+// release records the worker's shard occupancy and slot waits.
 func (w *worker) release() {
-	w.smp.TraceHome(nil)
-	samplerPool.Put(w.smp)
-	w.rec.ObserveShard(w.homes)
+	w.rec.ObserveShard(w.homes, w.waits)
 }
 
 // device returns the worker's pooled device of the given archetype,
@@ -233,7 +162,7 @@ func (w *worker) device(k lifecycle.Kind) *lifecycle.Device {
 // home's summary — its per-bin columns, its scalar means and, with a
 // population device mix, its per-bin lifecycle observations and
 // time-domain scalars — is committed by Result.addHome in home-index
-// order, inline with one worker or through a reorder buffer with
+// order, inline with one worker or through a bounded ring of slots with
 // several, so the order-sensitive Welford reductions always see the
 // same sequence and no aggregate lives outside the committed prefix.
 func Run(ctx context.Context, cfg Config) (*Result, error) {
@@ -368,19 +297,45 @@ func RunWith(ctx context.Context, cfg Config, h Hooks) (*Result, error) {
 		return released
 	}
 
-	// free is the run's free list of committed homes' storage (see
-	// freeList); a new one per run, so no storage outlives its run.
-	free := newFreeList(cfg.Workers)
+	// One ordered-commit loop for every worker count. take(i) yields
+	// home i, simulated inline on this goroutine with one worker
+	// (meaningful on single-core hosts) or from its slot in shard's ring.
+	// deliver commits homes strictly in index order, so the output is
+	// identical by construction, and gives each home's storage back.
+	endSim := rec.Span(trace.SpanSimulate)
+	newW := func() *worker {
+		return &worker{
+			cfg:      cfg,
+			smp:      deploy.NewSampler(),
+			synthRng: xrand.New(0),
+			fi:       h.Faults,
+			rec:      rec,
+			tr:       rec.NewWorker(),
+			labels:   h.Trace != nil,
+		}
+	}
+	var take func(int) (homeStats, bool)
+	var give func(int, homeBufs)
+	var stop func()
+	if cfg.Workers == 1 {
+		w := newW()
+		var spare homeBufs
+		take = func(idx int) (homeStats, bool) { return w.runHome(ctx, idx, spare) }
+		give = func(_ int, bufs homeBufs) { spare = bufs }
+		stop = w.release
+	} else {
+		take, give, stop = shard(ctx, cfg, start, newW)
+	}
 
 	// deliver folds one home into the result and feeds the hooks; it
 	// reports whether the run should continue. With checkpointing on,
 	// the committed prefix is written every ckEvery homes and on a Home
 	// hook stop, always after the fold — the checkpoint describes
 	// exactly the homes the reducer has committed. Exhausted homes
-	// (hs.fail) arrive through the same reorder buffer, so the failure
-	// policy applies at a deterministic, workers-invariant point of the
-	// reduce order. A home that continues the run hands its storage back
-	// to the workers as deliver's last step.
+	// (hs.fail) arrive in the same order, so the failure policy applies
+	// at a deterministic, workers-invariant point of the reduce order. A
+	// home that continues the run hands its storage back as deliver's
+	// last step; a sharded run's next home in that slot waits for it.
 	deliver := func(hs homeStats) (bool, error) {
 		var released *trace.HomeTrace
 		if hs.fail != nil {
@@ -433,7 +388,7 @@ func RunWith(ctx context.Context, cfg Config, h Hooks) (*Result, error) {
 		// handle and len(life.bins). The Home hook's HomeRecord copies
 		// scalars only, and a checkpoint serializes the Result only. So
 		// reuse cannot reach any output.
-		free.put(homeBufs{cols: hs.cols, bins: hs.life.bins, tr: released})
+		give(hs.idx, homeBufs{cols: hs.cols, bins: hs.life.bins, tr: released})
 		return true, nil
 	}
 
@@ -452,24 +407,6 @@ func RunWith(ctx context.Context, cfg Config, h Hooks) (*Result, error) {
 		return res, nil
 	}
 
-	// One ordered-commit loop for every worker count. take(i) yields
-	// home i: with one worker it simulates the home inline on this
-	// goroutine (no goroutines, no channel handoffs — meaningful on
-	// single-core hosts); with more it waits for the home to arrive
-	// from the pool through the reorder buffer. Either way deliver
-	// commits homes strictly in index order, so the output is identical
-	// by construction.
-	newW := func() *worker { return newWorker(cfg, h, rec, free) }
-	endSim := rec.Span(trace.SpanSimulate)
-	var take func(int) (homeStats, bool)
-	var stop func()
-	if cfg.Workers == 1 {
-		w := newW()
-		take = func(idx int) (homeStats, bool) { return w.runHome(ctx, idx) }
-		stop = w.release
-	} else {
-		take, stop = shard(ctx, cfg, start, newW)
-	}
 	committed := start
 	var stopErr error
 	for committed < cfg.Homes && ctx.Err() == nil {
@@ -503,9 +440,8 @@ func RunWith(ctx context.Context, cfg Config, h Hooks) (*Result, error) {
 		return res, nil
 	case outer.Err() == nil && cfg.Deadline > 0:
 		// The run's own deadline expired, not the caller's context. Homes
-		// parked in the reorder buffer beyond the committed prefix are
-		// discarded: a partial result, like a checkpoint, describes a
-		// contiguous prefix.
+		// finished beyond the committed prefix are discarded: a partial
+		// result, like a checkpoint, describes a contiguous prefix.
 		return finishPartial(PartialDeadline, committed)
 	}
 	err = ctx.Err()
@@ -515,103 +451,104 @@ func RunWith(ctx context.Context, cfg Config, h Hooks) (*Result, error) {
 	return nil, err
 }
 
-// shard runs homes [start, cfg.Homes) on cfg.Workers goroutines, one
-// pooled worker each, and hands them back in home-index order: take(i)
-// returns home i, parking out-of-order completions in a reorder buffer
-// whose size stays near the worker count because homes have comparable
-// cost, and reports false once the pool has stopped (cancellation).
-// stop winds the pool down and returns only after every worker has
-// released its state.
-func shard(ctx context.Context, cfg Config, start int, newW func() *worker) (take func(int) (homeStats, bool), stop func()) {
+// shard runs homes [start, cfg.Homes) on cfg.Workers goroutines through
+// a ring of slotsPerWorker × Workers slots. Home i runs in slot
+// i mod len(ring): the slot's storage reaches the workers as home i's
+// ticket on free once home i − len(ring) has committed (give), and the
+// slot's done channel holds the finished home until take(i). free is
+// FIFO, so homes start in index order without a lock, none starts
+// len(ring) or more past the committed prefix, and memory is O(workers)
+// however slow one home is. take reports false once the run is
+// cancelled; stop returns once every worker has released.
+func shard(ctx context.Context, cfg Config, start int, newW func() *worker) (take func(int) (homeStats, bool), give func(int, homeBufs), stop func()) {
 	ctx, cancel := context.WithCancel(ctx)
-	jobs := make(chan int)
-	// One slot per worker: a finished home need not wait for the
-	// reducer's fold before its worker starts the next.
-	out := make(chan homeStats, cfg.Workers)
+	type ticket struct {
+		idx  int
+		bufs homeBufs
+	}
+	ring := make([]chan homeStats, slotsPerWorker*cfg.Workers)
+	free := make(chan ticket, len(ring)) // a ticket per slot at most
+	// issue hands home idx its slot's storage; free closes after the last
+	// home's, so a worker with nothing left to run exits at once.
+	issue := func(idx int, bufs homeBufs) {
+		if idx < cfg.Homes {
+			free <- ticket{idx, bufs}
+			if idx == cfg.Homes-1 {
+				close(free)
+			}
+		}
+	}
+	for i := range ring {
+		ring[i] = make(chan homeStats, 1)
+		issue(start+i, homeBufs{})
+	}
+
 	var wg sync.WaitGroup
-	for i := 0; i < cfg.Workers; i++ {
+	for range cfg.Workers {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			// One pooled sampling context per worker: scheduler, channels,
+			// One sampling context per worker: scheduler, channels,
 			// router, monitors and traffic sources are built once and reset
 			// per bin, so the steady-state hot path stops paying allocator
-			// and GC tax. Pooling is output-invisible (see deploy.Sampler).
+			// and GC tax. Reuse is output-invisible (see deploy.Sampler).
 			// Build the worker here, not on the reducing goroutine: with
 			// every worker's state allocated there, the two-worker exact
 			// sweep used ~70% more CPU on a 2-vCPU host (likely workers
 			// sharing cache lines).
 			w := newW()
 			defer w.release()
-			for idx := range jobs {
-				hs, ok := w.runHome(ctx, idx)
+			for {
+				var t ticket
+				var ok bool
+				select {
+				case t, ok = <-free:
+				default:
+					w.waits++
+					select {
+					case t, ok = <-free:
+					case <-ctx.Done():
+						return
+					}
+				}
+				if !ok {
+					return // every home has been handed out
+				}
+				hs, ok := w.runHome(ctx, t.idx, t.bufs)
 				if !ok {
 					return // cancelled mid-home; partial home discarded
 				}
-				select {
-				case out <- hs:
-				case <-ctx.Done():
-					return
-				}
+				ring[t.idx%len(ring)] <- hs // empty: home idx−len(ring) was taken
 			}
 		}()
 	}
-	go func() {
-		defer close(jobs)
-		for i := start; i < cfg.Homes; i++ {
-			select {
-			case jobs <- i:
-			case <-ctx.Done():
-				return
-			}
-		}
-	}()
-	go func() {
-		wg.Wait()
-		close(out)
-	}()
 
-	// The reorder buffer's depth stays near the worker count, so a
-	// linear scan finds a parked home; a slice keeps the steady state
-	// free of the map's churn.
-	pending := make([]homeStats, 0, cfg.Workers)
 	take = func(idx int) (homeStats, bool) {
-		for {
-			for i, hs := range pending {
-				if hs.idx == idx {
-					last := len(pending) - 1
-					pending[i] = pending[last]
-					pending[last] = homeStats{}
-					pending = pending[:last]
-					return hs, true
-				}
-			}
-			hs, ok := <-out
-			if !ok {
-				return homeStats{}, false
-			}
-			pending = append(pending, hs)
+		select {
+		case hs := <-ring[idx%len(ring)]:
+			return hs, true
+		case <-ctx.Done():
+			return homeStats{}, false
 		}
 	}
+	give = func(idx int, bufs homeBufs) { issue(idx+len(ring), bufs) }
 	stop = func() {
 		cancel()
-		for range out { // out closes once every worker has released
-		}
+		wg.Wait()
 	}
-	return take, stop
+	return take, give, stop
 }
 
-// runHome runs one home under the worker's supervisor: a panicking
-// attempt is recovered into a structured HomeError, the failure
-// policy's retries re-run the home on a fresh (never pooled back)
-// sampler, and a home whose attempts are exhausted rides the reorder
-// buffer as a failed homeStats so the reducer applies the policy at a
+// runHome runs one home on bufs, the storage its slot handed it,
+// under the worker's supervisor: a panicking attempt is recovered into
+// a structured HomeError, the failure policy's retries re-run the home
+// on a fresh sampler, and a home whose attempts are exhausted goes to
+// the reducer as a failed homeStats so the policy applies at a
 // deterministic, workers-invariant point. The home keeps one
-// observation handle across its attempts (HomeTrace.Retry); its other
-// storage comes from the run's free list, and a failed attempt's is
-// dropped. ok == false only means context cancellation.
-func (w *worker) runHome(ctx context.Context, idx int) (homeStats, bool) {
-	bufs := w.free.get()
+// observation handle across its attempts (HomeTrace.Retry); a failed
+// attempt's other storage is dropped. ok == false only means context
+// cancellation.
+func (w *worker) runHome(ctx context.Context, idx int, bufs homeBufs) (homeStats, bool) {
 	ht := w.tr.OpenHome(bufs.tr, idx, homeStem)
 	if w.labels {
 		// Label the goroutine for the home so -cpuprofile samples
@@ -715,7 +652,7 @@ func (w *worker) attemptHome(ctx context.Context, idx int, ht *trace.HomeTrace, 
 	nBins := b.Len() // at least one: Config validation rejects shorter runs
 
 	// One backing array, sliced into the three per-bin fold columns that
-	// ride the reorder buffer to the reducer; every element is written
+	// ride to the reducer; every element is written
 	// below, so a recycled array carries nothing over.
 	hs = homeStats{
 		idx:  idx,

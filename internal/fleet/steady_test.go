@@ -17,16 +17,18 @@ var raceEnabled bool
 // TestFleetSteadyStateAllocs pins the fleet loop at zero allocations per
 // steady-state home: a run of 2N homes may allocate no more than a run
 // of N homes, up to 0.05 per extra home. Each home's column array,
-// ledger bins and observation handle come back from the run's free list
-// once the reducer has committed the home, and the reorder buffer is a
-// slice, so only set-up allocates. A traced run also labels each home's
-// goroutine for pprof, which costs allocations per home by design; it
-// is bounded at that cost instead.
+// ledger bins and observation handle come back to its slot (or, with
+// one worker, to the spare) once the reducer has committed the home, so
+// only set-up allocates: the ring, and each worker's fresh sampler,
+// which grows to the largest home it has run and so adds a few
+// allocations as a run meets larger homes. A traced run also labels
+// each home's goroutine for pprof, which costs allocations per home by
+// design; it is bounded at that cost instead.
 //
-// The GC is off while a run measures, so the sampler pool keeps its
-// contexts from run to run, and each size counts the fewest of three
-// runs: a pool miss (a context parked in another P's private slot)
-// costs a run a burst of set-up, never a home.
+// The GC is off while a run measures, and each size counts the fewest
+// of three runs: a sharded run's counts scatter from run to run (which
+// homes each worker's sampler grows on, a goroutine stack), and the
+// scatter is not the homes' cost.
 func TestFleetSteadyStateAllocs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs each shape six times over hundreds of homes")

@@ -25,8 +25,8 @@
 //     counts exactly the homes it committed.
 //   - Scheduling diagnostics (the sched counters, HistShardHomes,
 //     HistHomeWallMS, the slowest-homes table) are the recorder's. They
-//     measure how the run was executed — sampler pool hits, shard
-//     occupancy, per-home wall time — vary with the worker count and
+//     measure how the run was executed — slot waits, shard occupancy,
+//     per-home wall time — vary with the worker count and
 //     must never be compared across parallelism.
 //
 // Gauges, spans and the manifest's elapsed/throughput fields are wall-
@@ -72,8 +72,7 @@ const (
 
 	// Scheduling diagnostics (the snapshot's "sched" section):
 	// legitimately vary with the worker count.
-	SchedPoolHits   = "sampler_pool_hits"
-	SchedPoolMisses = "sampler_pool_misses"
+	SchedSlotWaits = "slot_waits"
 
 	// Gauges.
 	GaugeBinsPerSec   = "bins_per_sec"
@@ -290,15 +289,12 @@ func (t *Run) Snapshot() Snapshot {
 		}
 	}
 
-	// The scheduling view. Every acquire is a hit or a miss, so the
-	// sched section appears once a worker has taken a sampler; the
-	// scheduling histograms once a home commits or a worker releases.
+	// The scheduling view. The sched section appears once a worker
+	// shard has finished, zero waits included; the scheduling
+	// histograms once a home commits or a worker releases.
 	sched := t.rec.Load().Sched()
-	if sched.PoolHits+sched.PoolMisses > 0 {
-		snap.Sched = map[string]uint64{
-			SchedPoolHits:   sched.PoolHits,
-			SchedPoolMisses: sched.PoolMisses,
-		}
+	if sched.ShardHomes.N() > 0 {
+		snap.Sched = map[string]uint64{SchedSlotWaits: sched.SlotWaits}
 	}
 	hists := make(map[string]HistogramSnapshot, len(t.hists)+2)
 	for name, h := range t.hists {

@@ -56,9 +56,7 @@ func TestCountersGaugesHistograms(t *testing.T) {
 	run.Counter(CounterHomes).Add(5)
 	run.Counter(CounterHomes).Inc()
 	rec := Bind(run, nil)
-	for i := 0; i < 3; i++ {
-		rec.ObservePool(true)
-	}
+	rec.ObserveShard(6, 3)
 	run.Gauge(GaugeBinsPerSec).Set(123.5)
 	h := run.Histogram("x", 0, 10, 100)
 	for i := 0; i < 10; i++ {
@@ -69,10 +67,10 @@ func TestCountersGaugesHistograms(t *testing.T) {
 	if got := snap.Counters[CounterHomes]; got != 6 {
 		t.Fatalf("homes = %d, want 6", got)
 	}
-	if want := map[string]uint64{SchedPoolHits: 3, SchedPoolMisses: 0}; !reflect.DeepEqual(snap.Sched, want) {
+	if want := map[string]uint64{SchedSlotWaits: 3}; !reflect.DeepEqual(snap.Sched, want) {
 		t.Fatalf("sched = %v, want %v", snap.Sched, want)
 	}
-	if _, ok := snap.Counters[SchedPoolHits]; ok {
+	if _, ok := snap.Counters[SchedSlotWaits]; ok {
 		t.Fatalf("sched counter leaked into work counters")
 	}
 	if got := snap.Gauges[GaugeBinsPerSec]; got != 123.5 {
@@ -160,7 +158,7 @@ func TestCountersAreRaceFree(t *testing.T) {
 
 // TestSnapshotViewsRecorder checks the scheduling view of a run bound
 // to a trace recorder: slowest homes, home wall time, shard occupancy,
-// pool counts and phase spans all read the recorder, and the
+// slot waits and phase spans all read the recorder, and the
 // trace-only root run span stays out of telemetry's span list.
 func TestSnapshotViewsRecorder(t *testing.T) {
 	run := NewRun()
@@ -170,14 +168,13 @@ func TestSnapshotViewsRecorder(t *testing.T) {
 	}
 	endRun := rec.Span(trace.SpanRun)
 	endSim := run.Span(trace.SpanSimulate)
-	rec.ObservePool(false)
 	w := rec.NewWorker()
 	for i := 0; i < 3; i++ {
 		ht := w.StartHome(i, "fleet/home", 1)
 		w.EndHome(ht)
 		rec.CommitHome(ht, false)
 	}
-	rec.ObserveShard(3)
+	rec.ObserveShard(3, 1)
 	endSim()
 	endRun()
 
@@ -192,7 +189,7 @@ func TestSnapshotViewsRecorder(t *testing.T) {
 	if h := snap.Histograms[HistShardHomes]; h.N != 1 || h.Max != 3 {
 		t.Errorf("shard_homes = %+v, want one shard of 3", h)
 	}
-	if want := map[string]uint64{SchedPoolHits: 0, SchedPoolMisses: 1}; !reflect.DeepEqual(snap.Sched, want) {
+	if want := map[string]uint64{SchedSlotWaits: 1}; !reflect.DeepEqual(snap.Sched, want) {
 		t.Errorf("sched = %v, want %v", snap.Sched, want)
 	}
 	if len(snap.Spans) != 1 || snap.Spans[0].Name != trace.SpanSimulate {
@@ -257,8 +254,7 @@ func TestPrometheusExportParses(t *testing.T) {
 	run.SetManifest(Manifest{Seed: 9, ConfigHash: "abc", Workers: 2, ElapsedS: 0.5, HomesPerSec: 6})
 	run.Counter(CounterHomes).Add(3)
 	rec := Bind(run, nil)
-	rec.ObservePool(false)
-	rec.ObservePool(false)
+	rec.ObserveShard(3, 2)
 	run.Gauge(GaugeAllocsPerBin).Set(4.25)
 	h := run.Histogram(HistHomeHarvestUW, 0, 500, 100)
 	h.Observe(10)
@@ -275,10 +271,10 @@ func TestPrometheusExportParses(t *testing.T) {
 	// "name[{labels}] value", names carry the powifi_ prefix, and the
 	// values we set round-trip.
 	want := map[string]string{
-		"powifi_homes_total":               "3",
-		"powifi_sampler_pool_misses_total": "2",
-		"powifi_allocs_per_bin":            "4.25",
-		"powifi_home_harvest_uw_count":     "2",
+		"powifi_homes_total":           "3",
+		"powifi_slot_waits_total":      "2",
+		"powifi_allocs_per_bin":        "4.25",
+		"powifi_home_harvest_uw_count": "2",
 	}
 	seen := map[string]string{}
 	for _, line := range strings.Split(out, "\n") {

@@ -105,7 +105,7 @@ func (s *spanStore) at(i int) *homeSpan { return &s.chunks[i/spanChunkLen][i%spa
 // Recorder is one run's recorder: the one store of its spans and
 // scheduling observations (which a bound telemetry collector views),
 // its per-worker handles, and the deterministic per-home aggregates
-// committed through the fleet's reorder buffer. A nil *Recorder is the
+// committed in the fleet's home-index order. A nil *Recorder is the
 // disabled state — every method (and every handle it returns) is
 // nil-receiver safe. A *Recorder is safe for concurrent use by the
 // run's workers.
@@ -186,29 +186,15 @@ func (r *Recorder) Span(name string) func() {
 	}
 }
 
-// ObservePool records one sampler-pool acquire: a hit when a pooled
-// sampling context was reused. Safe on a nil Recorder.
-func (r *Recorder) ObservePool(hit bool) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	if hit {
-		r.sched.PoolHits++
-	} else {
-		r.sched.PoolMisses++
-	}
-	r.mu.Unlock()
-}
-
-// ObserveShard records how many homes one worker shard ran. Safe on a
-// nil Recorder.
-func (r *Recorder) ObserveShard(homes int) {
+// ObserveShard records a finished worker shard: the homes it ran and
+// its slot waits (see Sched). Safe on a nil Recorder.
+func (r *Recorder) ObserveShard(homes, slotWaits int) {
 	if r == nil {
 		return
 	}
 	r.mu.Lock()
 	r.sched.ShardHomes.Add(float64(homes))
+	r.sched.SlotWaits += uint64(slotWaits)
 	r.mu.Unlock()
 }
 
@@ -400,8 +386,8 @@ type Sched struct {
 	HomeWallMS, ShardHomes *stats.Sketch
 	// SlowestHomes is the slowest-homes table, slowest first.
 	SlowestHomes []SlowHome
-	// PoolHits and PoolMisses count sampler-pool acquires by outcome.
-	PoolHits, PoolMisses uint64
+	// SlotWaits sums the finished shards' waits for a home's storage.
+	SlotWaits uint64
 }
 
 // Sched copies the recorder's scheduling observations; the zero Sched

@@ -4,8 +4,8 @@
 // bin-batch) with wall and CPU time, a fixed-size per-home flight
 // recorder of structured events, machine-readable escalation reasons
 // for the coarse tier, the per-home wall sketch and slowest-homes
-// table, worker shard occupancy and sampler-pool reuse, and a Chrome
-// trace-event export that loads in Perfetto.
+// table, worker shard occupancy and slot waits, and a Chrome trace-event
+// export that loads in Perfetto.
 //
 // Its per-home handle, HomeTrace, is the one instrumentation handle a
 // fleet home carries: deploy, core and lifecycle report into it, and it
@@ -33,7 +33,7 @@
 //   - Deterministic forensics — per-home event counts, flight-recorder
 //     rings, escalation-reason totals, retention decisions — are keyed
 //     to the simulation (bin indices, reason codes, attempt numbers),
-//     never the clock, and fold through the fleet's reorder buffer in
+//     never the clock, and fold at the fleet reducer's commit point in
 //     home-index order, so they are bit-for-bit identical at any
 //     worker count.
 //   - Scheduling observations — raw spans, per-home wall times, the

@@ -20,8 +20,7 @@ func TestNilSafety(t *testing.T) {
 		t.Fatalf("nil Recorder NewWorker = %v, want nil", w)
 	}
 	r.CommitHome(nil, true)
-	r.ObservePool(true)
-	r.ObserveShard(3)
+	r.ObserveShard(3, 2)
 	if s := r.Summary(); !reflect.DeepEqual(s, Summary{}) {
 		t.Fatalf("nil Recorder Summary = %+v, want zero", s)
 	}
@@ -78,8 +77,7 @@ func TestNilAllocs(t *testing.T) {
 		ht.Stall(10)
 		w.EndHome(ht)
 		r.CommitHome(ht, false)
-		r.ObservePool(false)
-		r.ObserveShard(1)
+		r.ObserveShard(1, 1)
 	}); n != 0 {
 		t.Fatalf("nil-receiver instrumentation allocates %v/op, want 0", n)
 	}
@@ -211,16 +209,14 @@ func TestPhaseSpansSurviveSpanCap(t *testing.T) {
 }
 
 // TestSchedView checks the scheduling record a bound telemetry
-// collector reads: phase spans, sketches, pool counts and the slowest
+// collector reads: phase spans, sketches, slot waits and the slowest
 // homes — top entries by wall time, ties to the lower index, failed
 // homes included — copied so a later commit cannot reach the view.
 func TestSchedView(t *testing.T) {
 	r := NewTallyRecorder()
 	r.Span(SpanSimulate)()
-	r.ObservePool(true)
-	r.ObservePool(false)
-	r.ObservePool(false)
-	r.ObserveShard(4)
+	r.ObserveShard(4, 2)
+	r.ObserveShard(4, 1)
 	w := r.NewWorker()
 	for i := 0; i <= 10; i++ {
 		ht := w.StartHome(i, "fleet/home", 1)
@@ -235,11 +231,11 @@ func TestSchedView(t *testing.T) {
 	if len(s.Phases) != 1 || s.Phases[0].Name != SpanSimulate {
 		t.Errorf("Phases = %+v, want one simulate span", s.Phases)
 	}
-	if s.PoolHits != 1 || s.PoolMisses != 2 {
-		t.Errorf("pool = %d hits %d misses, want 1 and 2", s.PoolHits, s.PoolMisses)
+	if s.SlotWaits != 3 {
+		t.Errorf("SlotWaits = %d, want 3 summed over two shards", s.SlotWaits)
 	}
-	if s.ShardHomes.N() != 1 || s.ShardHomes.Max() != 4 {
-		t.Errorf("ShardHomes N=%d max=%v, want one shard of 4", s.ShardHomes.N(), s.ShardHomes.Max())
+	if s.ShardHomes.N() != 2 || s.ShardHomes.Max() != 4 {
+		t.Errorf("ShardHomes N=%d max=%v, want two shards of 4", s.ShardHomes.N(), s.ShardHomes.Max())
 	}
 	if s.HomeWallMS.N() != 11 || s.HomeWallMS.Max() != 2 {
 		t.Errorf("wall N=%d max=%v, want 11 homes up to 2 ms", s.HomeWallMS.N(), s.HomeWallMS.Max())
@@ -252,8 +248,8 @@ func TestSchedView(t *testing.T) {
 		t.Errorf("slowest homes = %v, want %v", order, want)
 	}
 	r.CommitHome(w.StartHome(11, "fleet/home", 1), false)
-	r.ObserveShard(1)
-	if s.HomeWallMS.N() != 11 || s.ShardHomes.N() != 1 {
+	r.ObserveShard(1, 1)
+	if s.HomeWallMS.N() != 11 || s.ShardHomes.N() != 2 || s.SlotWaits != 3 {
 		t.Errorf("a later observation reached the copied view")
 	}
 }
