@@ -147,38 +147,73 @@ func (l PowerLink) TotalIncidentW() float64 {
 	return total
 }
 
-// operatingSolver is the bursty operating-point solve shared by the
-// exact path (*harvester.Harvester) and the interpolated path
-// (*surface.Surface); both satisfy it by construction.
-type operatingSolver interface {
-	CanBootBursty(chans []harvester.ChannelPower, occupancy []float64) bool
-	BurstyOperating(chans []harvester.ChannelPower, occupancy []float64) harvester.Operating
-}
-
-// solverFor returns the operating-point solver for h: the shared
-// error-bounded surface unless the device's exact flag forces the
-// direct path. The surface pointer is memoized through cache so the
-// per-bin hot path never re-derives the registry key.
-func solverFor(h *harvester.Harvester, exact bool, cache **surface.Surface) operatingSolver {
-	if exact {
-		return h
-	}
-	if *cache == nil {
-		*cache = surface.For(h)
-	}
-	return *cache
-}
-
 // SurfaceSink observes operating-point surface queries: one call per
 // query, with the logging bin it was made for (-1 outside a binned run)
 // and how the surface answered it. Observation is strictly out of band:
 // it never changes which solver runs or what it returns. The fleet's
 // per-home handle (*trace.HomeTrace) and a bare counter group
-// (*telemetry.SurfaceCounters) both satisfy it. Leave a device's sink
-// as a nil interface when nothing observes: any non-nil value, even a
-// nil pointer, routes queries through the outcome-reporting path.
+// (*telemetry.SurfaceCounters) both satisfy it, and both are no-ops on
+// a nil pointer.
 type SurfaceSink interface {
 	SurfaceOutcome(bin int, out surface.Outcome)
+}
+
+// chain is a device's harvesting chain and the two questions every bin
+// asks of it: does the chain clear its cold start, and what does it
+// harvest. Both devices embed it, so they share one query path.
+type chain struct {
+	Harvester *harvester.Harvester
+	// Exact forces the direct operating-point solver, bypassing the
+	// shared interpolation surface (internal/surface). The surface
+	// certifies a relative error ≤ 1e-6 against the exact solver and
+	// makes identical boot decisions, so Exact matters only when
+	// validating the surface itself (the SDK exposes it per run as
+	// WithExact).
+	Exact bool
+	// Tele, when set, observes each surface query's outcome (grid hit,
+	// exact fallback, guard-band trigger). Queries made on the direct
+	// solver (Exact) are not surface queries and are not observed.
+	Tele SurfaceSink
+
+	surf *surface.Surface // memoized by surface
+	exp  linkExpander
+}
+
+// surface returns the harvester's shared surface, memoized so the
+// per-bin hot path never re-derives the registry key.
+func (c *chain) surface() *surface.Surface {
+	if c.surf == nil {
+		c.surf = surface.For(c.Harvester)
+	}
+	return c.surf
+}
+
+// report passes one surface query's outcome, made for bin, to Tele.
+func (c *chain) report(bin int, out surface.Outcome) {
+	if c.Tele != nil {
+		c.Tele.SurfaceOutcome(bin, out)
+	}
+}
+
+// boots reports whether the chain clears its cold start under bursty
+// drive.
+func (c *chain) boots(bin int, chans []harvester.ChannelPower, occ []float64) bool {
+	if c.Exact {
+		return c.Harvester.CanBootBursty(chans, occ)
+	}
+	ok, out := c.surface().CanBootBursty(chans, occ)
+	c.report(bin, out)
+	return ok
+}
+
+// harvest returns the chain's harvested power under bursty drive.
+func (c *chain) harvest(bin int, chans []harvester.ChannelPower, occ []float64) float64 {
+	if c.Exact {
+		return c.Harvester.BurstyOperating(chans, occ).HarvestedW
+	}
+	op, out := c.surface().BurstyOperating(chans, occ)
+	c.report(bin, out)
+	return op.HarvestedW
 }
 
 // linkExpander is the per-device scratch + memo for materializing a
@@ -251,32 +286,18 @@ func (e *linkExpander) expand(link PowerLink) ([]harvester.ChannelPower, []float
 // each goroutine its own (the expensive state — the operating-point
 // surface — is shared process-wide behind them).
 type TempSensorDevice struct {
-	Harvester *harvester.Harvester
-	Sensor    *sensors.TemperatureSensor
+	chain
+	Sensor *sensors.TemperatureSensor
 	// Battery is the storage for the recharging version (nil for
 	// battery-free).
 	Battery *harvester.Battery
-	// Exact forces the energy methods onto the direct operating-point
-	// solver, bypassing the shared interpolation surface
-	// (internal/surface). The surface certifies a relative error ≤ 1e-6
-	// against the exact solver and makes identical boot decisions, so
-	// Exact matters only when validating the surface itself (the SDK
-	// exposes it per run as WithExact).
-	Exact bool
-	// Tele, when set, observes each surface query's outcome (grid hit,
-	// exact fallback, guard-band trigger). Queries made on the direct
-	// solver (Exact) are not surface queries and are not observed.
-	Tele SurfaceSink
-
-	surf *surface.Surface // memoized by solverFor
-	exp  linkExpander
 }
 
 // NewBatteryFreeTempSensor returns the §5.1 battery-free prototype.
 func NewBatteryFreeTempSensor() *TempSensorDevice {
 	return &TempSensorDevice{
-		Harvester: harvester.NewBatteryFree(),
-		Sensor:    sensors.NewTemperatureSensor(),
+		chain:  chain{Harvester: harvester.NewBatteryFree()},
+		Sensor: sensors.NewTemperatureSensor(),
 	}
 }
 
@@ -284,9 +305,9 @@ func NewBatteryFreeTempSensor() *TempSensorDevice {
 // with its 2×AAA NiMH pack.
 func NewRechargingTempSensor() *TempSensorDevice {
 	return &TempSensorDevice{
-		Harvester: harvester.NewBatteryCharging(),
-		Sensor:    sensors.NewTemperatureSensor(),
-		Battery:   harvester.NewNiMHPack(),
+		chain:   chain{Harvester: harvester.NewBatteryCharging()},
+		Sensor:  sensors.NewTemperatureSensor(),
+		Battery: harvester.NewNiMHPack(),
 	}
 }
 
@@ -295,13 +316,7 @@ func NewRechargingTempSensor() *TempSensorDevice {
 // as Evaluate, so the two methods agree on any device.
 func (d *TempSensorDevice) NetHarvestedW(link PowerLink) float64 {
 	chans, occ := d.exp.expand(link)
-	s := solverFor(d.Harvester, d.Exact, &d.surf)
-	if surf, ok := s.(*surface.Surface); ok && d.Tele != nil {
-		op, out := surf.BurstyOperatingOutcome(chans, occ)
-		d.Tele.SurfaceOutcome(-1, out)
-		return op.HarvestedW
-	}
-	return s.BurstyOperating(chans, occ).HarvestedW
+	return d.harvest(-1, chans, occ)
 }
 
 // UpdateRate returns the sensor's energy-neutral update rate over the
@@ -328,61 +343,23 @@ func (d *TempSensorDevice) UpdateRate(link PowerLink) float64 {
 // outside a binned run).
 func (d *TempSensorDevice) Evaluate(bin int, link PowerLink) (rateHz, netW float64) {
 	chans, occ := d.exp.expand(link)
-	s := solverFor(d.Harvester, d.Exact, &d.surf)
-	if surf, ok := s.(*surface.Surface); ok && d.Tele != nil {
-		boots, out := surf.CanBootBurstyOutcome(chans, occ)
-		d.Tele.SurfaceOutcome(bin, out)
-		if !boots {
-			return 0, 0
-		}
-		op, out := surf.BurstyOperatingOutcome(chans, occ)
-		d.Tele.SurfaceOutcome(bin, out)
-		netW = op.HarvestedW
-		return d.Sensor.UpdateRate(netW), netW
-	}
-	if !s.CanBootBursty(chans, occ) {
+	if !d.boots(bin, chans, occ) {
 		return 0, 0
 	}
-	netW = s.BurstyOperating(chans, occ).HarvestedW
+	netW = d.harvest(bin, chans, occ)
 	return d.Sensor.UpdateRate(netW), netW
 }
 
 // EvaluateBatch evaluates the sensor over a contiguous batch of
 // occupancy vectors sharing one link geometry — the struct-of-arrays
-// form of the fleet hot path. Solver selection, the surface handle and
-// the occupancy-independent RF budget (linkExpander's memo) are resolved
-// once per batch instead of once per bin, and the surface is driven
-// through a single lookup loop (EvaluateOutcome). Element i is
-// bit-identical to Evaluate(i, PoWiFiLinkOccupancy(distanceFt, occupancy[i]))
-// — the batched-vs-streamed parity suite pins this — and Tele sees
-// exactly the outcomes Evaluate would report, attributed to bin i.
+// form of the fleet hot path. It is a loop over Evaluate: element i is
+// Evaluate(i, PoWiFiLinkOccupancy(distanceFt, occupancy[i])), outcomes
+// reported to Tele attributed to bin i, and the occupancy-independent
+// RF budget (linkExpander's memo) is solved once for the whole batch.
 // rateHz and netW must be at least len(occupancy) long.
 func (d *TempSensorDevice) EvaluateBatch(distanceFt float64, occupancy [][3]float64, rateHz, netW []float64) {
-	s := solverFor(d.Harvester, d.Exact, &d.surf)
-	surf, isSurf := s.(*surface.Surface)
 	for i := range occupancy {
-		chans, occ := d.exp.expand(PoWiFiLinkOccupancy(distanceFt, occupancy[i]))
-		if isSurf && d.Tele != nil {
-			w, boots, bootOut, opOut, opQueried := surf.EvaluateOutcome(chans, occ)
-			d.Tele.SurfaceOutcome(i, bootOut)
-			if opQueried {
-				d.Tele.SurfaceOutcome(i, opOut)
-			}
-			if !boots {
-				rateHz[i], netW[i] = 0, 0
-				continue
-			}
-			netW[i] = w
-			rateHz[i] = d.Sensor.UpdateRate(w)
-			continue
-		}
-		if !s.CanBootBursty(chans, occ) {
-			rateHz[i], netW[i] = 0, 0
-			continue
-		}
-		w := s.BurstyOperating(chans, occ).HarvestedW
-		netW[i] = w
-		rateHz[i] = d.Sensor.UpdateRate(w)
+		rateHz[i], netW[i] = d.Evaluate(i, PoWiFiLinkOccupancy(distanceFt, occupancy[i]))
 	}
 }
 
@@ -390,8 +367,8 @@ func (d *TempSensorDevice) EvaluateBatch(distanceFt float64, occupancy [][3]floa
 // versions use the TI bq25570 chain; the battery-free version stores into
 // the AVX supercapacitor, the recharging version into a Li-Ion coin cell.
 type CameraDevice struct {
-	Harvester *harvester.Harvester
-	Camera    *sensors.Camera
+	chain
+	Camera *sensors.Camera
 	// StandbyW is the device's standing drain while banking energy:
 	// converter quiescent plus storage leakage. Calibrated so the
 	// battery-free camera reaches 17 ft and the recharging camera 23 ft
@@ -399,23 +376,15 @@ type CameraDevice struct {
 	StandbyW float64
 	// Battery is set for the recharging version.
 	Battery *harvester.Battery
-	// Exact forces the direct operating-point solver, as on
-	// TempSensorDevice.
-	Exact bool
-	// Tele observes surface query outcomes, as on TempSensorDevice.
-	Tele SurfaceSink
-
-	surf *surface.Surface // memoized by solverFor
-	exp  linkExpander
 }
 
 // NewBatteryFreeCamera returns the §5.2 battery-free prototype
 // (supercapacitor storage).
 func NewBatteryFreeCamera() *CameraDevice {
 	return &CameraDevice{
-		Harvester: harvester.NewBatteryCharging(), // bq25570 chain
-		Camera:    sensors.NewCamera(),
-		StandbyW:  2.2e-6, // buck standby + supercap leakage
+		chain:    chain{Harvester: harvester.NewBatteryCharging()}, // bq25570 chain
+		Camera:   sensors.NewCamera(),
+		StandbyW: 2.2e-6, // buck standby + supercap leakage
 	}
 }
 
@@ -423,10 +392,10 @@ func NewBatteryFreeCamera() *CameraDevice {
 // its 1 mAh Li-Ion coin cell.
 func NewRechargingCamera() *CameraDevice {
 	return &CameraDevice{
-		Harvester: harvester.NewBatteryCharging(),
-		Camera:    sensors.NewCamera(),
-		StandbyW:  0.4e-6, // the battery absorbs charge with less overhead
-		Battery:   harvester.NewLiIonCoinCell(),
+		chain:    chain{Harvester: harvester.NewBatteryCharging()},
+		Camera:   sensors.NewCamera(),
+		StandbyW: 0.4e-6, // the battery absorbs charge with less overhead
+		Battery:  harvester.NewLiIonCoinCell(),
 	}
 }
 
@@ -447,13 +416,7 @@ func (d *CameraDevice) NetHarvestedW(link PowerLink) float64 {
 // on TempSensorDevice.Evaluate.
 func (d *CameraDevice) Evaluate(bin int, link PowerLink) (netW float64) {
 	chans, occ := d.exp.expand(link)
-	s := solverFor(d.Harvester, d.Exact, &d.surf)
-	if surf, ok := s.(*surface.Surface); ok && d.Tele != nil {
-		op, out := surf.BurstyOperatingOutcome(chans, occ)
-		d.Tele.SurfaceOutcome(bin, out)
-		return op.HarvestedW - d.StandbyW
-	}
-	return s.BurstyOperating(chans, occ).HarvestedW - d.StandbyW
+	return d.harvest(bin, chans, occ) - d.StandbyW
 }
 
 // InterFrameTime returns the time between captures over the link, or +Inf

@@ -189,13 +189,10 @@ func (smp *Sampler) checkOneCollisionDomain() {
 // surface-query outcomes and coarse-tier decisions report into it.
 // Observation is strictly out of band — no randomness, no event-order
 // changes — so observed and bare runs are bit-for-bit identical, and a
-// nil handle costs one predictable branch per site.
+// nil handle costs a no-op call per site.
 func (smp *Sampler) TraceHome(ht *trace.HomeTrace) {
 	smp.tr = ht
-	smp.sensor.Tele = nil // a nil interface, so bare runs skip outcome reporting
-	if ht != nil {
-		smp.sensor.Tele = ht
-	}
+	smp.sensor.Tele = ht
 }
 
 // clientGap draws the time to the next client-frame arrival.

@@ -3,6 +3,7 @@ package fleet
 import (
 	"context"
 	"errors"
+	"fmt"
 	"runtime"
 	"testing"
 	"time"
@@ -44,17 +45,19 @@ func warmSurface(t *testing.T) {
 // check once per logging bin, so at most one bin's worth of work per
 // worker after the cancel), discards partial results, and leaks no
 // goroutines — also when every worker is blocked on a full ring behind
-// a home the reducer has not committed.
+// a home the reducer has not committed, and when a home is stalled on
+// an injected home.slow delay.
 func TestCancelMidRun(t *testing.T) {
 	warmSurface(t)
-	for _, tc := range []struct {
+	type cancelCase struct {
 		name string
 		cfg  Config
 		// hooks arms the run; ready returns once the run has reached the
 		// state the cancel must interrupt.
 		hooks func(ctx context.Context) Hooks
 		ready func(Hooks)
-	}{
+	}
+	cases := []cancelCase{
 		{
 			// Big enough that the run takes seconds uncancelled: the
 			// prompt return below is then meaningful. Let the pool spin up
@@ -95,7 +98,19 @@ func TestCancelMidRun(t *testing.T) {
 				time.Sleep(20 * time.Millisecond) // let the last worker block too
 			},
 		},
-	} {
+	}
+	for _, workers := range []int{1, 2} {
+		// Home 3 stalls on an injected 2 s delay and the cancel lands
+		// mid-stall: the stall must not be waited out.
+		cfg := testConfig(8, workers)
+		cases = append(cases, cancelCase{
+			name:  fmt.Sprintf("slow-home/workers=%d", workers),
+			cfg:   cfg,
+			hooks: func(context.Context) Hooks { return Hooks{Faults: mustFaults(t, cfg, "home.slow@3,delay=2s")} },
+			ready: func(Hooks) { time.Sleep(100 * time.Millisecond) },
+		})
+	}
+	for _, tc := range cases {
 		baseline := runtime.NumGoroutine()
 		ctx, cancel := context.WithCancel(context.Background())
 		h := tc.hooks(ctx)

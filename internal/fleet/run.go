@@ -596,10 +596,10 @@ const homeStem = "fleet/home/"
 // per-bin observations recorded into hs. The columns and ledger bins
 // reuse bufs' arrays when they are large enough. The context is checked
 // once per event-simulated bin; on cancellation the home is abandoned
-// mid-batch and attemptHome reports ok == false (the home is never
-// committed). A panic anywhere in the attempt is recovered into ferr;
-// the partially built hs, lifecycle bins included, is discarded by the
-// caller.
+// mid-batch, or mid-stall under an injected home.slow fault, and
+// attemptHome reports ok == false (the home is never committed). A
+// panic anywhere in the attempt is recovered into ferr; the partially
+// built hs, lifecycle bins included, is discarded by the caller.
 func (w *worker) attemptHome(ctx context.Context, idx int, ht *trace.HomeTrace, bufs homeBufs) (hs homeStats, ok bool, ferr *HomeError) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -614,7 +614,13 @@ func (w *worker) attemptHome(ctx context.Context, idx int, ht *trace.HomeTrace, 
 	w.smp.TraceHome(ht)
 	if f := w.fi.Hit(faultinject.HomeSlow, idx); f != nil {
 		ht.Fault(string(f.Site))
-		time.Sleep(f.Delay) //powifi:walltime-ok injected stall: the fault IS a wall-clock delay, recorded out of band
+		stall := time.NewTimer(f.Delay) //powifi:walltime-ok injected stall: the fault IS a wall-clock delay, recorded out of band
+		select {
+		case <-stall.C:
+		case <-ctx.Done():
+			stall.Stop()
+			return homeStats{}, false, nil
+		}
 		ht.Stall(f.Delay.Nanoseconds())
 	}
 	if f := w.fi.Hit(faultinject.HomePanic, idx); f != nil {

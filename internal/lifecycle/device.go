@@ -281,17 +281,13 @@ func (d *Device) Begin(sensorFt float64, binWidth time.Duration) {
 		FinalSoC:     math.NaN(),
 		MinSoC:       math.NaN(),
 	}
-	var sink core.SurfaceSink // a nil interface when nothing observes
-	if d.Trace != nil {
-		sink = d.Trace
-	}
 	if d.chain != nil {
 		d.chain.Exact = d.Exact
-		d.chain.Tele = sink
+		d.chain.Tele = d.Trace
 	}
 	if d.cam != nil {
 		d.cam.Exact = d.Exact
-		d.cam.Tele = sink
+		d.cam.Tele = d.Trace
 	}
 	if d.battery != nil {
 		d.battery.SetSoC(d.Policy.InitialSoC)

@@ -54,14 +54,14 @@ func checkBudget(t *testing.T, h *harvester.Harvester, s *Surface, chans []harve
 	eps := s.Epsilon()
 
 	bootExact := h.CanBootBursty(chans, occ)
-	bootSurf := s.CanBootBursty(chans, occ)
+	bootSurf, _ := s.CanBootBursty(chans, occ)
 	if bootExact != bootSurf {
 		t.Errorf("%v: boot decision diverged (exact %v, surface %v) for %v/%v",
 			h.Version, bootExact, bootSurf, chans, occ)
 	}
 
 	exact := h.BurstyOperating(chans, occ)
-	surf := s.BurstyOperating(chans, occ)
+	surf, _ := s.BurstyOperating(chans, occ)
 	// qNet/qAcc measure the error as a fraction of the allowed bound;
 	// anything over 1 is a contract violation.
 	qNet := math.Abs(surf.HarvestedW-exact.HarvestedW) / math.Max(eps*math.Abs(exact.HarvestedW), netWFloor)
@@ -103,7 +103,7 @@ func TestSurfaceMatchesExactOnRandomLinkBudgets(t *testing.T) {
 
 // TestRateMatchesExact pins the sensor-facing contract on the full
 // device chain quantity: rate = min(netW/readEnergy, cap) computed from
-// both paths, via the Evaluate helper.
+// both paths, the boot check gating the operating solve.
 func TestRateMatchesExact(t *testing.T) {
 	const readEnergyJ = 2.77e-6 // §5.1 per-read energy
 	n := 40
@@ -115,8 +115,12 @@ func TestRateMatchesExact(t *testing.T) {
 	rng := xrand.NewFromLabel(11, "surface/rate")
 	for k := 0; k < n; k++ {
 		chans, occ := randomBudget(rng)
-		netS, bootS := s.Evaluate(chans, occ)
-		var netE float64
+		var netS, netE float64
+		bootS, _ := s.CanBootBursty(chans, occ)
+		if bootS {
+			op, _ := s.BurstyOperating(chans, occ)
+			netS = op.HarvestedW
+		}
 		bootE := h.CanBootBursty(chans, occ)
 		if bootE {
 			netE = h.BurstyOperating(chans, occ).HarvestedW
@@ -198,8 +202,54 @@ func TestThresholdNeighborhoodExact(t *testing.T) {
 			chans = append(chans, harvester.ChannelPower{FreqHz: freq, PowerW: link.ReceivedPowerW(freq)})
 		}
 		occ := []float64{0.3, 0.3, 0.3}
-		if got, want := s.CanBootBursty(chans, occ), h.CanBootBursty(chans, occ); got != want {
+		got, _ := s.CanBootBursty(chans, occ)
+		if want := h.CanBootBursty(chans, occ); got != want {
 			t.Errorf("boot decision flipped at %.2f ft: surface %v, exact %v", distFt, got, want)
 		}
 	}
+}
+
+// FuzzSurfaceMatchesExact drives checkBudget from fuzzed link budgets on
+// both production harvesters, each input folded into randomBudget's
+// ranges: 1–36 ft, 20–33 dBm, per-channel occupancy in [0, 1], and an
+// idle mask that drops channels from the bin. Beyond the ε contract,
+// any answer the surface did not serve from its grids is the exact
+// solver's, bit for bit.
+func FuzzSurfaceMatchesExact(f *testing.F) {
+	f.Add(uint16(0), uint16(0), uint16(0), uint16(0), uint16(0), uint8(0))
+	f.Add(uint16(8425), uint16(50412), uint16(58982), uint16(32768), uint16(45875), uint8(0))
+	f.Add(uint16(39540), uint16(50412), uint16(19661), uint16(19661), uint16(19661), uint8(0)) // both guard bands
+	f.Add(uint16(65535), uint16(65535), uint16(65535), uint16(0), uint16(65535), uint8(2))
+	hs := []*harvester.Harvester{harvester.NewBatteryFree(), harvester.NewBatteryCharging()}
+	f.Fuzz(func(t *testing.T, dist, tx, o1, o2, o3 uint16, idle uint8) {
+		link := rf.Link{
+			TxPowerDBm: 20 + 13*float64(tx)/math.MaxUint16,
+			TxAntenna:  rf.Antenna{GainDBi: 6},
+			RxAntenna:  rf.Antenna{GainDBi: 2},
+			DistanceM:  units.FeetToMeters(1 + 35*float64(dist)/math.MaxUint16),
+		}
+		var chans []harvester.ChannelPower
+		var occ []float64
+		for i, freq := range []float64{2.412e9, 2.437e9, 2.462e9} {
+			if idle&(1<<i) != 0 {
+				continue
+			}
+			chans = append(chans, harvester.ChannelPower{FreqHz: freq, PowerW: link.ReceivedPowerW(freq)})
+			occ = append(occ, float64([3]uint16{o1, o2, o3}[i])/math.MaxUint16)
+		}
+		for _, h := range hs {
+			s := For(h)
+			checkBudget(t, h, s, chans, occ)
+			if boots, out := s.CanBootBursty(chans, occ); out != OutcomeHit {
+				if want := h.CanBootBursty(chans, occ); boots != want {
+					t.Errorf("%v: boot fallback (outcome %d) answered %v, exact %v for %v/%v", h.Version, out, boots, want, chans, occ)
+				}
+			}
+			if op, out := s.BurstyOperating(chans, occ); out != OutcomeHit {
+				if want := h.BurstyOperating(chans, occ); op != want {
+					t.Errorf("%v: operating fallback (outcome %d) answered %+v, exact %+v for %v/%v", h.Version, out, op, want, chans, occ)
+				}
+			}
+		}
+	})
 }

@@ -476,19 +476,12 @@ func (s *Surface) multiChannelOperatingPoint(chans []harvester.ChannelPower) (ha
 // BurstyOperating is the surface-accelerated counterpart of
 // Harvester.BurstyOperating: identical burst conditioning and duty-cycle
 // scaling (shared code), with the rectifier solve served from the grid.
-// Falls back to the exact solver outside the grid domain or inside the
-// Seiko guard band.
-func (s *Surface) BurstyOperating(chans []harvester.ChannelPower, occupancy []float64) harvester.Operating {
-	op, _ := s.BurstyOperatingOutcome(chans, occupancy)
-	return op
-}
-
-// BurstyOperatingOutcome is BurstyOperating plus how the query was
-// answered — from the grids, or by the exact solver after a domain exit
-// or guard-band trigger (the fallback already applied; the Operating is
-// final either way). Trivial queries the surface answers closed-form
-// (idle bins, degenerate inputs) count as hits.
-func (s *Surface) BurstyOperatingOutcome(chans []harvester.ChannelPower, occupancy []float64) (harvester.Operating, Outcome) {
+// It falls back to the exact solver outside the grid domain or inside
+// the Seiko guard band; the Outcome says which happened (the fallback
+// already applied, so the Operating is final either way). Trivial
+// queries the surface answers closed-form (idle bins, degenerate
+// inputs) count as hits.
+func (s *Surface) BurstyOperating(chans []harvester.ChannelPower, occupancy []float64) (harvester.Operating, Outcome) {
 	if len(chans) == 0 || len(chans) != len(occupancy) {
 		return harvester.Operating{}, OutcomeHit
 	}
@@ -509,17 +502,10 @@ func (s *Surface) BurstyOperatingOutcome(chans []harvester.ChannelPower, occupan
 // startup voltage comes from the idle-leak grid, and any query whose
 // interpolated voltage lands within the guard band of the (droop-shifted)
 // threshold is resolved by the exact solver, so the boolean is always
-// bit-identical to the exact path.
-func (s *Surface) CanBootBursty(chans []harvester.ChannelPower, occupancy []float64) bool {
-	boots, _ := s.CanBootBurstyOutcome(chans, occupancy)
-	return boots
-}
-
-// CanBootBurstyOutcome is CanBootBursty plus how the query was answered;
-// the boolean is bit-identical to the exact path in every case.
+// bit-identical to the exact path; the Outcome says how it was decided.
 // Non-battery-free assemblies and dead boot drives decide closed-form
 // and count as hits.
-func (s *Surface) CanBootBurstyOutcome(chans []harvester.ChannelPower, occupancy []float64) (bool, Outcome) {
+func (s *Surface) CanBootBursty(chans []harvester.ChannelPower, occupancy []float64) (bool, Outcome) {
 	if s.h.Version != harvester.BatteryFree {
 		return true, OutcomeHit
 	}
@@ -568,32 +554,4 @@ func (s *Surface) startupVoltage(incidentW, freqHz float64) (float64, bool) {
 	}
 	v, _, ok := interpVIAt(s.boot, acc, hint)
 	return v, ok
-}
-
-// Evaluate returns the battery-free-style (rate-relevant) outputs of the
-// chain under bursty drive: whether the chain boots and its net
-// harvested power. It exists so callers outside core can exercise the
-// exact contract the property tests certify.
-func (s *Surface) Evaluate(chans []harvester.ChannelPower, occupancy []float64) (netW float64, boots bool) {
-	if !s.CanBootBursty(chans, occupancy) {
-		return 0, false
-	}
-	return s.BurstyOperating(chans, occupancy).HarvestedW, true
-}
-
-// EvaluateOutcome is the batch kernel's per-bin entry point: the boot
-// check and (when it passes) the operating solve in one call, with both
-// query outcomes reported for telemetry. The answers are produced by the
-// exact same internal queries as CanBootBurstyOutcome followed by
-// BurstyOperatingOutcome, so a loop over EvaluateOutcome is bit-identical
-// to the two-call form bin for bin. opQueried reports whether the
-// operating solve ran at all — a chain that cannot boot short-circuits
-// with (0, false) and only the boot outcome is meaningful.
-func (s *Surface) EvaluateOutcome(chans []harvester.ChannelPower, occupancy []float64) (netW float64, boots bool, bootOut, opOut Outcome, opQueried bool) {
-	boots, bootOut = s.CanBootBurstyOutcome(chans, occupancy)
-	if !boots {
-		return 0, false, bootOut, OutcomeHit, false
-	}
-	op, opOut := s.BurstyOperatingOutcome(chans, occupancy)
-	return op.HarvestedW, true, bootOut, opOut, true
 }

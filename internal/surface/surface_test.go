@@ -30,11 +30,12 @@ func TestOutOfDomainFallsBackToExact(t *testing.T) {
 	chans := []harvester.ChannelPower{{FreqHz: 2.437e9, PowerW: 1e-3}}
 	occ := []float64{0.9}
 	exact := h.BurstyOperating(chans, occ)
-	got := s.BurstyOperating(chans, occ)
+	got, _ := s.BurstyOperating(chans, occ)
 	if got != exact {
 		t.Errorf("out-of-domain query did not match exact fallback:\n got %+v\nwant %+v", got, exact)
 	}
-	if gotBoot, wantBoot := s.CanBootBursty(chans, occ), h.CanBootBursty(chans, occ); gotBoot != wantBoot {
+	gotBoot, _ := s.CanBootBursty(chans, occ)
+	if wantBoot := h.CanBootBursty(chans, occ); gotBoot != wantBoot {
 		t.Errorf("out-of-domain boot decision %v, exact %v", gotBoot, wantBoot)
 	}
 }
@@ -67,7 +68,8 @@ func TestConfigurableEpsilon(t *testing.T) {
 	chans := []harvester.ChannelPower{{FreqHz: 2.437e9, PowerW: 5e-5}}
 	occ := []float64{0.8}
 	exact := h.BurstyOperating(chans, occ).HarvestedW
-	got := s.BurstyOperating(chans, occ).HarvestedW
+	op, _ := s.BurstyOperating(chans, occ)
+	got := op.HarvestedW
 	if err := math.Abs(got - exact); err > 1e-3*math.Max(math.Abs(exact), 1e-11) {
 		t.Errorf("loose surface error %g exceeds its ε: got %g want %g", err, got, exact)
 	}
@@ -90,11 +92,13 @@ func TestIdleAndDegenerateDrives(t *testing.T) {
 			{"negative-occ", []harvester.ChannelPower{{FreqHz: 2.437e9, PowerW: 1e-5}}, []float64{-0.3}},
 		}
 		for _, tc := range cases {
-			if got, want := s.BurstyOperating(tc.chans, tc.occ), h.BurstyOperating(tc.chans, tc.occ); got != want {
-				t.Errorf("%v/%s: BurstyOperating %+v, exact %+v", h.Version, tc.name, got, want)
+			op, _ := s.BurstyOperating(tc.chans, tc.occ)
+			if want := h.BurstyOperating(tc.chans, tc.occ); op != want {
+				t.Errorf("%v/%s: BurstyOperating %+v, exact %+v", h.Version, tc.name, op, want)
 			}
-			if got, want := s.CanBootBursty(tc.chans, tc.occ), h.CanBootBursty(tc.chans, tc.occ); got != want {
-				t.Errorf("%v/%s: CanBootBursty %v, exact %v", h.Version, tc.name, got, want)
+			boots, _ := s.CanBootBursty(tc.chans, tc.occ)
+			if want := h.CanBootBursty(tc.chans, tc.occ); boots != want {
+				t.Errorf("%v/%s: CanBootBursty %v, exact %v", h.Version, tc.name, boots, want)
 			}
 		}
 	}

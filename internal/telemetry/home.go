@@ -17,8 +17,10 @@ const (
 // straight into the run's surface counters: grid hits, exact-solver
 // fallbacks on domain exit, and guard-band triggers near the Seiko
 // startup threshold. It is a surface sink for callers outside the
-// fleet (core.TempSensorDevice.Tele); fleet homes tally on their
-// observation handle and fold at commit instead. Nil-safe.
+// fleet (core.TempSensorDevice.Tele), which hands it the Outcome of
+// every surface query it makes; fleet homes tally on their observation
+// handle and fold at commit instead. A nil *SurfaceCounters is a no-op
+// sink.
 type SurfaceCounters struct {
 	hits, exact, guard *Counter
 }
