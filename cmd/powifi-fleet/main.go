@@ -134,7 +134,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		coarse   = fs.Bool("coarse", false, "error-bounded coarse tier: event-simulate anchor bins, proxy the rest (decisions bit-identical; magnitudes within the ε certified at the default 10ms -window; a shorter -window is refused)")
 		scenPath = fs.String("scenario", "", "run a declarative scenario JSON file instead of the configuration flags")
 		quiet    = fs.Bool("q", false, "suppress the timing line on stderr")
-		cpuProf  = fs.String("cpuprofile", "", "write a CPU profile to this file")
+		cpuProf  = fs.String("cpuprofile", "", "write a CPU profile to this file, each home's samples labelled phase=simulate, home=<index>")
 		memProf  = fs.String("memprofile", "", "write a heap profile to this file on exit")
 		telem    = fs.Bool("telemetry", false, "collect run telemetry; json reports gain a \"telemetry\" section")
 		metrOut  = fs.String("metrics-out", "", "write run metrics to this file in Prometheus text format (implies -telemetry)")

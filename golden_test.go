@@ -127,18 +127,26 @@ func firstDiffContext(a, b string) string {
 
 // goldenExperiments are the powifi-bench tables/figures pinned by the
 // suite. The quick (non -full) configuration is used — the same tables
-// the CLI prints by default. The slow set exercises the deployment and
-// device sweeps and is skipped under -short.
+// the CLI prints by default. The slow set (fig6c's page loads, the
+// deployment and device sweeps) is skipped under -short.
 var goldenExperiments = []struct {
 	id   string
 	slow bool
 }{
 	{id: "fig1"},
 	{id: "fig5"},
+	{id: "fig6a"},
+	{id: "fig6b"},
+	{id: "fig7"},
+	{id: "fig8"},
 	{id: "fig9"},
 	{id: "fig13"},
 	{id: "fig16"},
 	{id: "table1"},
+	{id: "ext-multichannel"},
+	{id: "ext-multirouter"},
+	{id: "ext-pdos"},
+	{id: "fig6c", slow: true},
 	{id: "fig10", slow: true},
 	{id: "fig11", slow: true},
 	{id: "fig12", slow: true},

@@ -4,11 +4,16 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"io"
+	"path/filepath"
 	"reflect"
+	"runtime/pprof"
+	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/profiling"
 	"repro/internal/telemetry"
 	"repro/internal/trace"
 )
@@ -298,5 +303,61 @@ func TestRingBoundsRunAhead(t *testing.T) {
 	// tested.
 	if len(ahead) < bound-6 {
 		t.Errorf("homes %v started while home 5 stalled, want all of 6..%d", ahead, bound-1)
+	}
+}
+
+// TestProfileLabelsScopedToHomes pins the homes' pprof labels: while a
+// CPU profile records, a home runs under its (phase, home) labels on
+// the goroutine that runs it, and the labels end with the home. With
+// one worker the homes run inline on the caller's goroutine, which gets
+// its own labels back when RunWith returns rather than keeping the last
+// home's. The run is traced, which labels nothing by itself.
+func TestProfileLabelsScopedToHomes(t *testing.T) {
+	stop, err := profiling.Start(filepath.Join(t.TempDir(), "cpu.prof"), "")
+	if err != nil {
+		t.Skip("a CPU profile is already recording:", err)
+	}
+	defer stop()
+	goroutines := func() string {
+		var b strings.Builder
+		_ = pprof.Lookup("goroutine").WriteTo(&b, 1)
+		return b.String()
+	}
+	for _, workers := range []int{1, 2} {
+		cfg := testConfig(6, workers)
+		// Home 3 stalls until its labels have been seen, then the run is
+		// cancelled.
+		h := Hooks{Trace: trace.NewRecorder(), Faults: mustFaults(t, cfg, "home.slow@3,delay=10s")}
+		pprof.Do(context.Background(), pprof.Labels("caller", "test"), func(ctx context.Context) {
+			ctx, cancel := context.WithCancel(ctx)
+			defer cancel()
+			seen := make(chan bool, 1)
+			go func() {
+				defer cancel()
+				const home3 = `# labels: {"caller":"test", "home":"3", "phase":"simulate"}`
+				deadline := time.Now().Add(5 * time.Second)
+				for time.Now().Before(deadline) {
+					if strings.Contains(goroutines(), home3) {
+						seen <- true
+						return
+					}
+					time.Sleep(time.Millisecond)
+				}
+				seen <- false
+			}()
+			if _, err := RunWith(ctx, cfg, h); !errors.Is(err, context.Canceled) {
+				t.Fatalf("workers=%d: RunWith returned %v, want context.Canceled", workers, err)
+			}
+			if !<-seen {
+				t.Errorf("workers=%d: home 3 never ran under its labels", workers)
+			}
+			after := goroutines()
+			if strings.Contains(after, `"home":`) {
+				t.Errorf("workers=%d: a home's labels outlived it:\n%s", workers, after)
+			}
+			if !strings.Contains(after, `# labels: {"caller":"test"}`) {
+				t.Errorf("workers=%d: the caller's labels did not come back:\n%s", workers, after)
+			}
+		})
 	}
 }

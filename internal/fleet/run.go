@@ -16,6 +16,7 @@ import (
 	"repro/internal/faultinject"
 	"repro/internal/harvester"
 	"repro/internal/lifecycle"
+	"repro/internal/profiling"
 	"repro/internal/surface"
 	"repro/internal/telemetry"
 	"repro/internal/trace"
@@ -75,7 +76,9 @@ type Hooks struct {
 	// contract, and its summary's deterministic section (event counts,
 	// retained rings, escalation reasons) is bit-for-bit identical at
 	// any worker count: homes commit in home-index order like every
-	// other per-home aggregate.
+	// other per-home aggregate. Tracing does not decide pprof labels:
+	// homes carry them while a CPU profile records, traced or not
+	// (profiling.Recording).
 	Trace *trace.Recorder
 }
 
@@ -90,12 +93,10 @@ type worker struct {
 	synthRng *xrand.Rand
 	fi       *faultinject.Set
 	// rec is the run recorder, nil when nothing observes; tr opens each
-	// home's handle on it. labels sets pprof goroutine labels per home
-	// (traced runs).
-	rec    *trace.Recorder
-	tr     *trace.Worker
-	labels bool
-	devs   [lifecycle.NumKinds]*lifecycle.Device
+	// home's handle on it.
+	rec  *trace.Recorder
+	tr   *trace.Worker
+	devs [lifecycle.NumKinds]*lifecycle.Device
 	// batch is the worker's reusable struct-of-arrays bin buffer; the
 	// batched kernel refills it per home without reallocating.
 	batch deploy.BinBatch
@@ -311,7 +312,6 @@ func RunWith(ctx context.Context, cfg Config, h Hooks) (*Result, error) {
 			fi:       h.Faults,
 			rec:      rec,
 			tr:       rec.NewWorker(),
-			labels:   h.Trace != nil,
 		}
 	}
 	var take func(int) (homeStats, bool)
@@ -549,13 +549,16 @@ func shard(ctx context.Context, cfg Config, start int, newW func() *worker) (tak
 // attempt's other storage is dropped. ok == false only means context
 // cancellation.
 func (w *worker) runHome(ctx context.Context, idx int, bufs homeBufs) (homeStats, bool) {
-	ht := w.tr.OpenHome(bufs.tr, idx, homeStem)
-	if w.labels {
-		// Label the goroutine for the home so -cpuprofile samples
-		// become home-attributable in pprof.
+	if profiling.Recording() {
+		// Label the goroutine for the home so the CPU profile cuts by
+		// home, and give it back the context's labels when the home
+		// returns (pprof.Do's scope). Without a profile nothing is
+		// labelled, so a home costs no label allocations.
+		defer pprof.SetGoroutineLabels(ctx)
 		pprof.SetGoroutineLabels(pprof.WithLabels(ctx,
 			pprof.Labels("phase", "simulate", "home", strconv.Itoa(idx))))
 	}
+	ht := w.tr.OpenHome(bufs.tr, idx, homeStem)
 	for attempt := 1; ; attempt++ {
 		hs, ok, ferr := w.attemptHome(ctx, idx, ht, bufs)
 		if ferr == nil && !ok {

@@ -2,11 +2,13 @@ package fleet
 
 import (
 	"context"
+	"path/filepath"
 	"runtime"
 	"runtime/debug"
 	"testing"
 	"time"
 
+	"repro/internal/profiling"
 	"repro/internal/telemetry"
 	"repro/internal/trace"
 )
@@ -21,9 +23,10 @@ var raceEnabled bool
 // one worker, to the spare) once the reducer has committed the home, so
 // only set-up allocates: the ring, and each worker's fresh sampler,
 // which grows to the largest home it has run and so adds a few
-// allocations as a run meets larger homes. A traced run also labels
-// each home's goroutine for pprof, which costs allocations per home by
-// design; it is bounded at that cost instead.
+// allocations as a run meets larger homes. A traced run allocates
+// nothing per home either: only while a CPU profile records does each
+// home pay its pprof goroutine labels, and the profiled case bounds it
+// at that cost instead.
 //
 // The GC is off while a run measures, and each size counts the fewest
 // of three runs: a sharded run's counts scatter from run to run (which
@@ -50,13 +53,23 @@ func TestFleetSteadyStateAllocs(t *testing.T) {
 		{"coarse", coarseConfig(1000, 1), nil, 0.05},
 		{"lifecycle-72h", lifecycle72h, nil, 0.05},
 		{"telemetry", testConfig(1000, 1), func() Hooks { return Hooks{Telemetry: telemetry.NewRun()} }, 0.05},
-		// Five per home, all of them the goroutine's pprof labels:
-		// pprof.Labels builds its label slice (2), pprof.WithLabels its
-		// label map (1) and context (1), and strconv.Itoa the index
-		// (1, past 99).
-		{"traced", testConfig(1000, 1), func() Hooks { return Hooks{Trace: trace.NewRecorder()} }, 5.05},
+		{"traced", testConfig(1000, 1), func() Hooks { return Hooks{Trace: trace.NewRecorder()} }, 0.05},
+		// Five per home under a CPU profile, all of them the home's
+		// pprof labels: pprof.Labels builds its label slice (2),
+		// pprof.WithLabels its label map (1) and context (1), and
+		// strconv.Itoa the index (1, past 99). The rest of the bound is
+		// for the profiler's own goroutine, which allocates as samples
+		// of newly labelled homes arrive.
+		{"profiled", testConfig(1000, 1), nil, 5.25},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
+			if tc.name == "profiled" {
+				stop, err := profiling.Start(filepath.Join(t.TempDir(), "cpu.prof"), "")
+				if err != nil {
+					t.Skip("a CPU profile is already recording:", err)
+				}
+				defer stop()
+			}
 			mallocs := func(homes int) uint64 {
 				cfg := tc.cfg
 				cfg.Homes = homes

@@ -9,12 +9,23 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"sync/atomic"
 )
+
+// recording is set while a CPU profile started by Start records. Like
+// the runtime's CPU profiler it mirrors, it is one fact per process.
+var recording atomic.Bool
+
+// Recording reports whether a CPU profile started by Start is recording.
+// Code that pays to attribute its samples (pprof goroutine labels) does
+// so only then.
+func Recording() bool { return recording.Load() }
 
 // Start begins CPU profiling to cpuPath (if non-empty) and arranges for
 // a heap profile at memPath (if non-empty). The returned stop function
 // flushes both; callers must invoke it on every exit path that should
-// produce profiles (a defer in run() is the usual shape).
+// produce profiles (a defer in run() is the usual shape). Recording
+// reports true from Start's return until stop.
 func Start(cpuPath, memPath string) (stop func() error, err error) {
 	var cpuFile *os.File
 	if cpuPath != "" {
@@ -26,9 +37,11 @@ func Start(cpuPath, memPath string) (stop func() error, err error) {
 			cpuFile.Close()
 			return nil, fmt.Errorf("start cpu profile: %w", err)
 		}
+		recording.Store(true)
 	}
 	return func() error {
 		if cpuFile != nil {
+			recording.Store(false)
 			pprof.StopCPUProfile()
 			if err := cpuFile.Close(); err != nil {
 				return err

@@ -98,3 +98,32 @@ func TestUnwritableMemPathFailsOnStop(t *testing.T) {
 		t.Error("unwritable mem path did not error at stop")
 	}
 }
+
+func TestRecordingSpansCPUProfileOnly(t *testing.T) {
+	if Recording() {
+		t.Fatal("recording before any profile started")
+	}
+	stop, err := Start("", filepath.Join(t.TempDir(), "mem.prof"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if Recording() {
+		t.Error("a heap profile alone reports recording")
+	}
+	if err := stop(); err != nil {
+		t.Fatal(err)
+	}
+	stop, err = Start(filepath.Join(t.TempDir(), "cpu.prof"), "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !Recording() {
+		t.Error("not recording while a CPU profile records")
+	}
+	if err := stop(); err != nil {
+		t.Fatal(err)
+	}
+	if Recording() {
+		t.Error("still recording after stop")
+	}
+}

@@ -3,6 +3,7 @@ package trace
 import (
 	"slices"
 	"sort"
+	"strconv"
 	"sync"
 	"time"
 
@@ -320,7 +321,7 @@ func (r *Recorder) CommitHome(ht *HomeTrace, failed bool) (released *HomeTrace) 
 		DominantSpan: DominantSpan(ht.durNS, ht.kernelNS, ht.stallNS)}
 	r.sched.HomeWallMS.Add(slow.WallMS)
 	if top := r.sched.SlowestHomes; len(top) < r.topK || slow.Slower(top[len(top)-1]) {
-		slow.Label = ht.name()
+		slow.Label, slow.stem = ht.label, ht.stem
 		r.sched.SlowestHomes = InsertTop(top, slow, r.topK, SlowHome.Slower)
 	}
 	return released
@@ -345,6 +346,8 @@ type SlowHome struct {
 	// stalls, "other" for the residual).
 	WallMS       float64 `json:"wall_ms"`
 	DominantSpan string  `json:"dominant_span"`
+	// stem names a stem-named home until the table is read (labelled).
+	stem string
 }
 
 // Slower orders the slowest-homes table: longer wall time first, ties
@@ -354,6 +357,20 @@ func (s SlowHome) Slower(o SlowHome) bool {
 		return s.WallMS > o.WallMS
 	}
 	return s.Index < o.Index
+}
+
+// labelled copies a slowest-homes table for a reader, formatting each
+// stem-named entry's label. Formatting on read, not on insert, keeps a
+// home's commit free of allocation however often wall-time noise
+// reorders the table.
+func labelled(top []SlowHome) []SlowHome {
+	out := slices.Clone(top)
+	for i := range out {
+		if s := &out[i]; s.stem != "" {
+			s.Label, s.stem = s.stem+strconv.Itoa(s.Index), ""
+		}
+	}
+	return out
 }
 
 // InsertTop inserts x into top, a slice kept sorted under less (best
@@ -401,7 +418,7 @@ func (r *Recorder) Sched() Sched {
 	s := r.sched
 	s.Phases = slices.Clone(s.Phases)
 	s.HomeWallMS, s.ShardHomes = cloneSketch(s.HomeWallMS), cloneSketch(s.ShardHomes)
-	s.SlowestHomes = append([]SlowHome(nil), s.SlowestHomes...)
+	s.SlowestHomes = labelled(s.SlowestHomes)
 	return s
 }
 
@@ -560,7 +577,7 @@ func (r *Recorder) Summary() Summary {
 			Max: wall.Max(),
 		}
 	}
-	sched.SlowestHomes = append([]SlowHome(nil), r.sched.SlowestHomes...)
+	sched.SlowestHomes = labelled(r.sched.SlowestHomes)
 	s.Sched = sched
 	return s
 }

@@ -198,7 +198,7 @@ func TestTraceChromeExportAndErrorDumps(t *testing.T) {
 // TestTraceSlowHomes pins the slow-home diagnostics: an injected
 // home.slow stall dominates that home's wall time, so it must top both
 // the telemetry slow-homes table and the trace's scheduling section,
-// attributed to the "stall" span.
+// under its label and attributed to the "stall" span.
 func TestTraceSlowHomes(t *testing.T) {
 	tel := powifi.NewTelemetry()
 	tr := powifi.NewTrace()
@@ -224,8 +224,8 @@ func TestTraceSlowHomes(t *testing.T) {
 	if len(snap.SlowHomes) == 0 {
 		t.Fatal("telemetry snapshot has no slow homes")
 	}
-	if top := snap.SlowHomes[0]; top.Index != 3 || top.DominantSpan != "stall" {
-		t.Errorf("telemetry slowest home = %+v, want home 3 dominated by stall", top)
+	if top := snap.SlowHomes[0]; top.Index != 3 || top.Label != "fleet/home/3" || top.DominantSpan != "stall" {
+		t.Errorf("telemetry slowest home = %+v, want fleet/home/3 dominated by stall", top)
 	}
 	if h := snap.Histograms["home_wall_ms"]; h.N != 6 {
 		t.Errorf("home_wall_ms histogram N = %d, want 6", h.N)
@@ -235,8 +235,8 @@ func TestTraceSlowHomes(t *testing.T) {
 	if sched == nil || len(sched.SlowestHomes) == 0 {
 		t.Fatal("trace sched section has no slowest homes")
 	}
-	if top := sched.SlowestHomes[0]; top.Index != 3 || top.DominantSpan != "stall" {
-		t.Errorf("trace slowest home = %+v, want home 3 dominated by stall", top)
+	if top := sched.SlowestHomes[0]; top.Index != 3 || top.Label != "fleet/home/3" || top.DominantSpan != "stall" {
+		t.Errorf("trace slowest home = %+v, want fleet/home/3 dominated by stall", top)
 	}
 }
 

@@ -44,7 +44,10 @@ func ParseDeviceMix(s string) (DeviceMix, error) { return lifecycle.ParseMix(s) 
 // arranges for a heap profile at memPath (if non-empty) — the
 // conventional -cpuprofile/-memprofile behavior the CLIs wire up. The
 // returned stop function flushes both; callers must invoke it on every
-// exit path that should produce profiles.
+// exit path that should produce profiles. While the CPU profile records,
+// every fleet home runs under pprof goroutine labels (phase, home), so
+// the profile cuts by home whether or not the run is traced; without
+// one no home pays for labels.
 func StartProfiling(cpuPath, memPath string) (stop func() error, err error) {
 	return profiling.Start(cpuPath, memPath)
 }
