@@ -14,7 +14,6 @@
 package core
 
 import (
-	"reflect"
 	"time"
 
 	"repro/internal/harvester"
@@ -43,8 +42,6 @@ type PowerLink struct {
 	// (1, 6, 11). The fixed array keeps the per-bin hot path free of map
 	// traffic; OccupancyFromMap adapts map-shaped callers.
 	Occupancy [3]float64
-	// PathLoss selects the propagation model (free space by default).
-	PathLoss rf.PathLossModel
 }
 
 // OccupancyFromMap converts a per-channel occupancy map to the fixed
@@ -58,16 +55,6 @@ func OccupancyFromMap(m map[phy.Channel]float64) [3]float64 {
 		}
 	}
 	return occ
-}
-
-// OccupancyMap returns the link's per-channel occupancy as a map, the
-// inverse adapter of OccupancyFromMap for map-shaped consumers.
-func (l PowerLink) OccupancyMap() map[phy.Channel]float64 {
-	m := make(map[phy.Channel]float64, len(l.Occupancy))
-	for i, v := range l.Occupancy {
-		m[phy.PoWiFiChannels[i]] = v
-	}
-	return m
 }
 
 // PoWiFiLink returns the standard benchmark link: the prototype router
@@ -96,13 +83,31 @@ func PoWiFiLinkOccupancy(distanceFt float64, occupancy [3]float64) PowerLink {
 // FullChannelPowers returns the full (packet-burst) incident power per
 // channel at the device, paired with the per-channel occupancy fractions.
 func (l PowerLink) FullChannelPowers() (chans []harvester.ChannelPower, occ []float64) {
-	return l.appendChannelPowers(nil, nil)
+	return l.appendOccupied(nil, nil, l.channelPowersW())
 }
 
-// appendChannelPowers appends the occupied channels' burst powers and
-// occupancy fractions to the given buffers. Hot paths pass per-device
-// scratch slices so the per-bin evaluation allocates nothing.
-func (l PowerLink) appendChannelPowers(chans []harvester.ChannelPower, occ []float64) ([]harvester.ChannelPower, []float64) {
+// channelPowersW returns the full received power on each PoWiFi channel
+// (phy.PoWiFiChannels order): the link budget, which does not depend on
+// occupancy.
+func (l PowerLink) channelPowersW() [3]float64 {
+	link := rf.Link{
+		TxPowerDBm: l.TxPowerDBm,
+		TxAntenna:  rf.Antenna{GainDBi: l.TxGainDBi},
+		RxAntenna:  rf.Antenna{GainDBi: l.RxGainDBi},
+		DistanceM:  units.FeetToMeters(l.DistanceFt),
+		Wall:       l.Wall,
+	}
+	var p [3]float64
+	for i, chNum := range phy.PoWiFiChannels {
+		p[i] = link.ReceivedPowerW(chNum.FreqHz())
+	}
+	return p
+}
+
+// appendOccupied appends the occupied channels' burst powers, taken from
+// powerW, and occupancy fractions to the given buffers. Hot paths pass
+// per-device scratch slices so the per-bin evaluation allocates nothing.
+func (l PowerLink) appendOccupied(chans []harvester.ChannelPower, occ []float64, powerW [3]float64) ([]harvester.ChannelPower, []float64) {
 	for i, o := range l.Occupancy {
 		if o <= 0 {
 			continue
@@ -110,18 +115,9 @@ func (l PowerLink) appendChannelPowers(chans []harvester.ChannelPower, occ []flo
 		if o > 1 {
 			o = 1 // a single channel cannot be more than fully occupied
 		}
-		chNum := phy.PoWiFiChannels[i]
-		link := rf.Link{
-			TxPowerDBm: l.TxPowerDBm,
-			TxAntenna:  rf.Antenna{GainDBi: l.TxGainDBi},
-			RxAntenna:  rf.Antenna{GainDBi: l.RxGainDBi},
-			DistanceM:  units.FeetToMeters(l.DistanceFt),
-			Wall:       l.Wall,
-			Model:      l.PathLoss,
-		}
 		chans = append(chans, harvester.ChannelPower{
-			FreqHz: chNum.FreqHz(),
-			PowerW: link.ReceivedPowerW(chNum.FreqHz()),
+			FreqHz: phy.PoWiFiChannels[i].FreqHz(),
+			PowerW: powerW[i],
 		})
 		occ = append(occ, o)
 	}
@@ -220,13 +216,12 @@ func (c *chain) harvest(bin int, chans []harvester.ChannelPower, occ []float64) 
 // PowerLink's occupied channels without allocating: reusable channel/
 // occupancy buffers, and a link-budget memo keyed on the link geometry.
 // The deployment hot path evaluates the same geometry (power, gains,
-// distance, wall, model) bin after bin with only the occupancy
-// changing, and the RF budget is independent of occupancy — linkKey is
-// the last geometry (occupancy zeroed); chPowerW the full per-channel
-// received power it produces. Path loss models must be comparable
-// values for the key to work — both in-tree models are. Shared by the
-// temperature-sensor and camera devices (and through them by the
-// lifecycle engine's per-bin chain evaluations).
+// distance, wall) bin after bin with only the occupancy changing, and
+// the RF budget is independent of occupancy — linkKey is the last
+// geometry (occupancy zeroed); chPowerW the full per-channel received
+// power it produces. Shared by the temperature-sensor and camera
+// devices (and through them by the lifecycle engine's per-bin chain
+// evaluations).
 type linkExpander struct {
 	chansBuf []harvester.ChannelPower
 	occBuf   []float64
@@ -239,46 +234,16 @@ type linkExpander struct {
 // expand materializes the link's occupied channels into the expander's
 // scratch buffers, so per-bin evaluation neither allocates nor re-solves
 // the occupancy-independent RF budget when the geometry is unchanged.
-// Links whose path-loss model is a non-comparable type skip the memo (a
-// cache miss, never a panic).
 func (e *linkExpander) expand(link PowerLink) ([]harvester.ChannelPower, []float64) {
-	if link.PathLoss != nil && !reflect.TypeOf(link.PathLoss).Comparable() {
-		e.chansBuf, e.occBuf = link.appendChannelPowers(e.chansBuf[:0], e.occBuf[:0])
-		return e.chansBuf, e.occBuf
-	}
 	key := link
 	key.Occupancy = [3]float64{}
 	if !e.linkValid || key != e.linkKey {
-		for i, chNum := range phy.PoWiFiChannels {
-			rfl := rf.Link{
-				TxPowerDBm: link.TxPowerDBm,
-				TxAntenna:  rf.Antenna{GainDBi: link.TxGainDBi},
-				RxAntenna:  rf.Antenna{GainDBi: link.RxGainDBi},
-				DistanceM:  units.FeetToMeters(link.DistanceFt),
-				Wall:       link.Wall,
-				Model:      link.PathLoss,
-			}
-			e.chPowerW[i] = rfl.ReceivedPowerW(chNum.FreqHz())
-		}
+		e.chPowerW = link.channelPowersW()
 		e.linkKey = key
 		e.linkValid = true
 	}
-	chans, occ := e.chansBuf[:0], e.occBuf[:0]
-	for i, o := range link.Occupancy {
-		if o <= 0 {
-			continue
-		}
-		if o > 1 {
-			o = 1 // a single channel cannot be more than fully occupied
-		}
-		chans = append(chans, harvester.ChannelPower{
-			FreqHz: phy.PoWiFiChannels[i].FreqHz(),
-			PowerW: e.chPowerW[i],
-		})
-		occ = append(occ, o)
-	}
-	e.chansBuf, e.occBuf = chans, occ
-	return chans, occ
+	e.chansBuf, e.occBuf = link.appendOccupied(e.chansBuf[:0], e.occBuf[:0], e.chPowerW)
+	return e.chansBuf, e.occBuf
 }
 
 // TempSensorDevice is a complete Wi-Fi-powered temperature sensor (§5.1).

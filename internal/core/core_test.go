@@ -20,9 +20,11 @@ func TestPoWiFiLinkSplitsOccupancyEvenly(t *testing.T) {
 			t.Errorf("%v occupancy = %v, want 0.3", chNum, occ)
 		}
 	}
-	// The map adapters round-trip the fixed array.
-	if got := OccupancyFromMap(link.OccupancyMap()); got != link.Occupancy {
-		t.Errorf("OccupancyFromMap(OccupancyMap()) = %v, want %v", got, link.Occupancy)
+	// The map adapter fills the fixed array and ignores channels outside
+	// the PoWiFi set.
+	m := map[phy.Channel]float64{phy.Channel1: 0.1, phy.Channel6: 0.2, phy.Channel11: 0.3, phy.Channel(3): 0.9}
+	if got, want := OccupancyFromMap(m), [3]float64{0.1, 0.2, 0.3}; got != want {
+		t.Errorf("OccupancyFromMap(%v) = %v, want %v", m, got, want)
 	}
 }
 

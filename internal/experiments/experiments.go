@@ -20,7 +20,9 @@ type Config struct {
 	Quick bool
 	// Exact puts every device the run builds on the direct
 	// operating-point solver instead of the error-bounded interpolation
-	// surface (internal/surface). It holds for this run only.
+	// surface (internal/surface). It holds for this run only. fig14
+	// runs on the surface whatever Exact says: its table prints only
+	// occupancy, which does not depend on the solver.
 	Exact bool
 }
 

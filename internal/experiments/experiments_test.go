@@ -424,24 +424,40 @@ func TestExactReachesSurfaceRunners(t *testing.T) {
 		})
 	}
 
-	// fig14 and fig15 both run RunFig14(deployOptions(cfg)); an exact
-	// run of the quick configuration takes seconds per home, so the
-	// options are checked directly and RunFig14 at a reduced scale.
+	// fig14 prints only occupancy, so its runner stays on the surface
+	// whatever Exact says; fig15 prints sensor rates and honours it.
+	// Both run RunFig14. An exact run of the quick configuration takes
+	// seconds per home, so the solver comparisons run RunFig14 at a
+	// reduced scale.
+	opts := deploy.Options{BinWidth: time.Hour, Window: 20 * time.Millisecond, Hours: 2, SensorDistanceFt: 10}
+	surf := RunFig14(opts)
+	opts.Exact = true
+	exact := RunFig14(opts)
 	t.Run("fig14", func(t *testing.T) {
+		for i := range exact.Results {
+			if !reflect.DeepEqual(exact.Results[i].Cumulative, surf.Results[i].Cumulative) {
+				t.Errorf("home %d: occupancy depends on the solver", exact.Results[i].Home.ID)
+			}
+		}
+		if testing.Short() {
+			t.Skip("slow: two quick fig14 runs")
+		}
+		// Bit-identical sensor rates show the exact run never left the
+		// surface.
+		e := registry["fig14"].run(Config{Quick: true, Exact: true}).(*Fig14Result)
+		s := registry["fig14"].run(Config{Quick: true}).(*Fig14Result)
+		if !reflect.DeepEqual(e, s) {
+			t.Error("fig14 with Exact differs from fig14 on the surface")
+		}
+	})
+	t.Run("fig15", func(t *testing.T) {
 		for _, exact := range []bool{false, true} {
 			if got := deployOptions(Config{Quick: true, Exact: exact}).Exact; got != exact {
 				t.Errorf("deployOptions(Exact: %v).Exact = %v", exact, got)
 			}
 		}
-		opts := deploy.Options{BinWidth: time.Hour, Window: 20 * time.Millisecond, Hours: 2, SensorDistanceFt: 10}
-		surf := RunFig14(opts)
-		opts.Exact = true
-		exact := RunFig14(opts)
 		var e, s []float64
 		for i := range exact.Results {
-			if !reflect.DeepEqual(exact.Results[i].Cumulative, surf.Results[i].Cumulative) {
-				t.Errorf("home %d: occupancy depends on the solver", exact.Results[i].Home.ID)
-			}
 			e = append(e, exact.Results[i].SensorRates...)
 			s = append(s, surf.Results[i].SensorRates...)
 		}

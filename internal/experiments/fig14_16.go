@@ -159,7 +159,7 @@ func deployOptions(cfg Config) deploy.Options {
 
 func init() {
 	register("fig14", "six-home deployment occupancy logs", "PoWiFi channel occupancies in home deployments",
-		func(cfg Config) Table { return RunFig14(deployOptions(cfg)) })
+		func(cfg Config) Table { return RunFig14(deployOptions(Config{Quick: cfg.Quick})) })
 	register("fig15", "battery-free temperature sensor across homes", "Battery-free temperature sensor across homes",
 		func(cfg Config) Table { return RunFig15(RunFig14(deployOptions(cfg))) })
 	register("table1", "deployment summary", "Summary of our home deployment",

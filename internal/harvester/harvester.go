@@ -39,7 +39,7 @@ func (v Version) String() string {
 // useful client traffic and superfluous power traffic").
 type Harvester struct {
 	Version Version
-	Match   rf.MatchingNetwork
+	Match   rf.HighPassLSection
 	Rect    diode.Doubler
 	Seiko   *SeikoS882Z // set for BatteryFree
 	BQ      *BQ25570    // set for BatteryCharging

@@ -128,9 +128,8 @@ type PowerProbe interface {
 
 // Channel is one Wi-Fi channel's shared medium.
 type Channel struct {
-	Num      phy.Channel
-	Sched    *eventsim.Scheduler
-	PathLoss rf.PathLossModel
+	Num   phy.Channel
+	Sched *eventsim.Scheduler
 
 	stations []Station
 	// activeN bounds the participating prefix of stations: carrier
@@ -152,7 +151,7 @@ type Channel struct {
 	// positions, powers and gains are fixed once a run starts, and the
 	// carrier-sense/capture checks re-derive the same pure path-loss
 	// math on every busy edge — the cache turns each repeat into a
-	// load. Reset and AddStation invalidate it.
+	// load. AddStation invalidates it; Reset keeps it.
 	rxCache []float64
 
 	// Observers receive every completed transmission regardless of
@@ -186,13 +185,11 @@ type Channel struct {
 	lastAirtime  time.Duration
 }
 
-// NewChannel creates a channel medium on the scheduler with free-space
-// propagation by default.
+// NewChannel creates a channel medium on the scheduler.
 func NewChannel(num phy.Channel, sched *eventsim.Scheduler) *Channel {
 	c := &Channel{
-		Num:      num,
-		Sched:    sched,
-		PathLoss: rf.FreeSpace{},
+		Num:   num,
+		Sched: sched,
 	}
 	c.endTxFn = func(ctx any) { c.endTx(ctx.(*Transmission)) }
 	return c
@@ -221,9 +218,9 @@ func (c *Channel) newTransmission() *Transmission {
 // no recycled transmission is still referenced by a queued event.
 //
 // The pairwise received-power memo survives Reset: it depends only on
-// station geometry, powers, gains and the path-loss model, all of which
-// attachment fixes. A caller that mutates any of those between runs
-// must call InvalidateRxCache.
+// station geometry, powers and gains, all of which attachment fixes. A
+// caller that mutates any of those between runs must call
+// InvalidateRxCache.
 func (c *Channel) Reset() {
 	for i := range c.active {
 		c.active[i] = nil
@@ -240,8 +237,7 @@ func (c *Channel) Reset() {
 
 // InvalidateRxCache marks every pairwise received-power entry stale.
 // AddStation calls it automatically; callers that change a station's
-// power, gain or position, or the channel's PathLoss, after attachment
-// must call it themselves.
+// power, gain or position after attachment must call it themselves.
 func (c *Channel) InvalidateRxCache() { c.invalidateRxCache() }
 
 // invalidateRxCache marks every pairwise received-power entry stale.
@@ -331,7 +327,6 @@ func (c *Channel) rxPowerDBm(src Station, loc Location, gainDBi, extraLossDB flo
 		TxAntenna:  rf.Antenna{GainDBi: src.AntennaGainDBi()},
 		RxAntenna:  rf.Antenna{GainDBi: gainDBi},
 		DistanceM:  src.Location().DistanceTo(loc),
-		Model:      c.PathLoss,
 	}
 	return link.ReceivedPowerDBm(c.Num.FreqHz()) - extraLossDB
 }

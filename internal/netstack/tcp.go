@@ -43,9 +43,6 @@ type TCPSender struct {
 	timer             eventsim.Handle
 	sendTimes         map[int]time.Duration
 
-	rtoCount        int
-	fastRetransmits int
-
 	stopped    bool
 	completed  bool
 	totalSegs  int
@@ -205,7 +202,6 @@ func (s *TCPSender) Deliver(p *Packet) {
 			}
 			s.cwnd = s.ssthresh
 			s.inFastRec = true
-			s.fastRetransmits++
 			s.recover = s.nextSeq
 			s.sendSegment(s.sndUna, true)
 			s.armTimer()
@@ -269,7 +265,6 @@ func (s *TCPSender) onRTO() {
 	s.cwnd = 1
 	s.dupAcks = 0
 	s.inFastRec = false
-	s.rtoCount++
 	if s.rtoBackoff < 6 {
 		s.rtoBackoff++
 	}
@@ -320,8 +315,3 @@ func (r *TCPReceiver) Deliver(p *Packet) {
 
 // BytesReceived returns the in-order payload byte count.
 func (r *TCPReceiver) BytesReceived() int { return r.bytes }
-
-// DebugState exposes internal congestion state for tests and debugging.
-func (s *TCPSender) DebugState() (cwnd, ssthresh float64, rtoCount, fastRetransmits, sndUna, nextSeq int) {
-	return s.cwnd, s.ssthresh, s.rtoCount, s.fastRetransmits, s.sndUna, s.nextSeq
-}

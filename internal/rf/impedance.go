@@ -1,7 +1,7 @@
 // Package rf provides the analog RF substrate of the PoWiFi simulator:
 // complex impedance arithmetic, single-stage LC matching-network analysis
 // (the paper's §3.1 matching network), S11/return-loss computation (Fig. 9),
-// and indoor radio propagation with antenna gains and wall materials
+// and free-space radio propagation with antenna gains and wall materials
 // (Figs. 11–13).
 package rf
 
@@ -76,66 +76,6 @@ func MismatchLossFraction(z Impedance, z0 float64) float64 {
 	return 1 - g*g
 }
 
-// MatchingNetwork is a two-port impedance-matching network between a 50 Ω
-// antenna and the rectifier load.
-type MatchingNetwork interface {
-	// InputImpedance returns the impedance seen from the antenna when the
-	// rectifier presents zLoad at freqHz.
-	InputImpedance(zLoad Impedance, freqHz float64) Impedance
-	// ReturnLossDB returns the match quality against Z0 at freqHz.
-	ReturnLossDB(zLoad Impedance, freqHz float64) float64
-	// PowerTransferFraction returns the fraction of antenna-incident
-	// power that reaches the rectifier load at freqHz.
-	PowerTransferFraction(zLoad Impedance, freqHz float64) float64
-}
-
-// LSection is a low-pass single-stage LC matching network: a shunt
-// capacitor across the antenna port followed by a series inductor into the
-// rectifier. This orientation suits loads whose series-equivalent
-// resistance sits below 50 Ω.
-type LSection struct {
-	SeriesL    float64 // henries, in series with the rectifier
-	ShuntC     float64 // farads, across the antenna port
-	InductorQ  float64 // quality factor of the inductor (≈100 at 2.45 GHz)
-	CapacitorQ float64 // quality factor of the capacitor (0 = lossless)
-}
-
-// InputImpedance returns the impedance seen looking into the network from
-// the antenna side when the rectifier presents load zLoad at freqHz:
-// Zc ∥ (Zl + Zload).
-func (n LSection) InputImpedance(zLoad Impedance, freqHz float64) Impedance {
-	zc := CapacitorImpedance(n.ShuntC, freqHz, n.CapacitorQ)
-	series := InductorImpedance(n.SeriesL, freqHz, n.InductorQ) + zLoad
-	return Parallel(zc, series)
-}
-
-// ReturnLossDB returns the network's return loss against Z0 for the given
-// rectifier load at freqHz.
-func (n LSection) ReturnLossDB(zLoad Impedance, freqHz float64) float64 {
-	return ReturnLossDB(n.InputImpedance(zLoad, freqHz), Z0)
-}
-
-// PowerTransferFraction returns the fraction of antenna-incident power that
-// reaches the rectifier load: the mismatch-accepted fraction times the
-// dissipative efficiency of the series branch (power divides between the
-// inductor ESR and the load in proportion to their resistances; the shunt
-// capacitor is nearly lossless).
-func (n LSection) PowerTransferFraction(zLoad Impedance, freqHz float64) float64 {
-	zin := n.InputImpedance(zLoad, freqHz)
-	accepted := MismatchLossFraction(zin, Z0)
-	zl := InductorImpedance(n.SeriesL, freqHz, n.InductorQ)
-	rl := real(zl)
-	rs := real(zLoad)
-	if rl+rs <= 0 {
-		return 0
-	}
-	eff := rs / (rl + rs)
-	if accepted < 0 {
-		accepted = 0
-	}
-	return accepted * eff
-}
-
 // HighPassLSection is the paper's single-stage LC matching network in its
 // high-pass orientation (Fig. 4): a series capacitor CT from the antenna
 // into the rectifier node, with a shunt inductor LT from that node to
@@ -151,20 +91,24 @@ type HighPassLSection struct {
 	CapacitorQ float64 // capacitor quality factor (0 = lossless)
 }
 
-// InputImpedance implements MatchingNetwork: Zc + (Zl ∥ Zload).
+// InputImpedance returns the impedance seen looking into the network
+// from the antenna side when the rectifier presents load zLoad at
+// freqHz: Zc + (Zl ∥ Zload).
 func (n HighPassLSection) InputImpedance(zLoad Impedance, freqHz float64) Impedance {
 	zl := InductorImpedance(n.ShuntL, freqHz, n.InductorQ)
 	zc := CapacitorImpedance(n.SeriesC, freqHz, n.CapacitorQ)
 	return zc + Parallel(zl, zLoad)
 }
 
-// ReturnLossDB implements MatchingNetwork.
+// ReturnLossDB returns the network's return loss against Z0 for the
+// given rectifier load at freqHz.
 func (n HighPassLSection) ReturnLossDB(zLoad Impedance, freqHz float64) float64 {
 	return ReturnLossDB(n.InputImpedance(zLoad, freqHz), Z0)
 }
 
-// PowerTransferFraction implements MatchingNetwork. Power accepted past
-// the mismatch divides between the shunt inductor's ESR and the rectifier
+// PowerTransferFraction returns the fraction of antenna-incident power
+// that reaches the rectifier load at freqHz. Power accepted past the
+// mismatch divides between the shunt inductor's ESR and the rectifier
 // in proportion to their conductances. The shunt-inductor impedance is
 // computed once and shared with the input-impedance expression (it is
 // the same value InputImpedance derives; this sits on the operating-

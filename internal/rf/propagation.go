@@ -7,54 +7,21 @@ import (
 	"repro/internal/units"
 )
 
-// PathLossModel computes propagation loss in dB at a given distance and
-// carrier frequency.
-type PathLossModel interface {
-	// LossDB returns the (positive) path loss in dB over distanceM metres
-	// at freqHz.
-	LossDB(distanceM, freqHz float64) float64
-}
-
-// FreeSpace is the Friis free-space path-loss model,
-// PL = 20·log10(4πd/λ). The paper's measured operating ranges (20 ft at a
-// −17.8 dBm sensitivity from a 30 dBm + 6 dBi router into a 2 dBi antenna)
-// are consistent with free space, which is why it is the default model for
-// the line-of-sight benchmark experiments.
-type FreeSpace struct{}
-
-// LossDB implements PathLossModel. Distances below 10 cm are clamped to
-// avoid the near-field singularity; the paper's closest scenario (the USB
-// charger at 5–7 cm) is handled by its experiment with this clamp noted.
-func (FreeSpace) LossDB(distanceM, freqHz float64) float64 {
+// freeSpaceLossDB returns the Friis free-space path loss in dB over
+// distanceM metres at freqHz, PL = 20·log10(4πd/λ). The paper's measured
+// operating ranges (20 ft at a −17.8 dBm sensitivity from a 30 dBm +
+// 6 dBi router into a 2 dBi antenna) are consistent with free space,
+// which is why every link in the simulator uses it. Distances below 5 cm
+// are clamped to avoid the near-field singularity; the paper's closest
+// scenario (the USB charger at 5–7 cm) is handled by its experiment with
+// this clamp noted.
+func freeSpaceLossDB(distanceM, freqHz float64) float64 {
 	const minD = 0.05
 	if distanceM < minD {
 		distanceM = minD
 	}
 	lambda := units.Wavelength(freqHz)
 	return 20 * math.Log10(4*math.Pi*distanceM/lambda)
-}
-
-// LogDistance is the indoor log-distance model: free-space loss up to a
-// breakpoint distance, then a steeper exponent. Home deployments (§6) use
-// this to model cluttered apartments.
-type LogDistance struct {
-	BreakpointM float64 // metres of pure free-space propagation
-	Exponent    float64 // path-loss exponent beyond the breakpoint (e.g. 3.0)
-	ShadowDB    float64 // constant shadowing margin added beyond breakpoint
-}
-
-// LossDB implements PathLossModel.
-func (m LogDistance) LossDB(distanceM, freqHz float64) float64 {
-	fs := FreeSpace{}
-	bp := m.BreakpointM
-	if bp <= 0 {
-		bp = 1
-	}
-	if distanceM <= bp {
-		return fs.LossDB(distanceM, freqHz)
-	}
-	base := fs.LossDB(bp, freqHz)
-	return base + 10*m.Exponent*math.Log10(distanceM/bp) + m.ShadowDB
 }
 
 // WallMaterial identifies the four through-the-wall scenarios of Fig. 13
@@ -122,18 +89,14 @@ type Link struct {
 	RxAntenna  Antenna
 	DistanceM  float64
 	Wall       WallMaterial
-	Model      PathLossModel
 }
 
 // ReceivedPowerDBm returns the power at the receiver for a carrier at
-// freqHz: Pt + Gt + Gr − PL(d) − wall attenuation.
+// freqHz: Pt + Gt + Gr − PL(d) − wall attenuation, with PL the
+// free-space loss.
 func (l Link) ReceivedPowerDBm(freqHz float64) float64 {
-	model := l.Model
-	if model == nil {
-		model = FreeSpace{}
-	}
 	return l.TxPowerDBm + l.TxAntenna.GainDBi + l.RxAntenna.GainDBi -
-		model.LossDB(l.DistanceM, freqHz) - l.Wall.AttenuationDB()
+		freeSpaceLossDB(l.DistanceM, freqHz) - l.Wall.AttenuationDB()
 }
 
 // ReceivedPowerW returns the received power in watts.

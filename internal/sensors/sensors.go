@@ -112,17 +112,6 @@ func NewCamera() *Camera {
 	}
 }
 
-// FrameBytes returns the gray-scale frame size; it must fit the MCU's
-// 64 KB FRAM, which is why the paper selects QCIF.
-func (c *Camera) FrameBytes() int { return c.Width * c.Height }
-
-// UsableStorageJ returns the energy the supercapacitor delivers per charge
-// window (from the 3.1 V release down to the 2.4 V cutoff):
-// ½C(V₁²−V₂²) ≈ 13 mJ for the paper's values, just above one frame.
-func (c *Camera) UsableStorageJ() float64 {
-	return 0.5 * c.SupercapF * (c.SupercapChargeV*c.SupercapChargeV - c.SupercapCutoffV*c.SupercapCutoffV)
-}
-
 // InterFrameTime returns the time between captures at the given net
 // harvested power: the camera must bank FrameEnergyJ (plus the relative
 // overhead of recharging the supercap window) before each shot. Returns

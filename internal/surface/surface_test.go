@@ -5,6 +5,8 @@ import (
 	"testing"
 
 	"repro/internal/harvester"
+	"repro/internal/phy"
+	"repro/internal/xrand"
 )
 
 // TestRegistrySharesBuilds pins that For returns one surface per
@@ -120,6 +122,47 @@ func TestStatsCertified(t *testing.T) {
 		}
 		if st.MaxMidpointErr > float64(safetyFactor)/2 {
 			t.Errorf("worst midpoint error %.1f× tolerance eats the whole safety margin (%+v)", st.MaxMidpointErr, st)
+		}
+	}
+}
+
+// TestHoistedTransferBitIdentical pins that the fixed points' hoisted
+// transfer — the per-frequency constants of xferFor fed to transferWith
+// — reproduces the harvester's own expressions bit for bit, on both
+// production harvesters: at the three channel centres (served from the
+// cache) and at random in-band frequencies (built on the spot, as for
+// the boot path's power-weighted mean frequency), over rectifier input
+// resistances from 10 Ω to 1 MΩ and the unpowered +Inf.
+func TestHoistedTransferBitIdentical(t *testing.T) {
+	rng := xrand.NewFromLabel(17, "surface/hoisted-transfer")
+	var freqs []float64
+	for _, chNum := range phy.PoWiFiChannels {
+		freqs = append(freqs, chNum.FreqHz())
+	}
+	for len(freqs) < 203 {
+		freqs = append(freqs, rng.Uniform(2.401e9, 2.483e9))
+	}
+	rps := []float64{math.Inf(1)}
+	for len(rps) < 201 {
+		rps = append(rps, math.Exp(rng.Uniform(math.Log(10), math.Log(1e6))))
+	}
+	for _, h := range []*harvester.Harvester{harvester.NewBatteryFree(), harvester.NewBatteryCharging()} {
+		s := newSurface(h, DefaultOptions())
+		mismatches := 0
+		for _, f := range freqs {
+			x := s.xferFor(f)
+			for _, rp := range rps {
+				got := transferWith(&x, rsiFromXp(rp, x.xp))
+				want := h.Match.PowerTransferFraction(h.RectifierSeriesImpedance(rp, f), f)
+				if math.Float64bits(got) != math.Float64bits(want) {
+					if mismatches++; mismatches <= 5 {
+						t.Errorf("%v at %.6g Hz, Rp %.6g Ω: hoisted %v, harvester %v", h.Version, f, rp, got, want)
+					}
+				}
+			}
+		}
+		if mismatches > 0 {
+			t.Errorf("%v: %d of %d pairs differ", h.Version, mismatches, len(freqs)*len(rps))
 		}
 	}
 }
