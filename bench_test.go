@@ -142,8 +142,9 @@ func BenchmarkFig14HomeOccupancy(b *testing.B) {
 		Hours: 24, SensorDistanceFt: 10,
 	}
 	for i := 0; i < b.N; i++ {
-		res := deploy.Run(deploy.PaperHomes()[1], opts)
-		if res.MeanCumulative() <= 0 {
+		var log deploy.BinBatch
+		deploy.NewSampler().RunBatch(deploy.PaperHomes()[1], opts, &log, nil)
+		if log.Means().CumulativePct <= 0 {
 			b.Fatal("no occupancy logged")
 		}
 	}
@@ -156,8 +157,9 @@ func BenchmarkFig15HomeSensorCDF(b *testing.B) {
 		Hours: 24, SensorDistanceFt: 10,
 	}
 	for i := 0; i < b.N; i++ {
-		res := deploy.Run(deploy.PaperHomes()[2], opts)
-		cdf := stats.NewCDF(res.SensorRates)
+		var log deploy.BinBatch
+		deploy.NewSampler().RunBatch(deploy.PaperHomes()[2], opts, &log, nil)
+		cdf := stats.NewCDF(log.SensorRate)
 		if cdf.Quantile(0.5) <= 0 {
 			b.Fatal("sensor silent in deployment")
 		}

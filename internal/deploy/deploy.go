@@ -13,11 +13,8 @@
 package deploy
 
 import (
-	"fmt"
 	"math"
 	"time"
-
-	"repro/internal/phy"
 )
 
 // HomeConfig describes one deployment home (Table 1). The JSON tags
@@ -114,40 +111,6 @@ func (o Options) NumBins() int {
 	return int(o.Hours*float64(time.Hour)/float64(o.BinWidth) + 1e-9)
 }
 
-// Result is one home's deployment log.
-type Result struct {
-	Home     HomeConfig
-	BinWidth time.Duration
-	// Occupancy holds per-bin router occupancy percentages per channel.
-	Occupancy map[phy.Channel][]float64
-	// Cumulative is the per-bin sum across channels (may exceed 100).
-	Cumulative []float64
-	// SensorRates is the battery-free temperature sensor's per-bin update
-	// rate (reads/s) at the configured distance.
-	SensorRates []float64
-	// HourOfDay maps each bin to its local time.
-	HourOfDay []float64
-}
-
-// MeanCumulative returns the mean cumulative occupancy percentage, the
-// number the paper reports as 78-127% across homes.
-func (r *Result) MeanCumulative() float64 {
-	if len(r.Cumulative) == 0 {
-		return 0
-	}
-	sum := 0.0
-	for _, v := range r.Cumulative {
-		sum += v
-	}
-	return sum / float64(len(r.Cumulative))
-}
-
-// String summarizes the result.
-func (r *Result) String() string {
-	return fmt.Sprintf("home %d: %d bins, mean cumulative occupancy %.1f%%",
-		r.Home.ID, len(r.Cumulative), r.MeanCumulative())
-}
-
 // activity returns the diurnal activity level in [0, 1] for a local hour.
 // Weekday evenings peak after work; weekends spread usage through the day.
 func activity(hour float64, weekend bool) float64 {
@@ -210,28 +173,4 @@ func (s BinSample) BankedHarvestUW() float64 {
 		return 0
 	}
 	return uw
-}
-
-// Run simulates one home deployment and materializes the full per-bin
-// log from the finished batch — the paper's six-home study (Fig. 14,
-// Fig. 15) on a fresh Sampler.
-func Run(cfg HomeConfig, opts Options) *Result {
-	var b BinBatch
-	NewSampler().RunBatch(cfg, opts, &b, nil)
-	res := &Result{
-		Home:        cfg,
-		BinWidth:    opts.Resolved().BinWidth,
-		Occupancy:   make(map[phy.Channel][]float64, 3),
-		Cumulative:  b.CumulativePct,
-		SensorRates: b.SensorRate,
-		HourOfDay:   b.Hour,
-	}
-	for c, ch := range phy.PoWiFiChannels {
-		pct := make([]float64, b.Len())
-		for i, occ := range b.Occupancy {
-			pct[i] = occ[c] * 100
-		}
-		res.Occupancy[ch] = pct
-	}
-	return res
 }

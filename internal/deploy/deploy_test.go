@@ -43,44 +43,47 @@ func TestPaperHomesMatchTable1(t *testing.T) {
 	}
 }
 
+// runHome runs one home on a fresh Sampler into a fresh batch.
+func runHome(cfg HomeConfig, opts Options) *BinBatch {
+	var b BinBatch
+	NewSampler().RunBatch(cfg, opts, &b, nil)
+	return &b
+}
+
 func TestRunProducesAllBins(t *testing.T) {
-	res := Run(PaperHomes()[1], fastOpts())
-	if len(res.Cumulative) != 6 {
-		t.Fatalf("bins = %d, want 6", len(res.Cumulative))
+	b := runHome(PaperHomes()[1], fastOpts())
+	if b.Len() != 6 {
+		t.Fatalf("bins = %d, want 6", b.Len())
 	}
-	for _, chNum := range phy.PoWiFiChannels {
-		if len(res.Occupancy[chNum]) != 6 {
-			t.Errorf("%v occupancy bins = %d, want 6", chNum, len(res.Occupancy[chNum]))
-		}
-	}
-	if len(res.SensorRates) != 6 || len(res.HourOfDay) != 6 {
-		t.Error("sensor rates / hours not aligned with bins")
+	if len(b.Occupancy) != 6 || len(b.CumulativePct) != 6 || len(b.SensorRate) != 6 ||
+		len(b.NetHarvestedW) != 6 || len(b.Simulated) != 6 {
+		t.Error("batch columns not aligned with bins")
 	}
 }
 
 func TestCumulativeIsChannelSum(t *testing.T) {
-	res := Run(PaperHomes()[1], fastOpts())
-	for i := range res.Cumulative {
+	b := runHome(PaperHomes()[1], fastOpts())
+	for i, occ := range b.Occupancy {
 		sum := 0.0
-		for _, chNum := range phy.PoWiFiChannels {
-			sum += res.Occupancy[chNum][i]
+		for _, v := range occ {
+			sum += v * 100
 		}
-		if diff := res.Cumulative[i] - sum; diff > 1e-9 || diff < -1e-9 {
-			t.Fatalf("bin %d cumulative %v != channel sum %v", i, res.Cumulative[i], sum)
+		if diff := b.CumulativePct[i] - sum; diff > 1e-9 || diff < -1e-9 {
+			t.Fatalf("bin %d cumulative %v != channel sum %v", i, b.CumulativePct[i], sum)
 		}
 	}
 }
 
 func TestOccupancyWithinPhysicalBounds(t *testing.T) {
-	res := Run(PaperHomes()[0], fastOpts())
-	for _, chNum := range phy.PoWiFiChannels {
-		for i, v := range res.Occupancy[chNum] {
-			if v < 0 || v > 100 {
-				t.Fatalf("%v bin %d occupancy %v%% out of [0,100]", chNum, i, v)
+	b := runHome(PaperHomes()[0], fastOpts())
+	for i, occ := range b.Occupancy {
+		for c, v := range occ {
+			if v < 0 || v > 1 {
+				t.Fatalf("%v bin %d occupancy %v out of [0,1]", phy.PoWiFiChannels[c], i, v)
 			}
 		}
 	}
-	for i, v := range res.Cumulative {
+	for i, v := range b.CumulativePct {
 		if v < 0 || v > 300 {
 			t.Fatalf("cumulative bin %d = %v%% out of [0,300]", i, v)
 		}
@@ -92,18 +95,17 @@ func TestMeanCumulativeInPaperBallpark(t *testing.T) {
 	// Run two contrasting homes with moderate resolution.
 	opts := Options{BinWidth: 90 * time.Minute, Window: 300 * time.Millisecond, Hours: 24, SensorDistanceFt: 10}
 	for _, idx := range []int{1, 4} { // home 2 (quiet) and home 5 (busy)
-		res := Run(PaperHomes()[idx], opts)
-		m := res.MeanCumulative()
+		home := PaperHomes()[idx]
+		m := runHome(home, opts).Means().CumulativePct
 		if m < 60 || m > 160 {
-			t.Errorf("home %d mean cumulative = %.1f%%, want within 60-160", res.Home.ID, m)
+			t.Errorf("home %d mean cumulative = %.1f%%, want within 60-160", home.ID, m)
 		}
 	}
 }
 
 func TestSensorRatesPlausible(t *testing.T) {
 	// Fig. 15: at 10 ft the battery-free sensor reads at 0-10/s.
-	res := Run(PaperHomes()[2], fastOpts())
-	cdf := stats.NewCDF(res.SensorRates)
+	cdf := stats.NewCDF(runHome(PaperHomes()[2], fastOpts()).SensorRate)
 	if cdf.Quantile(1) > 12 {
 		t.Errorf("max sensor rate = %v, implausibly high", cdf.Quantile(1))
 	}
@@ -113,60 +115,46 @@ func TestSensorRatesPlausible(t *testing.T) {
 }
 
 func TestDeterministicAcrossRuns(t *testing.T) {
-	a := Run(PaperHomes()[1], fastOpts())
-	b := Run(PaperHomes()[1], fastOpts())
-	for i := range a.Cumulative {
-		if a.Cumulative[i] != b.Cumulative[i] {
+	a := runHome(PaperHomes()[1], fastOpts())
+	b := runHome(PaperHomes()[1], fastOpts())
+	for i := range a.CumulativePct {
+		if a.CumulativePct[i] != b.CumulativePct[i] {
 			t.Fatalf("bin %d differs between identical runs: %v vs %v",
-				i, a.Cumulative[i], b.Cumulative[i])
+				i, a.CumulativePct[i], b.CumulativePct[i])
 		}
 	}
 }
 
 func TestHomesDiffer(t *testing.T) {
-	a := Run(PaperHomes()[1], fastOpts()) // 4 neighbor APs
-	b := Run(PaperHomes()[4], fastOpts()) // 24 neighbor APs
+	a := runHome(PaperHomes()[1], fastOpts()) // 4 neighbor APs
+	b := runHome(PaperHomes()[4], fastOpts()) // 24 neighbor APs
 	same := 0
-	for i := range a.Cumulative {
-		if a.Cumulative[i] == b.Cumulative[i] {
+	for i := range a.CumulativePct {
+		if a.CumulativePct[i] == b.CumulativePct[i] {
 			same++
 		}
 	}
-	if same == len(a.Cumulative) {
+	if same == len(a.CumulativePct) {
 		t.Error("two very different homes produced identical logs")
 	}
 }
 
 func TestRunBatchAgreesWithRun(t *testing.T) {
-	// Run materializes a finished batch; the batch's samples must
-	// reproduce the log exactly, and carry the sensor-side fields the
+	// A finished run's per-bin records (Sample) must reproduce the
+	// batch's columns exactly, and carry the sensor-side fields the
 	// fleet runner depends on.
-	cfg := PaperHomes()[1]
-	opts := fastOpts()
-	res := Run(cfg, opts)
-	var b BinBatch
-	NewSampler().RunBatch(cfg, opts, &b, nil)
-	if b.Len() != len(res.Cumulative) {
-		t.Fatalf("batched %d bins, materialized %d", b.Len(), len(res.Cumulative))
-	}
+	b := runHome(PaperHomes()[1], fastOpts())
 	for i := 0; i < b.Len(); i++ {
 		s := b.Sample(i)
 		if s.Bin != i {
 			t.Fatalf("bin %d reported index %d", i, s.Bin)
 		}
-		if s.CumulativePct != res.Cumulative[i] {
-			t.Fatalf("bin %d cumulative %v != %v", i, s.CumulativePct, res.Cumulative[i])
+		if s.CumulativePct != b.CumulativePct[i] || s.SensorRate != b.SensorRate[i] ||
+			s.HourOfDay != b.Hour[i] || s.Occupancy != b.Occupancy[i] || s.NetHarvestedW != b.NetHarvestedW[i] {
+			t.Fatalf("bin %d record %+v disagrees with the batch columns", i, s)
 		}
-		if s.SensorRate != res.SensorRates[i] {
-			t.Fatalf("bin %d sensor rate %v != %v", i, s.SensorRate, res.SensorRates[i])
-		}
-		if s.HourOfDay != res.HourOfDay[i] {
-			t.Fatalf("bin %d hour %v != %v", i, s.HourOfDay, res.HourOfDay[i])
-		}
-		for ci, chNum := range phy.PoWiFiChannels {
-			if s.Occupancy[ci]*100 != res.Occupancy[chNum][i] {
-				t.Fatalf("bin %d %v occupancy mismatch", i, chNum)
-			}
+		if !b.Simulated[i] {
+			t.Fatalf("bin %d of an exact run not marked simulated", i)
 		}
 		if s.SensorRate > 0 && s.NetHarvestedW <= 0 {
 			t.Fatalf("bin %d: sensor runs at %v reads/s but harvested %v W", i, s.SensorRate, s.NetHarvestedW)
@@ -186,13 +174,5 @@ func TestActivityDiurnalShape(t *testing.T) {
 		if a < 0 || a > 1 {
 			t.Fatalf("activity(%v) = %v out of [0,1]", h, a)
 		}
-	}
-}
-
-func TestResultString(t *testing.T) {
-	res := Run(PaperHomes()[1], fastOpts())
-	s := res.String()
-	if s == "" {
-		t.Error("empty result summary")
 	}
 }

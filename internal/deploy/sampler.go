@@ -26,9 +26,10 @@ const maxBgStations = 4
 
 // Sampler is a pooled single-home simulation context: the scheduler,
 // channel media, PoWiFi router, monitors, neighbor-load generators and
-// sensor device are built once and Reset between logging bins, so the
-// per-bin packet-level sample pays no allocator or GC tax in steady
-// state.
+// sensor device are built once, and the components a bin's channel
+// passes touch (scheduler clock, monitors, router, the contenders that
+// ran) are Reset between logging bins, so the per-bin packet-level
+// sample pays no allocator or GC tax in steady state.
 //
 // Pooling is bit-for-bit invisible: every component Reset restores its
 // just-constructed state and every RNG stream is reseeded in place on
@@ -288,8 +289,8 @@ func (smp *Sampler) planBins(cfg HomeConfig, opts Options, nBins int) {
 // carries the client feed. So each channel runs as its own pass, and
 // the event count is the sum of the passes'. A pass fires exactly the
 // events, in the same order and with the same draws, that the channel
-// fires in one event-kernel run over all three channels (the form kept
-// in sampler_test.go); see pass.
+// fires in one event-kernel run over all three channels on a freshly
+// built Sampler (the reference kept in sampler_test.go); see pass.
 //
 //powifi:noalloc
 func (smp *Sampler) sampleBin(seed uint64, clientLoad float64, neighborLoad [3]float64, window time.Duration) (occ [3]float64, events uint64) {

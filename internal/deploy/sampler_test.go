@@ -61,24 +61,24 @@ func TestPooledSamplerParity(t *testing.T) {
 	}
 }
 
-// TestPooledSamplerMatchesRun pins the package-level entry point to a
-// dirty pooled context on a paper home (the golden suite pins the same
+// TestPooledSamplerMatchesRun pins a fresh Sampler's run of a paper
+// home to a dirty pooled context's (the golden suite pins the same
 // property at full scale).
 func TestPooledSamplerMatchesRun(t *testing.T) {
 	cfg := PaperHomes()[3]
 	opts := Options{BinWidth: time.Hour, Window: 2 * time.Millisecond, Hours: 5, SensorDistanceFt: 10}
-	res := Run(cfg, opts)
+	fresh := runHome(cfg, opts)
 	smp := NewSampler()
 	var b BinBatch
 	// Run something else first so the pooled context is dirty.
 	smp.RunBatch(PaperHomes()[0], opts, &b, nil)
 	smp.RunBatch(cfg, opts, &b, nil)
-	if b.Len() != len(res.Cumulative) {
-		t.Fatalf("pooled %d bins, Run %d", b.Len(), len(res.Cumulative))
+	if b.Len() != fresh.Len() {
+		t.Fatalf("pooled %d bins, fresh %d", b.Len(), fresh.Len())
 	}
 	for i := 0; i < b.Len(); i++ {
-		if b.CumulativePct[i] != res.Cumulative[i] || b.SensorRate[i] != res.SensorRates[i] {
-			t.Fatalf("bin %d: dirty pooled context diverged from Run", i)
+		if b.CumulativePct[i] != fresh.CumulativePct[i] || b.SensorRate[i] != fresh.SensorRate[i] {
+			t.Fatalf("bin %d: dirty pooled context diverged from a fresh run", i)
 		}
 	}
 }
@@ -152,37 +152,24 @@ func TestRunBatchAllocBudget(t *testing.T) {
 	}
 }
 
-// sampleBinInterleaved is the reference the per-channel passes of
-// sampleBin are certified against: the single-pass form that runs all
-// three channels interleaved on one scheduler, resetting everything
-// once and starting every channel's contenders, then the client feed,
-// then the whole router, before one RunUntil.
-func (smp *Sampler) sampleBinInterleaved(seed uint64, clientLoad float64, neighborLoad [3]float64, window time.Duration) ([3]float64, uint64) {
-	smp.sched.Reset()
-	for i := range smp.channels {
-		smp.channels[i].Reset()
-		smp.monitors[i].Reset()
-		for k := 0; k < smp.lastActiveBg[i]; k++ {
-			smp.bg[i][k].Station.Reset()
-		}
-		smp.lastActiveBg[i] = 0
-	}
+// kernelBin is the reference the per-channel passes of sampleBin are
+// certified against: one event-kernel run of the bin over all three
+// channels interleaved on one scheduler, on a freshly built Sampler.
+// It starts every channel's contenders, then the client feed, then the
+// whole router, before one RunUntil. A fresh Sampler attaches all
+// maxBgStations contenders to every channel; those the bin does not
+// start stay idle and change nothing, since carrier-sense edges are
+// no-ops for an idle station and every frame is broadcast. It returns
+// the Sampler so callers can inspect its channels.
+func kernelBin(seed uint64, clientLoad float64, neighborLoad [3]float64, window time.Duration) ([3]float64, uint64, *Sampler) {
+	smp := NewSampler()
 	smp.rt.Reset(seed)
-
-	for i := range smp.channels {
-		load := neighborLoad[i]
+	for i, load := range neighborLoad {
 		if load <= 0 {
-			smp.channels[i].SetActiveStations(1)
 			continue
 		}
-		stations := 1 + int(load/0.2)
-		if stations > maxBgStations {
-			stations = maxBgStations
-		}
-		smp.channels[i].SetActiveStations(1 + stations)
-		smp.lastActiveBg[i] = stations
-		for k := 0; k < stations; k++ {
-			bg := smp.bg[i][k]
+		stations := min(1+int(load/0.2), maxBgStations)
+		for k, bg := range smp.bg[i][:stations] {
 			bg.RNG().ReseedFromLabel(seed, smp.bgLabels[i][k])
 			bg.Load = load / float64(stations)
 			bg.Start()
@@ -210,38 +197,35 @@ func (smp *Sampler) sampleBinInterleaved(seed uint64, clientLoad float64, neighb
 	for i, mon := range smp.monitors {
 		occ[i] = mon.MeanOccupancy()
 	}
-	return occ, smp.sched.Scheduled()
+	return occ, smp.sched.Scheduled(), smp
 }
 
-// channelPassPair holds two dirty pooled contexts, one sampling bins in
-// per-channel passes and one in the interleaved reference form.
-type channelPassPair struct{ passes, ref *Sampler }
-
-// check samples one bin both ways and fails unless the occupancy floats
-// are bit-identical and the kernel event counts agree.
-func (p channelPassPair) check(t *testing.T, seed uint64, clientLoad float64, neighborLoad [3]float64, window time.Duration) {
+// checkPasses samples one bin through smp's channel passes and through
+// kernelBin, and fails unless the occupancy floats are bit-identical
+// and the kernel event counts agree.
+func checkPasses(t *testing.T, smp *Sampler, seed uint64, clientLoad float64, neighborLoad [3]float64, window time.Duration) {
 	t.Helper()
-	got, gotEvents := p.passes.sampleBin(seed, clientLoad, neighborLoad, window)
-	want, wantEvents := p.ref.sampleBinInterleaved(seed, clientLoad, neighborLoad, window)
+	got, gotEvents := smp.sampleBin(seed, clientLoad, neighborLoad, window)
+	want, wantEvents, _ := kernelBin(seed, clientLoad, neighborLoad, window)
 	for i := range got {
 		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
-			t.Fatalf("seed %d client %v neighbors %v window %v: channel %d occupancy %v, interleaved %v",
+			t.Fatalf("seed %d client %v neighbors %v window %v: channel %d occupancy %v, kernel %v",
 				seed, clientLoad, neighborLoad, window, i, got[i], want[i])
 		}
 	}
 	if gotEvents != wantEvents {
-		t.Fatalf("seed %d client %v neighbors %v window %v: %d kernel events, interleaved %d",
+		t.Fatalf("seed %d client %v neighbors %v window %v: %d pass events, kernel %d",
 			seed, clientLoad, neighborLoad, window, gotEvents, wantEvents)
 	}
 }
 
-// TestSampleBinChannelPasses certifies the channel passes against the
-// interleaved kernel reference over randomized bins: zero to four
-// contenders per channel, with and without client load, at 2, 3 and
-// 10 ms windows and at 120 ms, past the 102.4 ms beacon interval.
+// TestSampleBinChannelPasses certifies a dirty pooled Sampler's channel
+// passes against the fresh kernel reference over randomized bins: zero
+// to four contenders per channel, with and without client load, at 2,
+// 3 and 10 ms windows and at 120 ms, past the 102.4 ms beacon interval.
 func TestSampleBinChannelPasses(t *testing.T) {
 	rng := xrand.NewFromLabel(5, "sampler/channel-passes")
-	pair := channelPassPair{NewSampler(), NewSampler()}
+	smp := NewSampler()
 	windows := []time.Duration{2 * time.Millisecond, 3 * time.Millisecond, 10 * time.Millisecond, 120 * time.Millisecond}
 	var contenders [maxBgStations + 1]int // channel passes per contender count
 	var clientBins [2]int                 // without, with client load
@@ -267,7 +251,7 @@ func TestSampleBinChannelPasses(t *testing.T) {
 		}
 		w := rng.Intn(len(windows))
 		windowBins[w]++
-		pair.check(t, rng.Uint64(), clientLoad, neighborLoad, windows[w])
+		checkPasses(t, smp, rng.Uint64(), clientLoad, neighborLoad, windows[w])
 	}
 	for n, c := range contenders {
 		if c == 0 {
@@ -298,13 +282,13 @@ func FuzzSampleBinChannels(f *testing.F) {
 	// A contender arrival tied with the 102.4 ms beacon (found by search:
 	// the tie needs an exponential gap to land on the exact nanosecond).
 	f.Add(uint64(86496), uint16(300), uint16(1000), uint16(1000), uint16(1000), uint16(65535))
-	pair := channelPassPair{NewSampler(), NewSampler()}
+	smp := NewSampler()
 	f.Fuzz(func(t *testing.T, seed uint64, client, n1, n6, n11, window2Us uint16) {
 		neighborLoad := [3]float64{
 			float64(n1%1001) / 1000, float64(n6%1001) / 1000, float64(n11%1001) / 1000,
 		}
 		window := time.Duration(500+2*int(window2Us)) * time.Microsecond
-		pair.check(t, seed, float64(client%601)/1000, neighborLoad, window)
+		checkPasses(t, smp, seed, float64(client%601)/1000, neighborLoad, window)
 	})
 }
 
@@ -356,9 +340,9 @@ func TestPassTimersTieOrder(t *testing.T) {
 
 // TestSamplerOneCollisionDomain pins the channel pass's envelope: every
 // station NewSampler attaches to a channel senses every other one, the
-// interleaved kernel reference logs no collision over randomized
-// contended bins, and a sampler whose stations could not hear each
-// other is refused at construction.
+// fresh kernel reference logs no collision over randomized contended
+// bins, and a sampler whose stations could not hear each other is
+// refused at construction.
 func TestSamplerOneCollisionDomain(t *testing.T) {
 	smp := NewSampler()
 	for _, ch := range smp.channels {
@@ -378,8 +362,8 @@ func TestSamplerOneCollisionDomain(t *testing.T) {
 			neighborLoad[i] = rng.Uniform(0.01, 0.9)
 		}
 		window := []time.Duration{2 * time.Millisecond, 10 * time.Millisecond, 120 * time.Millisecond}[rng.Intn(3)]
-		smp.sampleBinInterleaved(rng.Uint64(), rng.Uniform(0, 0.6), neighborLoad, window)
-		for _, ch := range smp.channels {
+		_, _, ref := kernelBin(rng.Uint64(), rng.Uniform(0, 0.6), neighborLoad, window)
+		for _, ch := range ref.channels {
 			if ch.Collisions != 0 {
 				t.Fatalf("bin %d: channel %v logged %d collisions", bin, ch.Num, ch.Collisions)
 			}

@@ -232,7 +232,7 @@ func TestFig14CumulativeInBand(t *testing.T) {
 		t.Fatalf("homes = %d, want 6", len(res.Results))
 	}
 	for _, r := range res.Results {
-		m := r.MeanCumulative()
+		m := r.Log.Means().CumulativePct
 		if m < 60 || m > 170 {
 			t.Errorf("home %d mean cumulative = %.1f%%, outside sanity band", r.Home.ID, m)
 		}
@@ -435,7 +435,7 @@ func TestExactReachesSurfaceRunners(t *testing.T) {
 	exact := RunFig14(opts)
 	t.Run("fig14", func(t *testing.T) {
 		for i := range exact.Results {
-			if !reflect.DeepEqual(exact.Results[i].Cumulative, surf.Results[i].Cumulative) {
+			if !reflect.DeepEqual(exact.Results[i].Log.CumulativePct, surf.Results[i].Log.CumulativePct) {
 				t.Errorf("home %d: occupancy depends on the solver", exact.Results[i].Home.ID)
 			}
 		}
@@ -458,8 +458,8 @@ func TestExactReachesSurfaceRunners(t *testing.T) {
 		}
 		var e, s []float64
 		for i := range exact.Results {
-			e = append(e, exact.Results[i].SensorRates...)
-			s = append(s, surf.Results[i].SensorRates...)
+			e = append(e, exact.Results[i].Log.SensorRate...)
+			s = append(s, surf.Results[i].Log.SensorRate...)
 		}
 		checkExact(t, e, s)
 	})

@@ -14,14 +14,24 @@ import (
 // Fig14Result is the six-home deployment occupancy study (Fig. 14 and the
 // §6 narrative).
 type Fig14Result struct {
-	Results []*deploy.Result
+	Results []Fig14Home
+}
+
+// Fig14Home is one home's deployment log: the finished batch of its
+// logging bins.
+type Fig14Home struct {
+	Home deploy.HomeConfig
+	Log  deploy.BinBatch
 }
 
 // RunFig14 runs all six homes with the given logging options.
 func RunFig14(opts deploy.Options) *Fig14Result {
-	res := &Fig14Result{}
-	for _, home := range deploy.PaperHomes() {
-		res.Results = append(res.Results, deploy.Run(home, opts))
+	homes := deploy.PaperHomes()
+	res := &Fig14Result{Results: make([]Fig14Home, len(homes))}
+	smp := deploy.NewSampler()
+	for i, home := range homes {
+		res.Results[i].Home = home
+		smp.RunBatch(home, opts, &res.Results[i].Log, nil)
 	}
 	return res
 }
@@ -31,8 +41,8 @@ func (r *Fig14Result) WriteTable(w io.Writer) {
 	fmt.Fprintln(w, "home  mean_cumulative  min_bin  max_bin  (percent; paper range of means: 78-127%)")
 	for _, res := range r.Results {
 		fmt.Fprintf(w, "%4d  %14.1f%%  %6.1f%%  %6.1f%%\n",
-			res.Home.ID, res.MeanCumulative(),
-			stats.Min(res.Cumulative), stats.Max(res.Cumulative))
+			res.Home.ID, res.Log.Means().CumulativePct,
+			stats.Min(res.Log.CumulativePct), stats.Max(res.Log.CumulativePct))
 	}
 }
 
@@ -49,7 +59,7 @@ func RunFig15(f14 *Fig14Result) *Fig15Result {
 	res := &Fig15Result{}
 	for _, r := range f14.Results {
 		res.Homes = append(res.Homes, r.Home.ID)
-		res.CDFs = append(res.CDFs, stats.NewCDF(r.SensorRates))
+		res.CDFs = append(res.CDFs, stats.NewCDF(r.Log.SensorRate))
 	}
 	return res
 }

@@ -23,8 +23,9 @@
 //     Memory is O(workers + sketch resolution), not O(homes).
 //
 //  3. One code path with the paper study. The fleet, the §6
-//     reproduction (deploy.Run) and the facade's single-home runs all
-//     drive deploy.Sampler.RunBatch, so fidelity fixes flow to each;
+//     reproduction (experiments' fig14 and fig15) and the facade's
+//     single-home runs all drive deploy.Sampler.RunBatch, so fidelity
+//     fixes flow to each;
 //     the fleet and the facade fold a home's means with the same
 //     deploy.BinBatch.Means.
 package fleet

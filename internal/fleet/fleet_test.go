@@ -132,8 +132,8 @@ func TestExactVsSurfaceParity(t *testing.T) {
 }
 
 // TestSingleHomeFleetMatchesDeployRunner pins the shared code path: a
-// one-home fleet must reproduce deploy.Run's summary for the same home
-// exactly, because both materialize the same RunBatch.
+// one-home fleet must reproduce a fresh Sampler's run of the same home
+// exactly, because both fold the same RunBatch.
 func TestSingleHomeFleetMatchesDeployRunner(t *testing.T) {
 	cfg, err := testConfig(1, 1).withDefaults()
 	if err != nil {
@@ -144,17 +144,18 @@ func TestSingleHomeFleetMatchesDeployRunner(t *testing.T) {
 		t.Fatal(err)
 	}
 	h := SynthesizeHome(cfg, 0)
-	direct := deploy.Run(h.HomeConfig, deploy.Options{
+	var direct deploy.BinBatch
+	deploy.NewSampler().RunBatch(h.HomeConfig, deploy.Options{
 		BinWidth:         cfg.BinWidth,
 		Window:           cfg.Window,
 		Hours:            cfg.Hours,
 		SensorDistanceFt: h.SensorFt,
-	})
-	if got, want := res.OccW.Mean, direct.MeanCumulative(); got != want {
+	}, &direct, nil)
+	if got, want := res.OccW.Mean, direct.Means().CumulativePct; got != want {
 		t.Errorf("fleet mean occupancy %v != deploy runner %v", got, want)
 	}
-	if res.TotalBins != uint64(len(direct.Cumulative)) {
-		t.Errorf("fleet bins %d != deploy bins %d", res.TotalBins, len(direct.Cumulative))
+	if res.TotalBins != uint64(direct.Len()) {
+		t.Errorf("fleet bins %d != deploy bins %d", res.TotalBins, direct.Len())
 	}
 }
 

@@ -132,14 +132,8 @@ type Channel struct {
 	Sched *eventsim.Scheduler
 
 	stations []Station
-	// activeN bounds the participating prefix of stations: carrier
-	// sense, delivery and capture only see stations[:activeN]. A pooled
-	// context attaches its maximum topology once and activates the
-	// per-run prefix, which reproduces exactly the station set a fresh
-	// build would have attached.
-	activeN int
-	probes  []PowerProbe
-	active  []*Transmission
+	probes   []PowerProbe
+	active   []*Transmission
 
 	// senseCounts tracks, per station (parallel to stations), how many
 	// active transmissions the station currently senses, to derive
@@ -151,7 +145,7 @@ type Channel struct {
 	// positions, powers and gains are fixed once a run starts, and the
 	// carrier-sense/capture checks re-derive the same pure path-loss
 	// math on every busy edge — the cache turns each repeat into a
-	// load. AddStation invalidates it; Reset keeps it.
+	// load. AddStation invalidates it.
 	rxCache []float64
 
 	// Observers receive every completed transmission regardless of
@@ -171,12 +165,6 @@ type Channel struct {
 	// closure.
 	endTxFn func(ctx any)
 
-	// txPool recycles Transmission structs across Resets: txNext indexes
-	// the next reusable slot, and slots are only reused after a Reset,
-	// when no live references remain.
-	txPool []*Transmission
-	txNext int
-
 	// One-entry airtime memo for the per-frame phy.Airtime derivation
 	// (pure in bytes and rate; traffic is dominated by one or two frame
 	// shapes per run).
@@ -195,49 +183,10 @@ func NewChannel(num phy.Channel, sched *eventsim.Scheduler) *Channel {
 	return c
 }
 
-// newTransmission returns a zeroed transmission from the pool, keeping
-// any overlap-slice capacity a recycled slot already grew.
-func (c *Channel) newTransmission() *Transmission {
-	if c.txNext < len(c.txPool) {
-		tx := c.txPool[c.txNext]
-		c.txNext++
-		overlapped := tx.overlapped[:0]
-		*tx = Transmission{overlapped: overlapped}
-		return tx
-	}
-	tx := &Transmission{}
-	c.txPool = append(c.txPool, tx)
-	c.txNext++
-	return tx
-}
-
-// Reset clears the channel's dynamic state — in-flight transmissions,
-// carrier-sense counts, statistics and the transmission pool cursor —
-// while keeping its topology (attached stations, probes and observers)
-// and allocated memory. Callers must reset the scheduler alongside, so
-// no recycled transmission is still referenced by a queued event.
-//
-// The pairwise received-power memo survives Reset: it depends only on
-// station geometry, powers and gains, all of which attachment fixes. A
-// caller that mutates any of those between runs must call
-// InvalidateRxCache.
-func (c *Channel) Reset() {
-	for i := range c.active {
-		c.active[i] = nil
-	}
-	c.active = c.active[:0]
-	for i := range c.senseCounts {
-		c.senseCounts[i] = 0
-	}
-	c.TxCount = [NumFrameKinds]int{}
-	c.TxAirtime = [NumFrameKinds]time.Duration{}
-	c.Collisions = 0
-	c.txNext = 0
-}
-
 // InvalidateRxCache marks every pairwise received-power entry stale.
 // AddStation calls it automatically; callers that change a station's
-// power, gain or position after attachment must call it themselves.
+// power, gain or position after attachment must call it themselves, as
+// the memo is otherwise kept for the channel's lifetime.
 func (c *Channel) InvalidateRxCache() { c.invalidateRxCache() }
 
 // invalidateRxCache marks every pairwise received-power entry stale.
@@ -252,9 +201,9 @@ func (c *Channel) invalidateRxCache() {
 	}
 }
 
-// stationIndex returns s's position in the attachment list (active or
-// not), or -1 for a station that never attached. The list is small (a
-// handful of stations per channel), so a linear scan beats any map.
+// stationIndex returns s's position in the attachment list, or -1 for
+// a station that never attached. The list is small (a handful of
+// stations per channel), so a linear scan beats any map.
 func (c *Channel) stationIndex(s Station) int {
 	for i, st := range c.stations {
 		if st == s {
@@ -281,13 +230,12 @@ func (c *Channel) rxStationPower(i, j int, src, dst Station) float64 {
 }
 
 // AddStation attaches a station to the channel and returns its
-// attachment index. New stations are active by default. Stations that
-// keep the index can use the index-direct fast paths (StartTxFrom,
-// SensesIdx) and skip the attachment-list scan.
+// attachment index. Stations that keep the index can use the
+// index-direct fast paths (StartTxFrom, SensesIdx) and skip the
+// attachment-list scan.
 func (c *Channel) AddStation(s Station) int {
 	c.stations = append(c.stations, s)
 	c.senseCounts = append(c.senseCounts, 0)
-	c.activeN = len(c.stations)
 	c.invalidateRxCache()
 	return len(c.stations) - 1
 }
@@ -297,21 +245,6 @@ func (c *Channel) AddStation(s Station) int {
 // phy.CSThresholdDBm.
 func (c *Channel) StationRxDBm(src, dst int) float64 {
 	return c.rxStationPower(src, dst, c.stations[src], c.stations[dst])
-}
-
-// SetActiveStations makes only the first n attached stations participate
-// in the medium; later attachments lie dormant (a pooling layer's spare
-// contenders). n is clamped to the attached count. The pairwise power
-// memo is indexed by full attachment order, so activation changes do not
-// invalidate it.
-func (c *Channel) SetActiveStations(n int) {
-	if n < 0 {
-		n = 0
-	}
-	if n > len(c.stations) {
-		n = len(c.stations)
-	}
-	c.activeN = n
 }
 
 // AddProbe attaches an energy-harvesting probe.
@@ -363,15 +296,10 @@ func (c *Channel) StartTx(src Station, dstID, bytes int, rate phy.Rate, kind Fra
 // per-frame hot path.
 func (c *Channel) StartTxFrom(srcIdx int, src Station, dstID, bytes int, rate phy.Rate, kind FrameKind, payload any) *Transmission {
 	now := c.Sched.Now()
-	tx := c.newTransmission()
-	tx.Src = src
-	tx.DstID = dstID
-	tx.Bytes = bytes
-	tx.Rate = rate
-	tx.Kind = kind
-	tx.Payload = payload
-	tx.Start = now
-	tx.End = now + c.Airtime(bytes, rate)
+	tx := &Transmission{
+		Src: src, DstID: dstID, Bytes: bytes, Rate: rate, Kind: kind, Payload: payload,
+		Start: now, End: now + c.Airtime(bytes, rate), srcIdx: srcIdx,
+	}
 	// Record pairwise overlaps with already-active transmissions.
 	for _, other := range c.active {
 		other.overlapped = append(other.overlapped, tx)
@@ -382,8 +310,7 @@ func (c *Channel) StartTxFrom(srcIdx int, src Station, dstID, bytes int, rate ph
 	c.TxAirtime[kind] += tx.Airtime()
 
 	// Busy edges for stations that sense this transmission.
-	tx.srcIdx = srcIdx
-	for j, s := range c.stations[:c.activeN] {
+	for j, s := range c.stations {
 		if c.senses(j, srcIdx, s, tx) {
 			if j < 64 {
 				tx.senseMask |= 1 << uint(j)
@@ -420,7 +347,7 @@ func (c *Channel) endTx(tx *Transmission) {
 		}
 	}
 	srcIdx := tx.srcIdx
-	for j, s := range c.stations[:c.activeN] {
+	for j, s := range c.stations {
 		sensed := tx.senseMask&(1<<uint(j)) != 0
 		if j >= 64 {
 			sensed = c.senses(j, srcIdx, s, tx)
@@ -442,7 +369,7 @@ func (c *Channel) endTx(tx *Transmission) {
 	}
 
 	// Deliver to each station other than the source.
-	for j, s := range c.stations[:c.activeN] {
+	for j, s := range c.stations {
 		if j == srcIdx {
 			continue
 		}

@@ -10,7 +10,6 @@
 package sensors
 
 import (
-	"fmt"
 	"math"
 	"time"
 )
@@ -67,16 +66,6 @@ func (t *TemperatureSensor) UpdateRate(netHarvestedW float64) float64 {
 	return math.Min(rate, t.MaxRate)
 }
 
-// TimeBetweenReads returns the interval between successive sensor readings
-// at the given net harvested power, or +Inf when the sensor cannot run.
-func (t *TemperatureSensor) TimeBetweenReads(netHarvestedW float64) time.Duration {
-	rate := t.UpdateRate(netHarvestedW)
-	if rate <= 0 {
-		return time.Duration(math.MaxInt64)
-	}
-	return time.Duration(float64(time.Second) / rate)
-}
-
 // Camera is the OV7670-based imaging application of §5.2.
 type Camera struct {
 	MCU MSP430FR5969
@@ -122,49 +111,4 @@ func (c *Camera) InterFrameTime(netHarvestedW float64) time.Duration {
 	}
 	secs := c.FrameEnergyJ / netHarvestedW
 	return time.Duration(secs * float64(time.Second))
-}
-
-// FramesPerHour returns the capture rate at the given net harvested power.
-func (c *Camera) FramesPerHour(netHarvestedW float64) float64 {
-	ift := c.InterFrameTime(netHarvestedW)
-	if ift >= time.Duration(math.MaxInt64) {
-		return 0
-	}
-	return float64(time.Hour) / float64(ift)
-}
-
-// UART models the serial port the prototypes report through (§5.1: "the
-// microcontroller boots, samples the temperature sensor, and transmits the
-// reading through a UART port").
-type UART struct {
-	// BaudRate in bits per second (9600 on the prototypes).
-	BaudRate int
-	// BitsPerByte covers start + 8 data + stop bits.
-	BitsPerByte int
-}
-
-// NewUART returns the prototypes' 9600-baud configuration.
-func NewUART() *UART {
-	return &UART{BaudRate: 9600, BitsPerByte: 10}
-}
-
-// TransmitTime returns the serialization time of a payload.
-func (u *UART) TransmitTime(bytes int) time.Duration {
-	if bytes <= 0 || u.BaudRate <= 0 {
-		return 0
-	}
-	secs := float64(bytes*u.BitsPerByte) / float64(u.BaudRate)
-	return time.Duration(secs * float64(time.Second))
-}
-
-// Reading is one temperature measurement as emitted over the UART.
-type Reading struct {
-	Seq       int
-	MilliC    int
-	Harvested bool
-}
-
-// Frame renders the reading in the firmware's compact wire format.
-func (r Reading) Frame() string {
-	return fmt.Sprintf("T,%d,%d\r\n", r.Seq, r.MilliC)
 }

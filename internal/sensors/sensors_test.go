@@ -3,10 +3,7 @@ package sensors
 import (
 	"math"
 	"testing"
-	"testing/quick"
 	"time"
-
-	"repro/internal/xrand"
 )
 
 func TestTemperatureSensorEnergyPerRead(t *testing.T) {
@@ -35,27 +32,6 @@ func TestUpdateRateZeroAndNegative(t *testing.T) {
 	s := NewTemperatureSensor()
 	if s.UpdateRate(0) != 0 || s.UpdateRate(-1e-6) != 0 {
 		t.Error("non-positive power must yield zero rate")
-	}
-}
-
-func TestTimeBetweenReadsInverse(t *testing.T) {
-	s := NewTemperatureSensor()
-	f := func(seed uint64) bool {
-		r := xrand.New(seed)
-		p := r.Uniform(1e-7, 5e-5)
-		rate := s.UpdateRate(p)
-		interval := s.TimeBetweenReads(p)
-		return math.Abs(rate*interval.Seconds()-1) < 1e-6
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestTimeBetweenReadsUnpowered(t *testing.T) {
-	s := NewTemperatureSensor()
-	if got := s.TimeBetweenReads(0); got < time.Duration(math.MaxInt64) {
-		t.Errorf("unpowered interval = %v, want effectively infinite", got)
 	}
 }
 
@@ -105,23 +81,6 @@ func TestInterFrameTimeUnpowered(t *testing.T) {
 	if c.InterFrameTime(0) < time.Duration(math.MaxInt64) {
 		t.Error("unpowered camera must never capture")
 	}
-	if c.FramesPerHour(0) != 0 {
-		t.Error("unpowered camera frames/hour must be 0")
-	}
-}
-
-func TestFramesPerHourConsistent(t *testing.T) {
-	c := NewCamera()
-	f := func(seed uint64) bool {
-		r := xrand.New(seed)
-		p := r.Uniform(1e-6, 1e-4)
-		fph := c.FramesPerHour(p)
-		ift := c.InterFrameTime(p)
-		return math.Abs(fph*ift.Hours()-1) < 1e-6
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Error(err)
-	}
 }
 
 func TestMSP430Parameters(t *testing.T) {
@@ -149,37 +108,5 @@ func TestMonotonicity(t *testing.T) {
 			t.Fatalf("inter-frame time increased at %v W", p)
 		}
 		prevIFT = ift
-	}
-}
-
-func TestUARTTransmitTime(t *testing.T) {
-	u := NewUART()
-	// 12 bytes at 9600 baud with 10 bits/byte = 12.5 ms.
-	got := u.TransmitTime(12)
-	want := 12500 * time.Microsecond
-	if got != want {
-		t.Errorf("transmit time = %v, want %v", got, want)
-	}
-	if u.TransmitTime(0) != 0 {
-		t.Error("empty payload should take no time")
-	}
-}
-
-func TestReadingFrameFormat(t *testing.T) {
-	r := Reading{Seq: 7, MilliC: 21500}
-	if got := r.Frame(); got != "T,7,21500\r\n" {
-		t.Errorf("frame = %q", got)
-	}
-}
-
-func TestUARTFrameFitsBetweenReadings(t *testing.T) {
-	// A reading's UART frame must serialize far faster than the fastest
-	// update interval (1/40 s), or the firmware could not keep up.
-	u := NewUART()
-	r := Reading{Seq: 9999, MilliC: -40000}
-	frameTime := u.TransmitTime(len(r.Frame()))
-	s := NewTemperatureSensor()
-	if frameTime >= time.Duration(float64(time.Second)/s.MaxRate) {
-		t.Errorf("UART frame time %v exceeds the max-rate interval", frameTime)
 	}
 }

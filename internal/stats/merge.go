@@ -11,8 +11,9 @@
 //   - Welford, a running mean/variance. Floating-point accumulation is
 //     order-sensitive, so callers that need bit-for-bit reproducibility
 //     across worker counts must feed it in a fixed order — the fleet
-//     reducer Adds per-home scalar summaries in home-index order via
-//     its reorder buffer, never from a worker-dependent order.
+//     reducer Adds per-home scalar summaries in home-index order
+//     through its bounded ring of slots, never from a worker-dependent
+//     order.
 package stats
 
 import (

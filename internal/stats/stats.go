@@ -1,8 +1,7 @@
 // Package stats provides the summary statistics used by the experiment
 // harness: empirical CDFs (every occupancy and throughput figure in the
-// paper is a CDF), percentiles, means, fixed-width time series for the
-// 24-hour deployment logs, and the fleet aggregates: the mergeable
-// quantile Sketch and the Welford running mean/variance.
+// paper is a CDF), percentiles, means, and the fleet aggregates: the
+// mergeable quantile Sketch and the Welford running mean/variance.
 package stats
 
 import (
@@ -143,78 +142,4 @@ func maxInt(a, b int) int {
 // Point is a generic (x, y) sample used for curves and series.
 type Point struct {
 	X, Y float64
-}
-
-// TimeSeries accumulates (time, value) samples in fixed-width bins, as used
-// by the 24-hour home-deployment occupancy logs (60 s resolution in the
-// paper). Values within a bin are averaged.
-type TimeSeries struct {
-	BinWidth float64 // seconds per bin
-	sums     []float64
-	counts   []int
-}
-
-// NewTimeSeries creates a time series with the given bin width (seconds)
-// covering [0, horizon) seconds.
-func NewTimeSeries(binWidth, horizon float64) *TimeSeries {
-	if binWidth <= 0 || horizon <= 0 {
-		panic("stats: non-positive time series dimensions")
-	}
-	n := int(math.Ceil(horizon / binWidth))
-	return &TimeSeries{
-		BinWidth: binWidth,
-		sums:     make([]float64, n),
-		counts:   make([]int, n),
-	}
-}
-
-// Add records a sample at time t (seconds). Samples outside the horizon are
-// ignored.
-func (ts *TimeSeries) Add(t, v float64) {
-	if t < 0 {
-		return
-	}
-	bin := int(t / ts.BinWidth)
-	if bin >= len(ts.sums) {
-		return
-	}
-	ts.sums[bin] += v
-	ts.counts[bin]++
-}
-
-// NumBins returns the number of bins in the series.
-func (ts *TimeSeries) NumBins() int { return len(ts.sums) }
-
-// Bin returns the mean value of bin i and whether the bin has any samples.
-func (ts *TimeSeries) Bin(i int) (float64, bool) {
-	if i < 0 || i >= len(ts.sums) || ts.counts[i] == 0 {
-		return 0, false
-	}
-	return ts.sums[i] / float64(ts.counts[i]), true
-}
-
-// Values returns the per-bin means; empty bins yield 0.
-func (ts *TimeSeries) Values() []float64 {
-	out := make([]float64, len(ts.sums))
-	for i := range ts.sums {
-		if ts.counts[i] > 0 {
-			out[i] = ts.sums[i] / float64(ts.counts[i])
-		}
-	}
-	return out
-}
-
-// MeanOfNonEmpty returns the mean over bins that contain samples.
-func (ts *TimeSeries) MeanOfNonEmpty() float64 {
-	sum, n := 0.0, 0
-	for i := range ts.sums {
-		if ts.counts[i] > 0 {
-			sum += ts.sums[i] / float64(ts.counts[i])
-			n++
-		}
-	}
-	if n == 0 {
-		return 0
-	}
-	return sum / float64(n)
 }

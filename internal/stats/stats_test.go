@@ -147,54 +147,3 @@ func TestCDFPoints(t *testing.T) {
 		}
 	}
 }
-
-func TestTimeSeriesBinning(t *testing.T) {
-	ts := NewTimeSeries(60, 3600)
-	if ts.NumBins() != 60 {
-		t.Fatalf("NumBins = %d, want 60", ts.NumBins())
-	}
-	ts.Add(30, 10)
-	ts.Add(45, 20)
-	ts.Add(61, 5)
-	if v, ok := ts.Bin(0); !ok || v != 15 {
-		t.Errorf("bin 0 = %v,%v, want 15,true", v, ok)
-	}
-	if v, ok := ts.Bin(1); !ok || v != 5 {
-		t.Errorf("bin 1 = %v,%v, want 5,true", v, ok)
-	}
-	if _, ok := ts.Bin(2); ok {
-		t.Error("bin 2 should be empty")
-	}
-}
-
-func TestTimeSeriesIgnoresOutOfRange(t *testing.T) {
-	ts := NewTimeSeries(60, 120)
-	ts.Add(-5, 1)
-	ts.Add(500, 1)
-	for i := 0; i < ts.NumBins(); i++ {
-		if _, ok := ts.Bin(i); ok {
-			t.Error("out-of-range sample was recorded")
-		}
-	}
-}
-
-func TestTimeSeriesMeanOfNonEmpty(t *testing.T) {
-	ts := NewTimeSeries(1, 10)
-	ts.Add(0.5, 4)
-	ts.Add(5.5, 8)
-	if got := ts.MeanOfNonEmpty(); got != 6 {
-		t.Errorf("MeanOfNonEmpty = %v, want 6", got)
-	}
-	empty := NewTimeSeries(1, 10)
-	if empty.MeanOfNonEmpty() != 0 {
-		t.Error("MeanOfNonEmpty on empty series should be 0")
-	}
-}
-
-func TestTimeSeriesValuesLength(t *testing.T) {
-	ts := NewTimeSeries(60, 86400)
-	vals := ts.Values()
-	if len(vals) != 1440 {
-		t.Errorf("Values length = %d, want 1440", len(vals))
-	}
-}

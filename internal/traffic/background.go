@@ -135,14 +135,6 @@ func (b *Background) arm() {
 	b.feed = b.Sched.AfterCtx(b.Gap(), b.fireFn, nil)
 }
 
-// SetLoad adjusts the offered load for subsequent arrivals (used by the
-// diurnal home model). Takes effect at the next scheduled arrival.
-func (b *Background) SetLoad(load float64) {
-	b.Stop()
-	b.Load = load
-	b.Start()
-}
-
 // Stop halts the generator.
 func (b *Background) Stop() {
 	b.feed.Cancel()

@@ -55,21 +55,6 @@ func TestBackgroundStop(t *testing.T) {
 	}
 }
 
-func TestBackgroundSetLoad(t *testing.T) {
-	sched := eventsim.New()
-	ch := medium.NewChannel(phy.Channel1, sched)
-	bg := NewBackground(sched, ch, 10, medium.Location{}, 0.1, xrand.New(3))
-	bg.Start()
-	sched.RunUntil(2 * time.Second)
-	low := ch.TxAirtime[medium.KindData]
-	bg.SetLoad(0.5)
-	sched.RunUntil(4 * time.Second)
-	high := ch.TxAirtime[medium.KindData] - low
-	if float64(high) < 2.5*float64(low) {
-		t.Errorf("SetLoad(0.5) airtime %v not much larger than 0.1-load %v", high, low)
-	}
-}
-
 func TestTopSitesProfile(t *testing.T) {
 	sites := TopSites()
 	if len(sites) != 10 {

@@ -175,23 +175,6 @@ func (r *Rand) Normal(mean, stddev float64) float64 {
 	return mean + stddev*z
 }
 
-// LogNormal returns a log-normally distributed value whose underlying
-// normal has parameters mu and sigma. Web object sizes and human dwell
-// times are well modelled as log-normal.
-func (r *Rand) LogNormal(mu, sigma float64) float64 {
-	return math.Exp(r.Normal(mu, sigma))
-}
-
-// Pareto returns a Pareto-distributed value with minimum xm and shape
-// alpha. Heavy-tailed flow sizes in traffic generation use this.
-func (r *Rand) Pareto(xm, alpha float64) float64 {
-	u := r.Float64()
-	if u >= 1 {
-		u = math.Nextafter(1, 0)
-	}
-	return xm / math.Pow(1-u, 1/alpha)
-}
-
 // Poisson returns a Poisson-distributed count with the given mean.
 // Small means use Knuth's product-of-uniforms method; large means
 // (where that method needs ~mean draws and float underflow looms) use
@@ -224,17 +207,4 @@ func (r *Rand) Poisson(mean float64) int {
 // Bool returns true with probability p.
 func (r *Rand) Bool(p float64) bool {
 	return r.Float64() < p
-}
-
-// Perm returns a pseudo-random permutation of [0, n) using Fisher–Yates.
-func (r *Rand) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		p[i] = i
-	}
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		p[i], p[j] = p[j], p[i]
-	}
-	return p
 }

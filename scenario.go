@@ -554,10 +554,12 @@ func (s *Scenario) runFleet(ctx context.Context) (*Report, error) {
 	return rep, nil
 }
 
-// homeRun assembles the single-home configuration and options, leaving
-// unset fields to the deployment runner's defaults (24 h, 60 s bins,
-// 1 s windows, 10 ft).
-func (s *Scenario) homeRun() (HomeConfig, deploy.Options) {
+// homeRun assembles the single-home configuration and the resolved
+// options, filling unset fields from the deployment runner's defaults
+// (24 h, 60 s bins, 1 s windows, 10 ft), and the home's bin count. It
+// rejects a window, bin width or horizon that is not positive, and a
+// horizon shorter than one bin, as the fleet does.
+func (s *Scenario) homeRun() (HomeConfig, deploy.Options, int, error) {
 	home := s.home
 	if s.set&optSeed != 0 {
 		home.Seed = s.seed
@@ -575,7 +577,19 @@ func (s *Scenario) homeRun() (HomeConfig, deploy.Options) {
 	if s.set&optSensor != 0 {
 		opts.SensorDistanceFt = s.sensorFt
 	}
-	return home, opts
+	opts = opts.Resolved()
+	nBins := opts.NumBins()
+	switch {
+	case opts.Window <= 0:
+		return home, opts, 0, fmt.Errorf("powifi: non-positive window %v", opts.Window)
+	case opts.BinWidth <= 0:
+		return home, opts, 0, fmt.Errorf("powifi: non-positive bin width %v", opts.BinWidth)
+	case opts.Hours <= 0:
+		return home, opts, 0, fmt.Errorf("powifi: non-positive horizon %.3gh", opts.Hours)
+	case nBins < 1:
+		return home, opts, 0, fmt.Errorf("powifi: horizon %.3gh is shorter than one %v bin", opts.Hours, opts.BinWidth)
+	}
+	return home, opts, nBins, nil
 }
 
 // homeDevices builds the household's lifecycle devices: one per
@@ -596,13 +610,9 @@ func (s *Scenario) homeDevices() lifecycle.Group {
 }
 
 func (s *Scenario) runHome(ctx context.Context) (*Report, error) {
-	home, opts := s.homeRun()
-	// ropts is a resolved view for validation and the report echo; the
-	// unresolved opts go to RunBatch, which normalizes them itself.
-	ropts := opts.Resolved()
-	nBins := ropts.NumBins()
-	if nBins < 1 {
-		return nil, fmt.Errorf("powifi: horizon %.3gh is shorter than one %v bin", ropts.Hours, ropts.BinWidth)
+	home, opts, nBins, err := s.homeRun()
+	if err != nil {
+		return nil, err
 	}
 	// The gate runs before each bin's packet-level sample: it reports
 	// the bins simulated so far, then checks ctx. The last bin's
@@ -624,11 +634,11 @@ func (s *Scenario) runHome(ctx context.Context) (*Report, error) {
 	m := b.Means()
 	hr := &HomeReport{
 		Home:                home,
-		SensorFt:            ropts.SensorDistanceFt,
-		Hours:               float64(nBins) * ropts.BinWidth.Hours(),
-		BinWidthS:           ropts.BinWidth.Seconds(),
-		WindowS:             ropts.Window.Seconds(),
-		Exact:               ropts.Exact,
+		SensorFt:            opts.SensorDistanceFt,
+		Hours:               float64(nBins) * opts.BinWidth.Hours(),
+		BinWidthS:           opts.BinWidth.Seconds(),
+		WindowS:             opts.Window.Seconds(),
+		Exact:               opts.Exact,
 		Bins:                b.Len(),
 		SilentBins:          m.SilentBins,
 		MeanCumulativePct:   m.CumulativePct,
@@ -640,7 +650,7 @@ func (s *Scenario) runHome(ctx context.Context) (*Report, error) {
 		hr.ChannelOccupancyPct[ch.String()] = m.ChannelPct[i]
 	}
 	if devs := s.homeDevices(); devs != nil {
-		devs.Begin(ropts.SensorDistanceFt, ropts.BinWidth)
+		devs.Begin(opts.SensorDistanceFt, opts.BinWidth)
 		devs.VisitBatch(&b)
 		for _, d := range devs {
 			hr.Devices = append(hr.Devices, d.Section())
@@ -673,7 +683,7 @@ func (s *Scenario) runExperiment(ctx context.Context) (*Report, error) {
 // yielded bin. On cancellation — checked before every simulated bin
 // and every yielded one — the iterator yields ctx.Err() once (with a
 // zero BinSample) and stops. Calling Bins on a fleet or experiment
-// scenario — or with a horizon Run would reject — yields a single
+// scenario — or with options Run would reject — yields a single
 // error.
 func (s *Scenario) Bins(ctx context.Context) iter.Seq2[BinSample, error] {
 	return func(yield func(BinSample, error) bool) {
@@ -681,13 +691,11 @@ func (s *Scenario) Bins(ctx context.Context) iter.Seq2[BinSample, error] {
 			yield(BinSample{}, fmt.Errorf("powifi: Bins requires a single-home scenario (mode %q; use WithHome)", s.Mode()))
 			return
 		}
-		home, opts := s.homeRun()
-		ropts := opts.Resolved()
-		nBins := ropts.NumBins()
-		if nBins < 1 {
+		home, opts, nBins, err := s.homeRun()
+		if err != nil {
 			// Same misconfiguration Run rejects: a silent empty stream
-			// would read as "no data" rather than "bad horizon".
-			yield(BinSample{}, fmt.Errorf("powifi: horizon %.3gh is shorter than one %v bin", ropts.Hours, ropts.BinWidth))
+			// would read as "no data" rather than "bad options".
+			yield(BinSample{}, err)
 			return
 		}
 		var b deploy.BinBatch

@@ -337,26 +337,60 @@ func TestScenarioBins(t *testing.T) {
 		t.Errorf("expected exactly one error, got %d", errs)
 	}
 
-	// A horizon Run would reject must error through the iterator too,
-	// not read as an empty stream.
-	short, err := powifi.NewScenario(
-		powifi.WithHome(powifi.PaperHomes()[1]),
-		powifi.WithHorizon(30*time.Second)) // shorter than the default 60 s bin
-	if err != nil {
-		t.Fatal(err)
+}
+
+// TestHomeRejectsNonPositiveDurations pins the single-home option
+// check: Run and Bins refuse a window, bin width or horizon that is not
+// positive with an error naming the value, as the fleet refuses it, and
+// a horizon shorter than one bin; a scenario document reaches the same
+// check. Bins yields the error once rather than an empty stream that
+// would read as "no data".
+func TestHomeRejectsNonPositiveDurations(t *testing.T) {
+	ctx := context.Background()
+	home := powifi.WithHome(powifi.PaperHomes()[0])
+	cases := []struct {
+		name     string
+		scenario func() (*powifi.Scenario, error)
+		want     string
+	}{
+		{"window", func() (*powifi.Scenario, error) {
+			return powifi.NewScenario(home, powifi.WithWindow(-5*time.Millisecond),
+				powifi.WithHorizon(2*time.Hour), powifi.WithBinWidth(time.Hour))
+		}, "non-positive window -5ms"},
+		{"bin width", func() (*powifi.Scenario, error) {
+			return powifi.NewScenario(home, powifi.WithBinWidth(-time.Minute), powifi.WithHorizon(2*time.Hour))
+		}, "non-positive bin width -1m0s"},
+		{"horizon", func() (*powifi.Scenario, error) {
+			return powifi.NewScenario(home, powifi.WithHorizon(-2*time.Hour))
+		}, "non-positive horizon -2h"},
+		{"horizon shorter than one bin", func() (*powifi.Scenario, error) {
+			return powifi.NewScenario(home, powifi.WithHorizon(30*time.Second)) // the default bin is 60 s
+		}, "shorter than one"},
+		{"scenario document", func() (*powifi.Scenario, error) {
+			return powifi.LoadScenario([]byte(`{"schema":1,"home":{"id":1,"users":2,"devices":6,"neighbor_aps":17},` +
+				`"window":"-5ms","horizon":"2h","bin":"1h"}`))
+		}, "non-positive window -5ms"},
 	}
-	saw := 0
-	for _, err := range short.Bins(ctx) {
-		saw++
-		if err == nil || !strings.Contains(err.Error(), "shorter than one") {
-			t.Errorf("short-horizon Bins yielded %v, want the horizon error", err)
-		}
-	}
-	if saw != 1 {
-		t.Errorf("short-horizon Bins yielded %d values, want exactly the error", saw)
-	}
-	if _, err := short.Run(ctx); err == nil || !strings.Contains(err.Error(), "shorter than one") {
-		t.Errorf("short-horizon Run: %v", err)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			sc, err := tc.scenario()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rep, err := sc.Run(ctx); err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("Run = (%v, %v), want an error containing %q", rep, err, tc.want)
+			}
+			saw := 0
+			for _, err := range sc.Bins(ctx) {
+				saw++
+				if err == nil || !strings.Contains(err.Error(), tc.want) {
+					t.Errorf("Bins yielded %v, want an error containing %q", err, tc.want)
+				}
+			}
+			if saw != 1 {
+				t.Errorf("Bins yielded %d values, want exactly the error", saw)
+			}
+		})
 	}
 }
 
