@@ -201,9 +201,11 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 			powifi.WithExact(*exact),
 			powifi.WithCoarse(*coarse),
 		}
-		if *horizon != 0 {
-			*duration = *horizon
-		}
+		fs.Visit(func(f *flag.Flag) {
+			if f.Name == "horizon" {
+				*duration = *horizon
+			}
+		})
 		opts = append(opts, powifi.WithHorizon(*duration))
 		if *devices != "" {
 			mix, err := powifi.ParseDeviceMix(*devices)

@@ -41,6 +41,10 @@ func TestFlagValidation(t *testing.T) {
 		{"stray positional", tinyArgs("json"), 2, "unexpected arguments"},
 		{"bad homes", []string{"-homes", "0", "-q"}, 1, "Homes"},
 		{"bad duration", []string{"-homes", "1", "-duration", "10m", "-bin", "1h", "-q"}, 1, "shorter than one"},
+		{"zero window", tinyArgs("-window", "0"), 1, "non-positive window 0s"},
+		{"zero bin", tinyArgs("-bin", "0"), 1, "non-positive bin width 0s"},
+		{"zero duration", tinyArgs("-duration", "0"), 1, "non-positive horizon 0h"},
+		{"zero horizon", tinyArgs("-horizon", "0"), 1, "non-positive horizon 0h"},
 		{"bad device mix", tinyArgs("-devices", "toaster=1"), 2, "unknown device archetype"},
 		{"malformed device mix", tinyArgs("-devices", "temp"), 2, "not name=weight"},
 		{"zero device mix", tinyArgs("-devices", "temp=0"), 2, "no positive share"},

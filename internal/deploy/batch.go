@@ -180,11 +180,17 @@ func (smp *Sampler) simulate(b *BinBatch, bin int, each func(bin int) bool) bool
 // the per-bin work is the surface lookup alone.
 func (smp *Sampler) evaluateBatch(opts Options, b *BinBatch) {
 	for i, occ := range b.Occupancy {
-		cum := 0.0
-		for _, v := range occ {
-			cum += v * 100
-		}
-		b.CumulativePct[i] = cum
+		b.CumulativePct[i] = cumulativePct(occ)
 	}
 	smp.sensor.EvaluateBatch(opts.SensorDistanceFt, b.Occupancy, b.SensorRate, b.NetHarvestedW)
+}
+
+// cumulativePct folds a bin's per-channel airtime fractions into its
+// cumulative occupancy percentage, channel by channel.
+func cumulativePct(occ [3]float64) float64 {
+	cum := 0.0
+	for _, v := range occ {
+		cum += v * 100
+	}
+	return cum
 }

@@ -128,28 +128,13 @@ func (smp *Sampler) RunBatchCoarse(cfg HomeConfig, opts Options, copts CoarseOpt
 	// evaluate stage consumes, so this is the entire approximation.
 	var alpha, beta [3]float64
 	for c := 0; c < 3; c++ {
-		var n, sx, sy, sxx, sxy float64
+		var fit lineFit
 		for bin := 0; bin < nBins; bin++ {
-			if !b.Simulated[bin] {
-				continue
+			if b.Simulated[bin] {
+				fit.add(smp.coarseLoad(bin, c), b.Occupancy[bin][c])
 			}
-			x := smp.coarseLoad(bin, c)
-			y := b.Occupancy[bin][c]
-			n++
-			sx += x
-			sy += y
-			sxx += x * x
-			sxy += x * y
 		}
-		if denom := n*sxx - sx*sx; denom > 1e-9 {
-			beta[c] = (n*sxy - sx*sy) / denom
-			alpha[c] = (sy - beta[c]*sx) / n
-		} else {
-			// Constant load across anchors: the response collapses to
-			// the anchors' mean occupancy.
-			beta[c] = 0
-			alpha[c] = sy / n
-		}
+		alpha[c], beta[c] = fit.line()
 		smp.tr.OccFit(c, beta[c])
 	}
 	for bin := 0; bin < nBins; bin++ {
@@ -172,11 +157,7 @@ func (smp *Sampler) RunBatchCoarse(cfg HomeConfig, opts Options, copts CoarseOpt
 	// Cumulative occupancy is a pure fold of the occupancy vector; the
 	// rectifier chain only enters for rate and harvest below.
 	for bin := 0; bin < nBins; bin++ {
-		cum := 0.0
-		for _, v := range b.Occupancy[bin] {
-			cum += v * 100
-		}
-		b.CumulativePct[bin] = cum
+		b.CumulativePct[bin] = cumulativePct(b.Occupancy[bin])
 	}
 
 	// Rate/harvest pass. Only the anchors go through the full surface
@@ -195,29 +176,15 @@ func (smp *Sampler) RunBatchCoarse(cfg HomeConfig, opts Options, copts CoarseOpt
 			b.SensorRate[bin], b.NetHarvestedW[bin] = smp.sensor.Evaluate(bin, link)
 		}
 	}
-	var hn, hsx, hsy, hsxx, hsxy float64
+	var hFit lineFit
 	for bin := 0; bin < nBins; bin++ {
 		// Silent anchors bank nothing by clamp, not by physics; only
 		// awake anchors lie on the harvest response.
-		if !b.Simulated[bin] || b.SensorRate[bin] <= 0 {
-			continue
+		if b.Simulated[bin] && b.SensorRate[bin] > 0 {
+			hFit.add(b.CumulativePct[bin], b.NetHarvestedW[bin])
 		}
-		x := b.CumulativePct[bin]
-		y := b.NetHarvestedW[bin]
-		hn++
-		hsx += x
-		hsy += y
-		hsxx += x * x
-		hsxy += x * y
 	}
-	var hAlpha, hBeta float64
-	if denom := hn*hsxx - hsx*hsx; denom > 1e-9 {
-		hBeta = (hn*hsxy - hsx*hsy) / denom
-		hAlpha = (hsy - hBeta*hsx) / hn
-	} else if hn > 0 {
-		hBeta = 0
-		hAlpha = hsy / hn
-	}
+	hAlpha, hBeta := hFit.line()
 	smp.tr.HarvestFit(hBeta)
 
 	// Decision + guard pass. The decision surface (SensorRate > 0) is
@@ -313,11 +280,7 @@ func (smp *Sampler) RunBatchCoarse(cfg HomeConfig, opts Options, copts CoarseOpt
 		}
 		link := core.PoWiFiLinkOccupancy(opts.SensorDistanceFt, b.Occupancy[bin])
 		b.SensorRate[bin], b.NetHarvestedW[bin] = smp.sensor.Evaluate(bin, link)
-		cum := 0.0
-		for _, v := range b.Occupancy[bin] {
-			cum += v * 100
-		}
-		b.CumulativePct[bin] = cum
+		b.CumulativePct[bin] = cumulativePct(b.Occupancy[bin])
 	}
 	return true
 }
@@ -432,6 +395,33 @@ func (f *frontier) add(occ [3]float64, silent bool) {
 	} else {
 		f.awake = append(f.awake, occ)
 	}
+}
+
+// lineFit accumulates an ordinary least-squares line y ≈ α + β·x, the
+// closed form both of the coarse tier's fits share.
+type lineFit struct{ n, sx, sy, sxx, sxy float64 }
+
+// add folds one point into the sums.
+func (f *lineFit) add(x, y float64) {
+	f.n++
+	f.sx += x
+	f.sy += y
+	f.sxx += x * x
+	f.sxy += x * y
+}
+
+// line returns the fitted intercept and slope. When x does not vary
+// across the points the response collapses to their mean y (β = 0);
+// with no points at all both are 0.
+func (f *lineFit) line() (alpha, beta float64) {
+	if denom := f.n*f.sxx - f.sx*f.sx; denom > 1e-9 {
+		beta = (f.n*f.sxy - f.sx*f.sy) / denom
+		return (f.sy - beta*f.sx) / f.n, beta
+	}
+	if f.n > 0 {
+		return f.sy / f.n, 0
+	}
+	return 0, 0
 }
 
 // coarseLoad returns the bin's total offered load on channel c: the

@@ -8,8 +8,6 @@ import (
 	"path/filepath"
 
 	"repro/internal/faultinject"
-	"repro/internal/lifecycle"
-	"repro/internal/stats"
 	"repro/internal/telemetry"
 )
 
@@ -52,9 +50,11 @@ const defaultCheckpointEvery = 4096
 // resumed. On cancellation or a Home hook stop, the committed prefix
 // is written before RunWith returns.
 //
-// Device-lifecycle populations checkpoint like any other: their
-// per-archetype aggregates are folded at commit too, so the committed
-// prefix carries them.
+// The payload is the Result's own JSON form (its tags are the keys,
+// unchanged since schema 2) beside the configuration fingerprint and
+// the prefix length. Device-lifecycle populations checkpoint like any
+// other: their per-archetype aggregates are folded at commit too, so
+// the committed prefix carries them in the arch section.
 type Checkpoint struct {
 	// Path is the checkpoint file; Path+".prev" holds the previous
 	// generation. Writes are atomic (fsynced temp file + rename), so a
@@ -79,39 +79,19 @@ type checkpointEnvelope struct {
 	Payload json.RawMessage `json:"payload"`
 }
 
-// checkpointFile is the serialized reducer state. Sketches round-trip
-// bit-exactly through their JSON form (integer counts, shortest-round-
-// trip floats), and Welford accumulators are three exact scalars, so a
-// loaded checkpoint restores the reducer to the identical float state.
+// checkpointFile is the serialized reducer state: the run's identity,
+// the committed prefix, and the Result itself, whose JSON form is the
+// aggregates' payload. Sketches round-trip bit-exactly through their
+// JSON form (integer counts, shortest-round-trip floats), and Welford
+// accumulators are three exact scalars, so a loaded checkpoint restores
+// the reducer to the identical float state.
 type checkpointFile struct {
 	ConfigHash string `json:"config_hash"`
 	Homes      int    `json:"homes"`
-	// Next is the first home index not yet committed: aggregates below
-	// describe exactly homes [0, Next).
+	// Next is the first home index not yet committed: the Result
+	// describes exactly homes [0, Next).
 	Next int `json:"next"`
-
-	SilentBins uint64 `json:"silent_bins"`
-	TotalBins  uint64 `json:"total_bins"`
-
-	CumOcc      *stats.Sketch    `json:"cum_occ"`
-	ChOcc       [3]*stats.Sketch `json:"ch_occ"`
-	HomeHarvest *stats.Sketch    `json:"home_harvest"`
-	BinOcc      *stats.Sketch    `json:"bin_occ"`
-	Harvest     *stats.Sketch    `json:"harvest"`
-	Latency     *stats.Sketch    `json:"latency"`
-
-	OccW     stats.Welford `json:"occ_w"`
-	HarvestW stats.Welford `json:"harvest_w"`
-	RateW    stats.Welford `json:"rate_w"`
-
-	// Errors carries the quarantined homes of the committed prefix, so
-	// a resumed skip-policy run reports the identical Errors section.
-	Errors []HomeError `json:"errors,omitempty"`
-
-	// Arch carries the per-archetype lifecycle aggregates of a
-	// device-mix population; omitted otherwise, so classic checkpoints
-	// are unchanged.
-	Arch *[lifecycle.NumKinds]*archResult `json:"arch,omitempty"`
+	*Result
 }
 
 // checkpointHash fingerprints everything that determines a run's
@@ -151,24 +131,7 @@ type ckWriter struct {
 // committed into res. The previous on-disk generation survives as
 // ".prev" until the next write replaces it.
 func (w *ckWriter) write(res *Result, next int) error {
-	cf := checkpointFile{
-		ConfigHash:  checkpointHash(w.cfg),
-		Homes:       w.cfg.Homes,
-		Next:        next,
-		SilentBins:  res.SilentBins,
-		TotalBins:   res.TotalBins,
-		CumOcc:      res.CumOcc,
-		ChOcc:       res.ChOcc,
-		HomeHarvest: res.HomeHarvest,
-		BinOcc:      res.BinOcc,
-		Harvest:     res.Harvest,
-		Latency:     res.Latency,
-		OccW:        res.OccW,
-		HarvestW:    res.HarvestW,
-		RateW:       res.RateW,
-		Errors:      res.Errors,
-		Arch:        res.Arch,
-	}
+	cf := checkpointFile{ConfigHash: checkpointHash(w.cfg), Homes: w.cfg.Homes, Next: next, Result: res}
 	payload, err := json.Marshal(cf)
 	if err != nil {
 		return fmt.Errorf("fleet: serializing checkpoint: %w", err)
@@ -315,10 +278,11 @@ func tryLoadCheckpoint(path string, cfg Config) (next int, res *Result, err erro
 
 // decodeCheckpoint validates and restores a checkpoint from its raw
 // bytes: envelope parse, schema gate, payload checksum, config hash,
-// prefix consistency, then a TryMerge-validated restore into a fresh
-// Result. It never panics on torn or hostile input — every malformed
-// shape is an error (the FuzzCheckpointDecode target holds it to that).
-// base names the source file in error messages.
+// prefix consistency, then one TryMerge resolution check of the
+// decoded Result against a fresh one. It never panics on torn or
+// hostile input — every malformed shape is an error (the
+// FuzzCheckpointDecode target holds it to that). base names the source
+// file in error messages.
 func decodeCheckpoint(data []byte, base string, cfg Config) (next int, res *Result, err error) {
 	var env checkpointEnvelope
 	if err := json.Unmarshal(data, &env); err != nil {
@@ -332,7 +296,7 @@ func decodeCheckpoint(data []byte, base string, cfg Config) (next int, res *Resu
 		return 0, nil, fmt.Errorf("fleet: checkpoint %s is corrupt (payload sum %s, envelope says %s)",
 			base, got, env.Sum)
 	}
-	var cf checkpointFile
+	cf := checkpointFile{Result: new(Result)}
 	if err := json.Unmarshal(env.Payload, &cf); err != nil {
 		return 0, nil, fmt.Errorf("fleet: parsing checkpoint %s: %w", base, err)
 	}
@@ -344,69 +308,29 @@ func decodeCheckpoint(data []byte, base string, cfg Config) (next int, res *Resu
 		return 0, nil, fmt.Errorf("fleet: checkpoint %s has inconsistent prefix (next %d of %d homes, run has %d)",
 			base, cf.Next, cf.Homes, cfg.Homes)
 	}
-	// Restore into a fresh Result through TryMerge-style validation:
-	// each sketch must match the resolution newResult built, so a
-	// truncated or hand-edited file cannot slip mismatched aggregates
-	// into the run. Building fresh per generation also means a failed
-	// restore never leaves a half-merged Result for the fallback.
-	res = newResult(cfg)
-	restore := func(dst, src *stats.Sketch, name string) error {
-		if src == nil {
-			return fmt.Errorf("fleet: checkpoint %s is missing the %s aggregate", base, name)
-		}
-		if err := dst.TryMerge(src); err != nil {
-			return fmt.Errorf("fleet: checkpoint %s: %s: %w", base, name, err)
-		}
-		return nil
-	}
-	if err := restore(res.CumOcc, cf.CumOcc, "cum_occ"); err != nil {
-		return 0, nil, err
-	}
-	for i := range res.ChOcc {
-		if err := restore(res.ChOcc[i], cf.ChOcc[i], "ch_occ"); err != nil {
-			return 0, nil, err
-		}
-	}
-	if err := restore(res.HomeHarvest, cf.HomeHarvest, "home_harvest"); err != nil {
-		return 0, nil, err
-	}
-	if err := restore(res.BinOcc, cf.BinOcc, "bin_occ"); err != nil {
-		return 0, nil, err
-	}
-	if err := restore(res.Harvest, cf.Harvest, "harvest"); err != nil {
-		return 0, nil, err
-	}
-	if err := restore(res.Latency, cf.Latency, "latency"); err != nil {
-		return 0, nil, err
-	}
-	// The archetype section must be present exactly when the
-	// population carries a device mix. Each sketch is resolution-checked
-	// through the same TryMerge; the validated archetype is then adopted
-	// whole (its sketches' counts were checked by their JSON codec).
-	if (cf.Arch != nil) != (res.Arch != nil) {
+	// One resolution check over every sketch the Result holds: each must
+	// be present and TryMerge into the one newResult builds for this
+	// run, so a truncated or hand-edited file cannot slip mismatched
+	// aggregates into the run. The archetype section must be present
+	// exactly when the population carries a device mix. The checked
+	// Result is then adopted whole (its sketches' counts were checked by
+	// their JSON codec); decoding fresh per generation means a failed
+	// restore never leaves a half-restored Result for the fallback.
+	res = cf.Result
+	fresh := newResult(cfg)
+	if (res.Arch != nil) != (fresh.Arch != nil) {
 		return 0, nil, fmt.Errorf("fleet: checkpoint %s: lifecycle aggregates present = %v, this run's population expects %v",
-			base, cf.Arch != nil, res.Arch != nil)
+			base, res.Arch != nil, fresh.Arch != nil)
 	}
-	if res.Arch != nil {
-		for k, src := range cf.Arch {
-			name := "arch/" + lifecycle.Kind(k).String()
-			if src == nil {
-				return 0, nil, fmt.Errorf("fleet: checkpoint %s is missing the %s aggregate", base, name)
-			}
-			fresh := res.Arch[k].sketches()
-			for i, sk := range src.sketches() {
-				if err := restore(fresh[i], sk, name); err != nil {
-					return 0, nil, err
-				}
-			}
-			res.Arch[k] = src
+	got := res.sketches()
+	for i, want := range fresh.sketches() {
+		if got[i].sk == nil {
+			return 0, nil, fmt.Errorf("fleet: checkpoint %s is missing the %s aggregate", base, want.name)
+		}
+		if err := want.sk.TryMerge(got[i].sk); err != nil {
+			return 0, nil, fmt.Errorf("fleet: checkpoint %s: %s: %w", base, want.name, err)
 		}
 	}
-	res.SilentBins = cf.SilentBins
-	res.TotalBins = cf.TotalBins
-	res.OccW = cf.OccW
-	res.HarvestW = cf.HarvestW
-	res.RateW = cf.RateW
-	res.Errors = cf.Errors
+	res.Config = cfg
 	return cf.Next, res, nil
 }

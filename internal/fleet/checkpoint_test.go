@@ -5,9 +5,11 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"maps"
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -237,45 +239,85 @@ func TestCheckpointResumesLifecycle(t *testing.T) {
 	}
 }
 
-// TestCheckpointDecodeRejectsArchMismatch holds decodeCheckpoint to its
-// never-panic contract on the archetype section: a correctly summed
-// checkpoint whose arch section is missing, unexpected, incomplete or
-// at the wrong resolution is an error.
-func TestCheckpointDecodeRejectsArchMismatch(t *testing.T) {
+// checkpointPayload writes an empty committed prefix of cfg's run
+// through the real writer and returns its payload by key.
+func checkpointPayload(t *testing.T, cfg Config) map[string]json.RawMessage {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "seed.ckpt")
+	if err := (&ckWriter{ck: &Checkpoint{Path: path}, cfg: cfg}).write(newResult(cfg), 0); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var env checkpointEnvelope
+	var p map[string]json.RawMessage
+	if err := json.Unmarshal(data, &env); err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(env.Payload, &p); err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
+// sealPayload wraps a payload in a correctly summed schema-2 envelope.
+func sealPayload(t *testing.T, p map[string]json.RawMessage) []byte {
+	t.Helper()
+	raw, err := json.Marshal(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := json.Marshal(checkpointEnvelope{Schema: CheckpointSchema, Sum: payloadSum(raw), Payload: raw})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
+}
+
+// TestCheckpointPayloadKeys pins the payload's key set, which Result's
+// JSON tags define: a classic payload carries exactly the schema-2
+// keys, a lifecycle one adds arch, and an archetype written with the
+// retired never_charged key still decodes (the key is ignored).
+func TestCheckpointPayloadKeys(t *testing.T) {
 	classic, life := testConfig(12, 1), lifeTestConfig(12, 1)
-	payload := func(cfg Config) map[string]json.RawMessage {
-		path := filepath.Join(t.TempDir(), "seed.ckpt")
-		if err := (&ckWriter{ck: &Checkpoint{Path: path}, cfg: cfg}).write(newResult(cfg), 0); err != nil {
-			t.Fatal(err)
-		}
-		data, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var env checkpointEnvelope
-		var p map[string]json.RawMessage
-		if err := json.Unmarshal(data, &env); err != nil {
-			t.Fatal(err)
-		}
-		if err := json.Unmarshal(env.Payload, &p); err != nil {
-			t.Fatal(err)
-		}
-		return p
+	want := []string{"bin_occ", "ch_occ", "config_hash", "cum_occ", "harvest", "harvest_w", "home_harvest",
+		"homes", "latency", "next", "occ_w", "rate_w", "silent_bins", "total_bins"}
+	if got := slices.Sorted(maps.Keys(checkpointPayload(t, classic))); !slices.Equal(got, want) {
+		t.Errorf("classic payload keys = %v, want %v", got, want)
 	}
-	seal := func(p map[string]json.RawMessage) []byte {
-		raw, err := json.Marshal(p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		data, err := json.Marshal(checkpointEnvelope{Schema: CheckpointSchema, Sum: payloadSum(raw), Payload: raw})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return data
+	p := checkpointPayload(t, life)
+	if got := slices.Sorted(maps.Keys(p)); !slices.Equal(got, append([]string{"arch"}, want...)) {
+		t.Errorf("lifecycle payload keys = %v, want %v + arch", got, want)
 	}
+	var kinds []map[string]json.RawMessage
+	if err := json.Unmarshal(p["arch"], &kinds); err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range kinds {
+		k["never_charged"] = json.RawMessage("0")
+	}
+	raw, err := json.Marshal(kinds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p["arch"] = raw
+	if _, _, err := decodeCheckpoint(sealPayload(t, p), "old.ckpt", life); err != nil {
+		t.Errorf("payload with never_charged rejected: %v", err)
+	}
+}
+
+// TestCheckpointDecodeRejectsHostileSections holds decodeCheckpoint to
+// its never-panic contract on both sections of the payload: a correctly
+// summed checkpoint whose classic aggregates or arch section are
+// missing, unexpected, incomplete or at the wrong resolution is an
+// error with a nil result.
+func TestCheckpointDecodeRejectsHostileSections(t *testing.T) {
+	classic, life := testConfig(12, 1), lifeTestConfig(12, 1)
 	// arch rewrites the lifecycle payload's archetype section.
 	arch := func(edit func([]map[string]json.RawMessage) any) map[string]json.RawMessage {
-		p := payload(life)
+		p := checkpointPayload(t, life)
 		var kinds []map[string]json.RawMessage
 		if err := json.Unmarshal(p["arch"], &kinds); err != nil {
 			t.Fatal(err)
@@ -288,18 +330,37 @@ func TestCheckpointDecodeRejectsArchMismatch(t *testing.T) {
 		return p
 	}
 
-	if _, _, err := decodeCheckpoint(seal(payload(life)), "life.ckpt", life); err != nil {
-		t.Fatalf("intact lifecycle checkpoint rejected: %v", err)
+	for _, cfg := range []Config{classic, life} {
+		if _, _, err := decodeCheckpoint(sealPayload(t, checkpointPayload(t, cfg)), "intact.ckpt", cfg); err != nil {
+			t.Fatalf("intact checkpoint rejected: %v", err)
+		}
 	}
-	noArch := payload(life)
+	noCumOcc := checkpointPayload(t, classic)
+	delete(noCumOcc, "cum_occ")
+	shortChOcc := checkpointPayload(t, classic)
+	var ch []json.RawMessage
+	if err := json.Unmarshal(shortChOcc["ch_occ"], &ch); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := json.Marshal(ch[:2])
+	if err != nil {
+		t.Fatal(err)
+	}
+	shortChOcc["ch_occ"] = raw
+	wrongLatency := checkpointPayload(t, classic)
+	wrongLatency["latency"] = wrongLatency["harvest"]
+	noArch := checkpointPayload(t, life)
 	delete(noArch, "arch")
-	strayArch := payload(classic)
-	strayArch["arch"] = payload(life)["arch"]
+	strayArch := checkpointPayload(t, classic)
+	strayArch["arch"] = checkpointPayload(t, life)["arch"]
 	for _, tc := range []struct {
 		name    string
 		cfg     Config
 		payload map[string]json.RawMessage
 	}{
+		{"missing cum_occ", classic, noCumOcc},
+		{"two-entry ch_occ", classic, shortChOcc},
+		{"latency at harvest's resolution", classic, wrongLatency},
 		{"lifecycle without arch", life, noArch},
 		{"classic with arch", classic, strayArch},
 		{"null archetype", life, arch(func(k []map[string]json.RawMessage) any { k[2] = nil; return k })},
@@ -307,7 +368,7 @@ func TestCheckpointDecodeRejectsArchMismatch(t *testing.T) {
 		{"missing sketch", life, arch(func(k []map[string]json.RawMessage) any { delete(k[1], "soc"); return k })},
 		{"wrong resolution", life, arch(func(k []map[string]json.RawMessage) any { k[0]["interval"] = k[0]["soc"]; return k })},
 	} {
-		next, res, err := decodeCheckpoint(seal(tc.payload), "hostile.ckpt", tc.cfg)
+		next, res, err := decodeCheckpoint(sealPayload(t, tc.payload), "hostile.ckpt", tc.cfg)
 		if err == nil || res != nil || next != 0 {
 			t.Errorf("%s: decoded to (%d, %v, %v), want an error", tc.name, next, res, err)
 		}

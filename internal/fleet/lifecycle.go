@@ -21,25 +21,11 @@ const (
 	horizonBins  = 2000
 )
 
-// lifeHomeStats is the lifecycle slice of a home's summary: the
-// device's time-domain metrics and its per-bin ledger observations,
-// reduced in home-index order.
-type lifeHomeStats struct {
-	kind        lifecycle.Kind
-	ttfuS       float64 // +Inf when the device never produced an update
-	outageFrac  float64
-	updates     float64
-	frames      float64
-	chargeTimeS float64 // +Inf when a charger never filled
-	finalSoC    float64 // NaN for the battery-free sensor
-	minSoC      float64
-	bins        []lifecycle.BinStats
-}
-
 // archResult aggregates one archetype across the fleet: per-home
 // reductions plus the pooled per-bin aggregates, all folded at commit
-// in home-index order. The JSON form is the checkpoint's per-archetype
-// payload.
+// in home-index order. Its JSON form is the checkpoint's per-archetype
+// payload (Result.Arch). Charger homes that never filled are not
+// counted apart: they are Homes − Charged.
 type archResult struct {
 	Homes uint64 `json:"homes"`
 
@@ -53,10 +39,9 @@ type archResult struct {
 	UpdatesW stats.Welford `json:"updates_w"`
 	FramesW  stats.Welford `json:"frames_w"`
 
-	ChargeTime   *stats.Sketch `json:"charge_time"`
-	ChargeTimeW  stats.Welford `json:"charge_time_w"`
-	Charged      uint64        `json:"charged"` // charger homes that reached FullSoC
-	NeverCharged uint64        `json:"never_charged"`
+	ChargeTime  *stats.Sketch `json:"charge_time"`
+	ChargeTimeW stats.Welford `json:"charge_time_w"`
+	Charged     uint64        `json:"charged"` // charger homes that reached FullSoC
 
 	FinalSoCW stats.Welford `json:"final_soc_w"`
 	MinSoCW   stats.Welford `json:"min_soc_w"`
@@ -78,18 +63,25 @@ func newArchResult(horizonS float64) *archResult {
 	}
 }
 
-// sketches lists the archetype's sketches in a fixed order, for the
-// checkpoint's resolution checks.
-func (ar *archResult) sketches() [5]*stats.Sketch {
-	return [5]*stats.Sketch{ar.TTFU, ar.Outage, ar.ChargeTime, ar.Interval, ar.SoC}
+// sketches lists the archetype's sketches under their checkpoint keys,
+// in a fixed order. A nil archetype (a checkpoint that lacks one)
+// lists the same keys with nil sketches.
+func (ar *archResult) sketches() []namedSketch {
+	if ar == nil {
+		ar = &archResult{}
+	}
+	return []namedSketch{
+		{"ttfu", ar.TTFU}, {"outage", ar.Outage}, {"charge_time", ar.ChargeTime},
+		{"interval", ar.Interval}, {"soc", ar.SoC},
+	}
 }
 
-// addHome folds one home's lifecycle scalars and per-bin observations;
-// callers invoke it in home-index order (the Welford moments are
-// order-sensitive).
-func (ar *archResult) addHome(kind lifecycle.Kind, ls lifeHomeStats) {
+// addHome folds one home's device metrics and per-bin ledger
+// observations; callers invoke it in home-index order (the Welford
+// moments are order-sensitive).
+func (ar *archResult) addHome(m lifecycle.Metrics, bins []lifecycle.BinStats) {
 	ar.Homes++
-	for _, b := range ls.bins {
+	for _, b := range bins {
 		ar.TotalBins++
 		if b.Outage {
 			ar.OutageBins++
@@ -104,30 +96,27 @@ func (ar *archResult) addHome(kind lifecycle.Kind, ls lifeHomeStats) {
 	// Chargers produce no updates by construction; their headline
 	// metric is ChargeTime below, so they skip the first-update
 	// accounting rather than reporting every home as never-active.
-	if !kind.Charger() {
-		if math.IsInf(ls.ttfuS, 1) {
+	if !m.Kind.Charger() {
+		if math.IsInf(m.FirstUpdateS, 1) {
 			ar.NeverActive++
 		} else {
-			ar.TTFU.Add(ls.ttfuS)
-			ar.TTFUW.Add(ls.ttfuS)
+			ar.TTFU.Add(m.FirstUpdateS)
+			ar.TTFUW.Add(m.FirstUpdateS)
 		}
 	}
-	ar.Outage.Add(ls.outageFrac * 100)
-	ar.OutageW.Add(ls.outageFrac * 100)
-	ar.UpdatesW.Add(ls.updates)
-	ar.FramesW.Add(ls.frames)
-	if kind.Charger() {
-		if math.IsInf(ls.chargeTimeS, 1) {
-			ar.NeverCharged++
-		} else {
-			ar.ChargeTime.Add(ls.chargeTimeS)
-			ar.ChargeTimeW.Add(ls.chargeTimeS)
-			ar.Charged++
-		}
+	outagePct := m.OutageFraction() * 100
+	ar.Outage.Add(outagePct)
+	ar.OutageW.Add(outagePct)
+	ar.UpdatesW.Add(m.Updates)
+	ar.FramesW.Add(float64(m.Frames))
+	if m.Kind.Charger() && !math.IsInf(m.TimeToFullS, 1) {
+		ar.ChargeTime.Add(m.TimeToFullS)
+		ar.ChargeTimeW.Add(m.TimeToFullS)
+		ar.Charged++
 	}
-	if !math.IsNaN(ls.finalSoC) {
-		ar.FinalSoCW.Add(ls.finalSoC * 100)
-		ar.MinSoCW.Add(ls.minSoC * 100)
+	if !math.IsNaN(m.FinalSoC) {
+		ar.FinalSoCW.Add(m.FinalSoC * 100)
+		ar.MinSoCW.Add(m.MinSoC * 100)
 	}
 }
 

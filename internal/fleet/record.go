@@ -60,19 +60,19 @@ func (hs homeStats) record() HomeRecord {
 		MeanHarvestUW:     hs.means.BankedHarvestUW,
 		MeanUpdateRateHz:  hs.means.SensorRate,
 	}
-	if hs.hasLife {
-		ls := hs.life
+	if hs.hasDev {
+		m := hs.dev
 		// The Inf/NaN-to-nil "never happened" convention is owned by
 		// lifecycle.FinitePtr, shared with lifecycle.Section.
 		r.Device = &DeviceRecord{
-			Kind:         ls.kind.String(),
-			FirstUpdateS: lifecycle.FinitePtr(ls.ttfuS),
-			OutagePct:    ls.outageFrac * 100,
-			Updates:      ls.updates,
-			Frames:       ls.frames,
-			TimeToFullS:  lifecycle.FinitePtr(ls.chargeTimeS),
-			FinalSoCPct:  lifecycle.FinitePtr(ls.finalSoC * 100),
-			MinSoCPct:    lifecycle.FinitePtr(ls.minSoC * 100),
+			Kind:         m.Kind.String(),
+			FirstUpdateS: lifecycle.FinitePtr(m.FirstUpdateS),
+			OutagePct:    m.OutageFraction() * 100,
+			Updates:      m.Updates,
+			Frames:       float64(m.Frames),
+			TimeToFullS:  lifecycle.FinitePtr(m.TimeToFullS),
+			FinalSoCPct:  lifecycle.FinitePtr(m.FinalSoC * 100),
+			MinSoCPct:    lifecycle.FinitePtr(m.MinSoC * 100),
 		}
 	}
 	return r

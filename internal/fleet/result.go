@@ -47,11 +47,12 @@ type homeStats struct {
 	// (see columns). The reducer hands the array back to the home's
 	// slot once the home commits.
 	cols []float64
-	// life carries the home's device-lifecycle scalars and per-bin
-	// ledger observations when the population enables the engine
-	// (hasLife); the classic aggregates above are produced either way.
-	hasLife bool
-	life    lifeHomeStats
+	// dev and bins carry the home's device metrics and per-bin ledger
+	// observations when the population enables the lifecycle engine
+	// (hasDev); the classic aggregates above are produced either way.
+	hasDev bool
+	dev    lifecycle.Metrics
+	bins   []lifecycle.BinStats
 	// fail marks a home whose attempts were exhausted: it commits in
 	// home-index order like a success (so the failure surfaces at a
 	// deterministic, workers-invariant point of the reduce order) but
@@ -68,44 +69,56 @@ func (hs *homeStats) columns() (cum, uw, rate []float64) {
 	return hs.cols[:n:n], hs.cols[n : 2*n : 2*n], hs.cols[2*n:]
 }
 
-// Result holds the fleet-level aggregates of one run.
+// Result holds the fleet-level aggregates of one run. Its JSON form is
+// the checkpoint payload (see Checkpoint): every aggregate carries its
+// checkpoint key, and the fields that are not reducer state — the
+// configuration and the partial-run marks — are excluded. So an
+// aggregate added here is checkpointed and restored with no further
+// code, and json.Marshal of a Result yields that payload, not the
+// report (Summarize derives the report).
 type Result struct {
 	// Config echoes the resolved configuration (including the worker
 	// count actually used; excluded from serialized output so worker
 	// count cannot leak into result comparisons).
-	Config Config
+	Config Config `json:"-"`
+
+	// Pooled per-bin counts.
+	SilentBins uint64 `json:"silent_bins"` // bins with sensor rate ≤ 0: no boot, or a booted chain harvesting 0 W
+	TotalBins  uint64 `json:"total_bins"`
 
 	// Per-home population aggregates, reduced in home-index order.
-	CumOcc      *stats.Sketch    // per-home mean cumulative occupancy, %
-	ChOcc       [3]*stats.Sketch // per-home mean occupancy per PoWiFi channel, %
-	HomeHarvest *stats.Sketch    // per-home mean harvested power, µW
-	OccW        stats.Welford    // exact moments over per-home mean occupancy
-	HarvestW    stats.Welford    // exact moments over per-home mean harvest (µW)
-	RateW       stats.Welford    // exact moments over per-home mean sensor rate
+	CumOcc      *stats.Sketch    `json:"cum_occ"`      // per-home mean cumulative occupancy, %
+	ChOcc       [3]*stats.Sketch `json:"ch_occ"`       // per-home mean occupancy per PoWiFi channel, %
+	HomeHarvest *stats.Sketch    `json:"home_harvest"` // per-home mean harvested power, µW
 
 	// Pooled per-bin aggregates.
-	BinOcc     *stats.Sketch // per-bin cumulative occupancy, %
-	Harvest    *stats.Sketch // per-bin harvested power, µW
-	Latency    *stats.Sketch // per-bin sensor update latency, s (responsive bins)
-	SilentBins uint64        // bins with sensor rate ≤ 0: no boot, or a booted chain harvesting 0 W
-	TotalBins  uint64
+	BinOcc  *stats.Sketch `json:"bin_occ"` // per-bin cumulative occupancy, %
+	Harvest *stats.Sketch `json:"harvest"` // per-bin harvested power, µW
+	Latency *stats.Sketch `json:"latency"` // per-bin sensor update latency, s (responsive bins)
 
-	// Arch holds the per-archetype lifecycle aggregates, nil unless the
-	// population carries a device mix.
-	Arch *[lifecycle.NumKinds]*archResult
+	// Exact moments over the per-home means.
+	OccW     stats.Welford `json:"occ_w"`     // mean occupancy
+	HarvestW stats.Welford `json:"harvest_w"` // mean harvest (µW)
+	RateW    stats.Welford `json:"rate_w"`    // mean sensor rate
 
 	// Failure and degradation state. Errors lists the quarantined homes
 	// in home-index order (empty unless a Skip policy saw failures);
-	// those homes contribute to no aggregate above. Partial marks a run
+	// those homes contribute to no aggregate above, and the checkpoint
+	// carries them so a resumed report is identical. Partial marks a run
 	// that stopped on a degradation budget: the aggregates then
 	// describe exactly the committed prefix [0, CommittedHomes), minus
 	// quarantined homes, and PartialReason says which budget tripped
 	// (PartialDeadline or PartialFailureBudget). All four fields are
 	// workers-invariant.
-	Errors         []HomeError
-	Partial        bool
-	PartialReason  string
-	CommittedHomes int
+	Errors         []HomeError `json:"errors,omitempty"`
+	Partial        bool        `json:"-"`
+	PartialReason  string      `json:"-"`
+	CommittedHomes int         `json:"-"`
+
+	// Arch holds the per-archetype lifecycle aggregates, nil unless the
+	// population carries a device mix (so a classic payload has no
+	// arch key).
+	Arch *[lifecycle.NumKinds]*archResult `json:"arch,omitempty"`
 }
 
 func newResult(cfg Config) *Result {
@@ -156,9 +169,34 @@ func (r *Result) addHome(hs homeStats) {
 	r.OccW.Add(hs.means.CumulativePct)
 	r.HarvestW.Add(hs.means.BankedHarvestUW)
 	r.RateW.Add(hs.means.SensorRate)
-	if hs.hasLife && r.Arch != nil {
-		r.Arch[hs.life.kind].addHome(hs.life.kind, hs.life)
+	if hs.hasDev && r.Arch != nil {
+		r.Arch[hs.dev.Kind].addHome(hs.dev, hs.bins)
 	}
+}
+
+// namedSketch is one of a Result's sketches under its checkpoint key.
+type namedSketch struct {
+	name string
+	sk   *stats.Sketch
+}
+
+// sketches lists every sketch r holds in a fixed order: the classic
+// aggregates, then each archetype's under "arch/<kind>/". Two Results
+// of one configuration list the same names at the same positions, which
+// is what the checkpoint's resolution check walks.
+func (r *Result) sketches() []namedSketch {
+	out := []namedSketch{
+		{"cum_occ", r.CumOcc}, {"ch_occ", r.ChOcc[0]}, {"ch_occ", r.ChOcc[1]}, {"ch_occ", r.ChOcc[2]},
+		{"home_harvest", r.HomeHarvest}, {"bin_occ", r.BinOcc}, {"harvest", r.Harvest}, {"latency", r.Latency},
+	}
+	if r.Arch != nil {
+		for k, ar := range r.Arch {
+			for _, ns := range ar.sketches() {
+				out = append(out, namedSketch{"arch/" + lifecycle.Kind(k).String() + "/" + ns.name, ns.sk})
+			}
+		}
+	}
+	return out
 }
 
 // SilentFraction returns the fraction of logged bins in which the

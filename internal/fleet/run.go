@@ -292,7 +292,7 @@ func RunWith(ctx context.Context, cfg Config, h Hooks) (*Result, error) {
 			Failed:       failed,
 			Lifecycle:    cfg.Population.Lifecycle(),
 			SilentBins:   uint64(hs.means.SilentBins),
-			LedgerEvents: uint64(len(hs.life.bins)),
+			LedgerEvents: uint64(len(hs.bins)),
 			HarvestUW:    hs.means.BankedHarvestUW,
 		})
 		return released
@@ -388,10 +388,10 @@ func RunWith(ctx context.Context, cfg Config, h Hooks) (*Result, error) {
 		}
 		// Every reader of the home's storage has run: addHome and the
 		// archetype fold read the columns and ledger bins, observe the
-		// handle and len(life.bins). The Home hook's HomeRecord copies
+		// handle and len(bins). The Home hook's HomeRecord copies
 		// scalars only, and a checkpoint serializes the Result only. So
 		// reuse cannot reach any output.
-		give(hs.idx, homeBufs{cols: hs.cols, bins: hs.life.bins, tr: released})
+		give(hs.idx, homeBufs{cols: hs.cols, bins: hs.bins, tr: released})
 		return true, nil
 	}
 
@@ -679,25 +679,11 @@ func (w *worker) attemptHome(ctx context.Context, idx int, ht *trace.HomeTrace, 
 		// convention the home fold shares.
 		uw[i] = b.Sample(i).BankedHarvestUW()
 	}
+	hs.means = b.Means()
 	if dev != nil {
 		w.lifeBins = slices.Grow(bufs.bins[:0], nBins)
 		dev.VisitBatch(b)
-	}
-	hs.means = b.Means()
-	if dev != nil {
-		m := dev.Metrics()
-		hs.hasLife = true
-		hs.life = lifeHomeStats{
-			kind:        m.Kind,
-			ttfuS:       m.FirstUpdateS,
-			outageFrac:  m.OutageFraction(),
-			updates:     m.Updates,
-			frames:      float64(m.Frames),
-			chargeTimeS: m.TimeToFullS,
-			finalSoC:    m.FinalSoC,
-			minSoC:      m.MinSoC,
-			bins:        w.lifeBins,
-		}
+		hs.hasDev, hs.dev, hs.bins = true, dev.Metrics(), w.lifeBins
 		w.lifeBins = nil
 	}
 	return hs, true, nil

@@ -164,19 +164,24 @@ func WithWorkers(n int) Option {
 }
 
 // WithHorizon sets the simulated deployment duration (default 24 h).
-// It is snapped down to a whole number of logging bins.
+// It is snapped down to a whole number of logging bins. Run refuses a
+// horizon that is not positive; zero does not select the default.
 func WithHorizon(d time.Duration) Option {
 	return func(s *Scenario) error { s.horizon, s.set = d, s.set|optHorizon; return nil }
 }
 
 // WithBinWidth sets the occupancy logging resolution (default 1 h for
-// fleet runs, 60 s for single-home runs, matching the paper).
+// fleet runs, 60 s for single-home runs, matching the paper). Run
+// refuses a width that is not positive; zero does not select the
+// default.
 func WithBinWidth(d time.Duration) Option {
 	return func(s *Scenario) error { s.binWidth, s.set = d, s.set|optBinWidth; return nil }
 }
 
 // WithWindow sets the packet-level sample window simulated per logging
-// bin (default 10 ms for fleet runs, 1 s for single-home runs).
+// bin (default 10 ms for fleet runs, 1 s for single-home runs). Run
+// refuses a window that is not positive; zero does not select the
+// default.
 func WithWindow(d time.Duration) Option {
 	return func(s *Scenario) error { s.window, s.set = d, s.set|optWindow; return nil }
 }
@@ -529,7 +534,25 @@ func (s *Scenario) writeSinks(h fleet.Hooks) error {
 	return nil
 }
 
+// checkDurations rejects an explicit window, bin width or horizon that
+// is not positive, naming the value. Only an unset option takes the
+// engine's default: an explicit zero is a value, not "unset".
+func (s *Scenario) checkDurations() error {
+	switch {
+	case s.set&optWindow != 0 && s.window <= 0:
+		return fmt.Errorf("powifi: non-positive window %v", s.window)
+	case s.set&optBinWidth != 0 && s.binWidth <= 0:
+		return fmt.Errorf("powifi: non-positive bin width %v", s.binWidth)
+	case s.set&optHorizon != 0 && s.horizon <= 0:
+		return fmt.Errorf("powifi: non-positive horizon %.3gh", s.horizon.Hours())
+	}
+	return nil
+}
+
 func (s *Scenario) runFleet(ctx context.Context) (*Report, error) {
+	if err := s.checkDurations(); err != nil {
+		return nil, err
+	}
 	cfg := s.fleetConfig()
 	h := s.fleetHooks(cfg)
 	endRun := h.Trace.Span(powifitrace.SpanRun)
@@ -561,6 +584,9 @@ func (s *Scenario) runFleet(ctx context.Context) (*Report, error) {
 // horizon shorter than one bin, as the fleet does.
 func (s *Scenario) homeRun() (HomeConfig, deploy.Options, int, error) {
 	home := s.home
+	if err := s.checkDurations(); err != nil {
+		return home, deploy.Options{}, 0, err
+	}
 	if s.set&optSeed != 0 {
 		home.Seed = s.seed
 	}
@@ -579,14 +605,7 @@ func (s *Scenario) homeRun() (HomeConfig, deploy.Options, int, error) {
 	}
 	opts = opts.Resolved()
 	nBins := opts.NumBins()
-	switch {
-	case opts.Window <= 0:
-		return home, opts, 0, fmt.Errorf("powifi: non-positive window %v", opts.Window)
-	case opts.BinWidth <= 0:
-		return home, opts, 0, fmt.Errorf("powifi: non-positive bin width %v", opts.BinWidth)
-	case opts.Hours <= 0:
-		return home, opts, 0, fmt.Errorf("powifi: non-positive horizon %.3gh", opts.Hours)
-	case nBins < 1:
+	if nBins < 1 {
 		return home, opts, 0, fmt.Errorf("powifi: horizon %.3gh is shorter than one %v bin", opts.Hours, opts.BinWidth)
 	}
 	return home, opts, nBins, nil
@@ -736,6 +755,10 @@ func (s *Scenario) Homes(ctx context.Context) iter.Seq2[HomeRecord, error] {
 	return func(yield func(HomeRecord, error) bool) {
 		if s.Mode() != ModeFleet {
 			yield(HomeRecord{}, fmt.Errorf("powifi: Homes requires a fleet scenario (mode %q)", s.Mode()))
+			return
+		}
+		if err := s.checkDurations(); err != nil {
+			yield(HomeRecord{}, err)
 			return
 		}
 		stopped := false

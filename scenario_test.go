@@ -339,12 +339,13 @@ func TestScenarioBins(t *testing.T) {
 
 }
 
-// TestHomeRejectsNonPositiveDurations pins the single-home option
-// check: Run and Bins refuse a window, bin width or horizon that is not
-// positive with an error naming the value, as the fleet refuses it, and
-// a horizon shorter than one bin; a scenario document reaches the same
-// check. Bins yields the error once rather than an empty stream that
-// would read as "no data".
+// TestHomeRejectsNonPositiveDurations pins the option check: Run and
+// Bins refuse a window, bin width or horizon that is not positive — an
+// explicit zero included, which must not fall back to the default —
+// with an error naming the value, and a horizon shorter than one bin; a
+// scenario document reaches the same check. Bins yields the error once
+// rather than an empty stream that would read as "no data". A fleet
+// scenario's Run and Homes refuse an explicit zero the same way.
 func TestHomeRejectsNonPositiveDurations(t *testing.T) {
 	ctx := context.Background()
 	home := powifi.WithHome(powifi.PaperHomes()[0])
@@ -352,24 +353,41 @@ func TestHomeRejectsNonPositiveDurations(t *testing.T) {
 		name     string
 		scenario func() (*powifi.Scenario, error)
 		want     string
+		fleet    bool
 	}{
 		{"window", func() (*powifi.Scenario, error) {
 			return powifi.NewScenario(home, powifi.WithWindow(-5*time.Millisecond),
 				powifi.WithHorizon(2*time.Hour), powifi.WithBinWidth(time.Hour))
-		}, "non-positive window -5ms"},
+		}, "non-positive window -5ms", false},
 		{"bin width", func() (*powifi.Scenario, error) {
 			return powifi.NewScenario(home, powifi.WithBinWidth(-time.Minute), powifi.WithHorizon(2*time.Hour))
-		}, "non-positive bin width -1m0s"},
+		}, "non-positive bin width -1m0s", false},
 		{"horizon", func() (*powifi.Scenario, error) {
 			return powifi.NewScenario(home, powifi.WithHorizon(-2*time.Hour))
-		}, "non-positive horizon -2h"},
+		}, "non-positive horizon -2h", false},
 		{"horizon shorter than one bin", func() (*powifi.Scenario, error) {
 			return powifi.NewScenario(home, powifi.WithHorizon(30*time.Second)) // the default bin is 60 s
-		}, "shorter than one"},
+		}, "shorter than one", false},
 		{"scenario document", func() (*powifi.Scenario, error) {
 			return powifi.LoadScenario([]byte(`{"schema":1,"home":{"id":1,"users":2,"devices":6,"neighbor_aps":17},` +
 				`"window":"-5ms","horizon":"2h","bin":"1h"}`))
-		}, "non-positive window -5ms"},
+		}, "non-positive window -5ms", false},
+		{"zero window", func() (*powifi.Scenario, error) {
+			return powifi.NewScenario(home, powifi.WithWindow(0), powifi.WithHorizon(2*time.Hour))
+		}, "non-positive window 0s", false},
+		{"zero bin width", func() (*powifi.Scenario, error) {
+			return powifi.NewScenario(home, powifi.WithBinWidth(0), powifi.WithHorizon(2*time.Hour))
+		}, "non-positive bin width 0s", false},
+		{"zero horizon", func() (*powifi.Scenario, error) {
+			return powifi.NewScenario(home, powifi.WithHorizon(0))
+		}, "non-positive horizon 0h", false},
+		{"zero-duration document", func() (*powifi.Scenario, error) {
+			return powifi.LoadScenario([]byte(`{"schema":1,"home":{"id":1,"users":2,"devices":6,"neighbor_aps":17},` +
+				`"window":"0s","horizon":"2h","bin":"1h"}`))
+		}, "non-positive window 0s", false},
+		{"fleet zero window", func() (*powifi.Scenario, error) {
+			return powifi.NewScenario(powifi.WithHomes(2), powifi.WithWindow(0), powifi.WithHorizon(2*time.Hour))
+		}, "non-positive window 0s", true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -380,15 +398,25 @@ func TestHomeRejectsNonPositiveDurations(t *testing.T) {
 			if rep, err := sc.Run(ctx); err == nil || !strings.Contains(err.Error(), tc.want) {
 				t.Errorf("Run = (%v, %v), want an error containing %q", rep, err, tc.want)
 			}
-			saw := 0
-			for _, err := range sc.Bins(ctx) {
-				saw++
-				if err == nil || !strings.Contains(err.Error(), tc.want) {
-					t.Errorf("Bins yielded %v, want an error containing %q", err, tc.want)
+			// The stream a scenario of this mode offers: Bins, or a
+			// fleet's Homes.
+			var errs []error
+			if tc.fleet {
+				for _, err := range sc.Homes(ctx) {
+					errs = append(errs, err)
+				}
+			} else {
+				for _, err := range sc.Bins(ctx) {
+					errs = append(errs, err)
 				}
 			}
-			if saw != 1 {
-				t.Errorf("Bins yielded %d values, want exactly the error", saw)
+			for _, err := range errs {
+				if err == nil || !strings.Contains(err.Error(), tc.want) {
+					t.Errorf("stream yielded %v, want an error containing %q", err, tc.want)
+				}
+			}
+			if saw := len(errs); saw != 1 {
+				t.Errorf("stream yielded %d values, want exactly the error", saw)
 			}
 		})
 	}
