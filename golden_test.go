@@ -2,7 +2,8 @@
 // powifi-bench tables/figures and a fixed-seed fleet run against
 // committed golden files, so any drift in the reproduced paper numbers —
 // from solver changes, surface retuning, or refactors — fails CI
-// instead of slipping through.
+// instead of slipping through. It also pins the scenario wire form (the
+// JSON a -scenario file holds, and the loader's errors) byte for byte.
 //
 // Regenerate after an intentional change with:
 //
@@ -22,8 +23,10 @@ package powifi_test
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"math"
 	"os"
 	"path/filepath"
@@ -33,6 +36,7 @@ import (
 	"testing"
 	"time"
 
+	powifi "repro"
 	"repro/internal/experiments"
 	"repro/internal/fleet"
 	"repro/internal/lifecycle"
@@ -52,6 +56,19 @@ var numberRE = regexp.MustCompile(`[-+]?\d+(\.\d+)?([eE][-+]?\d+)?`)
 // under -update).
 func compareGolden(t *testing.T, name, got string) {
 	t.Helper()
+	want, ok := readGolden(t, name, got)
+	if !ok {
+		return
+	}
+	if err := diffNumeric(got, want); err != nil {
+		t.Errorf("%s drifted from golden: %v\n(regenerate intentionally with -update)", name, err)
+	}
+}
+
+// readGolden returns the named golden file's content, or rewrites it
+// with got under -update and reports false.
+func readGolden(t *testing.T, name, got string) (string, bool) {
+	t.Helper()
 	path := filepath.Join(goldenDir, name+".golden")
 	if *update {
 		if err := os.MkdirAll(goldenDir, 0o755); err != nil {
@@ -61,15 +78,13 @@ func compareGolden(t *testing.T, name, got string) {
 			t.Fatal(err)
 		}
 		t.Logf("updated %s", path)
-		return
+		return "", false
 	}
 	wantBytes, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatalf("missing golden file %s (run `go test -run TestGolden -update .`): %v", path, err)
 	}
-	if err := diffNumeric(got, string(wantBytes)); err != nil {
-		t.Errorf("%s drifted from golden: %v\n(regenerate intentionally with -update)", name, err)
-	}
+	return string(wantBytes), true
 }
 
 // diffNumeric compares two texts: identical non-numeric skeletons, and
@@ -233,4 +248,81 @@ func TestGoldenFleetLifecycleRun(t *testing.T) {
 	}
 	compareGolden(t, "fleet_lifecycle_text", text.String())
 	compareGolden(t, "fleet_lifecycle_json", js.String())
+}
+
+// TestGoldenScenarioWire pins the scenario's declarative form byte for
+// byte: the JSON that Scenario.MarshalJSON writes for one scenario per
+// shape of setting, and the error LoadScenario gives for each kind of
+// out-of-range value. Numbers in a wire form or an error text are part
+// of the contract, so the comparison is exact, not numeric-aware.
+func TestGoldenScenarioWire(t *testing.T) {
+	pop := powifi.DefaultFleetPopulation()
+	pop.MaxUsers = 6
+	mix, err := powifi.ParseDeviceMix("temp=0.5,camera=0.3,jawbone=0.2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	scenarios := []struct {
+		name string
+		opts []powifi.Option
+	}{
+		{"fleet-all", []powifi.Option{
+			powifi.WithHomes(42), powifi.WithSeed(0), powifi.WithWorkers(3),
+			powifi.WithHorizon(36 * time.Hour), powifi.WithBinWidth(20 * time.Minute),
+			powifi.WithWindow(5 * time.Millisecond), powifi.WithExact(false),
+			powifi.WithPopulation(pop), powifi.WithDevices(mix)}},
+		{"fleet-coarse", []powifi.Option{powifi.WithHomes(7), powifi.WithCoarse(true)}},
+		{"fleet-coarse-zero", []powifi.Option{powifi.WithHomes(7), powifi.WithCoarse(false)}},
+		{"fleet-budgets", []powifi.Option{
+			powifi.WithHomes(500), powifi.WithCoarse(true),
+			powifi.WithFailurePolicy(powifi.FailurePolicy{Retry: 2, Skip: true}),
+			powifi.WithDeadline(90 * time.Second), powifi.WithMaxFailedHomes(3)}},
+		{"home-all", []powifi.Option{
+			powifi.WithHome(powifi.PaperHomes()[2]), powifi.WithSensorDistance(7.5),
+			powifi.WithSeed(11), powifi.WithHorizon(90 * time.Minute),
+			powifi.WithBinWidth(15 * time.Minute), powifi.WithWindow(3 * time.Millisecond),
+			powifi.WithExact(true), powifi.WithDevices(mix)}},
+		{"experiment-all", []powifi.Option{
+			powifi.WithExperiment("fig13"), powifi.WithFull(true), powifi.WithExact(true)}},
+		{"empty", nil},
+		{"execution-state-only", []powifi.Option{
+			powifi.WithProgress(func(int, int) {}), powifi.WithTelemetry(powifi.NewTelemetry()),
+			powifi.WithMetricsSink(io.Discard), powifi.WithTrace(powifi.NewTrace()),
+			powifi.WithTraceOutput(io.Discard), powifi.WithCheckpoint("run.ckpt"),
+			powifi.WithFaults("home.panic@2")}},
+	}
+	rejected := []struct{ name, data string }{
+		{"bad horizon", `{"schema":1,"horizon":"fortnight"}`},
+		{"negative sensor", `{"schema":1,"sensor_ft":-1}`},
+		{"negative share", `{"schema":1,"devices":{"temp":-0.5}}`},
+		{"negative deadline", `{"schema":1,"deadline":"-1s"}`},
+		{"zero max_failed", `{"schema":1,"max_failed":0}`},
+		{"negative retry", `{"schema":1,"failure_policy":{"retry":-1}}`},
+		{"empty device mix", `{"schema":1,"devices":{}}`},
+	}
+
+	var b strings.Builder
+	for _, sc := range scenarios {
+		s, err := powifi.NewScenario(sc.opts...)
+		if err != nil {
+			t.Fatalf("%s: %v", sc.name, err)
+		}
+		data, err := json.Marshal(s)
+		if err != nil {
+			t.Fatalf("%s: %v", sc.name, err)
+		}
+		fmt.Fprintf(&b, "%s: %s\n", sc.name, data)
+	}
+	for _, rc := range rejected {
+		if _, err := powifi.LoadScenario([]byte(rc.data)); err == nil {
+			t.Errorf("%s: LoadScenario(%s) accepted", rc.name, rc.data)
+		} else {
+			fmt.Fprintf(&b, "%s: %v\n", rc.name, err)
+		}
+	}
+	got := b.String()
+	want, ok := readGolden(t, "scenario_wire", got)
+	if ok && got != want {
+		t.Errorf("scenario wire form drifted from golden:\n--- got ---\n%s--- want ---\n%s(regenerate intentionally with -update)", got, want)
+	}
 }
