@@ -32,6 +32,7 @@ package fleet
 
 import (
 	"fmt"
+	"math"
 	"runtime"
 	"time"
 
@@ -159,6 +160,19 @@ func DefaultConfig() Config {
 	}
 }
 
+// finite reports whether every value is neither NaN nor infinite. The
+// population's range checks compare with < and >, which NaN passes: a
+// NaN mean neighbor count would hang the Poisson draw, and a NaN or
+// infinite sensor bound would place every sensor out of reach.
+func finite(vs ...float64) bool {
+	for _, v := range vs {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return false
+		}
+	}
+	return true
+}
+
 // withDefaults fills zero fields and validates the configuration.
 func (c Config) withDefaults() (Config, error) {
 	d := DefaultConfig()
@@ -208,7 +222,8 @@ func (c Config) withDefaults() (Config, error) {
 	if p.MinUsers <= 0 || p.MaxUsers < p.MinUsers || p.MaxDevicesPerUser <= 0 ||
 		p.MeanNeighborAPs < 0 || p.MaxNeighborAPs <= 0 ||
 		p.WeekendFraction < 0 || p.WeekendFraction > 1 ||
-		p.MinSensorFt <= 0 || p.MaxSensorFt < p.MinSensorFt {
+		p.MinSensorFt <= 0 || p.MaxSensorFt < p.MinSensorFt ||
+		!finite(p.MeanNeighborAPs, p.WeekendFraction, p.MinSensorFt, p.MaxSensorFt) {
 		return c, fmt.Errorf("fleet: invalid population %+v", p)
 	}
 	if err := p.Devices.Validate(); err != nil {

@@ -5,6 +5,7 @@ import (
 	"context"
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -270,6 +271,34 @@ func TestConfigValidation(t *testing.T) {
 		if _, err := Run(context.Background(), cfg); err == nil {
 			t.Errorf("config %d (%+v) should be rejected", i, cfg)
 		}
+	}
+}
+
+// TestConfigRejectsNonFinitePopulation: the population's range checks
+// compare with < and >, which NaN passes. A NaN mean neighbor count
+// hangs the Poisson draw; a NaN or infinite sensor bound runs every home
+// silent; a NaN weekend fraction never draws a weekend. Each must be an
+// "invalid population" error instead.
+func TestConfigRejectsNonFinitePopulation(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	cases := map[string]func(p *Population){
+		"mean neighbors NaN":  func(p *Population) { p.MeanNeighborAPs = nan },
+		"mean neighbors +Inf": func(p *Population) { p.MeanNeighborAPs = inf },
+		"weekend NaN":         func(p *Population) { p.WeekendFraction = nan },
+		"min sensor NaN":      func(p *Population) { p.MinSensorFt = nan },
+		"min sensor +Inf":     func(p *Population) { p.MinSensorFt, p.MaxSensorFt = inf, inf },
+		"max sensor NaN":      func(p *Population) { p.MaxSensorFt = nan },
+		"max sensor +Inf":     func(p *Population) { p.MaxSensorFt = inf },
+	}
+	for name, mutate := range cases {
+		t.Run(name, func(t *testing.T) {
+			p := DefaultPopulation()
+			mutate(&p)
+			_, err := Config{Homes: 3, Population: p}.withDefaults()
+			if err == nil || !strings.Contains(err.Error(), "invalid population") {
+				t.Errorf("withDefaults = %v, want an invalid population error", err)
+			}
+		})
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"iter"
+	"math"
 	"time"
 
 	"repro/internal/deploy"
@@ -40,86 +41,52 @@ const (
 // that run only. The WithProgress callback, if any, must itself be
 // safe for the concurrency the caller creates.
 type Scenario struct {
-	set        optSet
-	homes      int
-	seed       uint64
-	workers    int
-	horizon    time.Duration
-	binWidth   time.Duration
-	window     time.Duration
-	exact      bool
-	coarse     bool
-	population FleetPopulation
-	devices    DeviceMix
-	home       HomeConfig
-	sensorFt   float64
-	experiment string
-	full       bool
+	conf       settings
 	progress   func(done, total int)
 	telemetry  *Telemetry
 	metricsTo  io.Writer
 	trace      *Trace
 	traceTo    io.Writer
 	checkpoint string
-	policy     FailurePolicy
-	deadline   time.Duration
-	maxFailed  int
 	faults     string
 }
 
-// optSet tracks which options a scenario carries, so zero values the
-// caller explicitly asked for (seed 0, exact false) are distinguished
-// from defaults, and so the JSON form round-trips exactly.
-type optSet uint32
-
-const (
-	optHomes optSet = 1 << iota
-	optSeed
-	optWorkers
-	optHorizon
-	optBinWidth
-	optWindow
-	optExact
-	optCoarse
-	optPopulation
-	optDevices
-	optHome
-	optSensor
-	optExperiment
-	optFull
-	optProgress
-	optTelemetry
-	optMetricsSink
-	optCheckpoint
-	optPolicy
-	optDeadline
-	optMaxFailed
-	optFaults
-	optTrace
-	optTraceOut
-)
+// settings is a scenario's configuration, and field for field its
+// declarative JSON form (see MarshalJSON). A nil pointer or an empty
+// string is an unset option: the engine's default applies and the key
+// is omitted, so explicit zeros (seed 0, exact false) survive the round
+// trip. Durations are kept in Go duration syntax ("24h0m0s"). Scenarios
+// derived by With share the pointed-to values with their parent, so
+// nothing may write through these pointers.
+type settings struct {
+	Homes      *int             `json:"homes,omitempty"`
+	Seed       *uint64          `json:"seed,omitempty"`
+	Workers    *int             `json:"workers,omitempty"`
+	Horizon    string           `json:"horizon,omitempty"`
+	BinWidth   string           `json:"bin,omitempty"`
+	Window     string           `json:"window,omitempty"`
+	Exact      *bool            `json:"exact,omitempty"`
+	Coarse     *bool            `json:"coarse,omitempty"`
+	Population *FleetPopulation `json:"population,omitempty"`
+	Devices    *DeviceMix       `json:"devices,omitempty"`
+	Home       *HomeConfig      `json:"home,omitempty"`
+	SensorFt   *float64         `json:"sensor_ft,omitempty"`
+	Experiment string           `json:"experiment,omitempty"`
+	Full       *bool            `json:"full,omitempty"`
+	Policy     *FailurePolicy   `json:"failure_policy,omitempty"`
+	Deadline   string           `json:"deadline,omitempty"`
+	MaxFailed  *int             `json:"max_failed,omitempty"`
+}
 
 // Option configures a Scenario under construction.
 type Option func(*Scenario) error
 
 // NewScenario builds an immutable scenario from the given options,
-// validating that they describe exactly one run mode. Numeric
-// validation (home counts, durations, population bounds) happens at
-// Run, where it is shared with the underlying engines.
+// validating each setting's range and that they describe exactly one
+// run mode. Home counts, population bounds and non-positive durations
+// are checked at Run, where the engines' own checks apply.
 func NewScenario(opts ...Option) (*Scenario, error) {
-	s := &Scenario{}
-	for _, opt := range opts {
-		if opt == nil {
-			return nil, errors.New("powifi: nil Option")
-		}
-		if err := opt(s); err != nil {
-			return nil, err
-		}
-	}
-	if err := s.validate(); err != nil {
-		return nil, err
-	}
-	return s, nil
+	return (&Scenario{}).With(opts...)
 }
 
 // With derives a new scenario from s with additional options applied —
@@ -146,28 +113,28 @@ func (s *Scenario) With(opts ...Option) (*Scenario, error) {
 // WithHomes sets the number of synthesized households of a fleet run
 // (default 1000).
 func WithHomes(n int) Option {
-	return func(s *Scenario) error { s.homes, s.set = n, s.set|optHomes; return nil }
+	return func(s *Scenario) error { s.conf.Homes = &n; return nil }
 }
 
 // WithSeed sets the seed all randomness derives from. Fleet runs
 // default to seed 1; single-home runs default to the configured home's
 // own Seed field.
 func WithSeed(seed uint64) Option {
-	return func(s *Scenario) error { s.seed, s.set = seed, s.set|optSeed; return nil }
+	return func(s *Scenario) error { s.conf.Seed = &seed; return nil }
 }
 
 // WithWorkers sets the fleet's simulation parallelism (0, the default,
 // means GOMAXPROCS). Worker count never affects results, only
 // wall-clock time: fleet output is bit-for-bit identical at any value.
 func WithWorkers(n int) Option {
-	return func(s *Scenario) error { s.workers, s.set = n, s.set|optWorkers; return nil }
+	return func(s *Scenario) error { s.conf.Workers = &n; return nil }
 }
 
 // WithHorizon sets the simulated deployment duration (default 24 h).
 // It is snapped down to a whole number of logging bins. Run refuses a
 // horizon that is not positive; zero does not select the default.
 func WithHorizon(d time.Duration) Option {
-	return func(s *Scenario) error { s.horizon, s.set = d, s.set|optHorizon; return nil }
+	return func(s *Scenario) error { s.conf.Horizon = d.String(); return nil }
 }
 
 // WithBinWidth sets the occupancy logging resolution (default 1 h for
@@ -175,7 +142,7 @@ func WithHorizon(d time.Duration) Option {
 // refuses a width that is not positive; zero does not select the
 // default.
 func WithBinWidth(d time.Duration) Option {
-	return func(s *Scenario) error { s.binWidth, s.set = d, s.set|optBinWidth; return nil }
+	return func(s *Scenario) error { s.conf.BinWidth = d.String(); return nil }
 }
 
 // WithWindow sets the packet-level sample window simulated per logging
@@ -183,14 +150,14 @@ func WithBinWidth(d time.Duration) Option {
 // refuses a window that is not positive; zero does not select the
 // default.
 func WithWindow(d time.Duration) Option {
-	return func(s *Scenario) error { s.window, s.set = d, s.set|optWindow; return nil }
+	return func(s *Scenario) error { s.conf.Window = d.String(); return nil }
 }
 
 // WithExact bypasses the error-bounded operating-point surface and
 // solves every rectifier operating point directly (slower; for
 // validating the surface's ε guarantee).
 func WithExact(exact bool) Option {
-	return func(s *Scenario) error { s.exact, s.set = exact, s.set|optExact; return nil }
+	return func(s *Scenario) error { s.conf.Exact = &exact; return nil }
 }
 
 // WithCoarse selects the fleet's error-bounded coarse sampling tier:
@@ -205,13 +172,13 @@ func WithExact(exact bool) Option {
 // proxy ε outside its certified bound. Run refuses it with a WithWindow
 // below 10ms, the window its ε is certified at.
 func WithCoarse(coarse bool) Option {
-	return func(s *Scenario) error { s.coarse, s.set = coarse, s.set|optCoarse; return nil }
+	return func(s *Scenario) error { s.conf.Coarse = &coarse; return nil }
 }
 
 // WithPopulation sets the household distributions a fleet's homes are
 // drawn from (default DefaultFleetPopulation).
 func WithPopulation(p FleetPopulation) Option {
-	return func(s *Scenario) error { s.population, s.set = p, s.set|optPopulation; return nil }
+	return func(s *Scenario) error { s.conf.Population = &p; return nil }
 }
 
 // WithDevices enables the stateful device-lifecycle engine. In a fleet
@@ -221,16 +188,7 @@ func WithPopulation(p FleetPopulation) Option {
 // the shares' magnitudes are ignored. Overrides the Devices field of a
 // WithPopulation population.
 func WithDevices(m DeviceMix) Option {
-	return func(s *Scenario) error {
-		if err := m.Validate(); err != nil {
-			return err
-		}
-		if !m.Enabled() {
-			return errors.New("powifi: WithDevices requires at least one positive share")
-		}
-		s.devices, s.set = m, s.set|optDevices
-		return nil
-	}
+	return func(s *Scenario) error { s.conf.Devices = &m; return nil }
 }
 
 // WithHome selects single-home mode: the §6 deployment runner over one
@@ -238,20 +196,14 @@ func WithDevices(m DeviceMix) Option {
 // WithWindow, WithDevices and WithExact; fleet options (WithHomes,
 // WithPopulation, WithWorkers) conflict with it.
 func WithHome(h HomeConfig) Option {
-	return func(s *Scenario) error { s.home, s.set = h, s.set|optHome; return nil }
+	return func(s *Scenario) error { s.conf.Home = &h; return nil }
 }
 
 // WithSensorDistance places the single-home run's battery-free sensor
 // (default 10 ft, the paper's placement). Requires WithHome; a fleet's
 // placements come from its population distribution instead.
 func WithSensorDistance(ft float64) Option {
-	return func(s *Scenario) error {
-		if ft <= 0 {
-			return fmt.Errorf("powifi: sensor distance %v ft, need > 0", ft)
-		}
-		s.sensorFt, s.set = ft, s.set|optSensor
-		return nil
-	}
+	return func(s *Scenario) error { s.conf.SensorFt = &ft; return nil }
 }
 
 // WithExperiment selects experiment mode: regenerate one of the
@@ -262,7 +214,7 @@ func WithExperiment(id string) Option {
 		if id == "" {
 			return errors.New("powifi: empty experiment id")
 		}
-		s.experiment, s.set = id, s.set|optExperiment
+		s.conf.Experiment = id
 		return nil
 	}
 }
@@ -270,7 +222,7 @@ func WithExperiment(id string) Option {
 // WithFull switches an experiment scenario from the quick reduced
 // configuration (the default) to the paper-scale one.
 func WithFull(full bool) Option {
-	return func(s *Scenario) error { s.full, s.set = full, s.set|optFull; return nil }
+	return func(s *Scenario) error { s.conf.Full = &full; return nil }
 }
 
 // WithProgress registers a callback invoked once per completed unit of
@@ -284,7 +236,7 @@ func WithProgress(fn func(done, total int)) Option {
 		if fn == nil {
 			return errors.New("powifi: nil progress callback")
 		}
-		s.progress, s.set = fn, s.set|optProgress
+		s.progress = fn
 		return nil
 	}
 }
@@ -304,7 +256,7 @@ func WithCheckpoint(path string) Option {
 		if path == "" {
 			return errors.New("powifi: empty checkpoint path")
 		}
-		s.checkpoint, s.set = path, s.set|optCheckpoint
+		s.checkpoint = path
 		return nil
 	}
 }
@@ -318,13 +270,7 @@ func WithCheckpoint(path string) Option {
 // is workers-invariant: the same homes fail, retry and quarantine — in
 // home-index order — at any WithWorkers value.
 func WithFailurePolicy(p FailurePolicy) Option {
-	return func(s *Scenario) error {
-		if p.Retry < 0 {
-			return fmt.Errorf("powifi: FailurePolicy.Retry = %d, need >= 0", p.Retry)
-		}
-		s.policy, s.set = p, s.set|optPolicy
-		return nil
-	}
+	return func(s *Scenario) error { s.conf.Policy = &p; return nil }
 }
 
 // WithDeadline bounds a fleet run's wall-clock time. When it expires
@@ -335,13 +281,7 @@ func WithFailurePolicy(p FailurePolicy) Option {
 // the expiry is complete. Cancelling the context remains an error;
 // only the deadline degrades gracefully.
 func WithDeadline(d time.Duration) Option {
-	return func(s *Scenario) error {
-		if d <= 0 {
-			return fmt.Errorf("powifi: deadline %v, need > 0", d)
-		}
-		s.deadline, s.set = d, s.set|optDeadline
-		return nil
-	}
+	return func(s *Scenario) error { s.conf.Deadline = d.String(); return nil }
 }
 
 // WithMaxFailedHomes caps the number of quarantined homes a Skip
@@ -349,13 +289,7 @@ func WithDeadline(d time.Duration) Option {
 // fleet summary (reason "failure_budget") covering the committed
 // prefix. Requires a WithFailurePolicy with Skip set.
 func WithMaxFailedHomes(n int) Option {
-	return func(s *Scenario) error {
-		if n <= 0 {
-			return fmt.Errorf("powifi: MaxFailedHomes = %d, need > 0", n)
-		}
-		s.maxFailed, s.set = n, s.set|optMaxFailed
-		return nil
-	}
+	return func(s *Scenario) error { s.conf.MaxFailed = &n; return nil }
 }
 
 // WithFaults arms deterministic fault injection for a fleet run —
@@ -372,58 +306,123 @@ func WithFaults(spec string) Option {
 		if _, err := faultinject.Parse(0, spec); err != nil {
 			return fmt.Errorf("powifi: %v", err)
 		}
-		s.faults, s.set = spec, s.set|optFaults
+		s.faults = spec
 		return nil
 	}
 }
 
-// validate checks that the applied options describe exactly one mode.
-func (s *Scenario) validate() error {
+// check runs the per-setting range checks — the one check NewScenario,
+// With and LoadScenario share — and rewrites each duration in its
+// canonical Go syntax, so a loaded "1h" marshals as "1h0m0s".
+func (c *settings) check() error {
+	for _, d := range []struct {
+		name string
+		v    *string
+	}{{"horizon", &c.Horizon}, {"bin", &c.BinWidth}, {"window", &c.Window}, {"deadline", &c.Deadline}} {
+		if *d.v == "" {
+			continue
+		}
+		v, err := time.ParseDuration(*d.v)
+		if err != nil {
+			return fmt.Errorf("powifi: scenario %s: %w", d.name, err)
+		}
+		*d.v = v.String()
+	}
+	if c.Devices != nil {
+		if err := c.Devices.Validate(); err != nil {
+			return err
+		}
+		if !c.Devices.Enabled() {
+			return errors.New("powifi: WithDevices requires at least one positive share")
+		}
+	}
 	switch {
-	case s.set&optExperiment != 0:
-		if bad := s.set &^ (optExperiment | optFull | optExact); bad != 0 {
-			return fmt.Errorf("powifi: experiment scenario %q accepts only WithFull and WithExact", s.experiment)
+	case c.SensorFt != nil && (math.IsNaN(*c.SensorFt) || math.IsInf(*c.SensorFt, 0)):
+		return fmt.Errorf("powifi: sensor distance %v ft, need a finite distance", *c.SensorFt)
+	case c.SensorFt != nil && *c.SensorFt <= 0:
+		return fmt.Errorf("powifi: sensor distance %v ft, need > 0", *c.SensorFt)
+	case c.Policy != nil && c.Policy.Retry < 0:
+		return fmt.Errorf("powifi: FailurePolicy.Retry = %d, need >= 0", c.Policy.Retry)
+	case c.Deadline != "" && *dur(c.Deadline) <= 0:
+		return fmt.Errorf("powifi: deadline %s, need > 0", c.Deadline)
+	case c.MaxFailed != nil && *c.MaxFailed <= 0:
+		return fmt.Errorf("powifi: MaxFailedHomes = %d, need > 0", *c.MaxFailed)
+	}
+	return nil
+}
+
+// validate checks each setting's range, then that the scenario
+// describes exactly one mode, reading which options it carries from
+// which fields are set.
+func (s *Scenario) validate() error {
+	c := &s.conf
+	if err := c.check(); err != nil {
+		return err
+	}
+	metrics := s.telemetry != nil || s.metricsTo != nil
+	traced := s.trace != nil || s.traceTo != nil
+	switch s.Mode() {
+	case ModeExperiment:
+		rest := *c
+		rest.Experiment, rest.Full, rest.Exact = "", nil, nil
+		if rest != (settings{}) || s.progress != nil || metrics || traced || s.checkpoint != "" || s.faults != "" {
+			return fmt.Errorf("powifi: experiment scenario %q accepts only WithFull and WithExact", c.Experiment)
 		}
-	case s.set&optHome != 0:
-		if bad := s.set & (optHomes | optPopulation | optWorkers); bad != 0 {
+	case ModeHome:
+		switch {
+		case c.Homes != nil || c.Population != nil || c.Workers != nil:
 			return errors.New("powifi: WithHome (single-home mode) conflicts with WithHomes/WithPopulation/WithWorkers")
-		}
-		if s.set&optFull != 0 {
+		case c.Full != nil:
 			return errors.New("powifi: WithFull applies only to experiment scenarios")
-		}
-		if s.set&(optTelemetry|optMetricsSink) != 0 {
+		case metrics:
 			return errors.New("powifi: WithTelemetry/WithMetricsSink apply only to fleet scenarios")
-		}
-		if s.set&(optTrace|optTraceOut) != 0 {
+		case traced:
 			return errors.New("powifi: WithTrace/WithTraceOutput apply only to fleet scenarios")
-		}
-		if s.set&optCoarse != 0 {
+		case c.Coarse != nil:
 			return errors.New("powifi: WithCoarse applies only to fleet scenarios (the coarse tier proxies across a population's bins)")
-		}
-		if s.set&optCheckpoint != 0 {
+		case s.checkpoint != "":
 			return errors.New("powifi: WithCheckpoint applies only to fleet scenarios (single homes simulate in well under a second)")
-		}
-		if s.set&(optPolicy|optDeadline|optMaxFailed|optFaults) != 0 {
+		case c.Policy != nil || c.Deadline != "" || c.MaxFailed != nil || s.faults != "":
 			return errors.New("powifi: WithFailurePolicy/WithDeadline/WithMaxFailedHomes/WithFaults apply only to fleet scenarios")
 		}
 	default:
-		if s.set&optSensor != 0 {
+		switch {
+		case c.SensorFt != nil:
 			return errors.New("powifi: WithSensorDistance requires WithHome; fleet placements come from the population")
-		}
-		if s.set&optFull != 0 {
+		case c.Full != nil:
 			return errors.New("powifi: WithFull applies only to experiment scenarios")
 		}
 	}
 	return nil
 }
 
+// dur is a validated duration setting's value, nil when unset.
+func dur(v string) *time.Duration {
+	if v == "" {
+		return nil
+	}
+	d, _ := time.ParseDuration(v) // check parsed it
+	return &d
+}
+
+// setIf copies a setting into an engine field when it is set, leaving
+// the field's default otherwise.
+func setIf[T any](dst *T, v *T) {
+	if v != nil {
+		*dst = *v
+	}
+}
+
+// on reports whether a boolean setting is set and true.
+func on(b *bool) bool { return b != nil && *b }
+
 // Mode returns the run mode the scenario resolves to: ModeFleet,
 // ModeHome or ModeExperiment.
 func (s *Scenario) Mode() string {
 	switch {
-	case s.set&optExperiment != 0:
+	case s.conf.Experiment != "":
 		return ModeExperiment
-	case s.set&optHome != 0:
+	case s.conf.Home != nil:
 		return ModeHome
 	default:
 		return ModeFleet
@@ -452,42 +451,22 @@ func (s *Scenario) Run(ctx context.Context) (*Report, error) {
 // fleetConfig assembles the underlying fleet configuration, leaving
 // unset options to the engine's defaults.
 func (s *Scenario) fleetConfig() fleet.Config {
-	cfg := fleet.DefaultConfig()
-	if s.set&optHomes != 0 {
-		cfg.Homes = s.homes
+	c, cfg := &s.conf, fleet.DefaultConfig()
+	setIf(&cfg.Homes, c.Homes)
+	setIf(&cfg.Seed, c.Seed)
+	setIf(&cfg.Workers, c.Workers)
+	if h := dur(c.Horizon); h != nil {
+		cfg.Hours = h.Hours()
 	}
-	if s.set&optSeed != 0 {
-		cfg.Seed = s.seed
-	}
-	if s.set&optWorkers != 0 {
-		cfg.Workers = s.workers
-	}
-	if s.set&optHorizon != 0 {
-		cfg.Hours = s.horizon.Hours()
-	}
-	if s.set&optBinWidth != 0 {
-		cfg.BinWidth = s.binWidth
-	}
-	if s.set&optWindow != 0 {
-		cfg.Window = s.window
-	}
-	if s.set&optPopulation != 0 {
-		cfg.Population = s.population
-	}
-	if s.set&optDevices != 0 {
-		cfg.Population.Devices = s.devices
-	}
-	cfg.Exact = s.exact
-	cfg.Coarse = s.coarse
-	if s.set&optPolicy != 0 {
-		cfg.Policy = s.policy
-	}
-	if s.set&optDeadline != 0 {
-		cfg.Deadline = s.deadline
-	}
-	if s.set&optMaxFailed != 0 {
-		cfg.MaxFailedHomes = s.maxFailed
-	}
+	setIf(&cfg.BinWidth, dur(c.BinWidth))
+	setIf(&cfg.Window, dur(c.Window))
+	setIf(&cfg.Population, c.Population)
+	setIf(&cfg.Population.Devices, c.Devices)
+	setIf(&cfg.Exact, c.Exact)
+	setIf(&cfg.Coarse, c.Coarse)
+	setIf(&cfg.Policy, c.Policy)
+	setIf(&cfg.Deadline, dur(c.Deadline))
+	setIf(&cfg.MaxFailedHomes, c.MaxFailed)
 	return cfg
 }
 
@@ -497,16 +476,16 @@ func (s *Scenario) fleetConfig() fleet.Config {
 // a fresh one.
 func (s *Scenario) fleetHooks(cfg fleet.Config) fleet.Hooks {
 	h := fleet.Hooks{Progress: s.progress, Telemetry: s.telemetry, Trace: s.trace}
-	if h.Telemetry == nil && s.set&optMetricsSink != 0 {
+	if h.Telemetry == nil && s.metricsTo != nil {
 		h.Telemetry = NewTelemetry()
 	}
-	if h.Trace == nil && s.set&optTraceOut != 0 {
+	if h.Trace == nil && s.traceTo != nil {
 		h.Trace = NewTrace()
 	}
-	if s.set&optCheckpoint != 0 {
+	if s.checkpoint != "" {
 		h.Checkpoint = &fleet.Checkpoint{Path: s.checkpoint}
 	}
-	if s.set&optFaults != 0 {
+	if s.faults != "" {
 		// Armed against the run's resolved seed. The spec was validated
 		// at option time; re-parsing with the real seed cannot fail.
 		fi, err := faultinject.Parse(cfg.Seed, s.faults)
@@ -538,13 +517,14 @@ func (s *Scenario) writeSinks(h fleet.Hooks) error {
 // is not positive, naming the value. Only an unset option takes the
 // engine's default: an explicit zero is a value, not "unset".
 func (s *Scenario) checkDurations() error {
+	w, b, h := dur(s.conf.Window), dur(s.conf.BinWidth), dur(s.conf.Horizon)
 	switch {
-	case s.set&optWindow != 0 && s.window <= 0:
-		return fmt.Errorf("powifi: non-positive window %v", s.window)
-	case s.set&optBinWidth != 0 && s.binWidth <= 0:
-		return fmt.Errorf("powifi: non-positive bin width %v", s.binWidth)
-	case s.set&optHorizon != 0 && s.horizon <= 0:
-		return fmt.Errorf("powifi: non-positive horizon %.3gh", s.horizon.Hours())
+	case w != nil && *w <= 0:
+		return fmt.Errorf("powifi: non-positive window %v", *w)
+	case b != nil && *b <= 0:
+		return fmt.Errorf("powifi: non-positive bin width %v", *b)
+	case h != nil && *h <= 0:
+		return fmt.Errorf("powifi: non-positive horizon %.3gh", h.Hours())
 	}
 	return nil
 }
@@ -583,26 +563,19 @@ func (s *Scenario) runFleet(ctx context.Context) (*Report, error) {
 // rejects a window, bin width or horizon that is not positive, and a
 // horizon shorter than one bin, as the fleet does.
 func (s *Scenario) homeRun() (HomeConfig, deploy.Options, int, error) {
-	home := s.home
+	c := &s.conf
+	home := *c.Home
 	if err := s.checkDurations(); err != nil {
 		return home, deploy.Options{}, 0, err
 	}
-	if s.set&optSeed != 0 {
-		home.Seed = s.seed
+	setIf(&home.Seed, c.Seed)
+	opts := deploy.Options{Exact: on(c.Exact)}
+	if h := dur(c.Horizon); h != nil {
+		opts.Hours = h.Hours()
 	}
-	opts := deploy.Options{Exact: s.exact}
-	if s.set&optHorizon != 0 {
-		opts.Hours = s.horizon.Hours()
-	}
-	if s.set&optBinWidth != 0 {
-		opts.BinWidth = s.binWidth
-	}
-	if s.set&optWindow != 0 {
-		opts.Window = s.window
-	}
-	if s.set&optSensor != 0 {
-		opts.SensorDistanceFt = s.sensorFt
-	}
+	setIf(&opts.BinWidth, dur(c.BinWidth))
+	setIf(&opts.Window, dur(c.Window))
+	setIf(&opts.SensorDistanceFt, c.SensorFt)
 	opts = opts.Resolved()
 	nBins := opts.NumBins()
 	if nBins < 1 {
@@ -614,14 +587,14 @@ func (s *Scenario) homeRun() (HomeConfig, deploy.Options, int, error) {
 // homeDevices builds the household's lifecycle devices: one per
 // archetype with a positive share, in canonical order.
 func (s *Scenario) homeDevices() lifecycle.Group {
-	if s.set&optDevices == 0 {
+	if s.conf.Devices == nil {
 		return nil
 	}
 	var g lifecycle.Group
 	for _, k := range lifecycle.Kinds() {
-		if s.devices[k] > 0 {
+		if s.conf.Devices[k] > 0 {
 			d := lifecycle.NewDevice(k, lifecycle.Policy{})
-			d.Exact = s.exact
+			d.Exact = on(s.conf.Exact)
 			g = append(g, d)
 		}
 	}
@@ -682,13 +655,14 @@ func (s *Scenario) runExperiment(ctx context.Context) (*Report, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
+	id, full := s.conf.Experiment, on(s.conf.Full)
 	var buf bytes.Buffer
-	if !experiments.Run(s.experiment, &buf, experiments.Config{Quick: !s.full, Exact: s.exact}) {
-		return nil, fmt.Errorf("powifi: unknown experiment %q", s.experiment)
+	if !experiments.Run(id, &buf, experiments.Config{Quick: !full, Exact: on(s.conf.Exact)}) {
+		return nil, fmt.Errorf("powifi: unknown experiment %q", id)
 	}
 	return newReport(ModeExperiment, &Report{Experiment: &ExperimentReport{
-		ID:     s.experiment,
-		Full:   s.full,
+		ID:     id,
+		Full:   full,
 		Output: buf.String(),
 	}}), nil
 }

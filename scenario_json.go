@@ -4,197 +4,56 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"time"
 )
 
 // ScenarioSchema identifies the declarative scenario JSON schema
 // version accepted by LoadScenario and emitted by Scenario.MarshalJSON.
 const ScenarioSchema = 1
 
-// scenarioJSON is the declarative wire form of a Scenario. Pointer
-// fields distinguish "explicitly set" from "engine default", so a
-// scenario round-trips exactly: LoadScenario(s.MarshalJSON()) carries
-// the same options as s, including explicit zeros (seed 0, exact
-// false). Durations serialize in Go duration syntax ("24h", "10ms").
-// WithProgress is execution state, not configuration, and does not
+// scenarioFile is the declarative JSON form of a Scenario: the schema
+// version, the derived mode echoed for readability, and the settings.
+// Execution state (WithProgress, WithTelemetry, ...) does not
 // serialize.
-type scenarioJSON struct {
-	Schema     int              `json:"schema"`
-	Mode       string           `json:"mode,omitempty"`
-	Homes      *int             `json:"homes,omitempty"`
-	Seed       *uint64          `json:"seed,omitempty"`
-	Workers    *int             `json:"workers,omitempty"`
-	Horizon    string           `json:"horizon,omitempty"`
-	BinWidth   string           `json:"bin,omitempty"`
-	Window     string           `json:"window,omitempty"`
-	Exact      *bool            `json:"exact,omitempty"`
-	Coarse     *bool            `json:"coarse,omitempty"`
-	Population *FleetPopulation `json:"population,omitempty"`
-	Devices    *DeviceMix       `json:"devices,omitempty"`
-	Home       *HomeConfig      `json:"home,omitempty"`
-	SensorFt   *float64         `json:"sensor_ft,omitempty"`
-	Experiment string           `json:"experiment,omitempty"`
-	Full       *bool            `json:"full,omitempty"`
-	Policy     *FailurePolicy   `json:"failure_policy,omitempty"`
-	Deadline   string           `json:"deadline,omitempty"`
-	MaxFailed  *int             `json:"max_failed,omitempty"`
+type scenarioFile struct {
+	Schema int    `json:"schema"`
+	Mode   string `json:"mode,omitempty"`
+	settings
 }
 
 // MarshalJSON renders the scenario's declarative form: only explicitly
 // set options are emitted, under "schema": 1, with the derived mode
 // echoed for readability. The output round-trips through LoadScenario.
 func (s *Scenario) MarshalJSON() ([]byte, error) {
-	sj := scenarioJSON{Schema: ScenarioSchema, Mode: s.Mode()}
-	if s.set&optHomes != 0 {
-		sj.Homes = &s.homes
-	}
-	if s.set&optSeed != 0 {
-		sj.Seed = &s.seed
-	}
-	if s.set&optWorkers != 0 {
-		sj.Workers = &s.workers
-	}
-	if s.set&optHorizon != 0 {
-		sj.Horizon = s.horizon.String()
-	}
-	if s.set&optBinWidth != 0 {
-		sj.BinWidth = s.binWidth.String()
-	}
-	if s.set&optWindow != 0 {
-		sj.Window = s.window.String()
-	}
-	if s.set&optExact != 0 {
-		sj.Exact = &s.exact
-	}
-	if s.set&optCoarse != 0 {
-		sj.Coarse = &s.coarse
-	}
-	if s.set&optPopulation != 0 {
-		p := s.population
-		sj.Population = &p
-	}
-	if s.set&optDevices != 0 {
-		m := s.devices
-		sj.Devices = &m
-	}
-	if s.set&optHome != 0 {
-		h := s.home
-		sj.Home = &h
-	}
-	if s.set&optSensor != 0 {
-		sj.SensorFt = &s.sensorFt
-	}
-	if s.set&optExperiment != 0 {
-		sj.Experiment = s.experiment
-	}
-	if s.set&optFull != 0 {
-		sj.Full = &s.full
-	}
-	if s.set&optPolicy != 0 {
-		p := s.policy
-		sj.Policy = &p
-	}
-	if s.set&optDeadline != 0 {
-		sj.Deadline = s.deadline.String()
-	}
-	if s.set&optMaxFailed != 0 {
-		sj.MaxFailed = &s.maxFailed
-	}
-	return json.Marshal(sj)
+	return json.Marshal(scenarioFile{ScenarioSchema, s.Mode(), s.conf})
 }
 
 // LoadScenario parses the declarative JSON form into a validated
 // Scenario — the inverse of MarshalJSON, and the engine behind the
 // CLIs' -scenario flag. Unknown fields are rejected (a typo'd option
 // must fail loudly, not silently fall back to a default), the schema
-// version must match ScenarioSchema, and the same mode-conflict
-// validation as NewScenario applies.
+// version must match ScenarioSchema, and the same validation as
+// NewScenario applies.
 func LoadScenario(data []byte) (*Scenario, error) {
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
-	var sj scenarioJSON
-	if err := dec.Decode(&sj); err != nil {
+	var f scenarioFile
+	if err := dec.Decode(&f); err != nil {
 		return nil, fmt.Errorf("powifi: scenario: %w", err)
 	}
 	if dec.More() {
 		return nil, fmt.Errorf("powifi: scenario: trailing data after the JSON object")
 	}
-	if sj.Schema != ScenarioSchema {
+	if f.Schema != ScenarioSchema {
 		return nil, fmt.Errorf("powifi: scenario schema %d unsupported (this build reads schema %d)",
-			sj.Schema, ScenarioSchema)
+			f.Schema, ScenarioSchema)
 	}
-
-	var opts []Option
-	dur := func(name, v string, opt func(time.Duration) Option) error {
-		if v == "" {
-			return nil
-		}
-		d, err := time.ParseDuration(v)
-		if err != nil {
-			return fmt.Errorf("powifi: scenario %s: %w", name, err)
-		}
-		opts = append(opts, opt(d))
-		return nil
-	}
-	if sj.Homes != nil {
-		opts = append(opts, WithHomes(*sj.Homes))
-	}
-	if sj.Seed != nil {
-		opts = append(opts, WithSeed(*sj.Seed))
-	}
-	if sj.Workers != nil {
-		opts = append(opts, WithWorkers(*sj.Workers))
-	}
-	if err := dur("horizon", sj.Horizon, WithHorizon); err != nil {
+	sc := &Scenario{conf: f.settings}
+	if err := sc.validate(); err != nil {
 		return nil, err
 	}
-	if err := dur("bin", sj.BinWidth, WithBinWidth); err != nil {
-		return nil, err
-	}
-	if err := dur("window", sj.Window, WithWindow); err != nil {
-		return nil, err
-	}
-	if sj.Exact != nil {
-		opts = append(opts, WithExact(*sj.Exact))
-	}
-	if sj.Coarse != nil {
-		opts = append(opts, WithCoarse(*sj.Coarse))
-	}
-	if sj.Population != nil {
-		opts = append(opts, WithPopulation(*sj.Population))
-	}
-	if sj.Devices != nil {
-		opts = append(opts, WithDevices(*sj.Devices))
-	}
-	if sj.Home != nil {
-		opts = append(opts, WithHome(*sj.Home))
-	}
-	if sj.SensorFt != nil {
-		opts = append(opts, WithSensorDistance(*sj.SensorFt))
-	}
-	if sj.Experiment != "" {
-		opts = append(opts, WithExperiment(sj.Experiment))
-	}
-	if sj.Full != nil {
-		opts = append(opts, WithFull(*sj.Full))
-	}
-	if sj.Policy != nil {
-		opts = append(opts, WithFailurePolicy(*sj.Policy))
-	}
-	if err := dur("deadline", sj.Deadline, WithDeadline); err != nil {
-		return nil, err
-	}
-	if sj.MaxFailed != nil {
-		opts = append(opts, WithMaxFailedHomes(*sj.MaxFailed))
-	}
-
-	sc, err := NewScenario(opts...)
-	if err != nil {
-		return nil, err
-	}
-	if sj.Mode != "" && sj.Mode != sc.Mode() {
+	if f.Mode != "" && f.Mode != sc.Mode() {
 		return nil, fmt.Errorf("powifi: scenario declares mode %q but its options resolve to %q",
-			sj.Mode, sc.Mode())
+			f.Mode, sc.Mode())
 	}
 	return sc, nil
 }

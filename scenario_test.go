@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -80,6 +81,8 @@ func TestScenarioOptionConflicts(t *testing.T) {
 		{"fleet+sensor", []powifi.Option{powifi.WithHomes(5), powifi.WithSensorDistance(10)}, "requires WithHome"},
 		{"fleet+full", []powifi.Option{powifi.WithHomes(5), powifi.WithFull(true)}, "experiment"},
 		{"bad sensor", []powifi.Option{powifi.WithHome(powifi.PaperHomes()[0]), powifi.WithSensorDistance(-1)}, "need > 0"},
+		{"NaN sensor", []powifi.Option{powifi.WithHome(powifi.PaperHomes()[0]), powifi.WithSensorDistance(math.NaN())}, "sensor distance NaN ft"},
+		{"infinite sensor", []powifi.Option{powifi.WithHome(powifi.PaperHomes()[0]), powifi.WithSensorDistance(math.Inf(1))}, "sensor distance +Inf ft"},
 		{"empty experiment", []powifi.Option{powifi.WithExperiment("")}, "empty experiment"},
 		{"nil progress", []powifi.Option{powifi.WithProgress(nil)}, "nil progress"},
 		{"zero device mix", []powifi.Option{powifi.WithDevices(powifi.DeviceMix{})}, "positive share"},

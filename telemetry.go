@@ -66,7 +66,7 @@ func WithTelemetry(t *Telemetry) Option {
 		if t == nil {
 			return errors.New("powifi: nil Telemetry collector")
 		}
-		s.telemetry, s.set = t, s.set|optTelemetry
+		s.telemetry = t
 		return nil
 	}
 }
@@ -82,7 +82,7 @@ func WithMetricsSink(w io.Writer) Option {
 		if w == nil {
 			return errors.New("powifi: nil metrics sink")
 		}
-		s.metricsTo, s.set = w, s.set|optMetricsSink
+		s.metricsTo = w
 		return nil
 	}
 }

@@ -64,7 +64,7 @@ func WithTrace(t *Trace) Option {
 		if t == nil {
 			return errors.New("powifi: nil Trace recorder")
 		}
-		s.trace, s.set = t, s.set|optTrace
+		s.trace = t
 		return nil
 	}
 }
@@ -80,7 +80,7 @@ func WithTraceOutput(w io.Writer) Option {
 		if w == nil {
 			return errors.New("powifi: nil trace output")
 		}
-		s.traceTo, s.set = w, s.set|optTraceOut
+		s.traceTo = w
 		return nil
 	}
 }
