@@ -363,6 +363,7 @@ func (s *Scenario) validate() error {
 	traced := s.trace != nil || s.traceTo != nil
 	switch s.Mode() {
 	case ModeExperiment:
+		// Any setting but these three, or any execution state, conflicts.
 		rest := *c
 		rest.Experiment, rest.Full, rest.Exact = "", nil, nil
 		if rest != (settings{}) || s.progress != nil || metrics || traced || s.checkpoint != "" || s.faults != "" {
