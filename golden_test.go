@@ -299,6 +299,9 @@ func TestGoldenScenarioWire(t *testing.T) {
 		{"zero max_failed", `{"schema":1,"max_failed":0}`},
 		{"negative retry", `{"schema":1,"failure_policy":{"retry":-1}}`},
 		{"empty device mix", `{"schema":1,"devices":{}}`},
+		{"negative home counts", `{"schema":1,"home":{"users":-3,"devices":-60,"neighbor_aps":-2,"start_hour":-30}}`},
+		{"too many neighbor_aps", `{"schema":1,"home":{"users":1,"devices":1,"neighbor_aps":10001}}`},
+		{"late start_hour", `{"schema":1,"home":{"users":1,"devices":1,"neighbor_aps":4,"start_hour":24}}`},
 	}
 
 	var b strings.Builder

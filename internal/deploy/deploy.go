@@ -20,7 +20,8 @@ import (
 // HomeConfig describes one deployment home (Table 1). The JSON tags
 // are part of the public scenario schema (powifi.LoadScenario).
 type HomeConfig struct {
-	// ID is the home number (1-6).
+	// ID is the home number: 1-6 for Table 1's homes, and a fleet
+	// numbers its synthesized homes from 1.
 	ID int `json:"id,omitempty"`
 	// Users and Devices are the occupants and their Wi-Fi devices.
 	Users   int `json:"users"`
@@ -98,17 +99,19 @@ func (o Options) withDefaults() Options {
 }
 
 // Resolved returns the options with unset fields filled from
-// DefaultOptions — what a run with o actually simulates. The facade
-// uses it to echo resolved timings into its report.
+// DefaultOptions — what a run with o actually simulates.
 func (o Options) Resolved() Options { return o.withDefaults() }
 
 // NumBins returns the number of whole logging bins the deployment
 // spans — the single source of truth for every layer that needs it.
-// The epsilon absorbs float rounding when Hours was itself derived
-// from a bin count (the fleet layer's duration snapping), so a
-// snapped duration always round-trips to the same bin count.
-func (o Options) NumBins() int {
-	return int(o.Hours*float64(time.Hour)/float64(o.BinWidth) + 1e-9)
+func (o Options) NumBins() int { return int(o.bins()) }
+
+// bins is NumBins before truncation. The epsilon absorbs float rounding
+// when Hours was itself derived from a bin count (the fleet layer's
+// duration snapping), so a snapped duration always round-trips to the
+// same bin count.
+func (o Options) bins() float64 {
+	return o.Hours*float64(time.Hour)/float64(o.BinWidth) + 1e-9
 }
 
 // activity returns the diurnal activity level in [0, 1] for a local hour.

@@ -1,6 +1,8 @@
 package deploy
 
 import (
+	"math"
+	"strings"
 	"testing"
 	"time"
 
@@ -174,5 +176,73 @@ func TestActivityDiurnalShape(t *testing.T) {
 		if a < 0 || a > 1 {
 			t.Fatalf("activity(%v) = %v out of [0,1]", h, a)
 		}
+	}
+}
+
+// TestHomeConfigValidate: every count and the start hour is checked
+// against its range, the paper's homes pass, and the error names the
+// field by its scenario key.
+func TestHomeConfigValidate(t *testing.T) {
+	for _, h := range PaperHomes() {
+		if err := h.Validate(); err != nil {
+			t.Errorf("paper home %d rejected: %v", h.ID, err)
+		}
+	}
+	widest := HomeConfig{Users: maxUsers, Devices: maxDevices, NeighborAPs: maxNeighborAPs, StartHour: 23}
+	if err := widest.Validate(); err != nil {
+		t.Errorf("home at every bound rejected: %v", err)
+	}
+	cases := map[string]HomeConfig{
+		"users":        {Users: -3},
+		"devices":      {Devices: maxDevices + 1},
+		"neighbor_aps": {NeighborAPs: math.MaxInt},
+		"start_hour":   {StartHour: 24},
+	}
+	for key, h := range cases {
+		err := h.Validate()
+		if err == nil || !strings.HasPrefix(err.Error(), key+" = ") {
+			t.Errorf("Validate(%+v) = %v, want an error naming %s", h, err, key)
+		}
+	}
+	if err := (HomeConfig{StartHour: -30}).Validate(); err == nil || !strings.Contains(err.Error(), "start_hour") {
+		t.Errorf("negative start hour: %v", err)
+	}
+}
+
+// TestOptionsValidate: the options are checked as given — a zero
+// duration is rejected, not defaulted — a non-finite horizon is
+// rejected by name instead of reaching NumBins' float-to-int
+// conversion, and the bin count is bounded.
+func TestOptionsValidate(t *testing.T) {
+	if err := DefaultOptions().Validate(); err != nil {
+		t.Fatalf("default options rejected: %v", err)
+	}
+	cases := []struct {
+		name   string
+		mutate func(*Options)
+		want   string
+	}{
+		{"zero window", func(o *Options) { o.Window = 0 }, "non-positive window 0s"},
+		{"negative bin", func(o *Options) { o.BinWidth = -time.Minute }, "non-positive bin width -1m0s"},
+		{"NaN horizon", func(o *Options) { o.Hours = math.NaN() }, "non-finite horizon NaNh"},
+		{"infinite horizon", func(o *Options) { o.Hours = math.Inf(1) }, "non-finite horizon +Infh"},
+		{"zero horizon", func(o *Options) { o.Hours = 0 }, "non-positive horizon 0h"},
+		{"sub-bin horizon", func(o *Options) { o.Hours = 0.01 }, "shorter than one 1m0s bin"},
+		{"too many bins", func(o *Options) { o.Hours, o.BinWidth = 1e6, time.Millisecond }, "-bin limit"},
+		{"huge horizon", func(o *Options) { o.Hours = 1e300 }, "-bin limit"},
+		{"NaN sensor", func(o *Options) { o.SensorDistanceFt = math.NaN() }, "sensor distance NaN ft"},
+		{"zero sensor", func(o *Options) { o.SensorDistanceFt = 0 }, "sensor distance 0 ft, need > 0"},
+	}
+	for _, tc := range cases {
+		o := DefaultOptions()
+		tc.mutate(&o)
+		if err := o.Validate(); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: Validate = %v, want an error containing %q", tc.name, err, tc.want)
+		}
+	}
+	at := DefaultOptions()
+	at.Hours = float64(maxBins) * at.BinWidth.Hours()
+	if err := at.Validate(); err != nil {
+		t.Errorf("horizon of exactly %d bins rejected: %v", maxBins, err)
 	}
 }

@@ -160,17 +160,82 @@ func DefaultConfig() Config {
 	}
 }
 
-// finite reports whether every value is neither NaN nor infinite. The
-// population's range checks compare with < and >, which NaN passes: a
-// NaN mean neighbor count would hang the Poisson draw, and a NaN or
-// infinite sensor bound would place every sensor out of reach.
-func finite(vs ...float64) bool {
-	for _, v := range vs {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return false
+// Validate checks the population's own rules, then that every home it
+// can draw is valid: the widest draw of each count goes through
+// deploy.HomeConfig's check and both sensor bounds through
+// deploy.Options', so the fleet's homes are checked once, here, not per
+// home. The error names the field and carries no package prefix.
+func (p Population) Validate() error {
+	switch {
+	case p.MinUsers < 1:
+		return fmt.Errorf("min_users = %d, need >= 1", p.MinUsers)
+	case p.MaxUsers < p.MinUsers:
+		return fmt.Errorf("max_users = %d, need >= min_users (%d)", p.MaxUsers, p.MinUsers)
+	case p.MaxDevicesPerUser < 1:
+		return fmt.Errorf("max_devices_per_user = %d, need >= 1", p.MaxDevicesPerUser)
+	case !(p.MeanNeighborAPs >= 0) || math.IsInf(p.MeanNeighborAPs, 1):
+		return fmt.Errorf("mean_neighbor_aps = %v, need a finite mean >= 0", p.MeanNeighborAPs)
+	case p.MaxNeighborAPs < 1:
+		return fmt.Errorf("max_neighbor_aps = %d, need >= 1", p.MaxNeighborAPs)
+	case !(p.WeekendFraction >= 0 && p.WeekendFraction <= 1):
+		return fmt.Errorf("weekend_fraction = %v, need within [0, 1]", p.WeekendFraction)
+	case p.MaxSensorFt < p.MinSensorFt:
+		return fmt.Errorf("max_sensor_ft = %v, need >= min_sensor_ft (%v)", p.MaxSensorFt, p.MinSensorFt)
+	}
+	devices := math.MaxInt // saturated: the product is only checked
+	if p.MaxDevicesPerUser <= math.MaxInt/p.MaxUsers {
+		devices = p.MaxUsers * p.MaxDevicesPerUser
+	}
+	for _, w := range []struct {
+		field string
+		home  deploy.HomeConfig
+	}{
+		{"max_users", deploy.HomeConfig{Users: p.MaxUsers}},
+		{"max_users × max_devices_per_user", deploy.HomeConfig{Devices: devices}},
+		{"max_neighbor_aps", deploy.HomeConfig{NeighborAPs: p.MaxNeighborAPs}},
+	} {
+		if err := w.home.Validate(); err != nil {
+			return fmt.Errorf("%s draws a home with %w", w.field, err)
 		}
 	}
-	return true
+	for _, w := range []struct {
+		field string
+		ft    float64
+	}{{"min_sensor_ft", p.MinSensorFt}, {"max_sensor_ft", p.MaxSensorFt}} {
+		o := deploy.DefaultOptions()
+		o.SensorDistanceFt = w.ft
+		if err := o.Validate(); err != nil {
+			return fmt.Errorf("%s draws a home at %w", w.field, err)
+		}
+	}
+	return p.Devices.Validate()
+}
+
+// ValidateBudgets checks the run's failure handling: the policy's retry
+// count and the two degradation budgets, where 0 means none. The error
+// names the field and carries no package prefix.
+func (c Config) ValidateBudgets() error {
+	switch {
+	case c.Policy.Retry < 0:
+		return fmt.Errorf("FailurePolicy.Retry = %d, need >= 0", c.Policy.Retry)
+	case c.Deadline < 0:
+		return fmt.Errorf("deadline %v, need > 0", c.Deadline)
+	case c.MaxFailedHomes < 0:
+		return fmt.Errorf("MaxFailedHomes = %d, need > 0", c.MaxFailedHomes)
+	}
+	return nil
+}
+
+// homeOptions returns the options every home of the run simulates, its
+// sensor placed sensorFt from the router.
+func (c Config) homeOptions(sensorFt float64) deploy.Options {
+	return deploy.Options{
+		BinWidth:         c.BinWidth,
+		Window:           c.Window,
+		Hours:            c.Hours,
+		SensorDistanceFt: sensorFt,
+		Exact:            c.Exact,
+	}
 }
 
 // withDefaults fills zero fields and validates the configuration.
@@ -202,33 +267,23 @@ func (c Config) withDefaults() (Config, error) {
 		return c, fmt.Errorf("fleet: Homes = %d, need > 0", c.Homes)
 	case c.Workers < 0:
 		return c, fmt.Errorf("fleet: Workers = %d, need >= 0", c.Workers)
-	case c.Hours <= 0 || c.BinWidth <= 0 || c.Window <= 0:
-		return c, fmt.Errorf("fleet: non-positive duration (hours=%v bin=%v window=%v)",
-			c.Hours, c.BinWidth, c.Window)
+	}
+	p := c.Population
+	if err := p.Validate(); err != nil {
+		return c, fmt.Errorf("fleet: invalid population: %w", err)
+	}
+	// Every home runs on these options at a sensor distance the
+	// population check has bounded.
+	opts := c.homeOptions(p.MinSensorFt)
+	if err := opts.Validate(); err != nil {
+		return c, fmt.Errorf("fleet: %w", err)
 	}
 	// Snap the duration to a whole number of bins: the single-home
 	// runner truncates a partial trailing bin, and the serialized
 	// report must describe what was actually simulated. The bin count
 	// comes from the runner's own formula so the two layers cannot
 	// disagree.
-	nBins := (deploy.Options{Hours: c.Hours, BinWidth: c.BinWidth}).NumBins()
-	if nBins < 1 {
-		// Shorter than one bin would "run" every home over zero bins
-		// and report fabricated all-zero aggregates.
-		return c, fmt.Errorf("fleet: duration %.2gh is shorter than one %v bin", c.Hours, c.BinWidth)
-	}
-	c.Hours = float64(nBins) * c.BinWidth.Hours()
-	p := c.Population
-	if p.MinUsers <= 0 || p.MaxUsers < p.MinUsers || p.MaxDevicesPerUser <= 0 ||
-		p.MeanNeighborAPs < 0 || p.MaxNeighborAPs <= 0 ||
-		p.WeekendFraction < 0 || p.WeekendFraction > 1 ||
-		p.MinSensorFt <= 0 || p.MaxSensorFt < p.MinSensorFt ||
-		!finite(p.MeanNeighborAPs, p.WeekendFraction, p.MinSensorFt, p.MaxSensorFt) {
-		return c, fmt.Errorf("fleet: invalid population %+v", p)
-	}
-	if err := p.Devices.Validate(); err != nil {
-		return c, fmt.Errorf("fleet: %v", err)
-	}
+	c.Hours = float64(opts.NumBins()) * c.BinWidth.Hours()
 	if c.Coarse && p.Lifecycle() {
 		return c, fmt.Errorf("fleet: the coarse tier cannot run a device-lifecycle population (the ledger integrates per-bin magnitudes, compounding the proxy ε)")
 	}
@@ -236,14 +291,10 @@ func (c Config) withDefaults() (Config, error) {
 		return c, fmt.Errorf("fleet: the coarse tier cannot run at Window = %v, below its certified %v (a shorter window fits too few frames per anchor for the proxy ε to hold)",
 			c.Window, deploy.CoarseCertifiedWindow)
 	}
-	switch {
-	case c.Policy.Retry < 0:
-		return c, fmt.Errorf("fleet: Policy.Retry = %d, need >= 0", c.Policy.Retry)
-	case c.Deadline < 0:
-		return c, fmt.Errorf("fleet: Deadline = %v, need >= 0", c.Deadline)
-	case c.MaxFailedHomes < 0:
-		return c, fmt.Errorf("fleet: MaxFailedHomes = %d, need >= 0", c.MaxFailedHomes)
-	case c.MaxFailedHomes > 0 && !c.Policy.Skip:
+	if err := c.ValidateBudgets(); err != nil {
+		return c, fmt.Errorf("fleet: %w", err)
+	}
+	if c.MaxFailedHomes > 0 && !c.Policy.Skip {
 		return c, fmt.Errorf("fleet: MaxFailedHomes requires a Skip policy (fail-fast aborts on the first failed home)")
 	}
 	return c, nil

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"repro/internal/deploy"
+	"repro/internal/telemetry"
 )
 
 // testConfig keeps the packet-level work small enough for unit tests
@@ -299,6 +300,77 @@ func TestConfigRejectsNonFinitePopulation(t *testing.T) {
 				t.Errorf("withDefaults = %v, want an invalid population error", err)
 			}
 		})
+	}
+}
+
+// TestConfigRejectsHugePopulationCounts: the population's counts are
+// bounded so that every home it can draw is a valid deploy.HomeConfig.
+// Without the bounds a max_users near the int range looped once per
+// user in synthesis, and a max_neighbor_aps of 9e18 once per AP in the
+// bin plan, for hours. The error names the population field.
+func TestConfigRejectsHugePopulationCounts(t *testing.T) {
+	cases := map[string]func(p *Population){
+		"max_users":                        func(p *Population) { p.MaxUsers = math.MaxInt },
+		"max_users × max_devices_per_user": func(p *Population) { p.MaxDevicesPerUser = math.MaxInt },
+		"max_neighbor_aps":                 func(p *Population) { p.MeanNeighborAPs, p.MaxNeighborAPs = 1e15, math.MaxInt },
+	}
+	for field, mutate := range cases {
+		p := DefaultPopulation()
+		mutate(&p)
+		_, err := Config{Homes: 1, Population: p}.withDefaults()
+		if err == nil || !strings.Contains(err.Error(), "invalid population: "+field+" draws") {
+			t.Errorf("%s: withDefaults = %v, want an invalid population error naming %s", field, err, field)
+		}
+	}
+	// A huge but finite mean is fine: the draw is capped at
+	// max_neighbor_aps.
+	p := DefaultPopulation()
+	p.MeanNeighborAPs = 1e15
+	cfg, err := Config{Homes: 1, Population: p}.withDefaults()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if h := SynthesizeHome(cfg, 0); h.NeighborAPs != p.MaxNeighborAPs {
+		t.Errorf("home drew %d neighbor APs at mean 1e15, want the cap %d", h.NeighborAPs, p.MaxNeighborAPs)
+	}
+}
+
+// TestConfigRejectsNonFiniteHours: a NaN or infinite Hours is rejected
+// by name. It used to pass the fleet's own checks and fail only through
+// NumBins' implementation-defined float-to-int conversion, as a horizon
+// "shorter than one bin".
+func TestConfigRejectsNonFiniteHours(t *testing.T) {
+	for _, hours := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		_, err := Config{Homes: 1, Hours: hours}.withDefaults()
+		if err == nil || !strings.Contains(err.Error(), "non-finite horizon") {
+			t.Errorf("Hours = %v: withDefaults = %v, want a non-finite horizon error", hours, err)
+		}
+	}
+}
+
+// TestWorkersCappedByHomes: a fleet starts no more workers than it has
+// homes left to run, and its manifest records the workers it started.
+// Output stays bit-identical to one worker's.
+func TestWorkersCappedByHomes(t *testing.T) {
+	run := func(workers int) ([]byte, telemetry.Manifest) {
+		tel := telemetry.NewRun()
+		res, err := RunWith(context.Background(), testConfig(2, workers), Hooks{Telemetry: tel})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var b bytes.Buffer
+		if err := res.WriteJSON(&b); err != nil {
+			t.Fatal(err)
+		}
+		return b.Bytes(), tel.Snapshot().Manifest
+	}
+	one, _ := run(1)
+	many, m := run(64)
+	if !bytes.Equal(one, many) {
+		t.Error("2 homes on 64 workers differ from 1 worker")
+	}
+	if m.Workers != 2 {
+		t.Errorf("manifest records %d workers for 2 homes, want 2", m.Workers)
 	}
 }
 

@@ -146,7 +146,8 @@ func (w *worker) device(k lifecycle.Kind) *lifecycle.Device {
 }
 
 // Run executes the fleet simulation: cfg.Homes independent single-home
-// deployments sharded across cfg.Workers workers, streamed into the
+// deployments sharded across cfg.Workers workers (never more than homes
+// left to run), streamed into the
 // mergeable aggregates of Result. Each home runs its own isolated
 // packet-level simulation (deliberately single-threaded; the fleet
 // layer is where the parallelism lives).
@@ -229,6 +230,10 @@ func RunWith(ctx context.Context, cfg Config, h Hooks) (*Result, error) {
 		return ckw.write(res, next)
 	}
 
+	// Never more workers than homes left to run: a spare one would only
+	// wait on an empty ticket queue.
+	workers := min(cfg.Workers, cfg.Homes-start)
+
 	runStart := time.Now() //powifi:walltime-ok telemetry manifest wall time, out of band of the simulation
 	var memStart runtime.MemStats
 	if t != nil {
@@ -261,7 +266,7 @@ func RunWith(ctx context.Context, cfg Config, h Hooks) (*Result, error) {
 		m := telemetry.Manifest{
 			Seed:       cfg.Seed,
 			ConfigHash: telemetry.HashConfig(hashCfg),
-			Workers:    cfg.Workers,
+			Workers:    workers,
 			ElapsedS:   elapsed,
 		}
 		if elapsed > 0 {
@@ -320,14 +325,14 @@ func RunWith(ctx context.Context, cfg Config, h Hooks) (*Result, error) {
 	var take func(int) (homeStats, bool)
 	var give func(int, homeBufs)
 	var stop func()
-	if cfg.Workers == 1 {
+	if workers <= 1 {
 		w := newW()
 		var spare homeBufs
 		take = func(idx int) (homeStats, bool) { return w.runHome(ctx, idx, spare) }
 		give = func(_ int, bufs homeBufs) { spare = bufs }
 		stop = w.release
 	} else {
-		take, give, stop = shard(ctx, cfg, start, newW)
+		take, give, stop = shard(ctx, cfg.Homes, start, workers, newW)
 	}
 
 	// deliver folds one home into the result and feeds the hooks; it
@@ -454,8 +459,8 @@ func RunWith(ctx context.Context, cfg Config, h Hooks) (*Result, error) {
 	return nil, err
 }
 
-// shard runs homes [start, cfg.Homes) on cfg.Workers goroutines through
-// a ring of slotsPerWorker × Workers slots. Home i runs in slot
+// shard runs homes [start, homes) on workers goroutines through a ring
+// of slotsPerWorker × workers slots. Home i runs in slot
 // i mod len(ring): the slot's storage reaches the workers as home i's
 // ticket on free once home i − len(ring) has committed (give), and the
 // slot's done channel holds the finished home until take(i). free is
@@ -463,20 +468,20 @@ func RunWith(ctx context.Context, cfg Config, h Hooks) (*Result, error) {
 // len(ring) or more past the committed prefix, and memory is O(workers)
 // however slow one home is. take reports false once the run is
 // cancelled; stop returns once every worker has released.
-func shard(ctx context.Context, cfg Config, start int, newW func() *worker) (take func(int) (homeStats, bool), give func(int, homeBufs), stop func()) {
+func shard(ctx context.Context, homes, start, workers int, newW func() *worker) (take func(int) (homeStats, bool), give func(int, homeBufs), stop func()) {
 	ctx, cancel := context.WithCancel(ctx)
 	type ticket struct {
 		idx  int
 		bufs homeBufs
 	}
-	ring := make([]chan homeStats, slotsPerWorker*cfg.Workers)
+	ring := make([]chan homeStats, slotsPerWorker*workers)
 	free := make(chan ticket, len(ring)) // a ticket per slot at most
 	// issue hands home idx its slot's storage; free closes after the last
 	// home's, so a worker with nothing left to run exits at once.
 	issue := func(idx int, bufs homeBufs) {
-		if idx < cfg.Homes {
+		if idx < homes {
 			free <- ticket{idx, bufs}
-			if idx == cfg.Homes-1 {
+			if idx == homes-1 {
 				close(free)
 			}
 		}
@@ -487,7 +492,7 @@ func shard(ctx context.Context, cfg Config, start int, newW func() *worker) (tak
 	}
 
 	var wg sync.WaitGroup
-	for range cfg.Workers {
+	for range workers {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -641,13 +646,7 @@ func (w *worker) attemptHome(ctx context.Context, idx int, ht *trace.HomeTrace, 
 		dev.Trace = ht
 		dev.Begin(h.SensorFt, cfg.BinWidth)
 	}
-	opts := deploy.Options{
-		BinWidth:         cfg.BinWidth,
-		Window:           cfg.Window,
-		Hours:            cfg.Hours,
-		SensorDistanceFt: h.SensorFt,
-		Exact:            cfg.Exact,
-	}
+	opts := cfg.homeOptions(h.SensorFt)
 	b := &w.batch
 	gate := func(int) bool { return ctx.Err() == nil }
 	ht.BeginKernel()

@@ -153,8 +153,11 @@ func TestSpanStoreAllocs(t *testing.T) {
 		t.Skip("allocation budget does not hold under the race detector")
 	}
 	const spans = 16_000
-	if sz := unsafe.Sizeof(homeSpan{}); sz != 32 {
-		t.Errorf("home-span record is %d bytes, want 32", sz)
+	// Two int64s, two int32s and a byte, padded to the int64 alignment:
+	// the word size, so 32 bytes on 64-bit hosts and 28 on 386.
+	word := unsafe.Sizeof(uintptr(0))
+	if sz, want := unsafe.Sizeof(homeSpan{}), (2*8+2*4+1+word-1)/word*word; sz != want {
+		t.Errorf("home-span record is %d bytes, want %d", sz, want)
 	}
 	// The counters are process-wide, so allocations from elsewhere in a
 	// loaded process can land in the window: measure a fresh recorder

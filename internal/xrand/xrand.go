@@ -180,17 +180,21 @@ func (r *Rand) Normal(mean, stddev float64) float64 {
 // (where that method needs ~mean draws and float underflow looms) use
 // the rounded-normal approximation, which is accurate to well under a
 // count at mean > 30. Fleet population synthesis draws device and
-// neighbor counts from this.
+// neighbor counts from this. A mean that is not a positive finite
+// number gives 0, and a draw beyond the int range gives math.MaxInt.
 func (r *Rand) Poisson(mean float64) int {
-	if mean <= 0 {
+	if !(mean > 0) || math.IsInf(mean, 1) {
 		return 0
 	}
 	if mean > 30 {
-		n := int(r.Normal(mean, math.Sqrt(mean)) + 0.5)
-		if n < 0 {
-			n = 0
+		x := r.Normal(mean, math.Sqrt(mean)) + 0.5
+		switch {
+		case x < 0:
+			return 0
+		case x >= math.MaxInt:
+			return math.MaxInt
 		}
-		return n
+		return int(x)
 	}
 	l := math.Exp(-mean)
 	k := 0

@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
+	"time"
 )
 
 func TestDeterminism(t *testing.T) {
@@ -199,6 +200,37 @@ func TestPoissonEdgeCases(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		if a.Poisson(12) != b.Poisson(12) {
 			t.Fatal("identical seeds diverged")
+		}
+	}
+}
+
+// TestPoissonReturnsForAnyMean: a mean that is not a positive finite
+// number draws 0, where a NaN mean used to spin forever in the
+// product-of-uniforms loop, and a huge finite mean saturates at
+// math.MaxInt rather than converting out of the int range. Each draw
+// runs under a deadline, so a hang fails the test instead of stalling
+// the run.
+func TestPoissonReturnsForAnyMean(t *testing.T) {
+	cases := []struct {
+		mean float64
+		want int
+	}{
+		{math.NaN(), 0},
+		{math.Inf(1), 0},
+		{math.Inf(-1), 0},
+		{1e300, math.MaxInt},
+		{math.MaxFloat64, math.MaxInt},
+	}
+	for _, tc := range cases {
+		got := make(chan int, 1)
+		go func() { got <- New(1).Poisson(tc.mean) }()
+		select {
+		case n := <-got:
+			if n != tc.want {
+				t.Errorf("Poisson(%v) = %d, want %d", tc.mean, n, tc.want)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("Poisson(%v) did not return within 5 s", tc.mean)
 		}
 	}
 }

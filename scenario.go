@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"io"
 	"iter"
-	"math"
 	"time"
 
 	"repro/internal/deploy"
@@ -81,10 +80,13 @@ type settings struct {
 // Option configures a Scenario under construction.
 type Option func(*Scenario) error
 
-// NewScenario builds an immutable scenario from the given options,
-// validating each setting's range and that they describe exactly one
-// run mode. Home counts, population bounds and non-positive durations
-// are checked at Run, where the engines' own checks apply.
+// NewScenario builds an immutable scenario from the given options and
+// validates it. The SDK owns only the rules its wire form adds: duration
+// syntax, that an explicit zero is a value rather than "unset", and that
+// the options describe exactly one run mode. Every range rule is the
+// engine's, applied through the engine's own check: the household, the
+// sensor distance, the device mix and the failure budgets here; the
+// timing, the fleet's home count and its population bounds at Run.
 func NewScenario(opts ...Option) (*Scenario, error) {
 	return (&Scenario{}).With(opts...)
 }
@@ -311,9 +313,10 @@ func WithFaults(spec string) Option {
 	}
 }
 
-// check runs the per-setting range checks — the one check NewScenario,
-// With and LoadScenario share — and rewrites each duration in its
-// canonical Go syntax, so a loaded "1h" marshals as "1h0m0s".
+// check runs the per-setting checks — the one check NewScenario, With
+// and LoadScenario share — and rewrites each duration in its canonical
+// Go syntax, so a loaded "1h" marshals as "1h0m0s". Beyond syntax and
+// explicit zeros, each rule is an engine check's.
 func (c *settings) check() error {
 	for _, d := range []struct {
 		name string
@@ -336,22 +339,53 @@ func (c *settings) check() error {
 			return errors.New("powifi: WithDevices requires at least one positive share")
 		}
 	}
+	if c.Home != nil {
+		if err := c.Home.Validate(); err != nil {
+			return fmt.Errorf("powifi: home %w", err)
+		}
+	}
+	if c.SensorFt != nil {
+		o := deploy.DefaultOptions()
+		o.SensorDistanceFt = *c.SensorFt
+		if err := o.Validate(); err != nil {
+			return fmt.Errorf("powifi: %w", err)
+		}
+	}
+	// The fleet reads a zero deadline or failure budget as "none", which
+	// a set option cannot mean.
 	switch {
-	case c.SensorFt != nil && (math.IsNaN(*c.SensorFt) || math.IsInf(*c.SensorFt, 0)):
-		return fmt.Errorf("powifi: sensor distance %v ft, need a finite distance", *c.SensorFt)
-	case c.SensorFt != nil && *c.SensorFt <= 0:
-		return fmt.Errorf("powifi: sensor distance %v ft, need > 0", *c.SensorFt)
-	case c.Policy != nil && c.Policy.Retry < 0:
-		return fmt.Errorf("powifi: FailurePolicy.Retry = %d, need >= 0", c.Policy.Retry)
-	case c.Deadline != "" && *dur(c.Deadline) <= 0:
+	case c.Deadline != "" && *dur(c.Deadline) == 0:
 		return fmt.Errorf("powifi: deadline %s, need > 0", c.Deadline)
-	case c.MaxFailed != nil && *c.MaxFailed <= 0:
-		return fmt.Errorf("powifi: MaxFailedHomes = %d, need > 0", *c.MaxFailed)
+	case c.MaxFailed != nil && *c.MaxFailed == 0:
+		return errors.New("powifi: MaxFailedHomes = 0, need > 0")
+	}
+	var budgets fleet.Config
+	setIf(&budgets.Policy, c.Policy)
+	setIf(&budgets.Deadline, dur(c.Deadline))
+	setIf(&budgets.MaxFailedHomes, c.MaxFailed)
+	if err := budgets.ValidateBudgets(); err != nil {
+		return fmt.Errorf("powifi: %w", err)
 	}
 	return nil
 }
 
-// validate checks each setting's range, then that the scenario
+// timing overlays the set timing options on the engine defaults d and
+// runs the deploy check on the result, so an explicit zero reaches the
+// check as a value, never as "unset".
+func (c *settings) timing(d deploy.Options) (deploy.Options, error) {
+	if h := dur(c.Horizon); h != nil {
+		d.Hours = h.Hours()
+	}
+	setIf(&d.BinWidth, dur(c.BinWidth))
+	setIf(&d.Window, dur(c.Window))
+	setIf(&d.SensorDistanceFt, c.SensorFt)
+	if err := d.Validate(); err != nil {
+		return d, fmt.Errorf("powifi: %w", err)
+	}
+	return d, nil
+}
+
+// validate runs the per-setting checks, then checks that the scenario
 // describes exactly one mode, reading which options it carries from
 // which fields are set.
 func (s *Scenario) validate() error {
@@ -450,17 +484,20 @@ func (s *Scenario) Run(ctx context.Context) (*Report, error) {
 }
 
 // fleetConfig assembles the underlying fleet configuration, leaving
-// unset options to the engine's defaults.
-func (s *Scenario) fleetConfig() fleet.Config {
+// unset options to the engine's defaults. The fleet reads a zero
+// duration as unset, so the timing is checked here, as set.
+func (s *Scenario) fleetConfig() (fleet.Config, error) {
 	c, cfg := &s.conf, fleet.DefaultConfig()
+	d := deploy.DefaultOptions()
+	d.Hours, d.BinWidth, d.Window = cfg.Hours, cfg.BinWidth, cfg.Window
+	t, err := c.timing(d)
+	if err != nil {
+		return cfg, err
+	}
+	cfg.Hours, cfg.BinWidth, cfg.Window = t.Hours, t.BinWidth, t.Window
 	setIf(&cfg.Homes, c.Homes)
 	setIf(&cfg.Seed, c.Seed)
 	setIf(&cfg.Workers, c.Workers)
-	if h := dur(c.Horizon); h != nil {
-		cfg.Hours = h.Hours()
-	}
-	setIf(&cfg.BinWidth, dur(c.BinWidth))
-	setIf(&cfg.Window, dur(c.Window))
 	setIf(&cfg.Population, c.Population)
 	setIf(&cfg.Population.Devices, c.Devices)
 	setIf(&cfg.Exact, c.Exact)
@@ -468,7 +505,7 @@ func (s *Scenario) fleetConfig() fleet.Config {
 	setIf(&cfg.Policy, c.Policy)
 	setIf(&cfg.Deadline, dur(c.Deadline))
 	setIf(&cfg.MaxFailedHomes, c.MaxFailed)
-	return cfg
+	return cfg, nil
 }
 
 // fleetHooks assembles the engine hooks Run and Homes share: progress,
@@ -514,27 +551,11 @@ func (s *Scenario) writeSinks(h fleet.Hooks) error {
 	return nil
 }
 
-// checkDurations rejects an explicit window, bin width or horizon that
-// is not positive, naming the value. Only an unset option takes the
-// engine's default: an explicit zero is a value, not "unset".
-func (s *Scenario) checkDurations() error {
-	w, b, h := dur(s.conf.Window), dur(s.conf.BinWidth), dur(s.conf.Horizon)
-	switch {
-	case w != nil && *w <= 0:
-		return fmt.Errorf("powifi: non-positive window %v", *w)
-	case b != nil && *b <= 0:
-		return fmt.Errorf("powifi: non-positive bin width %v", *b)
-	case h != nil && *h <= 0:
-		return fmt.Errorf("powifi: non-positive horizon %.3gh", h.Hours())
-	}
-	return nil
-}
-
 func (s *Scenario) runFleet(ctx context.Context) (*Report, error) {
-	if err := s.checkDurations(); err != nil {
+	cfg, err := s.fleetConfig()
+	if err != nil {
 		return nil, err
 	}
-	cfg := s.fleetConfig()
 	h := s.fleetHooks(cfg)
 	endRun := h.Trace.Span(powifitrace.SpanRun)
 	res, err := fleet.RunWith(ctx, cfg, h)
@@ -558,31 +579,19 @@ func (s *Scenario) runFleet(ctx context.Context) (*Report, error) {
 	return rep, nil
 }
 
-// homeRun assembles the single-home configuration and the resolved
+// homeRun assembles the single-home configuration and the checked
 // options, filling unset fields from the deployment runner's defaults
-// (24 h, 60 s bins, 1 s windows, 10 ft), and the home's bin count. It
-// rejects a window, bin width or horizon that is not positive, and a
-// horizon shorter than one bin, as the fleet does.
+// (24 h, 60 s bins, 1 s windows, 10 ft), and the home's bin count.
 func (s *Scenario) homeRun() (HomeConfig, deploy.Options, int, error) {
 	c := &s.conf
 	home := *c.Home
-	if err := s.checkDurations(); err != nil {
-		return home, deploy.Options{}, 0, err
-	}
 	setIf(&home.Seed, c.Seed)
-	opts := deploy.Options{Exact: on(c.Exact)}
-	if h := dur(c.Horizon); h != nil {
-		opts.Hours = h.Hours()
+	opts, err := c.timing(deploy.DefaultOptions())
+	if err != nil {
+		return home, opts, 0, err
 	}
-	setIf(&opts.BinWidth, dur(c.BinWidth))
-	setIf(&opts.Window, dur(c.Window))
-	setIf(&opts.SensorDistanceFt, c.SensorFt)
-	opts = opts.Resolved()
-	nBins := opts.NumBins()
-	if nBins < 1 {
-		return home, opts, 0, fmt.Errorf("powifi: horizon %.3gh is shorter than one %v bin", opts.Hours, opts.BinWidth)
-	}
-	return home, opts, nBins, nil
+	opts.Exact = on(c.Exact)
+	return home, opts, opts.NumBins(), nil
 }
 
 // homeDevices builds the household's lifecycle devices: one per
@@ -732,12 +741,12 @@ func (s *Scenario) Homes(ctx context.Context) iter.Seq2[HomeRecord, error] {
 			yield(HomeRecord{}, fmt.Errorf("powifi: Homes requires a fleet scenario (mode %q)", s.Mode()))
 			return
 		}
-		if err := s.checkDurations(); err != nil {
+		cfg, err := s.fleetConfig()
+		if err != nil {
 			yield(HomeRecord{}, err)
 			return
 		}
 		stopped := false
-		cfg := s.fleetConfig()
 		h := s.fleetHooks(cfg)
 		h.Home = func(r fleet.HomeRecord) bool {
 			stopped = !yield(r, nil)
